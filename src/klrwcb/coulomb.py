@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .poly import HBAR, ONE_POLY, Polynomial, RationalFunction, as_poly
-from .scalars import ExactScalar, as_scalar
+from .scalars import ExactScalar, as_scalar, row_reduce
 
 
 class BadCocharacterError(ValueError):
@@ -574,7 +574,7 @@ def hamiltonian_reduce(module, xi):
                 row[index[target]] += c.rational
                 row[index[nu]] -= 1
                 rows.append(row)
-        oracle[key] = len(index) - _rank(rows)
+        oracle[key] = len(index) - len(row_reduce(rows)[1])
     return formula, oracle
 
 
@@ -585,31 +585,9 @@ def _line_coset_key(nu, xi):
     return tuple(Fraction(a) - t * b for a, b in zip(nu, xi))
 
 
-def _rank(rows):
-    if not rows:
-        return 0
-    m = [row[:] for row in rows]
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        m[rank] = [v / pv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
 def gk_dim(pieces):
     """Max rank of the lattice generator sets presenting the support."""
     best = 0
     for generators, _base in pieces:
-        rows = [[Fraction(g) for g in gen] for gen in generators]
-        best = max(best, _rank(rows))
+        best = max(best, len(row_reduce(generators)[1]))
     return best

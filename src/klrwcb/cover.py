@@ -15,9 +15,8 @@ from fractions import Fraction
 
 from .quiver import (INFINITY, DimensionData, Edge, Flavour, Quiver,
                      crawley_boevey, new_edge_id)
-from .scalars import (EQ, ExactScalar, as_scalar, format_scalar, is_integral,
-                      real_compare)
-from .sequences import (FlavouredSequence, build_cgr, corporeal, ghost,
+from .scalars import ExactScalar, as_scalar, format_scalar, is_integral
+from .sequences import (FlavouredSequence, build_cgr, corporeal, real_order,
                         validate)
 
 
@@ -71,12 +70,6 @@ class CoverData:
     flavour: Flavour          # pulled-back flavour on the completed cover
     base_edge: dict           # cover edge id -> base edge id
     orbit: dict               # the defining orbit representative
-
-    def vtilde(self):
-        return self.dims.v
-
-    def wtilde(self):
-        return self.dims.w
 
 
 def build_cover(quiver, dims, completed, flavour, orbit, table=None):
@@ -178,26 +171,9 @@ def transport(seq, cover, table=None):
     lifted = FlavouredSequence(tuple(new_labels), tuple(new_longs), ())
     items = [corporeal(k) for k in range(1, len(new_labels) + 1)]
     items += build_cgr(new_labels, cover.completed)
-    original_pos = {}
-    for it in items:
-        original_pos[it] = _matching_base_position(it, seq, cover)
-
-    import functools
-
-    def cmp(u, v):
-        au = lifted.longitude(u, phi_prime)
-        av = lifted.longitude(v, phi_prime)
-        c = real_compare(au, av, table)
-        if c != EQ:
-            return c
-        cu = 1 if u.is_corporeal() else 0
-        cv_ = 1 if v.is_corporeal() else 0
-        if cu != cv_:
-            return -1 if cu < cv_ else 1
-        pu, pv = original_pos[u], original_pos[v]
-        return -1 if pu < pv else (0 if pu == pv else 1)
-
-    order = tuple(sorted(items, key=functools.cmp_to_key(cmp)))
+    order = tuple(it for _, it in real_order(
+        items, lambda it: lifted.longitude(it, phi_prime), table,
+        lambda it: (it.is_corporeal(), _matching_base_position(it, seq, cover))))
     out = FlavouredSequence(tuple(new_labels), tuple(new_longs), order)
     bad = validate(out, cover.completed, phi_prime, table)
     if bad:
@@ -229,21 +205,9 @@ def untransport(seq, cover, table=None):
                     return lifted_pos[jt]
         return len(seq.order)
 
-    import functools
-
-    def cmp(u, v):
-        c = real_compare(base.longitude(u, base_flavour),
-                         base.longitude(v, base_flavour), table)
-        if c != EQ:
-            return c
-        cu = 1 if u.is_corporeal() else 0
-        cv_ = 1 if v.is_corporeal() else 0
-        if cu != cv_:
-            return -1 if cu < cv_ else 1
-        pu, pv = transported_pos(u), transported_pos(v)
-        return -1 if pu < pv else (0 if pu == pv else 1)
-
-    order = tuple(sorted(items, key=functools.cmp_to_key(cmp)))
+    order = tuple(it for _, it in real_order(
+        items, lambda it: base.longitude(it, base_flavour), table,
+        lambda it: (it.is_corporeal(), transported_pos(it))))
     return FlavouredSequence(base_labels, base_longs, order)
 
 

@@ -28,8 +28,8 @@ from fractions import Fraction
 
 from .poly import HBAR, ONE_POLY, Polynomial, as_poly
 from .scalars import as_scalar, is_integral_difference
-from .sequences import (FlavouredSequence, build_cgr, corporeal,
-                        from_weight, ghost, is_unsteady, validate)
+from .sequences import (FlavouredSequence, corporeal, from_weight, ghost,
+                        is_unsteady)
 
 
 class NoMatchingError(ValueError):
@@ -419,35 +419,18 @@ class Engine:
         (left to right) has label word[k] and longitude kH (sign +) or
         (k - n - 1)H (sign -)."""
         n = len(word)
-        bound = max([abs(_real_int(as_scalar(self.flavour[e.id])))
+        bound = max([abs(int(as_scalar(self.flavour[e.id]).rational))
                      for e in self.completed.edges] + [0])
         if H <= bound + n:
             raise HTooSmallError("H must exceed %d" % (bound + n))
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        longs = [k * H if sign > 0 else (k - n - 1) * H for k in range(1, n + 1)]
-        seq0 = FlavouredSequence(tuple(word), tuple(as_scalar(a) for a in longs), ())
-        items = [corporeal(k) for k in range(1, n + 1)]
-        items += build_cgr(word, self.completed)
-        import functools
-
-        def cmp(u, v):
-            from .scalars import EQ, real_compare
-            au = seq0.longitude(u, self.flavour)
-            av = seq0.longitude(v, self.flavour)
-            c = real_compare(au, av, self.table)
-            if c != EQ:
-                return c
-            tu = (1, "", u.k) if u.is_corporeal() else (0, str(u.edge), u.k)
-            tv = (1, "", v.k) if v.is_corporeal() else (0, str(v.edge), v.k)
-            return -1 if tu < tv else (0 if tu == tv else 1)
-
-        items.sort(key=functools.cmp_to_key(cmp))
-        seq = FlavouredSequence(seq0.labels, seq0.longitudes, tuple(items))
-        bad = validate(seq, self.completed, self.flavour, self.table)
-        if bad:
-            raise ValueError("cyclotomic sequence invalid: %s" % bad)
-        return self.identity(seq)
+        # the longitudes strictly increase, so from_weight keeps the word order
+        gamma = {}
+        for k, label in enumerate(word, start=1):
+            gamma.setdefault(label, []).append(k * H if sign > 0 else (k - n - 1) * H)
+        return self.identity(from_weight(gamma, self.completed, self.flavour,
+                                         self.table))
 
     # -- vanishing certificates --------------------------------------------------
 
@@ -470,8 +453,8 @@ class Engine:
             spread = 0
             for vals in gamma.values():
                 for a in vals:
-                    spread = max(spread, abs(_real_int(as_scalar(a))) + 1)
-            bound = max([abs(_real_int(as_scalar(self.flavour[e.id])))
+                    spread = max(spread, abs(int(as_scalar(a).rational)) + 1)
+            bound = max([abs(int(as_scalar(self.flavour[e.id]).rational))
                          for e in self.completed.edges] + [0])
             H = 2 * (spread + bound) + len(gamma) + 2
         gamma_H = {v: [as_scalar(a) + (H if v in comp_set else 0) for a in vals]
@@ -490,12 +473,6 @@ class Engine:
                 ok = False
                 break
         return theta, theta_prime, ok
-
-
-def _real_int(a):
-    q = a.rational
-    return q.numerator // q.denominator if q.denominator == 1 else \
-        int(q.numerator / q.denominator)
 
 
 def _test_polynomials(n, degree_bound, extra_random, rng):

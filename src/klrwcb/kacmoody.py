@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .quiver import INFINITY
+from .scalars import row_reduce
 
 
 class EdgeLoopError(ValueError):
@@ -195,46 +196,19 @@ def weight_multiplicity(quiver, lam, mu):
 
 
 def _root_coords_of_diff(verts, A, lam_vec, mu_vec):
-    """Solve lam - mu = sum v_i alpha_i for integer v, or None."""
+    """Solve lam - mu = sum v_i alpha_i for integer v, or None.  A singular
+    Cartan matrix gives the solution with every free coordinate zero."""
     n = len(verts)
-    rhs = [Fraction(lam_vec[i] - mu_vec[i]) for i in range(n)]
-    M = [[Fraction(A[j][i]) for i in range(n)] for j in range(n)]
-    sol = _solve_linear(M, rhs)
-    if sol is None:
+    rows, pivots = row_reduce([list(A[j]) + [lam_vec[j] - mu_vec[j]]
+                               for j in range(n)])
+    if n in pivots:
         return None
+    sol = [0] * n
+    for r, col in enumerate(pivots):
+        sol[col] = rows[r][n]
     if any(s.denominator != 1 for s in sol):
         return None
     return tuple(int(s) for s in sol)
-
-
-def _solve_linear(M, rhs):
-    """Gaussian elimination over Q; None when inconsistent (unique solutions
-    are all we need: quiver Cartan matrices here are invertible or the
-    boxed problem never reaches this path)."""
-    n = len(M)
-    M = [row[:] + [rhs[i]] for i, row in enumerate(M)]
-    row = 0
-    pivots = []
-    for col in range(n):
-        pr = next((r for r in range(row, n) if M[r][col] != 0), None)
-        if pr is None:
-            continue
-        M[row], M[pr] = M[pr], M[row]
-        pv = M[row][col]
-        M[row] = [x / pv for x in M[row]]
-        for r in range(n):
-            if r != row and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, n):
-        if M[r][n] != 0:
-            return None
-    sol = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        sol[col] = M[r][n]
-    return sol
 
 
 def _freudenthal(A, lam_vec, diff):

@@ -50,15 +50,6 @@ class Quiver:
     def has_vertex(self, v):
         return v in set(self.vertices)
 
-    def edges_with_head(self, v):
-        return [e for e in self.edges if e.head == v]
-
-    def edges_with_tail(self, v):
-        return [e for e in self.edges if e.tail == v]
-
-    def has_loops(self):
-        return any(e.tail == e.head for e in self.edges)
-
     def old_vertices(self):
         return [v for v in self.vertices if v != INFINITY]
 

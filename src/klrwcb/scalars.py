@@ -94,18 +94,21 @@ class ExactScalar:
         return as_scalar(other) + (-self)
 
     def __mul__(self, other):
-        """Multiplication by a rational (or rational-valued scalar) only;
-        products of two symbols are outside the model."""
+        """Products in Q + Qi, and of a symbolic scalar with a rational;
+        a symbol times a symbol or a non-real is outside the model."""
         other = as_scalar(other)
-        if other.symbolic and self.symbolic:
-            raise ValueError("cannot multiply two symbolic scalars")
         if other.symbolic:
             self, other = other, self
-        if other.imaginary and (self.symbolic or self.imaginary):
-            raise ValueError("cannot multiply two non-real scalars symbolically")
+        if other.symbolic:
+            raise ValueError("cannot multiply two symbolic scalars")
         q = other.rational
-        return ExactScalar(self.rational * q, self.imaginary * q,
-                           {n: c * q for n, c in self.symbolic})
+        if not other.imaginary:
+            return ExactScalar(self.rational * q, self.imaginary * q,
+                               {n: c * q for n, c in self.symbolic})
+        if self.symbolic:
+            raise ValueError("cannot multiply a symbolic scalar by a non-real one")
+        a, b, d = self.rational, self.imaginary, other.imaginary
+        return ExactScalar(a * q - b * d, a * d + b * q)
 
     __rmul__ = __mul__
 
@@ -118,7 +121,7 @@ class ExactScalar:
         q = Fraction(other)
         if not q:
             raise ZeroDivisionError("scalar division by zero")
-        return self * Fraction(1, 1) * Fraction(q.denominator, q.numerator)
+        return self * Fraction(q.denominator, q.numerator)
 
     def __eq__(self, other):
         try:
@@ -149,13 +152,6 @@ class ExactScalar:
     @property
     def is_rational(self):
         return not self.imaginary and not self.symbolic
-
-    @property
-    def is_real(self):
-        return not self.imaginary
-
-    def real_part(self):
-        return ExactScalar(self.rational, 0, dict(self.symbolic))
 
     def shadow_value(self, table):
         """Exact rational stand-in for the real part, symbols replaced by
@@ -217,6 +213,54 @@ def real_compare(a, b, table=None):
         raise AmbiguousOrderError(
             "shadows tie for %s vs %s; refine shadow precision" % (a, b))
     return LT if sa < sb else GT
+
+
+def real_keys(values, table=None):
+    """Exact sort keys for the real parts of values: sorting by them gives
+    the real_compare order, and two keys are equal iff real_compare is EQ.
+
+    The key is the rational part when all values share one symbolic part,
+    and the shadow value otherwise.  Raises AmbiguousOrderError exactly when
+    sorting with real_compare would: the symbolic parts differ and there is
+    no table, or two different real parts have tied shadows.
+    """
+    values = [as_scalar(v) for v in values]
+    if len({v.symbolic for v in values}) <= 1:
+        return [v.rational for v in values]
+    if table is None:
+        raise AmbiguousOrderError("symbolic comparison without a SymbolTable")
+    keys = [v.shadow_value(table) for v in values]
+    first = {}
+    for key, v in zip(keys, values):
+        u = first.setdefault(key, v)
+        if u.rational != v.rational or u.symbolic != v.symbolic:
+            raise AmbiguousOrderError(
+                "shadows tie for %s vs %s; refine shadow precision" % (u, v))
+    return keys
+
+
+def row_reduce(rows):
+    """Reduced row echelon form over Q of a list of equal-length rows.
+
+    Returns (reduced rows, pivot columns): row r < len(pivots) has a 1 in
+    column pivots[r] and zeros above and below it; the rank is len(pivots).
+    """
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(len(m[0]) if m else 0):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[top], m[piv] = m[piv], m[top]
+        pv = m[top][col]
+        m[top] = [v / pv for v in m[top]]
+        for r in range(len(m)):
+            if r != top and m[r][col]:
+                f = m[r][col]
+                m[r] = [v - f * w for v, w in zip(m[r], m[top])]
+        pivots.append(col)
+    return m, pivots
 
 
 # -- literal grammar ------------------------------------------------------

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from .scalars import (EQ, GT, LT, ExactScalar, as_scalar, format_scalar,
-                      is_integral, parse_scalar, real_compare)
+                      is_integral, parse_scalar, real_compare, real_keys)
 
 CORPOREAL, GHOST, RED = "C", "G", "R"
 
@@ -96,15 +96,6 @@ class FlavouredSequence:
             return self.longitudes[item.k - 1] + as_scalar(flavour[item.edge])
         return as_scalar(flavour[item.edge])
 
-    def label(self, item, completed=None):
-        """Vertex label of a corporeal item, edge label of a ghost/red."""
-        if item.kind == CORPOREAL:
-            return self.labels[item.k - 1]
-        return item.edge
-
-    def position(self, item):
-        return self.order.index(item)
-
     def weight(self):
         """Per-vertex longitude multisets gamma_i."""
         gamma = {}
@@ -155,14 +146,21 @@ def validate(seq, completed, flavour, table=None):
     return violations
 
 
-def _real_sort(values, table, key=lambda x: x):
-    import functools
+def real_order(objs, longitude, table=None, tie=lambda obj: ()):
+    """objs sorted by the real part of longitude(obj), then by tie(obj),
+    as (real key, obj) pairs; equal keys mean equal real longitudes.
 
-    def cmp(u, v):
-        c = real_compare(key(u), key(v), table)
-        return c
+    Every sort by real longitude goes through here."""
+    objs = list(objs)
+    keys = real_keys([longitude(o) for o in objs], table)
+    rank = sorted(range(len(objs)), key=lambda i: (keys[i], tie(objs[i])))
+    return [(keys[i], objs[i]) for i in rank]
 
-    return sorted(values, key=functools.cmp_to_key(cmp))
+
+def _cgr_tie(item):
+    # at equal real longitude: ghost/red items by (edge id, owner), then
+    # corporeal items by index
+    return (1, "", item.k) if item.is_corporeal() else (0, str(item.edge), item.k)
 
 
 def from_weight(gamma, completed, flavour, table=None):
@@ -171,39 +169,19 @@ def from_weight(gamma, completed, flavour, table=None):
     sorted by (edge id, owner index) and corporeal items by (vertex id,
     imaginary part, multiset position).
     """
-    entries = []
-    for vertex in sorted(gamma, key=str):
-        for pos, a in enumerate(gamma[vertex]):
-            entries.append((as_scalar(a), str(vertex), pos, vertex))
-    import functools
-
-    def cmp_entry(u, v):
-        c = real_compare(u[0], v[0], table)
-        if c != EQ:
-            return c
-        ku = (u[1], u[0].imaginary, u[2])
-        kv = (v[1], v[0].imaginary, v[2])
-        return -1 if ku < kv else (0 if ku == kv else 1)
-
-    entries.sort(key=functools.cmp_to_key(cmp_entry))
+    entries = [(as_scalar(a), str(vertex), pos, vertex)
+               for vertex in sorted(gamma, key=str)
+               for pos, a in enumerate(gamma[vertex])]
+    entries = [e for _, e in real_order(entries, lambda e: e[0], table,
+                                        lambda e: (e[1], e[0].imaginary, e[2]))]
     labels = tuple(e[3] for e in entries)
     longitudes = tuple(e[0] for e in entries)
     seq0 = FlavouredSequence(labels, longitudes, ())
     items = [corporeal(k) for k in range(1, len(labels) + 1)]
     items += build_cgr(labels, completed)
-
-    def cmp_item(u, v):
-        au = seq0.longitude(u, flavour)
-        av = seq0.longitude(v, flavour)
-        c = real_compare(au, av, table)
-        if c != EQ:
-            return c
-        tu = (1, "", u.k) if u.is_corporeal() else (0, str(u.edge), u.k)
-        tv = (1, "", v.k) if v.is_corporeal() else (0, str(v.edge), v.k)
-        return -1 if tu < tv else (0 if tu == tv else 1)
-
-    items.sort(key=functools.cmp_to_key(cmp_item))
-    seq = FlavouredSequence(labels, longitudes, items)
+    order = [it for _, it in real_order(
+        items, lambda it: seq0.longitude(it, flavour), table, _cgr_tie)]
+    seq = FlavouredSequence(labels, longitudes, order)
     bad = validate(seq, completed, flavour, table)
     if bad:
         raise ValueError("from_weight produced an invalid sequence: %s" % bad)
@@ -234,15 +212,8 @@ def equivalent(s1, s2, completed, flavour, table=None):
         out = {}
         for lab in set(seq.labels):
             ks = [k for k in range(1, seq.n + 1) if seq.labels[k - 1] == lab]
-            ks = _real_sort(ks, table, key=lambda k: seq.longitudes[k - 1])
-            grouped = []
-            for k in ks:
-                if grouped and real_compare(seq.longitudes[grouped[-1][-1] - 1],
-                                            seq.longitudes[k - 1], table) == EQ:
-                    grouped[-1].append(k)
-                else:
-                    grouped.append([k])
-            out[lab] = grouped
+            out[lab] = _classes(real_order(ks, lambda k: seq.longitudes[k - 1],
+                                           table))
         return out
 
     b1, b2 = blocks(s1), blocks(s2)
@@ -357,36 +328,34 @@ def enumerate_orders(labels_multiset, gamma, completed, flavour, table=None,
     weakly increase in real longitude are explored, and all admissible
     tie-breaking orders on CGR.
     """
-    entries = []
-    for vertex in sorted(gamma, key=str):
-        for a in gamma[vertex]:
-            entries.append((as_scalar(a), vertex))
+    entries = [(as_scalar(a), vertex)
+               for vertex in sorted(gamma, key=str) for a in gamma[vertex]]
+    keys = real_keys([e[0] for e in entries], table)
+
+    def arrangements(prefix, left):
+        # index tuples in lexicographic order that weakly increase in key,
+        # identical entries kept in index order (other orders repeat them)
+        if not left:
+            yield prefix
+            return
+        low = min(keys[i] for i in left)
+        for i in left:
+            if keys[i] == low and not any(j < i and entries[j] == entries[i]
+                                          for j in left):
+                yield from arrangements(prefix + (i,), [j for j in left if j != i])
 
     results = []
     seen = []
-    produced = set()
-    for perm in sorted(set(itertools.permutations(range(len(entries))))):
-        seq_entries = [entries[i] for i in perm]
-        longs = [e[0] for e in seq_entries]
-        ok = True
-        for u, v in zip(longs, longs[1:]):
-            if real_compare(u, v, table) == GT:
-                ok = False
-                break
-        if not ok:
-            continue
-        labels = tuple(e[1] for e in seq_entries)
-        longitudes = tuple(longs)
+    for perm in arrangements((), list(range(len(entries)))):
+        labels = tuple(entries[i][1] for i in perm)
+        longitudes = tuple(entries[i][0] for i in perm)
         base = FlavouredSequence(labels, longitudes, ())
         items = [corporeal(k) for k in range(1, len(labels) + 1)]
         items += build_cgr(labels, completed)
         for order in _admissible_orders(base, items, completed, flavour, table):
             seq = FlavouredSequence(labels, longitudes, order)
-            if seq in produced:
-                continue
             if validate(seq, completed, flavour, table):
                 continue
-            produced.add(seq)
             if up_to_equivalence:
                 if any(equivalent(seq, s, completed, flavour, table)[0]
                        for s in seen):
@@ -396,25 +365,19 @@ def enumerate_orders(labels_multiset, gamma, completed, flavour, table=None,
     return results
 
 
+def _classes(ranked):
+    """The objs of real_order's (key, obj) pairs, grouped by equal key."""
+    return [[obj for _, obj in grp]
+            for _, grp in itertools.groupby(ranked, key=lambda p: p[0])]
+
+
 def _admissible_orders(base, items, completed, flavour, table):
     """All total orders compatible with rule (i) and (ii): sort into weak
     real-longitude classes, then permute ghost/red items within a class
     (corporeal items keep index order and come last in the class)."""
-    import functools
-
-    def cmp(u, v):
-        return real_compare(base.longitude(u, flavour),
-                            base.longitude(v, flavour), table)
-
-    items = sorted(items, key=functools.cmp_to_key(cmp))
-    classes = []
-    for it in items:
-        if classes and cmp(classes[-1][-1], it) == EQ:
-            classes[-1].append(it)
-        else:
-            classes.append([it])
     per_class = []
-    for cls in classes:
+    for cls in _classes(real_order(items, lambda it: base.longitude(it, flavour),
+                                   table)):
         gr = [it for it in cls if not it.is_corporeal()]
         corp = sorted([it for it in cls if it.is_corporeal()], key=lambda it: it.k)
         per_class.append([list(p) + corp for p in itertools.permutations(gr)])

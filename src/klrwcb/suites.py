@@ -243,11 +243,8 @@ def suite_satake():
     for v, m in res2["table"].items():
         mu = KMWeight.make("fundamental", fundamental_from_root_diff(
             verts, A, {"1": 1, "2": 1}, dict(zip(verts, v))))
-        try:
-            m_oracle = kostant_multiplicity(a2, lam2, mu)
-        except Exception:
-            m_oracle = 0
-        if m != max(0, m_oracle):
+        m_oracle = kostant_multiplicity(a2, lam2, mu)
+        if m != m_oracle:
             out["ok"] = False
             out["witnesses"].append(("a2-mult", v, m, m_oracle))
     # rank bookkeeping: e at v matches f one step down, on every edge of the grid

@@ -140,6 +140,21 @@ def test_satake_command(a2_file, capsys):
     assert "total: 8  (dim V(lambda) = 8)" in out
 
 
+def test_monopole_mul_complex_shift(capsys):
+    assert main(["monopole-mul", "--rank", "1", "--matter", "1;1/2+1i",
+                 "r[1]", "r[-1]"]) == 0
+    assert capsys.readouterr().out.strip() == "(x1+1/2+1i)*r[0]"
+
+
+def test_satake_off_finite_type(kron_file, capsys):
+    # the Kronecker quiver is affine: no Weyl dimension, but a table
+    rc = main(["satake", "--quiver", kron_file, "--w", "alpha=1,beta=0",
+               "--vmax", "alpha=1,beta=0"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("total:")] == ["total: 2"]
+
+
 def test_res_support_and_qhr_commands(capsys):
     assert main(["res-support", "--rank", "1", "--matter", "1",
                  "--gamma0", "1/2", "--box", "4", "--xi", "1"]) == 0

@@ -9,7 +9,7 @@ from klrwcb.diagrams import (ComposeMismatchError, Engine, FramedComponentError,
 from klrwcb.poly import ONE_POLY
 from klrwcb.quiver import (DimensionData, Flavour, Quiver, crawley_boevey,
                            kronecker_quiver)
-from klrwcb.scalars import as_scalar
+from klrwcb.scalars import as_scalar, row_reduce
 from klrwcb.sequences import (FlavouredSequence, corporeal, from_weight, ghost,
                               is_unsteady, parse_sequence, red)
 
@@ -283,6 +283,18 @@ def test_cyclotomic_idempotents():
         eng.cyclotomic_idempotent(("x", "x"), -1, 3)
 
 
+def test_cyclotomic_bound_is_exact_for_large_flavours():
+    # (10**20 + 1)/3 truncates to 33333333333333333333; a float quotient
+    # gives 33333333333333331968 and lets a too-small H through
+    q = Quiver(["x"], [])
+    comp = crawley_boevey(q, DimensionData({"x": 1}, {"x": 1}))
+    eng = Engine(comp, Flavour({"w[x]0": as_scalar(Fraction(10 ** 20 + 1, 3))}))
+    with pytest.raises(HTooSmallError, match="H must exceed 33333333333333333334$"):
+        eng.cyclotomic_idempotent(("x",), -1, 33333333333333331970)
+    d = eng.cyclotomic_idempotent(("x",), -1, 33333333333333333335)
+    assert d.bottom.longitudes == (as_scalar(-33333333333333333335),)
+
+
 def test_cyclotomic_unframed_component_unsteady():
     q = kronecker_quiver()
     comp = crawley_boevey(q, DimensionData({"alpha": 1, "beta": 0},
@@ -365,13 +377,11 @@ def test_faithfulness_small():
         rows.append(row)
     ncols = len(monomials)
     dense = [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
-    from klrwcb.coulomb import _rank
-    assert _rank(dense) == len(ops)
+    assert len(row_reduce(dense)[1]) == len(ops)
 
 
 def test_faithfulness_three_strands():
     import itertools
-    from klrwcb.coulomb import _rank
     q = Quiver(["x"], [])
     comp = crawley_boevey(q, DimensionData({"x": 3}, {"x": 0}))
     eng = Engine(comp, Flavour({}))
@@ -394,4 +404,4 @@ def test_faithfulness_three_strands():
         rows.append(row)
     dense = [[r.get(c, Fraction(0)) for c in range(len(monomials))]
              for r in rows]
-    assert _rank(dense) == len(ops)
+    assert len(row_reduce(dense)[1]) == len(ops)

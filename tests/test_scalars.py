@@ -1,11 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from klrwcb.scalars import (EQ, GT, LT, AmbiguousOrderError, ExactScalar,
                             SymbolTable, as_scalar, format_scalar,
-                            is_integral_difference, parse_scalar, real_compare)
+                            is_integral_difference, parse_scalar, real_compare,
+                            real_keys, row_reduce)
 
 
 def test_integral_difference_examples():
@@ -94,3 +98,86 @@ def test_integral_difference_never_ambiguous():
     assert is_integral_difference(a, b)
     # comparison of integrally-differing scalars needs no shadows at all
     assert real_compare(a, b, None) == LT
+
+
+def test_complex_products():
+    i = ExactScalar(0, 1)
+    assert ExactScalar(1) * i == i
+    assert i * ExactScalar(1) == i
+    assert i * i == as_scalar(-1)
+    assert parse_scalar("1+2i") * parse_scalar("3-1i") == parse_scalar("5+5i")
+    assert 2 * parse_scalar("1/2+1i") == parse_scalar("1+2i")
+    assert parse_scalar("1+1i") / 2 == parse_scalar("1/2+1/2i")
+
+
+def test_symbolic_products():
+    t = SymbolTable()
+    s = parse_scalar("1/2+sym:sqrt2~1.41421", t)
+    assert s * 2 == 2 * s == s + s
+    assert ExactScalar(0, 1, {"a": 1}) * 3 == ExactScalar(0, 3, {"a": 3})
+    for a, b in ((s, s), (s, ExactScalar(0, 1)), (ExactScalar(0, 1), s),
+                 (ExactScalar(1, 1, {"a": 1}), ExactScalar(0, 1))):
+        with pytest.raises(ValueError):
+            a * b
+
+
+_gauss = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_gauss, _gauss, _gauss, _gauss)
+def test_complex_product_matches_gaussian_formula(a, b, c, d):
+    x, y = ExactScalar(a, b), ExactScalar(c, d)
+    assert x * y == y * x == ExactScalar(a * c - b * d, a * d + b * c)
+
+
+_small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+_values = st.one_of(
+    st.builds(ExactScalar, _small),
+    st.builds(ExactScalar, _small, _small),
+    st.builds(lambda q, im, s, t: ExactScalar(q, im, {"s": s, "t": t}),
+              _small, _small, st.sampled_from([0, 1, -1]), st.sampled_from([0, 1])))
+_shadows = st.sampled_from([Fraction(1, 2), Fraction(3, 2), Fraction(7, 5)])
+_tables = st.one_of(st.none(), st.builds(
+    lambda s, t: SymbolTable().declare("s", s).declare("t", t), _shadows, _shadows))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(_values, max_size=6), _tables)
+def test_real_keys_sort_like_real_compare(values, table):
+    # differential test against sorting with the pairwise comparator:
+    # same order, same AmbiguousOrderError cases, equal keys iff EQ
+    def cmp(i, j):
+        return real_compare(values[i], values[j], table)
+
+    try:
+        want = sorted(range(len(values)), key=cmp_to_key(cmp))
+    except AmbiguousOrderError:
+        with pytest.raises(AmbiguousOrderError):
+            real_keys(values, table)
+        return
+    keys = real_keys(values, table)
+    assert sorted(range(len(values)), key=keys.__getitem__) == want
+    for i, j in itertools.combinations(range(len(values)), 2):
+        assert (keys[i] == keys[j]) == (cmp(i, j) == EQ)
+
+
+def test_real_keys_examples():
+    t = SymbolTable().declare("s", Fraction(3, 2))
+    s = ExactScalar(0, 0, {"s": 1})
+    assert real_keys([s + 1, s]) == [1, 0]              # one symbolic part
+    assert real_keys([s, as_scalar(1)], t) == [Fraction(3, 2), 1]
+    with pytest.raises(AmbiguousOrderError):
+        real_keys([s, as_scalar(1)])                    # no table
+    with pytest.raises(AmbiguousOrderError):
+        real_keys([s, as_scalar(Fraction(3, 2))], t)    # shadow tie
+    assert real_keys([s, s + ExactScalar(0, 1)], t) == [0, 0]   # same real part
+
+
+def test_row_reduce():
+    rows, pivots = row_reduce([[2, 4, 2], [1, 2, 3], [0, 0, 0]])
+    assert pivots == [0, 2]
+    assert rows[:2] == [[1, 2, 0], [0, 0, 1]]
+    assert row_reduce([]) == ([], [])
+    # an inconsistent augmented system has a pivot in its last column
+    assert row_reduce([[1, 1, 1], [1, 1, 2]])[1] == [0, 2]

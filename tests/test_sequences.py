@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from klrwcb.quiver import DimensionData, Flavour, crawley_boevey, kronecker_quiver
-from klrwcb.scalars import SymbolTable, as_scalar
+from klrwcb.quiver import (DimensionData, Flavour, Quiver, crawley_boevey,
+                           kronecker_quiver)
+from klrwcb.scalars import (GT, AmbiguousOrderError, ExactScalar, SymbolTable,
+                            as_scalar, real_compare)
 from klrwcb.sequences import (FlavouredSequence, NonIntegralInputError,
-                              ZCFlavouredSequence, ZCLongitude, build_cgr,
-                              corporeal, enumerate_orders, equivalent,
+                              ZCFlavouredSequence, ZCLongitude, _admissible_orders,
+                              build_cgr, corporeal, enumerate_orders, equivalent,
                               format_sequence, from_weight, ghost, is_unsteady,
                               parse_sequence, red, to_loading_order, validate,
                               zc_concat, zc_is_unsteady, zc_split, zc_validate)
@@ -257,6 +259,77 @@ def test_enumerate_kronecker_table(kronecker_unframed):
     assert len(enumerate_orders(None, {"alpha": [as_scalar(0)],
                                        "beta": [as_scalar(0)]}, comp, fl,
                                 up_to_equivalence=False)) == 4
+
+
+def _orders_by_permutations(gamma, completed, flavour, table=None,
+                            up_to_equivalence=True):
+    """The former enumerate_orders: every permutation of the strands in
+    lexicographic order, kept when its longitudes weakly increase."""
+    entries = [(as_scalar(a), vertex)
+               for vertex in sorted(gamma, key=str) for a in gamma[vertex]]
+    results, seen, produced = [], [], set()
+    for perm in itertools.permutations(range(len(entries))):
+        longs = tuple(entries[i][0] for i in perm)
+        if any(real_compare(u, v, table) == GT for u, v in zip(longs, longs[1:])):
+            continue
+        labels = tuple(entries[i][1] for i in perm)
+        items = [corporeal(k) for k in range(1, len(labels) + 1)]
+        items += build_cgr(labels, completed)
+        base = FlavouredSequence(labels, longs, ())
+        for order in _admissible_orders(base, items, completed, flavour, table):
+            seq = FlavouredSequence(labels, longs, order)
+            if seq in produced or validate(seq, completed, flavour, table):
+                continue
+            produced.add(seq)
+            if up_to_equivalence:
+                if any(equivalent(seq, t, completed, flavour, table)[0] for t in seen):
+                    continue
+                seen.append(seq)
+            results.append(seq)
+    return results
+
+
+@pytest.mark.parametrize("alpha,beta,w_alpha", [
+    ([0, 0], [0], 0), ([0, 0], [0], 1), ([0, 1], [0, 1], 0),
+    ([0, 0, Fraction(1, 2)], [Fraction(1, 2)], 1), ([1, 0, 1], [], 0),
+    ([0, 0], [0, 0], 0), ([0, 0, 0], [0], 0)])
+@pytest.mark.parametrize("up_to_equivalence", [True, False])
+def test_enumerate_orders_matches_permutation_listing(alpha, beta, w_alpha,
+                                                      up_to_equivalence):
+    comp = crawley_boevey(kronecker_quiver(), DimensionData(
+        {"alpha": len(alpha), "beta": len(beta)}, {"alpha": w_alpha, "beta": 0}))
+    fl = Flavour({"e": as_scalar(1), "f": as_scalar(1), "w[alpha]0": as_scalar(0)})
+    gamma = {"alpha": [as_scalar(a) for a in alpha],
+             "beta": [as_scalar(b) for b in beta]}
+    got = enumerate_orders(None, gamma, comp, fl,
+                           up_to_equivalence=up_to_equivalence)
+    assert got == _orders_by_permutations(gamma, comp, fl,
+                                          up_to_equivalence=up_to_equivalence)
+
+
+def test_enumerate_orders_symbolic_ties_match_permutation_listing():
+    t = SymbolTable().declare("s", Fraction(7, 5))
+    s = ExactScalar(0, 0, {"s": 1})
+    comp = crawley_boevey(kronecker_quiver(), DimensionData(
+        {"alpha": 3, "beta": 1}, {"alpha": 0, "beta": 0}))
+    fl = Flavour({"e": as_scalar(1), "f": as_scalar(1)})
+    gamma = {"alpha": [s, as_scalar(1), s], "beta": [s + ExactScalar(0, 1)]}
+    for up in (True, False):
+        assert enumerate_orders(None, gamma, comp, fl, t, up) == \
+            _orders_by_permutations(gamma, comp, fl, t, up)
+    with pytest.raises(AmbiguousOrderError):
+        enumerate_orders(None, gamma, comp, fl)
+
+
+def test_from_weight_shadow_tie_raises():
+    t = SymbolTable().declare("s", Fraction(3, 2))
+    comp = crawley_boevey(Quiver(["x"], []), DimensionData({"x": 2}, {"x": 0}))
+    gamma = {"x": [ExactScalar(0, 0, {"s": 1}), as_scalar(Fraction(3, 2))]}
+    with pytest.raises(AmbiguousOrderError):
+        from_weight(gamma, comp, Flavour({}), t)
+    t.declare("s", Fraction(141, 100))
+    s = from_weight(gamma, comp, Flavour({}), t)
+    assert s.longitudes == (ExactScalar(0, 0, {"s": 1}), as_scalar(Fraction(3, 2)))
 
 
 def test_sequence_literal_roundtrip():
