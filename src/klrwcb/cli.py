@@ -4,7 +4,9 @@ Commands: enumerate-sequences, check-equivalence, is-unsteady,
 reduce-integral, category-o-graph, monopole-mul, res-support, qhr,
 relcheck, satake, render-diagram, suite.  All output is deterministic for
 a fixed --seed.  KLRW_SHADOW_PRECISION sets the denominator used for
-auto-declared shadows of sqrtN symbols.
+auto-declared shadows of sqrtN symbols.  Bad input (a malformed literal,
+an unknown vertex or edge, data the library rejects) prints one line
+``klrwcb: error: <message>`` on stderr and exits with status 2.
 """
 
 from __future__ import annotations
@@ -34,10 +36,11 @@ from .sequences import (enumerate_orders, equivalent, format_sequence,
 
 
 def _shadow_precision():
-    try:
-        return int(os.environ.get("KLRW_SHADOW_PRECISION", "1000000"))
-    except ValueError:
-        return 1000000
+    text = os.environ.get("KLRW_SHADOW_PRECISION", "1000000")
+    if not re.fullmatch(r"\s*[0-9]+\s*", text) or int(text) == 0:
+        raise ValueError("KLRW_SHADOW_PRECISION must be a positive integer, "
+                         "got %r" % text)
+    return int(text)
 
 
 def make_table():
@@ -554,7 +557,11 @@ def main(argv=None):
     p.set_defaults(func=cmd_suite)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print("klrwcb: error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ grid.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -96,16 +97,17 @@ def _bilinear(A, a, b):
     return sum(A[i][j] * a[i] * b[j] for i in range(len(a)) for j in range(len(a)))
 
 
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
 def _height(a):
     return sum(a)
 
 
-def _boxed_vectors(bound):
-    """All nonzero integer vectors 0 <= beta <= bound coordinatewise."""
-    out = [()]
-    for b in bound:
-        out = [v + (k,) for v in out for k in range(b + 1)]
-    return [v for v in out if any(v)]
+def _box(bound):
+    """All integer vectors 0 <= beta <= bound, in lexicographic order."""
+    return list(itertools.product(*(range(b + 1) for b in bound)))
 
 
 class RootSystemSlice:
@@ -122,7 +124,7 @@ class RootSystemSlice:
         n = len(A)
         self._c = {}
         self._mult = {}
-        betas = sorted(_boxed_vectors(self.bound), key=_height)
+        betas = sorted(_box(self.bound)[1:], key=_height)
         simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
         for s in simple:
             if all(x <= b for x, b in zip(s, self.bound)):
@@ -134,7 +136,7 @@ class RootSystemSlice:
             # (beta, beta) - 2 height(beta)  [since (beta, 2rho) = 2 ht for symmetric A]
             denom = Fraction(_bilinear(A, beta, beta) - 2 * _height(beta))
             total = Fraction(0)
-            for bp in self._proper_summands(beta):
+            for bp in _box(beta)[1:-1]:  # the nonzero proper summands
                 bpp = _vec_sub(beta, bp)
                 cb1, cb2 = self._c.get(bp), self._c.get(bpp)
                 if cb1 and cb2:
@@ -159,14 +161,6 @@ class RootSystemSlice:
                 raise ArithmeticError("non-integral root multiplicity at %r" % (beta,))
             self._mult[beta] = int(m)
 
-    def _proper_summands(self, beta):
-        parts = [()]
-        for b in beta:
-            parts = [v + (k,) for v in parts for k in range(b + 1)]
-        for v in parts:
-            if any(v) and v != beta:
-                yield v
-
     def positive_roots(self):
         return [(beta, m) for beta, m in self._mult.items() if m > 0]
 
@@ -182,17 +176,21 @@ def weight_multiplicity(quiver, lam, mu):
     """dim V(lam)_mu by the Freudenthal recursion over {mu <= nu <= lam}.
 
     lam, mu are KMWeights in fundamental coordinates; lam must be dominant
-    and lam - mu a nonnegative root-lattice combination.
+    and lam - mu a nonnegative root-lattice combination.  Off finite type
+    the Cartan matrix is singular and fundamental coordinates do not
+    determine a weight: the free root coordinates of lam - mu are fixed at
+    zero, so weights that differ by an imaginary root (lam and lam - delta
+    on an affine quiver) share one answer.  ``decat_chevalley`` indexes by
+    the root-coordinate depth and tells them apart.
     """
     verts, A = cartan_matrix(quiver)
     lam_vec = _as_fund_vector(lam, verts, A)
     mu_vec = _as_fund_vector(mu, verts, A)
-    if any(c < 0 for c in lam_vec):
-        raise NotDominantError("lambda is not dominant: %r" % (lam_vec,))
+    mult = _multiplicities(A, lam_vec)
     diff = _root_coords_of_diff(verts, A, lam_vec, mu_vec)
     if diff is None or any(c < 0 for c in diff):
         raise NotBelowError("mu is not <= lambda in the root order")
-    return _freudenthal(A, lam_vec, diff)
+    return mult(diff)
 
 
 def _root_coords_of_diff(verts, A, lam_vec, mu_vec):
@@ -211,38 +209,39 @@ def _root_coords_of_diff(verts, A, lam_vec, mu_vec):
     return tuple(int(s) for s in sol)
 
 
-def _freudenthal(A, lam_vec, diff):
-    """Multiplicity of mu = lam - diff (root coords) in V(lam), symmetric A.
+def _multiplicities(A, lam_vec):
+    """mult(beta) = dim V(lam)_{lam - beta} for beta in root coordinates,
+    by the Freudenthal recursion; lam_vec is a dominant weight in
+    fundamental coordinates and A is symmetric.
 
-    Inner products use (varpi_i, alpha_j) = delta_ij, (alpha_i, alpha_j) = A_ij.
+    One memo serves every query: the value at beta depends only on the
+    roots <= beta and on values at smaller depths, and Peterson root
+    multiplicities do not depend on the box, so the root slice is rebuilt
+    only when a query leaves it.  Inner products use (varpi_i, alpha_j) =
+    delta_ij, (alpha_i, alpha_j) = A_ij.
     """
+    if any(c < 0 for c in lam_vec):
+        raise NotDominantError("lambda is not dominant: %r" % (lam_vec,))
     n = len(A)
-    roots = RootSystemSlice(A, diff).positive_roots()
     cache = {}
-
-    def lam_minus(beta):
-        # fundamental vector of lam - sum beta_i alpha_i
-        return tuple(lam_vec[j] - sum(A[j][i] * beta[i] for i in range(n))
-                     for j in range(n))
-
-    def norm_shift(beta):
-        # (lam+rho, lam+rho) - (mu+rho, mu+rho) with mu = lam - beta:
-        #   = (beta, beta) + 2 (lam - beta, beta) + 2 (rho, beta)
-        #   = 2 (lam, beta) - (beta, beta) + 2 ht(beta)
-        lam_dot_beta = sum(lam_vec[i] * beta[i] for i in range(n))
-        return 2 * lam_dot_beta - _bilinear(A, beta, beta) + 2 * _height(beta)
+    box, roots = (0,) * n, []
 
     def mult(beta):
-        beta = tuple(beta)
+        nonlocal box, roots
         if any(b < 0 for b in beta):
             return 0
         if not any(beta):
             return 1
         if beta in cache:
             return cache[beta]
-        denom = Fraction(norm_shift(beta))
+        if any(b > c for b, c in zip(beta, box)):
+            box = tuple(map(max, beta, box))
+            roots = RootSystemSlice(A, box).positive_roots()
+        # (lam+rho, lam+rho) - (mu+rho, mu+rho) with mu = lam - beta:
+        #   = 2 (lam, beta) - (beta, beta) + 2 ht(beta)
+        denom = Fraction(2 * _dot(lam_vec, beta) - _bilinear(A, beta, beta)
+                         + 2 * _height(beta))
         total = Fraction(0)
-        mu_vec = lam_minus(beta)
         for alpha, am in roots:
             k = 1
             while True:
@@ -251,9 +250,8 @@ def _freudenthal(A, lam_vec, diff):
                     break
                 m_up = mult(beta_up)
                 if m_up:
-                    # (mu + k alpha, alpha)
-                    mu_up = lam_minus(beta_up)
-                    val = sum(mu_up[i] * alpha[i] for i in range(n))
+                    # (mu + k alpha, alpha) = (lam - beta_up, alpha)
+                    val = _dot(lam_vec, alpha) - _bilinear(A, beta_up, alpha)
                     total += 2 * am * Fraction(val) * m_up
                 k += 1
         if denom == 0:
@@ -265,7 +263,7 @@ def _freudenthal(A, lam_vec, diff):
         cache[beta] = int(m)
         return int(m)
 
-    return mult(diff)
+    return mult
 
 
 # -- finite-type oracle (Kostant/Weyl), used only by tests and suites ------
@@ -318,10 +316,13 @@ def kostant_multiplicity(quiver, lam, mu):
     roots = _finite_positive_roots(A)
     rho = tuple(1 for _ in range(n))
     lam_rho = _vec_add(lam_vec, rho)
-
-    def to_root_coords(fund_vec):
-        sol = _root_coords_of_diff(verts, A, fund_vec, tuple(0 for _ in range(n)))
-        return sol
+    mu_rho = _vec_add(mu_vec, rho)
+    # w(lam+rho) - (mu+rho) = (lam - mu) - (lam+rho - w(lam+rho)) and the
+    # last term is a nonnegative combination of simple roots: when lam - mu
+    # is not an integral one, or has a negative coordinate, every term is 0
+    diff = _root_coords_of_diff(verts, A, lam_vec, mu_vec)
+    if diff is None or any(c < 0 for c in diff):
+        return 0
 
     def partition(target):
         # number of ways to write target (root coords) as N-combination of roots
@@ -344,9 +345,8 @@ def kostant_multiplicity(quiver, lam, mu):
     total = 0
     for w, sign in W.items():
         w_lam_rho = tuple(sum(w[r][c] * lam_rho[c] for c in range(n)) for r in range(n))
-        diff_f = _vec_sub(w_lam_rho, _vec_add(mu_vec, rho))
-        rc = to_root_coords(diff_f)
-        if rc is None or any(c < 0 for c in rc):
+        rc = _root_coords_of_diff(verts, A, w_lam_rho, mu_rho)
+        if any(c < 0 for c in rc):
             continue
         total += sign * partition(rc)
     return total
@@ -424,57 +424,39 @@ def _string_decomposition(mults_along_line, pairings):
 def decat_chevalley(quiver, dims_w, vmax):
     """Dimension table over {0 <= v <= vmax} plus e_i/f_i ranks.
 
-    Returns (table, ranks) where table maps v (tuple over sorted old
-    vertices) to dim V(lam)_{mu(v)} and ranks maps (i, v) to
-    {"e": rank e_i: K(v) -> K(v - e_i), "f": rank f_i: K(v) -> K(v + e_i)}.
+    Returns {"verts", "table", "ranks"}: verts are the sorted old vertices,
+    table maps v (a tuple over verts) to dim V(lam)_{lam - sum v_i alpha_i},
+    and ranks maps (i, v) to {"e": rank e_i: K(v) -> K(v - e_i),
+    "f": rank f_i: K(v) -> K(v + e_i)}.  Weight spaces are indexed by their
+    root-coordinate depth v, so the table is right for every loop-free
+    quiver, affine and wild ones included.
     """
     verts, A = cartan_matrix(quiver)
-    n = len(verts)
-    lam = KMWeight.make("fundamental", {x: dims_w.get(x, 0) for x in verts})
+    lam_vec = tuple(dims_w.get(x, 0) for x in verts)
+    mult = _multiplicities(A, lam_vec)
     vmax_vec = tuple(vmax.get(x, 0) for x in verts)
 
-    grid = [()]
-    for b in vmax_vec:
-        grid = [g + (k,) for g in grid for k in range(b + 1)]
-
-    def mu_of(vvec):
-        lam_vec = tuple(dims_w.get(x, 0) for x in verts)
-        fund = fundamental_from_root_diff(verts, A, dict(zip(verts, lam_vec)),
-                                          dict(zip(verts, vvec)))
-        return KMWeight.make("fundamental", fund)
-
-    def mult_of(vvec):
-        if any(x < 0 for x in vvec):
-            return 0
-        try:
-            return weight_multiplicity(quiver, lam, mu_of(vvec))
-        except NotBelowError:
-            return 0
-
-    table = {v: mult_of(v) for v in grid}
+    table = {v: mult(v) for v in _box(vmax_vec)}
 
     ranks = {}
     for idx, i in enumerate(verts):
-        for v in grid:
+        for v in table:
             if table[v] == 0:
                 continue
             # walk the alpha_i string through mu(v): mu(v) + j alpha_i has
-            # dimension vector v - j e_i
-            lo = -v[idx]
-            hi = vmax_vec[idx] - v[idx]
-            # extend upward until multiplicity vanishes (strings are finite)
-            hi_ext = hi
-            while mult_of(_shift(v, idx, -(hi_ext + 1))) > 0:
+            # dimension vector v - j e_i; extend the grid's stretch of it
+            # until the multiplicity vanishes (strings are finite)
+            hi_ext = vmax_vec[idx] - v[idx]
+            while mult(_shift(v, idx, -(hi_ext + 1))) > 0:
                 hi_ext += 1
-            lo_ext = lo
-            while mult_of(_shift(v, idx, -(lo_ext - 1))) > 0:
+            lo_ext = -v[idx]
+            while mult(_shift(v, idx, -(lo_ext - 1))) > 0:
                 lo_ext -= 1
             js = list(range(lo_ext, hi_ext + 1))
-            mults = [mult_of(_shift(v, idx, -j)) for j in js]
-            pair_at = []
-            for j in js:
-                mu_j = mu_of(_shift(v, idx, -j)).as_dict()
-                pair_at.append(mu_j[i])
+            depths = [_shift(v, idx, -j) for j in js]
+            mults = [mult(d) for d in depths]
+            # <mu, alpha_i^vee> = lam_i - (A depth)_i
+            pair_at = [lam_vec[idx] - _dot(A[idx], d) for d in depths]
             strings = _string_decomposition(mults, pair_at)
             here = js.index(0)
             e_rank = sum(1 for top, bot in strings

@@ -352,10 +352,9 @@ def enumerate_orders(labels_multiset, gamma, completed, flavour, table=None,
         base = FlavouredSequence(labels, longitudes, ())
         items = [corporeal(k) for k in range(1, len(labels) + 1)]
         items += build_cgr(labels, completed)
+        # every admissible order over a weakly increasing arrangement is valid
         for order in _admissible_orders(base, items, completed, flavour, table):
             seq = FlavouredSequence(labels, longitudes, order)
-            if validate(seq, completed, flavour, table):
-                continue
             if up_to_equivalence:
                 if any(equivalent(seq, s, completed, flavour, table)[0]
                        for s in seen):

@@ -67,9 +67,27 @@ def test_flavour_override(kron_file, capsys):
           "--gamma", "alpha=0;beta=1"])
     out = capsys.readouterr().out.strip()
     assert out == "[(alpha,0),(beta,1)] order=[1,2,e@1,f@2]"
-    with pytest.raises(ValueError):
-        main(["enumerate-sequences", "--quiver", kron_file,
-              "--flavour", "nope=1", "--gamma", "alpha=0;beta=1"])
+    assert main(["enumerate-sequences", "--quiver", kron_file,
+                 "--flavour", "nope=1", "--gamma", "alpha=0;beta=1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "klrwcb: error: flavour override for unknown edge 'nope'\n"
+
+
+def test_bad_polynomial_literal(capsys):
+    assert main(["monopole-mul", "--rank", "1", "2$x1*r[1]", "r[-1]"]) == 2
+    assert capsys.readouterr().err == \
+        "klrwcb: error: bad polynomial literal near '$x1'\n"
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_bad_shadow_precision(kron_file, capsys, monkeypatch, value):
+    monkeypatch.setenv("KLRW_SHADOW_PRECISION", value)
+    assert main(["enumerate-sequences", "--quiver", kron_file,
+                 "--gamma", "alpha=0;beta=2"]) == 2
+    assert capsys.readouterr().err == (
+        "klrwcb: error: KLRW_SHADOW_PRECISION must be a positive integer, "
+        "got %r\n" % value)
 
 
 def test_equivalence_command(kron_file, capsys):
@@ -147,12 +165,16 @@ def test_monopole_mul_complex_shift(capsys):
 
 
 def test_satake_off_finite_type(kron_file, capsys):
-    # the Kronecker quiver is affine: no Weyl dimension, but a table
-    rc = main(["satake", "--quiver", kron_file, "--w", "alpha=1,beta=0",
-               "--vmax", "alpha=1,beta=0"])
-    assert rc == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [line for line in lines if line.startswith("total:")] == ["total: 2"]
+    # the Kronecker quiver is affine: no Weyl dimension, but a table; the
+    # second box reaches past lam - delta, where weights differ by
+    # imaginary roots
+    for vmax, total in (("alpha=1,beta=0", 2), ("alpha=3,beta=3", 13)):
+        rc = main(["satake", "--quiver", kron_file, "--w", "alpha=1,beta=0",
+                   "--vmax", vmax])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("total:")] == \
+            ["total: %d" % total]
 
 
 def test_res_support_and_qhr_commands(capsys):

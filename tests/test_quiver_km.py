@@ -149,7 +149,12 @@ def test_decat_chevalley_a2_total():
 
 def test_decat_rank_bookkeeping():
     a2 = Quiver(["1", "2"], [Edge("a", "1", "2")])
-    res = decat_chevalley(a2, {"1": 1, "2": 1}, {"1": 2, "2": 2})
+    _assert_rank_bookkeeping(decat_chevalley(a2, {"1": 1, "2": 1},
+                                             {"1": 2, "2": 2}))
+
+
+def _assert_rank_bookkeeping(res):
+    # rank e_i at v is rank f_i one step down, and 0 on the grid's edge
     verts = res["verts"]
     for (i, v), r in res["ranks"].items():
         idx = verts.index(i)
@@ -173,3 +178,47 @@ def test_affine_kronecker_multiplicities():
                                       {"alpha": 1, "beta": 1})
     assert weight_multiplicity(kq, lam,
                                KMWeight.make("fundamental", fund)) == 1
+
+
+def test_decat_chevalley_kronecker_basic_representation():
+    # level-one weight of affine sl2: dim V(lam)_{lam - a alpha - b beta} is
+    # the partition number p(a - (a - b)^2), 0 for a negative argument
+    res = decat_chevalley(kronecker_quiver(), {"alpha": 1, "beta": 0},
+                          {"alpha": 3, "beta": 3})
+    assert res["verts"] == ["alpha", "beta"]
+    p = [1, 1, 2, 3]
+    for (a, b), m in res["table"].items():
+        n = a - (a - b) ** 2
+        assert m == (p[n] if n >= 0 else 0), ((a, b), m)
+    assert [res["table"][(n, n)] for n in range(4)] == [1, 1, 2, 3]
+    _assert_rank_bookkeeping(res)
+
+
+A3 = Quiver(["1", "2", "3"], [Edge("a", "1", "2"), Edge("b", "2", "3")])
+
+
+@pytest.mark.parametrize("quiver,w", [
+    (Quiver(["x"], []), {"x": 1}), (Quiver(["x"], []), {"x": 2}),
+    (Quiver(["x"], []), {"x": 3}), (Quiver(["x"], []), {"x": 4}),
+    (Quiver(["1", "2"], [Edge("a", "1", "2")]), {"1": 1, "2": 1}),
+    (Quiver(["1", "2"], [Edge("a", "1", "2")]), {"1": 2, "2": 1}),
+    (Quiver(["1", "2"], [Edge("a", "1", "2")]), {"1": 2, "2": 0}),
+    (A3, {"1": 1, "2": 0, "3": 1})])
+def test_decat_table_matches_kostant_oracle(quiver, w):
+    verts, A = cartan_matrix(quiver)
+    lam = KMWeight.make("fundamental", w)
+    vmax = {x: sum(w.values()) + 1 for x in verts}
+    res = decat_chevalley(quiver, w, vmax)
+    for v, m in res["table"].items():
+        mu = KMWeight.make("fundamental", fundamental_from_root_diff(
+            verts, A, w, dict(zip(verts, v))))
+        assert m == kostant_multiplicity(quiver, lam, mu), (v, m)
+
+
+def test_kostant_multiplicity_off_the_weights():
+    # A1, lam = 2: 1 and 3 differ from lam by half a root, 4 lies above lam
+    a1 = Quiver(["x"], [])
+    lam = KMWeight.make("fundamental", {"x": 2})
+    got = [kostant_multiplicity(a1, lam, KMWeight.make("fundamental", {"x": m}))
+           for m in (1, 3, 4, 0, -2)]
+    assert got == [0, 0, 0, 1, 1]

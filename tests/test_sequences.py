@@ -321,6 +321,30 @@ def test_enumerate_orders_symbolic_ties_match_permutation_listing():
         enumerate_orders(None, gamma, comp, fl)
 
 
+@pytest.mark.parametrize("up_to_equivalence", [True, False])
+def test_enumerate_orders_are_valid(up_to_equivalence):
+    # enumerate_orders does not validate: its orders are valid by construction
+    t = SymbolTable().declare("s", Fraction(7, 5))
+    s = ExactScalar(0, 0, {"s": 1})
+    comp = crawley_boevey(kronecker_quiver(), DimensionData(
+        {"alpha": 2, "beta": 2}, {"alpha": 1, "beta": 1}))
+    cases = [
+        # ghosts and reds tie with corporeal items
+        (Flavour({"e": as_scalar(1), "f": as_scalar(1),
+                  "w[alpha]0": as_scalar(0), "w[beta]0": as_scalar(1)}),
+         {"alpha": [as_scalar(0), as_scalar(0)],
+          "beta": [as_scalar(1), as_scalar(-1)]}),
+        # symbolic ties: s against s + i, and the ghost 0 + s against both
+        (Flavour({"e": s, "f": as_scalar(1), "w[alpha]0": s,
+                  "w[beta]0": as_scalar(1)}),
+         {"alpha": [s, as_scalar(0)], "beta": [s + ExactScalar(0, 1), as_scalar(1)]})]
+    for fl, gamma in cases:
+        got = enumerate_orders(None, gamma, comp, fl, t, up_to_equivalence)
+        assert got
+        for seq in got:
+            assert validate(seq, comp, fl, t) == [], format_sequence(seq)
+
+
 def test_from_weight_shadow_tie_raises():
     t = SymbolTable().declare("s", Fraction(3, 2))
     comp = crawley_boevey(Quiver(["x"], []), DimensionData({"x": 2}, {"x": 0}))
