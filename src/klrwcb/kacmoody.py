@@ -9,6 +9,7 @@ grid.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -311,45 +312,68 @@ def kostant_multiplicity(quiver, lam, mu):
     n = len(verts)
     lam_vec = _as_fund_vector(lam, verts, A)
     mu_vec = _as_fund_vector(mu, verts, A)
-    W = finite_weyl_group(A)
-    # positive roots in root coordinates: orbit closure of simple roots
-    roots = _finite_positive_roots(A)
-    rho = tuple(1 for _ in range(n))
-    lam_rho = _vec_add(lam_vec, rho)
-    mu_rho = _vec_add(mu_vec, rho)
+    inverse, roots, weyl = _finite_type_data(tuple(map(tuple, A)))
     # w(lam+rho) - (mu+rho) = (lam - mu) - (lam+rho - w(lam+rho)) and the
     # last term is a nonnegative combination of simple roots: when lam - mu
     # is not an integral one, or has a negative coordinate, every term is 0
-    diff = _root_coords_of_diff(verts, A, lam_vec, mu_vec)
-    if diff is None or any(c < 0 for c in diff):
+    diff = [sum(row[c] * (lam_vec[c] - mu_vec[c]) for c in range(n))
+            for row in inverse]
+    if any(c.denominator != 1 or c < 0 for c in diff):
         return 0
+    diff = [int(c) for c in diff]
+    lam_rho = _vec_add(lam_vec, (1,) * n)
 
-    def partition(target):
-        # number of ways to write target (root coords) as N-combination of roots
-        roots_list = sorted(roots, key=_height, reverse=True)
-
-        def count(idx, rem):
-            if not any(rem):
-                return 1
-            if idx == len(roots_list):
-                return 0
-            alpha = roots_list[idx]
-            total, k = 0, 0
-            while all(r - k * a >= 0 for r, a in zip(rem, alpha)):
-                total += count(idx + 1, tuple(r - k * a for r, a in zip(rem, alpha)))
-                k += 1
-            return total
-
-        return count(0, target)
+    @functools.lru_cache(maxsize=None)
+    def count(idx, rem):
+        # ways to write rem (root coords) as an N-combination of roots[idx:]
+        if not any(rem):
+            return 1
+        if idx == len(roots):
+            return 0
+        alpha = roots[idx]
+        total, k = 0, 0
+        while all(r - k * a >= 0 for r, a in zip(rem, alpha)):
+            total += count(idx + 1, tuple(r - k * a for r, a in zip(rem, alpha)))
+            k += 1
+        return total
 
     total = 0
-    for w, sign in W.items():
-        w_lam_rho = tuple(sum(w[r][c] * lam_rho[c] for c in range(n)) for r in range(n))
-        rc = _root_coords_of_diff(verts, A, w_lam_rho, mu_rho)
+    for sign, lowering in weyl:
+        rc = tuple(d - sum(row[c] * lam_rho[c] for c in range(n))
+                   for d, row in zip(diff, lowering))
         if any(c < 0 for c in rc):
             continue
-        total += sign * partition(rc)
+        total += sign * count(0, rc)
     return total
+
+
+@functools.lru_cache(maxsize=None)
+def _finite_type_data(A):
+    """Data the Kostant oracle needs for the Cartan matrix A (a tuple of
+    rows), built once per matrix: the inverse of A, the positive roots in
+    root coordinates by descending height, and for each Weyl group element
+    w its sign and the integer matrix A^-1 (1 - w), which maps a weight x in
+    fundamental coordinates to the root coordinates of x - w(x).  Raises
+    ValueError off finite type, where the Weyl group does not close up."""
+    n = len(A)
+    W = finite_weyl_group(A)
+    roots = sorted(_finite_positive_roots(A), key=_height, reverse=True)
+    rows, _ = row_reduce([list(A[j]) + [int(j == k) for k in range(n)]
+                          for j in range(n)])
+    inverse = tuple(tuple(row[n:]) for row in rows)
+    weyl = []
+    for w, sign in W.items():
+        lowering = []
+        for row in inverse:
+            out = []
+            for c in range(n):
+                v = row[c] - sum(row[k] * w[k][c] for k in range(n))
+                if v.denominator != 1:
+                    raise ArithmeticError("x - w(x) left the root lattice")
+                out.append(int(v))
+            lowering.append(tuple(out))
+        weyl.append((sign, tuple(lowering)))
+    return inverse, tuple(roots), tuple(weyl)
 
 
 def _finite_positive_roots(A):

@@ -1,9 +1,19 @@
 """Sparse exact multivariate polynomials and factored rational functions.
 
-Coefficients are ExactScalars, variables are plain strings ("y1", "x2",
-"h" for the loop parameter).  Rational functions keep their denominators
-as a multiset of polynomial factors (the localization pattern: products of
-linear forms), with cancellation by exact division.
+Variables are plain strings ("y1", "x2", "h" for the loop parameter) and a
+monomial is a sorted tuple of (variable, exponent) pairs.  Coefficients are
+kept in one normal form (see ``coefficient``): a rational coefficient is a
+plain ``int``, or a ``Fraction`` when its denominator is not 1, and only a
+coefficient with an imaginary or symbolic part is an ExactScalar.  So the
+arithmetic on the rational coefficients that dominate every suite is native
+``int``/``Fraction`` arithmetic, mixed sums and products go through the
+ExactScalar operators, and the same polynomial has the same ``terms`` (and
+hash) however its coefficients were written.  ``evaluate`` still returns an
+ExactScalar.
+
+Rational functions keep their denominators as a multiset of polynomial
+factors (the localization pattern: products of linear forms), with
+cancellation by exact division.
 """
 
 from __future__ import annotations
@@ -15,11 +25,32 @@ from .scalars import ExactScalar, as_scalar
 HBAR = "h"
 
 
+def coefficient(c):
+    """The normal form of a polynomial coefficient: an int, a Fraction with
+    denominator > 1, or an ExactScalar with an imaginary or symbolic part.
+    Strings are parsed as scalar literals."""
+    t = type(c)
+    if t is int:
+        return c
+    if t is Fraction:
+        return c.numerator if c.denominator == 1 else c
+    if t is not ExactScalar:
+        c = as_scalar(c)
+    if c.imaginary or c.symbolic:
+        return c
+    q = c.rational
+    return q.numerator if q.denominator == 1 else q
+
+
 def _mono_mul(m1, m2):
+    if not m1:
+        return m2
+    if not m2:
+        return m1
     d = dict(m1)
     for v, e in m2:
         d[v] = d.get(v, 0) + e
-    return tuple(sorted((v, e) for v, e in d.items() if e))
+    return tuple(sorted(d.items()))
 
 
 def _mono_divides(m1, m2):
@@ -42,7 +73,8 @@ def _mono_key(m):
 
 
 class Polynomial:
-    """Immutable sparse polynomial; mapping monomial -> ExactScalar."""
+    """Immutable sparse polynomial; mapping monomial -> coefficient, every
+    coefficient nonzero and in the normal form of ``coefficient``."""
 
     __slots__ = ("terms",)
 
@@ -50,7 +82,8 @@ class Polynomial:
         clean = {}
         if terms:
             for m, c in terms.items():
-                c = as_scalar(c)
+                if type(c) is not int:
+                    c = coefficient(c)
                 if c:
                     clean[m] = c
         object.__setattr__(self, "terms", clean)
@@ -60,20 +93,17 @@ class Polynomial:
 
     @staticmethod
     def constant(c):
-        c = as_scalar(c)
-        return Polynomial({(): c} if c else {})
+        return Polynomial({(): c})
 
     @staticmethod
     def variable(name, exp=1):
-        return Polynomial({((name, exp),): as_scalar(1)})
+        return Polynomial({((name, exp),) if exp else (): 1})
 
     @staticmethod
     def linear(coeffs, const=0):
         """sum coeffs[v] * v + const."""
-        terms = {((v, 1),): as_scalar(c) for v, c in coeffs.items() if as_scalar(c)}
-        c = as_scalar(const)
-        if c:
-            terms[()] = c
+        terms = {((v, 1),): c for v, c in coeffs.items()}
+        terms[()] = const
         return Polynomial(terms)
 
     def __bool__(self):
@@ -90,7 +120,7 @@ class Polynomial:
         other = as_poly(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, as_scalar(0)) + c
+            s = terms.get(m, 0) + c
             if s:
                 terms[m] = s
             else:
@@ -114,7 +144,7 @@ class Polynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
-                s = terms.get(m, as_scalar(0)) + c1 * c2
+                s = terms.get(m, 0) + c1 * c2
                 if s:
                     terms[m] = s
                 else:
@@ -139,19 +169,25 @@ class Polynomial:
         if not divisor:
             raise ZeroDivisionError("division by zero polynomial")
         dm, dc = divisor.leading()
-        if not dc.is_rational:
+        if isinstance(dc, ExactScalar):
             raise ArithmeticError("leading coefficient %s is not rational" % dc)
-        inv = Fraction(1) / dc.rational
-        rem = self
+        inv = coefficient(1 / Fraction(dc))
+        rem = dict(self.terms)
         quot_terms = {}
         while rem:
-            m, c = rem.leading()
+            m = max(rem, key=_mono_key)
             if not _mono_divides(dm, m):
                 raise ArithmeticError("%r does not divide %r" % (divisor, self))
             qm = _mono_div(m, dm)
-            qc = c * inv
-            quot_terms[qm] = quot_terms.get(qm, as_scalar(0)) + qc
-            rem = rem - Polynomial({qm: qc}) * divisor
+            qc = rem[m] * inv
+            quot_terms[qm] = quot_terms.get(qm, 0) + qc
+            for m2, c2 in divisor.terms.items():
+                mm = _mono_mul(qm, m2)
+                s = rem.get(mm, 0) - qc * c2
+                if s:
+                    rem[mm] = s
+                else:
+                    del rem[mm]
         return Polynomial(quot_terms)
 
     def substitute(self, mapping):
@@ -227,7 +263,7 @@ def as_poly(x):
     if isinstance(x, Polynomial):
         return x
     if isinstance(x, (int, Fraction, ExactScalar, str)):
-        return Polynomial.constant(as_scalar(x))
+        return Polynomial.constant(x)
     raise TypeError("cannot interpret %r as Polynomial" % (x,))
 
 

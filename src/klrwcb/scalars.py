@@ -19,9 +19,14 @@ from functools import total_ordering
 LT, EQ, GT = -1, 0, 1
 
 
-class AmbiguousOrderError(Exception):
+class AmbiguousOrderError(ValueError):
     """Shadow substitution produced a tie between genuinely different
     symbolic scalars; the caller must refine the shadows."""
+
+
+class UndeclaredSymbolError(ValueError):
+    """A symbol's shadow was asked for, but the SymbolTable does not
+    declare the symbol."""
 
 
 class ScalarParseError(ValueError):
@@ -40,7 +45,7 @@ class SymbolTable:
 
     def shadow(self, name):
         if name not in self.entries:
-            raise KeyError("undeclared symbol %r" % name)
+            raise UndeclaredSymbolError("undeclared symbol %r" % name)
         return self.entries[name][0]
 
 
@@ -191,7 +196,9 @@ def is_integral(a):
 def is_integral_difference(a, b):
     """True iff a - b lies in Z: equal imaginary parts, equal symbol parts,
     integer rational difference."""
-    return is_integral(as_scalar(a) - as_scalar(b))
+    a, b = as_scalar(a), as_scalar(b)
+    return (a.imaginary == b.imaginary and a.symbolic == b.symbolic
+            and (a.rational - b.rational).denominator == 1)
 
 
 def real_compare(a, b, table=None):

@@ -1,8 +1,15 @@
 import pytest
+from hypothesis import settings
 
 from klrwcb.quiver import (DimensionData, Edge, Flavour, Quiver,
                            crawley_boevey, jordan_quiver, kronecker_quiver)
 from klrwcb.scalars import as_scalar
+
+# Property tests run without a deadline (a loaded machine runs the same
+# code far slower in stretches) and from a fixed seed, so every run draws
+# the same examples.
+settings.register_profile("klrwcb", deadline=None, derandomize=True)
+settings.load_profile("klrwcb")
 
 
 @pytest.fixture

@@ -90,6 +90,19 @@ def test_bad_shadow_precision(kron_file, capsys, monkeypatch, value):
         "got %r\n" % value)
 
 
+@pytest.mark.parametrize("gamma, message", [
+    ("alpha=sym:t;beta=0", "undeclared symbol 't'"),
+    ("alpha=sym:t~1;beta=sym:u~1",
+     "shadows tie for sym:t vs sym:u; refine shadow precision"),
+])
+def test_bad_symbolic_gamma(kron_file, capsys, gamma, message):
+    assert main(["enumerate-sequences", "--quiver", kron_file,
+                 "--gamma", gamma]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "klrwcb: error: %s\n" % message
+
+
 def test_equivalence_command(kron_file, capsys):
     rc = main(["check-equivalence", "--quiver", kron_file,
                "[(alpha,0),(beta,0)] order=[1,2,f@2,e@1]",

@@ -373,7 +373,7 @@ def test_faithfulness_small():
             out = eng.act(d, PolyVector(s, p)).poly
             for mono, coeff in out.terms.items():
                 monomials.setdefault((j, mono), len(monomials))
-                row[monomials[(j, mono)]] = coeff.rational
+                row[monomials[(j, mono)]] = Fraction(coeff)
         rows.append(row)
     ncols = len(monomials)
     dense = [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
@@ -400,7 +400,7 @@ def test_faithfulness_three_strands():
             out = eng.act(d, PolyVector(s, p)).poly
             for mono, coeff in out.terms.items():
                 monomials.setdefault((j, mono), len(monomials))
-                row[monomials[(j, mono)]] = coeff.rational
+                row[monomials[(j, mono)]] = Fraction(coeff)
         rows.append(row)
     dense = [[r.get(c, Fraction(0)) for c in range(len(monomials))]
              for r in rows]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from klrwcb.scalars import (EQ, GT, LT, AmbiguousOrderError, ExactScalar,
-                            SymbolTable, as_scalar, format_scalar,
+                            SymbolTable, as_scalar, format_scalar, is_integral,
                             is_integral_difference, parse_scalar, real_compare,
                             real_keys, row_reduce)
 
@@ -124,7 +124,7 @@ def test_symbolic_products():
 _gauss = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(_gauss, _gauss, _gauss, _gauss)
 def test_complex_product_matches_gaussian_formula(a, b, c, d):
     x, y = ExactScalar(a, b), ExactScalar(c, d)
@@ -142,7 +142,7 @@ _tables = st.one_of(st.none(), st.builds(
     lambda s, t: SymbolTable().declare("s", s).declare("t", t), _shadows, _shadows))
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=400)
 @given(st.lists(_values, max_size=6), _tables)
 def test_real_keys_sort_like_real_compare(values, table):
     # differential test against sorting with the pairwise comparator:
@@ -160,6 +160,14 @@ def test_real_keys_sort_like_real_compare(values, table):
     assert sorted(range(len(values)), key=keys.__getitem__) == want
     for i, j in itertools.combinations(range(len(values)), 2):
         assert (keys[i] == keys[j]) == (cmp(i, j) == EQ)
+
+
+@settings(max_examples=200)
+@given(st.one_of(_values, _small, st.integers(-3, 3)),
+       st.one_of(_values, _small, st.integers(-3, 3)))
+def test_integral_difference_matches_scalar_difference(a, b):
+    # differential test against forming the difference as a scalar
+    assert is_integral_difference(a, b) == is_integral(as_scalar(a) - as_scalar(b))
 
 
 def test_real_keys_examples():
