@@ -6,7 +6,8 @@ relcheck, satake, render-diagram, suite.  All output is deterministic for
 a fixed --seed.  KLRW_SHADOW_PRECISION sets the denominator used for
 auto-declared shadows of sqrtN symbols.  Bad input (a malformed literal,
 an unknown vertex or edge, data the library rejects) prints one line
-``klrwcb: error: <message>`` on stderr and exits with status 2.
+``klrwcb: error: <message>`` on stderr and exits with status 2; so does a
+quiver file that cannot be read.
 """
 
 from __future__ import annotations
@@ -53,16 +54,20 @@ def make_table():
     return table
 
 
-def _parse_gamma(text, table):
-    """'alpha=0,1/2;beta=2' -> {vertex: [scalars]}"""
+def _parse_gamma(text, table, quiver):
+    """'alpha=0,1/2;beta=2' -> {vertex: [scalars]} over the quiver's
+    vertices."""
     gamma = {}
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        vertex, vals = chunk.split("=", 1)
-        gamma[vertex.strip()] = [parse_scalar(v, table)
-                                 for v in vals.split(",") if v.strip()]
+        if "=" not in chunk:
+            raise ValueError("longitude chunk %r is not vertex=values" % chunk)
+        vertex, vals = (part.strip() for part in chunk.split("=", 1))
+        if vertex not in quiver.old_vertices():
+            raise ValueError("unknown vertex %r in %r" % (vertex, chunk))
+        gamma[vertex] = [parse_scalar(v, table) for v in vals.split(",") if v.strip()]
     return gamma
 
 
@@ -220,7 +225,7 @@ def _load(args, table):
 def cmd_enumerate(args):
     table = make_table()
     quiver, dims, completed, flavour, table = _load(args, table)
-    gamma = _parse_gamma(args.gamma, table)
+    gamma = _parse_gamma(args.gamma, table, quiver)
     seqs = enumerate_orders(None, gamma, completed, flavour, table,
                             up_to_equivalence=not args.all_orders)
     if args.format == "json":
@@ -275,7 +280,7 @@ def cmd_unsteady(args):
 def cmd_reduce_integral(args):
     table = make_table()
     quiver, dims, completed, flavour, table = _load(args, table)
-    orbit = _parse_gamma(args.orbit, table)
+    orbit = _parse_gamma(args.orbit, table, quiver)
     for x in quiver.old_vertices():
         orbit.setdefault(x, [])
     cover = build_cover(quiver, dims, completed, flavour, orbit, table)
@@ -559,7 +564,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print("klrwcb: error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -6,18 +6,20 @@ interact with exactly the strands that interacted with it downstairs.  A
 new edge at i attaches to the coset [phi_e].  Subtracting the canonical
 coset representative from every longitude (and correcting the flavour by
 the corresponding coboundary) lands all data in the integers.
+
+A cover item lifts the base item with the same kind and owner whose edge
+is the cover edge's base edge (``_base_item``); transport and untransport
+match items through that one identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .quiver import (INFINITY, DimensionData, Edge, Flavour, Quiver,
                      crawley_boevey, new_edge_id)
-from .scalars import ExactScalar, as_scalar, format_scalar, is_integral
-from .sequences import (FlavouredSequence, build_cgr, corporeal, real_order,
-                        validate)
+from .scalars import ExactScalar, as_scalar, coset_rep, format_scalar, is_integral
+from .sequences import CgrItem, FlavouredSequence, build_cgr, real_order, validate
 
 
 class NonTrivializableError(ValueError):
@@ -43,15 +45,6 @@ class CoverVertex:
 
     def __str__(self):
         return "(%s,[%s])" % (self.base, format_scalar(self.coset))
-
-
-def coset_rep(a):
-    """Canonical representative: rational part reduced into [0,1),
-    imaginary and symbolic parts untouched."""
-    a = as_scalar(a)
-    q = a.rational
-    frac = q - Fraction(q.numerator // q.denominator)
-    return ExactScalar(frac, a.imaginary, dict(a.symbolic))
 
 
 def cover_vertex(base, longitude):
@@ -94,17 +87,10 @@ def build_cover(quiver, dims, completed, flavour, orbit, table=None):
     edges = []
     base_edge = {}
     values = {}
-    for e in completed.old_edges():
-        phi = as_scalar(flavour[e.id])
-        for cv in vertices:
-            if cv.base != e.head:
-                continue
-            tail_cv = cover_vertex(e.tail, cv.coset + phi)
-            if tail_cv in vset:
-                eid = lift_edge_id(e.id, cv.coset)
-                edges.append(Edge(eid, tail_cv, cv))
-                base_edge[eid] = e.id
-                values[eid] = phi
+    for e, lift in _lift_edges(completed.old_edges(), flavour, vertices, vset):
+        edges.append(lift)
+        base_edge[lift.id] = e.id
+        values[lift.id] = as_scalar(flavour[e.id])
 
     wtilde = {cv: 0 for cv in vertices}
     new_lifts = {cv: [] for cv in vertices}
@@ -127,6 +113,20 @@ def build_cover(quiver, dims, completed, flavour, orbit, table=None):
     cflavour.check_total(cover_completed)
     return CoverData(cover_quiver, cover_dims, cover_completed, cflavour,
                      base_edge, {i: list(c) for i, c in orbit.items()})
+
+
+def _lift_edges(old_edges, flavour, vertices, present):
+    """(base edge, lift) for every lift of an old edge e: i -> j between
+    present cover vertices: (i, [w + phi_e]) -> (j, [w]) for each cover
+    vertex (j, [w]) in vertices."""
+    for e in old_edges:
+        phi = as_scalar(flavour[e.id])
+        for cv in vertices:
+            if cv.base != e.head:
+                continue
+            tail_cv = cover_vertex(e.tail, cv.coset + phi)
+            if tail_cv in present:
+                yield e, Edge(lift_edge_id(e.id, cv.coset), tail_cv, cv)
 
 
 def eta_of(vertex):
@@ -169,11 +169,12 @@ def transport(seq, cover, table=None):
         new_longs.append(as_scalar(a) - eta[cv])
 
     lifted = FlavouredSequence(tuple(new_labels), tuple(new_longs), ())
-    items = [corporeal(k) for k in range(1, len(new_labels) + 1)]
-    items += build_cgr(new_labels, cover.completed)
+    base_pos = {it: i for i, it in enumerate(seq.order)}
     order = tuple(it for _, it in real_order(
-        items, lambda it: lifted.longitude(it, phi_prime), table,
-        lambda it: (it.is_corporeal(), _matching_base_position(it, seq, cover))))
+        build_cgr(new_labels, cover.completed),
+        lambda it: lifted.longitude(it, phi_prime), table,
+        lambda it: (it.is_corporeal(),
+                    base_pos.get(_base_item(it, cover), len(seq.order)))))
     out = FlavouredSequence(tuple(new_labels), tuple(new_longs), order)
     bad = validate(out, cover.completed, phi_prime, table)
     if bad:
@@ -188,42 +189,25 @@ def untransport(seq, cover, table=None):
     base_labels = tuple(cv.base for cv in seq.labels)
     base_longs = tuple(a + eta[cv] for a, cv in zip(seq.longitudes, seq.labels))
     # the base quiver data is recoverable through the recorded edge mapping
-    base_completed = _base_completed_from(cover, seq)
+    base_completed = _base_completed_from(cover)
     base_flavour = _base_flavour_from(cover)
-    lifted_pos = {it: i for i, it in enumerate(seq.order)}
     base = FlavouredSequence(base_labels, base_longs, ())
-    items = [corporeal(k) for k in range(1, len(base_labels) + 1)]
-    items += build_cgr(base_labels, base_completed)
-
-    def transported_pos(it):
-        # items correspond one-to-one when the cover drops nothing
-        for jt in seq.order:
-            if jt.kind == it.kind and jt.k == it.k:
-                if it.is_corporeal():
-                    return lifted_pos[jt]
-                if cover.base_edge.get(jt.edge) == it.edge:
-                    return lifted_pos[jt]
-        return len(seq.order)
-
+    # items correspond one-to-one when the cover drops nothing
+    lifted_pos = {_base_item(it, cover): i for i, it in enumerate(seq.order)}
     order = tuple(it for _, it in real_order(
-        items, lambda it: base.longitude(it, base_flavour), table,
-        lambda it: (it.is_corporeal(), transported_pos(it))))
+        build_cgr(base_labels, base_completed),
+        lambda it: base.longitude(it, base_flavour), table,
+        lambda it: (it.is_corporeal(), lifted_pos.get(it, len(seq.order)))))
     return FlavouredSequence(base_labels, base_longs, order)
 
 
-def _matching_base_position(item, base_seq, cover):
-    for i, it in enumerate(base_seq.order):
-        if it.kind == item.kind and it.k == item.k:
-            if item.is_corporeal():
-                return i
-            if cover.base_edge.get(item.edge, item.edge) == it.edge:
-                return i
-    return len(base_seq.order)
+def _base_item(item, cover):
+    """The base item a cover item lifts: same kind and owner, base edge."""
+    return CgrItem(item.kind, item.k, cover.base_edge.get(item.edge, item.edge))
 
 
-def _base_completed_from(cover, seq):
+def _base_completed_from(cover):
     # reconstruct enough of the base completed quiver for ghost building
-    from .quiver import Quiver as Q
     verts = sorted({cv.base for cv in cover.quiver.vertices}, key=str) + [INFINITY]
     edges = {}
     for ce in cover.completed.edges:
@@ -233,7 +217,7 @@ def _base_completed_from(cover, seq):
         tail = ce.tail.base if ce.tail != INFINITY else INFINITY
         head = ce.head.base if ce.head != INFINITY else INFINITY
         edges[bid] = Edge(bid, tail, head)
-    return Q(verts, list(edges.values()))
+    return Quiver(verts, list(edges.values()))
 
 
 def _base_flavour_from(cover):
@@ -286,13 +270,5 @@ def category_o_graph(quiver, dims, completed, flavour, table=None,
         frontier = nxt
 
     vertices = sorted(seen, key=str)
-    edges = []
-    for e in old_edges:
-        phi = as_scalar(flavour[e.id])
-        for cv in vertices:
-            if cv.base != e.head:
-                continue
-            tail_cv = cover_vertex(e.tail, cv.coset + phi)
-            if tail_cv in seen:
-                edges.append(Edge(lift_edge_id(e.id, cv.coset), tail_cv, cv))
+    edges = [lift for _, lift in _lift_edges(old_edges, flavour, vertices, seen)]
     return Quiver(vertices, edges), wt

@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import HBAR, ONE_POLY, Polynomial, as_poly
-from .scalars import as_scalar, is_integral_difference
-from .sequences import (FlavouredSequence, corporeal, from_weight, ghost,
-                        is_unsteady)
+from .scalars import as_scalar, coset_rep, is_integral_difference
+from .sequences import FlavouredSequence, corporeal, from_weight, is_unsteady
 
 
 class NoMatchingError(ValueError):
@@ -96,15 +95,7 @@ class Diagram:
     def item_map(self):
         """Bottom CGR item -> top CGR item along strands."""
         sig = self.sigma()
-        out = {}
-        for it in self.bottom.order:
-            if it.is_corporeal():
-                out[it] = corporeal(sig[it.k])
-            elif it.is_ghost():
-                out[it] = ghost(sig[it.k], it.edge)
-            else:
-                out[it] = it
-        return out
+        return {it: it.renumber(sig) for it in self.bottom.order}
 
 
 class Engine:
@@ -178,14 +169,7 @@ class Engine:
         return self._interpolate(bottom, top, dict(sig))
 
     def _interpolate(self, bottom, top, sig):
-        item_map = {}
-        for it in bottom.order:
-            if it.is_corporeal():
-                item_map[it] = corporeal(sig[it.k])
-            elif it.is_ghost():
-                item_map[it] = ghost(sig[it.k], it.edge)
-            else:
-                item_map[it] = it
+        item_map = {it: it.renumber(sig) for it in bottom.order}
         top_pos = {it: i for i, it in enumerate(top.order)}
         start = {it: i for i, it in enumerate(bottom.order)}
         end = {it: top_pos[item_map[it]] for it in bottom.order}
@@ -227,9 +211,7 @@ class Engine:
             for pos, it in enumerate(seq.order):
                 if not it.is_corporeal():
                     continue
-                a = seq.longitudes[it.k - 1]
-                key = (str(seq.labels[it.k - 1]), a.imaginary, a.symbolic,
-                       a.rational - (a.rational.numerator // a.rational.denominator))
+                key = (str(seq.labels[it.k - 1]), coset_rep(seq.longitudes[it.k - 1]))
                 out.setdefault(key, []).append(it.k)
             return out
 
@@ -271,21 +253,14 @@ class Engine:
         sig1 = d1.sigma()
         inv1 = {v: k for k, v in sig1.items()}
         sig2 = d2.sigma()
-
-        def pull(item):
-            if item.is_corporeal():
-                return corporeal(inv1[item.k])
-            if item.is_ghost():
-                return ghost(inv1[item.k], item.edge)
-            return item
-
         events = [(ev[0],) + ev[1:-1] + (ev[-1] / 2,) for ev in d1.events]
         for ev in d2.events:
             if ev[0] == "cross":
-                events.append(("cross", pull(ev[1]), pull(ev[2]),
+                events.append(("cross", ev[1].renumber(inv1), ev[2].renumber(inv1),
                                Fraction(1, 2) + ev[3] / 2))
             else:
-                events.append(("dot", pull(ev[1]), Fraction(1, 2) + ev[2] / 2))
+                events.append(("dot", ev[1].renumber(inv1),
+                               Fraction(1, 2) + ev[2] / 2))
         match = tuple(sorted((k, sig2[v]) for k, v in sig1.items()))
         return Diagram(d1.bottom, d2.top, match, tuple(events))
 
@@ -419,8 +394,7 @@ class Engine:
         (left to right) has label word[k] and longitude kH (sign +) or
         (k - n - 1)H (sign -)."""
         n = len(word)
-        bound = max([abs(int(as_scalar(self.flavour[e.id]).rational))
-                     for e in self.completed.edges] + [0])
+        bound = self._flavour_bound()
         if H <= bound + n:
             raise HTooSmallError("H must exceed %d" % (bound + n))
         if sign not in (1, -1):
@@ -431,6 +405,11 @@ class Engine:
             gamma.setdefault(label, []).append(k * H if sign > 0 else (k - n - 1) * H)
         return self.identity(from_weight(gamma, self.completed, self.flavour,
                                          self.table))
+
+    def _flavour_bound(self):
+        """The largest absolute integer part of a flavour's rational part."""
+        return max([abs(int(as_scalar(self.flavour[e.id]).rational))
+                    for e in self.completed.edges] + [0])
 
     # -- vanishing certificates --------------------------------------------------
 
@@ -454,9 +433,7 @@ class Engine:
             for vals in gamma.values():
                 for a in vals:
                     spread = max(spread, abs(int(as_scalar(a).rational)) + 1)
-            bound = max([abs(int(as_scalar(self.flavour[e.id]).rational))
-                         for e in self.completed.edges] + [0])
-            H = 2 * (spread + bound) + len(gamma) + 2
+            H = 2 * (spread + self._flavour_bound()) + len(gamma) + 2
         gamma_H = {v: [as_scalar(a) + (H if v in comp_set else 0) for a in vals]
                    for v, vals in gamma.items()}
         s = from_weight(gamma, self.completed, self.flavour, self.table)

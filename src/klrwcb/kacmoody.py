@@ -166,7 +166,7 @@ class RootSystemSlice:
         return [(beta, m) for beta, m in self._mult.items() if m > 0]
 
 
-def _as_fund_vector(weight, verts, A, ambient_lambda=None):
+def _as_fund_vector(weight, verts):
     if weight.basis == "fundamental":
         d = weight.as_dict()
         return tuple(d.get(v, 0) for v in verts)
@@ -185,8 +185,8 @@ def weight_multiplicity(quiver, lam, mu):
     the root-coordinate depth and tells them apart.
     """
     verts, A = cartan_matrix(quiver)
-    lam_vec = _as_fund_vector(lam, verts, A)
-    mu_vec = _as_fund_vector(mu, verts, A)
+    lam_vec = _as_fund_vector(lam, verts)
+    mu_vec = _as_fund_vector(mu, verts)
     mult = _multiplicities(A, lam_vec)
     diff = _root_coords_of_diff(verts, A, lam_vec, mu_vec)
     if diff is None or any(c < 0 for c in diff):
@@ -310,8 +310,8 @@ def kostant_multiplicity(quiver, lam, mu):
     Finite type only."""
     verts, A = cartan_matrix(quiver)
     n = len(verts)
-    lam_vec = _as_fund_vector(lam, verts, A)
-    mu_vec = _as_fund_vector(mu, verts, A)
+    lam_vec = _as_fund_vector(lam, verts)
+    mu_vec = _as_fund_vector(mu, verts)
     inverse, roots, weyl = _finite_type_data(tuple(map(tuple, A)))
     # w(lam+rho) - (mu+rho) = (lam - mu) - (lam+rho - w(lam+rho)) and the
     # last term is a nonnegative combination of simple roots: when lam - mu
@@ -401,7 +401,7 @@ def weyl_dimension(quiver, lam):
     """dim V(lam) by the Weyl dimension formula (finite type)."""
     verts, A = cartan_matrix(quiver)
     n = len(verts)
-    lam_vec = _as_fund_vector(lam, verts, A)
+    lam_vec = _as_fund_vector(lam, verts)
     num, den = 1, 1
     for alpha in _finite_positive_roots(A):
         # (lam + rho, alpha) / (rho, alpha); (varpi_i, alpha_j)=delta => dot products

@@ -248,11 +248,17 @@ class Polynomial:
             c = self.terms[m]
             mono = "*".join(v if e == 1 else "%s^%d" % (v, e) for v, e in m)
             cs = str(c)
-            if mono:
-                bits.append(mono if cs == "1" else ("-" + mono if cs == "-1"
-                                                    else "%s*%s" % (cs, mono)))
-            else:
+            if not mono:
                 bits.append(cs)
+            elif cs == "1":
+                bits.append(mono)
+            elif cs == "-1":
+                bits.append("-" + mono)
+            elif "+" in cs[1:] or "-" in cs[1:]:
+                # a coefficient with several parts, such as 1/2+1i, is a sum
+                bits.append("(%s)*%s" % (cs, mono))
+            else:
+                bits.append("%s*%s" % (cs, mono))
         out = bits[0]
         for b in bits[1:]:
             out += b if b.startswith("-") else "+" + b

@@ -158,8 +158,10 @@ def load_quiver_spec(path_or_dict, table=None):
     else:
         with open(path_or_dict) as fh:
             data = json.load(fh)
-    quiver = Quiver(data["vertices"],
-                    [Edge(e["id"], e["tail"], e["head"]) for e in data.get("edges", [])])
+    quiver = Quiver(_field(data, "vertices", "quiver spec"),
+                    [Edge(*(_field(e, key, "edge %r" % (e,))
+                            for key in ("id", "tail", "head")))
+                     for e in data.get("edges", [])])
     v = {x: int(n) for x, n in data.get("v", {}).items()}
     w = {x: int(n) for x, n in data.get("w", {}).items()}
     for x in quiver.old_vertices():
@@ -175,6 +177,12 @@ def load_quiver_spec(path_or_dict, table=None):
     flavour = Flavour(values)
     flavour.check_total(completed)
     return quiver, dims, completed, flavour, table
+
+
+def _field(obj, key, what):
+    if not isinstance(obj, dict) or key not in obj:
+        raise QuiverError("%s lacks %r" % (what, key))
+    return obj[key]
 
 
 def dump_quiver_spec(quiver, dims, flavour=None):

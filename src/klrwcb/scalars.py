@@ -201,6 +201,14 @@ def is_integral_difference(a, b):
             and (a.rational - b.rational).denominator == 1)
 
 
+def coset_rep(a):
+    """Canonical representative of a + Z: rational part reduced into [0,1),
+    imaginary and symbolic parts untouched."""
+    a = as_scalar(a)
+    q = a.rational
+    return ExactScalar(q - q.numerator // q.denominator, a.imaginary, dict(a.symbolic))
+
+
 def real_compare(a, b, table=None):
     """Compare real parts exactly, returning LT/EQ/GT.
 

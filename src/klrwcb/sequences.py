@@ -1,11 +1,16 @@
 """Flavoured sequences over C and over Z x C.
 
 A flavoured sequence is a triple (labels, longitudes, total order) on the
-set of corporeal, ghostly and red items.  Corporeal item k carries the
-longitude a_k, the ghost (k,e) carries a_k + phi_e, and the red item of a
-new edge e carries phi_e.  Validity demands weakly increasing real
+set of corporeal, ghostly and red (CGR) items.  Corporeal item k carries
+the longitude a_k, the ghost (k,e) carries a_k + phi_e, and the red item of
+a new edge e carries phi_e.  Validity demands weakly increasing real
 longitudes along the order, with ghost/red items preceding corporeal items
 at equal real longitude.  Corporeal indices are 1-based.
+
+This module is the one home of the item rules: ``build_cgr`` lists the
+items of a label word, ``CgrItem.renumber`` carries an item along a strand
+map, and one scan over exact order keys checks validity over C and over
+Z x C.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .scalars import (EQ, GT, LT, ExactScalar, as_scalar, format_scalar,
-                      is_integral, parse_scalar, real_compare, real_keys)
+from .scalars import (ExactScalar, as_scalar, format_scalar, is_integral,
+                      parse_scalar, real_keys)
 
 CORPOREAL, GHOST, RED = "C", "G", "R"
 
@@ -46,6 +51,11 @@ class CgrItem:
             return "%s@%d" % (self.edge, self.k)
         return "!%s" % self.edge
 
+    def renumber(self, k_map):
+        """The item carried along a strand map: a corporeal item or ghost
+        gets owner k_map[k], a red item stays as it is."""
+        return self if self.kind == RED else CgrItem(self.kind, k_map[self.k], self.edge)
+
 
 def corporeal(k):
     return CgrItem(CORPOREAL, k)
@@ -60,16 +70,14 @@ def red(edge_id):
 
 
 def build_cgr(labels, completed):
-    """Ghost and red items for a label word over the completed quiver:
-    one ghost (k,e) per old edge e with head label i_k, one red per new edge."""
-    items = []
-    old = {e.id: e for e in completed.old_edges()}
+    """Every CGR item of a label word over the completed quiver: the
+    corporeal items 1..n, then one ghost (k,e) per old edge e with head
+    label i_k, then one red item per new edge."""
+    items = [corporeal(k) for k in range(1, len(labels) + 1)]
+    old_edges = completed.old_edges()
     for k, lab in enumerate(labels, start=1):
-        for e in completed.old_edges():
-            if e.head == lab:
-                items.append(ghost(k, e.id))
-    for e in completed.new_edges():
-        items.append(red(e.id))
+        items.extend(ghost(k, e.id) for e in old_edges if e.head == lab)
+    items.extend(red(e.id) for e in completed.new_edges())
     return items
 
 
@@ -103,46 +111,55 @@ class FlavouredSequence:
             gamma.setdefault(lab, []).append(a)
         return gamma
 
-    def describe(self, flavour=None):
-        toks = [it.token() for it in self.order]
-        body = "[%s] order=[%s]" % (
+    def describe(self):
+        return "[%s] order=[%s]" % (
             ",".join("(%s,%s)" % (lab, format_scalar(a))
                      for lab, a in zip(self.labels, self.longitudes)),
-            ",".join(toks))
-        return body
+            ",".join(it.token() for it in self.order))
 
 
 def validate(seq, completed, flavour, table=None):
     """Empty list iff the order is a flavoured sequence; otherwise one
-    violation string per offending pair or structural defect."""
+    violation string per offending pair or structural defect.  Raises
+    AmbiguousOrderError when two of the real longitudes cannot be ordered
+    (see real_keys), whatever their places in the order."""
+    return _violations(seq, completed, flavour,
+                       lambda longs: real_keys(longs, table), detailed=True)
+
+
+def _violations(seq, completed, flavour, order_keys, detailed):
+    """The one validity scan.  order_keys maps the longitudes along the
+    order to exact keys: a later key is smaller iff rule (i) fails between
+    the two items, and keys are equal iff their real longitudes are."""
+    order = seq.order
+    expect = set(build_cgr(seq.labels, completed))
+    if set(order) != expect:
+        if not detailed:
+            return ["item set mismatch"]
+        return ["item set mismatch: missing %s extra %s"
+                % (sorted(i.token() for i in expect - set(order)),
+                   sorted(i.token() for i in set(order) - expect))]
     violations = []
-    expect = set(build_cgr(seq.labels, completed)) | {corporeal(k)
-                                                      for k in range(1, seq.n + 1)}
-    if set(seq.order) != expect:
-        missing = expect - set(seq.order)
-        extra = set(seq.order) - expect
-        violations.append("item set mismatch: missing %s extra %s"
-                          % (sorted(i.token() for i in missing),
-                             sorted(i.token() for i in extra)))
-        return violations
-    corp = [it.k for it in seq.order if it.is_corporeal()]
+    corp = [it.k for it in order if it.is_corporeal()]
     if corp != sorted(corp):
-        violations.append("corporeal items out of index order: %s" % (corp,))
-    longs = [seq.longitude(it, flavour) for it in seq.order]
-    for (i1, it1), (i2, it2) in zip(enumerate(seq.order), enumerate(seq.order[1:], 1)):
-        if real_compare(longs[i1], longs[i2], table) == GT:
-            violations.append("rule (i): %s at %s precedes %s at %s"
-                              % (it1.token(), longs[i1], it2.token(), longs[i2]))
-    for i1, it1 in enumerate(seq.order):
+        violations.append("corporeal items out of index order"
+                          + (": %s" % (corp,) if detailed else ""))
+    longs = [seq.longitude(it, flavour) for it in order]
+    keys = order_keys(longs)
+    at = (lambda i: " at %s" % longs[i]) if detailed else (lambda i: "")
+    for i in range(len(order) - 1):
+        if keys[i] > keys[i + 1]:
+            violations.append("rule (i): %s%s precedes %s%s"
+                              % (order[i].token(), at(i), order[i + 1].token(),
+                                 at(i + 1)))
+    for i1, it1 in enumerate(order):
         if not it1.is_corporeal():
             continue
-        for i2 in range(i1 + 1, len(seq.order)):
-            it2 = seq.order[i2]
-            if it2.is_corporeal():
-                continue
-            if real_compare(longs[i1], longs[i2], table) == EQ:
-                violations.append("rule (ii): corporeal %s precedes %s at equal "
-                                  "real longitude" % (it1.token(), it2.token()))
+        for i2 in range(i1 + 1, len(order)):
+            if not order[i2].is_corporeal() and keys[i1] == keys[i2]:
+                violations.append("rule (ii): corporeal %s precedes %s%s"
+                                  % (it1.token(), order[i2].token(),
+                                     " at equal real longitude" if detailed else ""))
     return violations
 
 
@@ -177,10 +194,9 @@ def from_weight(gamma, completed, flavour, table=None):
     labels = tuple(e[3] for e in entries)
     longitudes = tuple(e[0] for e in entries)
     seq0 = FlavouredSequence(labels, longitudes, ())
-    items = [corporeal(k) for k in range(1, len(labels) + 1)]
-    items += build_cgr(labels, completed)
     order = [it for _, it in real_order(
-        items, lambda it: seq0.longitude(it, flavour), table, _cgr_tie)]
+        build_cgr(labels, completed), lambda it: seq0.longitude(it, flavour),
+        table, _cgr_tie)]
     seq = FlavouredSequence(labels, longitudes, order)
     bad = validate(seq, completed, flavour, table)
     if bad:
@@ -229,9 +245,8 @@ def equivalent(s1, s2, completed, flavour, table=None):
                     continue
                 if tails[it.edge] != i_m:
                     continue
-                it2 = ghost(sigma[it.k], it.edge) if it.is_ghost() else it
                 before1 = pos1[corporeal(m)] < pos1[it]
-                before2 = pos2[corporeal(sigma[m])] < pos2[it2]
+                before2 = pos2[corporeal(sigma[m])] < pos2[it.renumber(sigma)]
                 if before1 != before2:
                     return False
         return True
@@ -350,10 +365,9 @@ def enumerate_orders(labels_multiset, gamma, completed, flavour, table=None,
         labels = tuple(entries[i][1] for i in perm)
         longitudes = tuple(entries[i][0] for i in perm)
         base = FlavouredSequence(labels, longitudes, ())
-        items = [corporeal(k) for k in range(1, len(labels) + 1)]
-        items += build_cgr(labels, completed)
         # every admissible order over a weakly increasing arrangement is valid
-        for order in _admissible_orders(base, items, completed, flavour, table):
+        for order in _admissible_orders(base, build_cgr(labels, completed),
+                                        flavour, table):
             seq = FlavouredSequence(labels, longitudes, order)
             if up_to_equivalence:
                 if any(equivalent(seq, s, completed, flavour, table)[0]
@@ -370,7 +384,7 @@ def _classes(ranked):
             for _, grp in itertools.groupby(ranked, key=lambda p: p[0])]
 
 
-def _admissible_orders(base, items, completed, flavour, table):
+def _admissible_orders(base, items, flavour, table):
     """All total orders compatible with rule (i) and (ii): sort into weak
     real-longitude classes, then permute ghost/red items within a class
     (corporeal items keep index order and come last in the class)."""
@@ -417,38 +431,22 @@ class ZCFlavouredSequence:
         return ZCLongitude(0, as_scalar(flavour[item.edge]))
 
 
-def zc_compare(a, b, table=None):
-    """Lexicographic preorder on Z x C: LT/EQ/GT with EQ meaning equal level
-    and equal real part."""
-    if a.level != b.level:
-        return LT if a.level < b.level else GT
-    return real_compare(a.value, b.value, table)
-
-
 def zc_validate(seq, completed, flavour, table=None):
-    violations = []
-    expect = set(build_cgr(seq.labels, completed)) | {corporeal(k)
-                                                      for k in range(1, seq.n + 1)}
-    if set(seq.order) != expect:
-        violations.append("item set mismatch")
-        return violations
-    corp = [it.k for it in seq.order if it.is_corporeal()]
-    if corp != sorted(corp):
-        violations.append("corporeal items out of index order")
-    longs = [seq.longitude(it, flavour) for it in seq.order]
-    for i in range(len(longs) - 1):
-        if zc_compare(longs[i], longs[i + 1], table) == GT:
-            violations.append("rule (i): %s precedes %s" %
-                              (seq.order[i].token(), seq.order[i + 1].token()))
-    for i1, it1 in enumerate(seq.order):
-        if not it1.is_corporeal():
-            continue
-        for i2 in range(i1 + 1, len(seq.order)):
-            it2 = seq.order[i2]
-            if not it2.is_corporeal() and zc_compare(longs[i1], longs[i2], table) == EQ:
-                violations.append("rule (ii): corporeal %s precedes %s"
-                                  % (it1.token(), it2.token()))
-    return violations
+    """validate over Z x C: the order key of a longitude is (level, real
+    key), with real keys taken per level, so two levels are never compared."""
+    return _violations(seq, completed, flavour,
+                       lambda longs: _zc_keys(longs, table), detailed=False)
+
+
+def _zc_keys(longs, table):
+    by_level = {}
+    for i, a in enumerate(longs):
+        by_level.setdefault(a.level, []).append(i)
+    keys = [None] * len(longs)
+    for level, idx in by_level.items():
+        for i, key in zip(idx, real_keys([longs[i].value for i in idx], table)):
+            keys[i] = (level, key)
+    return keys
 
 
 def zc_is_unsteady(seq):
@@ -476,15 +474,8 @@ def zc_split(seq):
         renumber = {k: i + 1 for i, k in enumerate(sorted(corp_ks))}
         labels = tuple(seq.labels[k - 1] for k in sorted(corp_ks))
         longitudes = tuple(seq.longitudes[k - 1].value for k in sorted(corp_ks))
-        new_items = []
-        for it in sub_items:
-            if it.is_corporeal():
-                new_items.append(corporeal(renumber[it.k]))
-            elif it.is_ghost():
-                new_items.append(ghost(renumber[it.k], it.edge))
-            else:
-                new_items.append(it)
-        out.append((p, FlavouredSequence(labels, longitudes, new_items)))
+        out.append((p, FlavouredSequence(
+            labels, longitudes, [it.renumber(renumber) for it in sub_items])))
     return out
 
 
@@ -496,13 +487,7 @@ def zc_concat(parts):
         remap = {k: k + offset for k in range(1, seq.n + 1)}
         labels.extend(seq.labels)
         longitudes.extend(ZCLongitude(p, a) for a in seq.longitudes)
-        for it in seq.order:
-            if it.is_corporeal():
-                order.append(corporeal(remap[it.k]))
-            elif it.is_ghost():
-                order.append(ghost(remap[it.k], it.edge))
-            else:
-                order.append(it)
+        order.extend(it.renumber(remap) for it in seq.order)
         offset += seq.n
     return ZCFlavouredSequence(tuple(labels), tuple(longitudes), tuple(order))
 

@@ -103,6 +103,36 @@ def test_bad_symbolic_gamma(kron_file, capsys, gamma, message):
     assert captured.err == "klrwcb: error: %s\n" % message
 
 
+@pytest.mark.parametrize("spec, message", [
+    (None, "No such file or directory"),
+    ({}, "quiver spec lacks 'vertices'"),
+    ({"vertices": ["a"], "edges": [{"id": "t", "tail": "a"}]}, "lacks 'head'"),
+])
+def test_bad_quiver_spec(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    if spec is not None:
+        path.write_text(json.dumps(spec))
+    assert main(["category-o-graph", "--quiver", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("klrwcb: error: ")
+    assert message in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("gamma, message", [
+    ("b=0", "unknown vertex 'b' in 'b=0'"),
+    ("a=0;b", "longitude chunk 'b' is not vertex=values"),
+])
+def test_bad_gamma_vertex(tmp_path, capsys, gamma, message):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"vertices": ["a"]}))
+    assert main(["enumerate-sequences", "--quiver", str(path),
+                 "--gamma", gamma]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "klrwcb: error: %s\n" % message
+
+
 def test_equivalence_command(kron_file, capsys):
     rc = main(["check-equivalence", "--quiver", kron_file,
                "[(alpha,0),(beta,0)] order=[1,2,f@2,e@1]",
@@ -175,6 +205,18 @@ def test_monopole_mul_complex_shift(capsys):
     assert main(["monopole-mul", "--rank", "1", "--matter", "1;1/2+1i",
                  "r[1]", "r[-1]"]) == 0
     assert capsys.readouterr().out.strip() == "(x1+1/2+1i)*r[0]"
+
+
+def test_monopole_mul_parenthesizes_complex_coefficients(capsys):
+    assert main(["monopole-mul", "--rank", "2", "--matter", "1,0;1/2+1i",
+                 "--matter", "0,1;-1/3i", "--matter", "1,-1;2",
+                 "3*x1*r[1,2]+r[-1,0]", "x2*r[-2,1]+h*r[1,-1]"]) == 0
+    assert capsys.readouterr().out.strip() == (
+        "(x2)*r[-3, 1] + (3*x1^2*x2+6*h*x1^2+(3/2+3i)*x1*x2+(3+6i)*h*x1)*r[-1, 3]"
+        " + (-h*x1*x2+h^2*x2+h*x1^2-2*h^2*x1+h^3+(-1/2-1i)*h*x2+(5/2+1i)*h*x1"
+        "+(-5/2-1i)*h^2+(1+2i)*h)*r[0, -1] + (-3*h*x1*x2^2+3*h*x1^2*x2"
+        "-6*h^2*x1*x2+3*h^2*x1^2-3*h^3*x1+(6+1i)*h*x1*x2-1i*h*x1^2"
+        "+(6+1i)*h^2*x1-2i*h*x1)*r[2, 1]")
 
 
 def test_satake_off_finite_type(kron_file, capsys):

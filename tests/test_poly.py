@@ -188,6 +188,16 @@ def test_equal_and_hash_across_coefficient_types():
     assert list(r.den.values()) == [(ps[0], 3)]
 
 
+def test_repr_parenthesizes_coefficient_sums():
+    sym = ExactScalar(Fraction(1, 2), 0, {"s": -1})
+    p = (Polynomial.constant(sym) * x + Polynomial.constant(ExactScalar(0, -1)) * x * h
+         + Polynomial.constant(ExactScalar(0, 0, {"s": 2})) * h
+         + Polynomial.constant(ExactScalar(1, 0, {"s": 1})))
+    # a coefficient with several parts is a sum and is parenthesized before
+    # a monomial; a one-part coefficient and a constant term are not
+    assert repr(p) == "-1i*h*x1+(1/2-sym:s)*x1+2*sym:s*h+1+sym:s"
+
+
 def test_divide_exact_non_monic_divisor():
     y1, y2 = Polynomial.variable("y1"), Polynomial.variable("y2")
     q = (y1 * y1 - y2 * y2).divide_exact(2 * y1 - 2 * y2)

@@ -6,8 +6,8 @@ import pytest
 
 from klrwcb.quiver import (DimensionData, Flavour, Quiver, crawley_boevey,
                            kronecker_quiver)
-from klrwcb.scalars import (GT, AmbiguousOrderError, ExactScalar, SymbolTable,
-                            as_scalar, real_compare)
+from klrwcb.scalars import (EQ, GT, LT, AmbiguousOrderError, ExactScalar,
+                            SymbolTable, as_scalar, real_compare)
 from klrwcb.sequences import (FlavouredSequence, NonIntegralInputError,
                               ZCFlavouredSequence, ZCLongitude, _admissible_orders,
                               build_cgr, corporeal, enumerate_orders, equivalent,
@@ -34,7 +34,7 @@ R, RP, S = "w[alpha]0", "w[alpha]1", "w[beta]0"
 def test_build_cgr_kronecker(kronecker_unframed):
     q, dims, comp, fl = kronecker_unframed
     items = build_cgr(("alpha", "beta"), comp)
-    assert set(items) == {ghost(1, "e"), ghost(2, "f")}
+    assert items == [corporeal(1), corporeal(2), ghost(1, "e"), ghost(2, "f")]
 
 
 def test_build_cgr_empty():
@@ -47,8 +47,8 @@ def test_build_cgr_empty():
 def test_build_cgr_kron2():
     q, dims, comp, fl = kron2_data()
     items = build_cgr(("alpha", "alpha", "beta"), comp)
-    assert set(items) == {ghost(1, "e"), ghost(2, "e"), ghost(3, "f"),
-                          red(R), red(RP), red(S)}
+    assert items == [corporeal(1), corporeal(2), corporeal(3), ghost(1, "e"),
+                     ghost(2, "e"), ghost(3, "f"), red(R), red(RP), red(S)]
 
 
 def test_validate_kronecker_row(kronecker_unframed):
@@ -273,10 +273,9 @@ def _orders_by_permutations(gamma, completed, flavour, table=None,
         if any(real_compare(u, v, table) == GT for u, v in zip(longs, longs[1:])):
             continue
         labels = tuple(entries[i][1] for i in perm)
-        items = [corporeal(k) for k in range(1, len(labels) + 1)]
-        items += build_cgr(labels, completed)
         base = FlavouredSequence(labels, longs, ())
-        for order in _admissible_orders(base, items, completed, flavour, table):
+        for order in _admissible_orders(base, build_cgr(labels, completed),
+                                        flavour, table):
             seq = FlavouredSequence(labels, longs, order)
             if seq in produced or validate(seq, completed, flavour, table):
                 continue
@@ -421,3 +420,207 @@ def test_zc_unsteady(kronecker_framed):
     # all level zero, steady underneath: steady as a whole
     z0 = zc_concat([(0, lvl0)])
     assert zc_is_unsteady(z0)[0] == is_unsteady(lvl0)[0]
+
+
+# -- the key scan against the former pairwise scan ------------------------------
+
+
+def _validate_pairwise(seq, completed, flavour, table=None):
+    """The former validate: rule (i) and (ii) by real_compare on pairs."""
+    violations = []
+    expect = set(build_cgr(seq.labels, completed))
+    if set(seq.order) != expect:
+        missing = expect - set(seq.order)
+        extra = set(seq.order) - expect
+        violations.append("item set mismatch: missing %s extra %s"
+                          % (sorted(i.token() for i in missing),
+                             sorted(i.token() for i in extra)))
+        return violations
+    corp = [it.k for it in seq.order if it.is_corporeal()]
+    if corp != sorted(corp):
+        violations.append("corporeal items out of index order: %s" % (corp,))
+    longs = [seq.longitude(it, flavour) for it in seq.order]
+    for (i1, it1), (i2, it2) in zip(enumerate(seq.order), enumerate(seq.order[1:], 1)):
+        if real_compare(longs[i1], longs[i2], table) == GT:
+            violations.append("rule (i): %s at %s precedes %s at %s"
+                              % (it1.token(), longs[i1], it2.token(), longs[i2]))
+    for i1, it1 in enumerate(seq.order):
+        if not it1.is_corporeal():
+            continue
+        for i2 in range(i1 + 1, len(seq.order)):
+            it2 = seq.order[i2]
+            if it2.is_corporeal():
+                continue
+            if real_compare(longs[i1], longs[i2], table) == EQ:
+                violations.append("rule (ii): corporeal %s precedes %s at equal "
+                                  "real longitude" % (it1.token(), it2.token()))
+    return violations
+
+
+def _zc_compare(a, b, table=None):
+    if a.level != b.level:
+        return LT if a.level < b.level else GT
+    return real_compare(a.value, b.value, table)
+
+
+def _zc_validate_pairwise(seq, completed, flavour, table=None):
+    """The former zc_validate: rule (i) and (ii) by the lexicographic
+    Z x C comparison on pairs."""
+    violations = []
+    if set(seq.order) != set(build_cgr(seq.labels, completed)):
+        violations.append("item set mismatch")
+        return violations
+    corp = [it.k for it in seq.order if it.is_corporeal()]
+    if corp != sorted(corp):
+        violations.append("corporeal items out of index order")
+    longs = [seq.longitude(it, flavour) for it in seq.order]
+    for i in range(len(longs) - 1):
+        if _zc_compare(longs[i], longs[i + 1], table) == GT:
+            violations.append("rule (i): %s precedes %s" %
+                              (seq.order[i].token(), seq.order[i + 1].token()))
+    for i1, it1 in enumerate(seq.order):
+        if not it1.is_corporeal():
+            continue
+        for i2 in range(i1 + 1, len(seq.order)):
+            it2 = seq.order[i2]
+            if not it2.is_corporeal() and _zc_compare(longs[i1], longs[i2], table) == EQ:
+                violations.append("rule (ii): corporeal %s precedes %s"
+                                  % (it1.token(), it2.token()))
+    return violations
+
+
+def _unorderable(values, table):
+    """Some two of the values have real parts real_compare cannot order."""
+    for u, v in itertools.combinations(values, 2):
+        try:
+            real_compare(u, v, table)
+        except AmbiguousOrderError:
+            return True
+    return False
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except AmbiguousOrderError as exc:
+        return None, exc
+
+
+def _compare_scans(new, ref, unorderable, tally):
+    """The key scan agrees with the pairwise one, except that it raises on
+    an invalid order whose real parts cannot all be ordered, where the
+    pairwise scan only compares some pairs and lists violations."""
+    got, got_exc = _outcome(new)
+    want, want_exc = _outcome(ref)
+    if want_exc is not None:
+        assert got_exc is not None
+        tally["raised"] += 1
+    elif got_exc is not None:
+        assert want and unorderable()
+        tally["documented"] += 1
+    else:
+        assert got == want
+        tally["valid" if not want else "invalid"] += 1
+
+
+def _draw_scalar(rng, kind):
+    q = Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
+    if kind == "gaussian" and rng.random() < 0.5:
+        return ExactScalar(q, rng.choice([1, -1]))
+    if kind == "symbolic" and rng.random() < 0.5:
+        return ExactScalar(q, 0, {rng.choice("st"): rng.choice([1, -1])})
+    return as_scalar(q)
+
+
+# shadows: none; generic (no two of q + a*s + b*t tie for q in Z/2 and
+# |a|, |b| <= 2); and t = 3/2, which ties t + q with rationals
+_TABLES = [None,
+           SymbolTable().declare("s", Fraction(707, 500)).declare("t", Fraction(433, 250)),
+           SymbolTable().declare("s", Fraction(7, 5)).declare("t", Fraction(3, 2))]
+
+
+def _random_kronecker(rng, kind, va, vb, wa, wb):
+    comp = crawley_boevey(kronecker_quiver(), DimensionData(
+        {"alpha": va, "beta": vb}, {"alpha": wa, "beta": wb}))
+    fl = Flavour({e.id: _draw_scalar(rng, kind) for e in comp.edges})
+    gamma = {"alpha": [_draw_scalar(rng, kind) for _ in range(va)],
+             "beta": [_draw_scalar(rng, kind) for _ in range(vb)]}
+    return comp, fl, gamma
+
+
+def _orders(rng, seq, completed, flavour, table):
+    """seq itself, valid orders of its weight, and shuffles of its items."""
+    out = [seq]
+    try:
+        out += enumerate_orders(None, seq.weight(), completed, flavour, table,
+                                up_to_equivalence=False)[:3]
+    except AmbiguousOrderError:
+        pass
+    for _ in range(3):
+        order = list(seq.order)
+        rng.shuffle(order)
+        out.append(FlavouredSequence(seq.labels, seq.longitudes, order))
+    out.append(FlavouredSequence(seq.labels, seq.longitudes, seq.order[1:]))
+    return out
+
+
+def test_validate_matches_pairwise_scan():
+    rng = random.Random(2024)
+    tally = {"valid": 0, "invalid": 0, "raised": 0, "documented": 0}
+    for case in range(240):
+        kind = ("rational", "gaussian", "symbolic")[case % 3]
+        comp, fl, gamma = _random_kronecker(rng, kind, rng.randint(0, 2),
+                                            rng.randint(0, 2), rng.randint(0, 1),
+                                            rng.randint(0, 1))
+        labels = tuple(v for v in gamma for _ in gamma[v])
+        longs = tuple(a for v in gamma for a in gamma[v])
+        unsorted = FlavouredSequence(labels, longs, build_cgr(labels, comp))
+        for table in _TABLES:
+            try:
+                seqs = [from_weight(gamma, comp, fl, table)]
+            except AmbiguousOrderError:
+                seqs = []
+            for seq in seqs + [unsorted]:
+                for s in _orders(rng, seq, comp, fl, table):
+                    values = [s.longitude(it, fl) for it in set(s.order)]
+                    _compare_scans(lambda: validate(s, comp, fl, table),
+                                   lambda: _validate_pairwise(s, comp, fl, table),
+                                   lambda: _unorderable(values, table), tally)
+    assert min(tally.values()) >= 5, tally
+
+
+def test_zc_validate_matches_pairwise_scan():
+    rng = random.Random(2025)
+    tally = {"valid": 0, "invalid": 0, "raised": 0, "documented": 0}
+    for case in range(160):
+        kind = ("rational", "gaussian", "symbolic")[case % 3]
+        wa, wb = rng.randint(0, 1), rng.randint(0, 1)
+        comp, fl, _ = _random_kronecker(rng, kind, 1, 1, wa, wb)
+        unframed = crawley_boevey(kronecker_quiver(), DimensionData(
+            {"alpha": 1, "beta": 1}, {"alpha": 0, "beta": 0}))
+        parts = []
+        for p in sorted(rng.sample([-1, 0, 1], rng.randint(1, 3))):
+            # red items live at level 0 only
+            g = {"alpha": [_draw_scalar(rng, kind)], "beta": [_draw_scalar(rng, kind)]}
+            parts.append((p, from_weight(g, comp if p == 0 else unframed, fl,
+                                         _TABLES[1])))
+        z = zc_concat(parts)
+        framed = comp if 0 in [p for p, _ in parts] else unframed
+        seqs = [z, ZCFlavouredSequence(z.labels, z.longitudes, z.order[1:])]
+        for _ in range(3):
+            order = list(z.order)
+            rng.shuffle(order)
+            seqs.append(ZCFlavouredSequence(z.labels, z.longitudes, tuple(order)))
+        for table in _TABLES:
+            for s in seqs:
+                longs = [s.longitude(it, fl) for it in set(s.order)]
+
+                def unorderable():
+                    return any(_unorderable([a.value for a in longs if a.level == p],
+                                            table)
+                               for p in {a.level for a in longs})
+
+                _compare_scans(lambda: zc_validate(s, framed, fl, table),
+                               lambda: _zc_validate_pairwise(s, framed, fl, table),
+                               unorderable, tally)
+    assert min(tally.values()) >= 5, tally
