@@ -26,7 +26,7 @@ from .coulomb import (MatterWeight, MonopoleElement, TorusTheory,
                       res_support)
 from .cover import build_cover, category_o_graph, integralize
 from .diagrams import Engine
-from .kacmoody import weyl_dimension, KMWeight
+from .kacmoody import decat_chevalley, weyl_dimension, KMWeight
 from .poly import HBAR, ONE_POLY, Polynomial, RationalFunction
 from .quiver import dump_quiver_spec, load_quiver_spec
 from .relations import format_report, verify_relations
@@ -387,7 +387,6 @@ def cmd_satake(args):
         vmax = {k: int(v) for k, v in (kv.split("=") for kv in args.vmax.split(","))}
     else:
         vmax = {x: sum(w.values()) for x in quiver.old_vertices()}
-    from .kacmoody import decat_chevalley
     res = decat_chevalley(quiver, w, vmax)
     verts = res["verts"]
     total = 0
@@ -459,12 +458,9 @@ def cmd_suite(args):
         q = suites.suite_qhr(seed=args.seed)
         print("qhr instances=%d ok=%s" % (q["instances"], q["ok"]))
         result["ok"] = result["ok"] and q["ok"]
-    elif name == "satake":
+    else:
         result = suites.suite_satake()
         print("satake ok=%s" % result["ok"])
-    else:
-        print("unknown suite %r" % name)
-        return 2
     for w in result.get("witnesses", [])[:5]:
         print("witness:", w)
     return 0 if result["ok"] else 1

@@ -11,6 +11,13 @@ together with the explicit relation
 
 where mu runs over the matter weights with multiplicity and d counts the
 sign changes.  Weight modules specialize h = 1.
+
+Every structure constant here is a product of linear forms mu + j h, and
+one factor rule makes them all: ``_relation_factors`` (the relation above)
+and ``_lowering_factors`` (the matter-forgetting map) list (mu, j) pairs,
+and ``_forms`` alone turns pairs into forms, with h symbolic or specialized.
+``rxi_closed_form`` writes its products out by hand on purpose: it is the
+independent oracle that the monopole suite checks ``mul`` against.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .poly import HBAR, ONE_POLY, Polynomial, RationalFunction, as_poly
-from .scalars import ExactScalar, as_scalar, row_reduce
+from .scalars import ExactScalar, as_scalar, is_integral, row_reduce
 
 
 class BadCocharacterError(ValueError):
@@ -101,19 +108,50 @@ def d(a, b):
     return min(abs(a), abs(b))
 
 
-def relation_coefficient(theory, xi, nu):
-    """The Gelfand-Tsetlin coefficient of r_{xi+nu} in r_xi r_nu."""
-    out = ONE_POLY
-    h = Polynomial.variable(HBAR)
-    for mu in theory.matter:
+# -- the one factor rule: (mu, j) pairs stand for the linear form mu + j h --
+
+
+def _relation_factors(matter, xi, nu):
+    """The (mu, j) pairs of the coefficient of r_{xi+nu} in r_xi r_nu."""
+    out = []
+    for mu in matter:
         a, b = mu.pair(xi), mu.pair(nu)
         if a > 0 > b:
-            for j in range(1, d(a, b) + 1):
-                out = out * (mu.form() + (a - j) * h)
+            out.extend((mu, a - j) for j in range(1, d(a, b) + 1))
         elif a < 0 < b:
-            for j in range(0, d(a, b)):
-                out = out * (mu.form() + (a + j) * h)
+            out.extend((mu, a + j) for j in range(d(a, b)))
     return out
+
+
+def _lowering_factors(matter, xi):
+    """The (mu, j) pairs j = <mu,xi> .. -1 over the matter with <mu,xi> < 0:
+    the factors that the matter-forgetting map puts on r_xi, and those of
+    c_xi when r_xi acts on a weight module as c_xi(x) T_xi."""
+    return [(mu, j) for mu in matter for j in range(mu.pair(xi), 0)]
+
+
+def _forms(pairs, hbar=None):
+    """The linear forms mu + j h of (mu, j) pairs, in order; hbar=None keeps
+    h symbolic, otherwise h is specialized to hbar."""
+    h = Polynomial.variable(HBAR) if hbar is None else hbar
+    return [mu.form(hbar) + j * h for mu, j in pairs]
+
+
+def _product(pairs, hbar=None):
+    out = ONE_POLY
+    for f in _forms(pairs, hbar):
+        out = out * f
+    return out
+
+
+def _quotient(num, pairs, hbar=None):
+    """num over the forms of pairs, kept as denominator factors in order."""
+    return RationalFunction(num, [(f, 1) for f in _forms(pairs, hbar)])
+
+
+def relation_coefficient(theory, xi, nu):
+    """The Gelfand-Tsetlin coefficient of r_{xi+nu} in r_xi r_nu."""
+    return _product(_relation_factors(theory.matter, xi, nu))
 
 
 class MonopoleElement:
@@ -201,21 +239,13 @@ def mul(a, b, theory):
 
 
 def inv_monopole(xi, nu, theory):
-    """The element r_xi^{-1} r_nu of the localization."""
+    """The element r_xi^{-1} r_nu of the localization: one over the
+    coefficient of r_nu in r_xi r_{nu-xi}, shifted by x -> x - h xi."""
     xi, nu = tuple(xi), tuple(nu)
     target = tuple(n - x for n, x in zip(nu, xi))
-    num = ONE_POLY
-    den = []
-    h = Polynomial.variable(HBAR)
-    for mu in theory.matter:
-        a, b = mu.pair(xi), mu.pair(target)
-        if a > 0 > b:
-            for j in range(1, d(a, b) + 1):
-                den.append((mu.form() - j * h, 1))
-        elif a < 0 < b:
-            for j in range(0, d(a, b)):
-                den.append((mu.form() + j * h, 1))
-    return MonopoleElement({target: RationalFunction(num, den)})
+    den = [(mu, j - mu.pair(xi))
+           for mu, j in _relation_factors(theory.matter, xi, target)]
+    return MonopoleElement({target: _quotient(ONE_POLY, den)})
 
 
 def rxi_pairing(xi, theory):
@@ -252,18 +282,10 @@ def rxi_closed_form(xi, theory):
 def forget_matter(a, indices, theory):
     """Image under the embedding that forgets the listed matter weights:
     r_nu picks up prod_{<mu,nu><0} prod_{j=<mu,nu>}^{-1} (mu + j h)."""
-    h = Polynomial.variable(HBAR)
-    out = {}
-    for nu, coeff in a.terms.items():
-        factor = ONE_POLY
-        for i in indices:
-            mu = theory.matter[i]
-            p = mu.pair(nu)
-            if p < 0:
-                for j in range(p, 0):
-                    factor = factor * (mu.form() + j * h)
-        out[nu] = coeff * RationalFunction.of(factor)
-    return MonopoleElement(out)
+    forgotten = [theory.matter[i] for i in indices]
+    return MonopoleElement({
+        nu: coeff * RationalFunction.of(_product(_lowering_factors(forgotten, nu)))
+        for nu, coeff in a.terms.items()})
 
 
 def fourier(a, indices, wp, theory):
@@ -294,57 +316,33 @@ def fourier(a, indices, wp, theory):
 
 def phi0(lam, lam_prime, theory, matter_indices=None):
     """prod_mu prod_{j=1..-<mu,lam-lam'>, j != <mu,lam'>} (mu - j)."""
-    out = ONE_POLY
     indices = range(len(theory.matter)) if matter_indices is None else matter_indices
+    pairs = []
     for i in indices:
         mu = theory.matter[i]
         drop = mu.pair(lam) - mu.pair(lam_prime)
-        skip = mu.pair(lam_prime)
-        for j in range(1, -drop + 1):
-            if j == skip:
-                continue
-            out = out * (mu.form(hbar=1) - j)
-    return out
+        pairs.extend((mu, -j) for j in range(1, -drop + 1)
+                     if j != mu.pair(lam_prime))
+    return _product(pairs, hbar=1)
 
 
 def kappa(lam, xi, theory):
-    """Product over matter with <mu,xi> < 0 of the climbing factors at lam."""
-    num = ONE_POLY
-    den = []
-    for mu in theory.matter:
-        if mu.pair(xi) >= 0:
-            continue
-        p = mu.pair(lam)
-        if p > 0:
-            for j in range(1, p):
-                num = num * (mu.form(hbar=1) - j)
-        else:
-            for j in range(0, -p):
-                den.append((mu.form(hbar=1) + j, 1))
-    return RationalFunction(num, den)
+    """Product over matter with <mu,xi> < 0 of the climbing factors at lam:
+    prod_{j=1..<mu,lam>-1} (mu - j) over prod_{j=0..-<mu,lam>-1} (mu + j)."""
+    matter = [mu for mu in theory.matter if mu.pair(xi) < 0]
+    num = [(mu, -j) for mu in matter for j in range(1, mu.pair(lam))]
+    den = [(mu, j) for mu in matter for j in range(-mu.pair(lam))]
+    return _quotient(_product(num, hbar=1), den, hbar=1)
 
 
 def phi0_prime(nu, nu_prime, xi, theory):
-    """Phi_0 of the xi-invariant matter times the <mu,xi> < 0 correction."""
-    inv_idx = [i for i, mu in enumerate(theory.matter) if mu.pair(xi) == 0]
-    base = phi0(nu, nu_prime, theory, inv_idx)
-    num = ONE_POLY
-    den = []
-    for mu in theory.matter:
-        if mu.pair(xi) >= 0:
-            continue
-        drop = mu.pair(nu) - mu.pair(nu_prime)
-        skip_num = mu.pair(nu_prime)
-        for j in range(1, -drop + 1):
-            if j == skip_num:
-                continue
-            num = num * (mu.form(hbar=1) - j)
-        skip_den = -mu.pair(nu_prime)
-        for j in range(0, drop):
-            if j == skip_den:
-                continue
-            den.append((mu.form(hbar=1) + j, 1))
-    return RationalFunction(base * num, den)
+    """Phi_0 of the matter with <mu,xi> <= 0, over the <mu,xi> < 0
+    correction prod_{j=0..<mu,nu-nu'>-1, j != -<mu,nu'>} (mu + j)."""
+    indices = [i for i, mu in enumerate(theory.matter) if mu.pair(xi) <= 0]
+    den = [(mu, j) for mu in theory.matter if mu.pair(xi) < 0
+           for j in range(mu.pair(nu) - mu.pair(nu_prime))
+           if j != -mu.pair(nu_prime)]
+    return _quotient(phi0(nu, nu_prime, theory, indices), den, hbar=1)
 
 
 def elprime_identity_holds(nu, nu_prime, xi, theory):
@@ -352,8 +350,7 @@ def elprime_identity_holds(nu, nu_prime, xi, theory):
     Phi_0'(nu,nu') * shift_{nu-nu'}(kappa_nu) == Phi_0^{inv}(nu,nu') * kappa_{nu'}
     as rational functions (h = 1)."""
     eta = tuple(a - b for a, b in zip(nu, nu_prime))
-    shift = {("x%d" % (i + 1)): Polynomial.variable("x%d" % (i + 1)) + n
-             for i, n in enumerate(eta) if n}
+    shift = _shift_map(eta, hbar=1)
     lhs = phi0_prime(nu, nu_prime, xi, theory) * kappa(nu, xi, theory).substitute(shift)
     inv_idx = [i for i, mu in enumerate(theory.matter) if mu.pair(xi) == 0]
     rhs = RationalFunction.of(phi0(nu, nu_prime, theory, inv_idx)) \
@@ -364,16 +361,6 @@ def elprime_identity_holds(nu, nu_prime, xi, theory):
 # -- xi-negativity and transition eigenvalues -------------------------------
 
 
-def _positive_integer(s):
-    s = as_scalar(s)
-    return s.is_rational and s.rational.denominator == 1 and s.rational > 0
-
-
-def _nonpositive_integer(s):
-    s = as_scalar(s)
-    return s.is_rational and s.rational.denominator == 1 and s.rational <= 0
-
-
 def xi_negative(lam_point, xi, theory, stabilizer_ok=True):
     """No positive-pairing weight hits a positive integer at lam, no
     negative-pairing weight hits a non-positive integer, and the stabilizer
@@ -382,24 +369,19 @@ def xi_negative(lam_point, xi, theory, stabilizer_ok=True):
         return False
     for mu in theory.matter:
         p = mu.pair(xi)
-        if p > 0 and _positive_integer(mu.evaluate(lam_point)):
-            return False
-        if p < 0 and _nonpositive_integer(mu.evaluate(lam_point)):
-            return False
+        if p:
+            value = mu.evaluate(lam_point)
+            if is_integral(value) and (value.rational > 0) == (p > 0):
+                return False
     return True
 
 
 def transition_eigenvalues(nu_point, xi, theory):
-    """Eigenvalues of r_{-xi} r_xi on the weight space at nu_point (h=1)."""
-    vals = []
-    for mu in theory.matter:
-        p = mu.pair(xi)
-        base = mu.evaluate(nu_point)
-        if p > 0:
-            vals.extend(base - j for j in range(1, p + 1))
-        elif p < 0:
-            vals.extend(base + j for j in range(0, -p))
-    return vals
+    """Eigenvalues of r_{-xi} r_xi on the weight space at nu_point (h=1):
+    the factors of its relation coefficient, evaluated."""
+    neg = tuple(-x for x in xi)
+    return [mu.evaluate(nu_point) + j
+            for mu, j in _relation_factors(theory.matter, neg, xi)]
 
 
 def transition_invertible(nu_point, xi, theory):
@@ -407,19 +389,6 @@ def transition_invertible(nu_point, xi, theory):
 
 
 # -- universal weight modules ------------------------------------------------
-
-
-def _lowering_factors(theory, xi):
-    """The linear factors of c_xi, with r_xi acting as c_xi(x) T_xi and
-    T_xi lowering weights by xi; this is the factored form of the
-    matter-forgetting map into the bare torus.  Returns (mu, j) pairs
-    standing for the factor mu + j h."""
-    out = []
-    for mu in theory.matter:
-        p = mu.pair(xi)
-        if p < 0:
-            out.extend((mu, j) for j in range(p, 0))
-    return out
 
 
 @dataclass
@@ -449,7 +418,7 @@ class UniversalWeightModule:
         xi, nu = tuple(xi), tuple(nu)
         point = self.weight_of(tuple(n - x for n, x in zip(nu, xi)))
         return [mu.evaluate(point) + j for mu, j in
-                _lowering_factors(self.theory, xi)]
+                _lowering_factors(self.theory.matter, xi)]
 
     def action_is_zero(self, xi, nu):
         return any(not f for f in self.action_factors(xi, nu))

@@ -273,7 +273,6 @@ def as_poly(x):
     raise TypeError("cannot interpret %r as Polynomial" % (x,))
 
 
-ZERO_POLY = Polynomial({})
 ONE_POLY = Polynomial.constant(1)
 
 
@@ -386,18 +385,6 @@ class RationalFunction:
 
     def __rsub__(self, other):
         return RationalFunction.of(other) + (-self)
-
-    def inverse(self):
-        """Only defined when the numerator is itself a monomial-free product
-        we can move to the denominator; here we require a single factor or a
-        rational constant times factors."""
-        if not self.num:
-            raise ZeroDivisionError("inverse of zero")
-        num = ONE_POLY
-        den = [(self.num, 1)]
-        for f, e in self.den.values():
-            num = num * f ** e
-        return RationalFunction(num, den)
 
     def substitute(self, mapping):
         return RationalFunction(self.num.substitute(mapping),

@@ -158,6 +158,13 @@ def load_quiver_spec(path_or_dict, table=None):
     else:
         with open(path_or_dict) as fh:
             data = json.load(fh)
+    if not isinstance(data, dict):
+        raise QuiverError("quiver spec is not a JSON object")
+    for key, kind in (("vertices", list), ("edges", list), ("v", dict),
+                      ("w", dict), ("flavour", dict)):
+        if not isinstance(data.get(key, kind()), kind):
+            raise QuiverError("quiver spec field %r is not a JSON %s"
+                              % (key, "array" if kind is list else "object"))
     quiver = Quiver(_field(data, "vertices", "quiver spec"),
                     [Edge(*(_field(e, key, "edge %r" % (e,))
                             for key in ("id", "tail", "head")))

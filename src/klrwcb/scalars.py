@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import total_ordering
+from functools import total_ordering, wraps
 
 LT, EQ, GT = -1, 0, 1
 
@@ -49,6 +49,20 @@ class SymbolTable:
         return self.entries[name][0]
 
 
+def _scalar_operand(method):
+    """Read the other operand with as_scalar; an operand it cannot read
+    gives NotImplemented, so that Python tries the operand's own reflected
+    operator (a Polynomial's, say)."""
+    @wraps(method)
+    def operator(self, other):
+        try:
+            other = as_scalar(other)
+        except TypeError:
+            return NotImplemented
+        return method(self, other)
+    return operator
+
+
 @total_ordering
 class ExactScalar:
     """An element of Q + Qi + sum_s Q*s for formal symbols s.
@@ -78,8 +92,8 @@ class ExactScalar:
     def _sym_dict(self):
         return dict(self.symbolic)
 
+    @_scalar_operand
     def __add__(self, other):
-        other = as_scalar(other)
         sym = self._sym_dict()
         for name, c in other.symbolic:
             sym[name] = sym.get(name, Fraction(0)) + c
@@ -92,16 +106,18 @@ class ExactScalar:
         return ExactScalar(-self.rational, -self.imaginary,
                            {n: -c for n, c in self.symbolic})
 
+    @_scalar_operand
     def __sub__(self, other):
-        return self + (-as_scalar(other))
+        return self + (-other)
 
+    @_scalar_operand
     def __rsub__(self, other):
-        return as_scalar(other) + (-self)
+        return other + (-self)
 
+    @_scalar_operand
     def __mul__(self, other):
         """Products in Q + Qi, and of a symbolic scalar with a rational;
         a symbol times a symbol or a non-real is outside the model."""
-        other = as_scalar(other)
         if other.symbolic:
             self, other = other, self
         if other.symbolic:

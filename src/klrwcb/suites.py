@@ -10,12 +10,12 @@ import random
 from fractions import Fraction
 
 from .coulomb import (MatterWeight, MonopoleElement, TorusTheory,
-                      UniversalWeightModule, elprime_identity_holds,
+                      UniversalWeightModule, _coset_key, elprime_identity_holds,
                       forget_matter, fourier, hamiltonian_reduce, inv_monopole,
                       mul, res_support, rxi_closed_form, rxi_pairing,
                       transition_invertible, xi_negative)
-from .kacmoody import (cartan_matrix, decat_chevalley, kostant_multiplicity,
-                       weight_multiplicity, weyl_dimension, KMWeight)
+from .kacmoody import (cartan_matrix, decat_chevalley, fundamental_from_root_diff,
+                       kostant_multiplicity, weyl_dimension, KMWeight)
 from .poly import Polynomial, RationalFunction
 from .quiver import DimensionData, Edge, Quiver, crawley_boevey, Flavour, kronecker_quiver
 from .scalars import ExactScalar, as_scalar
@@ -166,7 +166,6 @@ def suite_restriction(seed=0, n=50, k_range=10):
         m = random_module(rng, with_symbols=(trial % 3 == 0))
         xi = random_coweight(rng, m.theory.rank)
         support = res_support(m, xi)
-        from .coulomb import _coset_key
         for nu in m.active:
             point = m.weight_of(nu)
             if xi_negative(point, xi, m.theory):
@@ -239,7 +238,6 @@ def suite_satake():
     # oracle: every tabulated multiplicity agrees with the Weyl-character
     # (Kostant) brute force
     verts, A = cartan_matrix(a2)
-    from .kacmoody import fundamental_from_root_diff
     for v, m in res2["table"].items():
         mu = KMWeight.make("fundamental", fundamental_from_root_diff(
             verts, A, {"1": 1, "2": 1}, dict(zip(verts, v))))

@@ -107,6 +107,9 @@ def test_bad_symbolic_gamma(kron_file, capsys, gamma, message):
     (None, "No such file or directory"),
     ({}, "quiver spec lacks 'vertices'"),
     ({"vertices": ["a"], "edges": [{"id": "t", "tail": "a"}]}, "lacks 'head'"),
+    ({"vertices": 5}, "field 'vertices' is not a JSON array"),
+    ({"vertices": ["a"], "edges": 3}, "field 'edges' is not a JSON array"),
+    ({"vertices": ["a"], "v": 3}, "field 'v' is not a JSON object"),
 ])
 def test_bad_quiver_spec(tmp_path, capsys, spec, message):
     path = tmp_path / "spec.json"

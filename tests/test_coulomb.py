@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,12 @@ from klrwcb.coulomb import (BadCocharacterError, MatterNotInvariantError,
                             UniversalWeightModule, d, elprime_identity_holds,
                             forget_matter, fourier, gk_dim, hamiltonian_reduce,
                             inv_monopole, kappa, module_action, mul, phi0,
-                            phi0_prime, res_support, rxi_closed_form,
-                            rxi_pairing, transition_invertible, xi_negative)
+                            phi0_prime, relation_coefficient, res_support,
+                            rxi_closed_form, rxi_pairing,
+                            transition_eigenvalues, transition_invertible,
+                            xi_negative)
 from klrwcb.poly import HBAR, ONE_POLY, Polynomial, RationalFunction
-from klrwcb.scalars import as_scalar
+from klrwcb.scalars import ExactScalar, as_scalar
 from klrwcb import suites
 
 x1 = Polynomial.variable("x1")
@@ -227,3 +230,168 @@ def test_gk_dim():
 def test_monopole_suite_small():
     out = suites.suite_monopole(seed=3, n_rxi=10, n_assoc=25, n_inv=10, n_hom=10)
     assert out["ok"], out["witnesses"][:3]
+
+
+# -- the one factor rule against the hand-written loops it replaced ---------
+#
+# Each _ref_* function below is the former loop of its namesake, kept as the
+# reference; ``seen`` counts the branches taken so the test can show that
+# every one of them was exercised.
+
+
+def _ref_relation_coefficient(theory, xi, nu, seen):
+    out = ONE_POLY
+    for mu in theory.matter:
+        a, b = mu.pair(xi), mu.pair(nu)
+        if a > 0 > b:
+            seen["a>0>b"] += 1
+            for j in range(1, d(a, b) + 1):
+                out = out * (mu.form() + (a - j) * h)
+        elif a < 0 < b:
+            seen["a<0<b"] += 1
+            for j in range(0, d(a, b)):
+                out = out * (mu.form() + (a + j) * h)
+    return out
+
+
+def _ref_inv_monopole(xi, nu, theory, seen):
+    target = tuple(n - x for n, x in zip(nu, xi))
+    den = []
+    for mu in theory.matter:
+        a, b = mu.pair(xi), mu.pair(target)
+        if a > 0 > b:
+            seen["a>0>b"] += 1
+            for j in range(1, d(a, b) + 1):
+                den.append((mu.form() - j * h, 1))
+        elif a < 0 < b:
+            seen["a<0<b"] += 1
+            for j in range(0, d(a, b)):
+                den.append((mu.form() + j * h, 1))
+    return MonopoleElement({target: RationalFunction(ONE_POLY, den)})
+
+
+def _ref_forget_matter(a, indices, theory):
+    out = {}
+    for nu, coeff in a.terms.items():
+        factor = ONE_POLY
+        for i in indices:
+            mu = theory.matter[i]
+            p = mu.pair(nu)
+            if p < 0:
+                for j in range(p, 0):
+                    factor = factor * (mu.form() + j * h)
+        out[nu] = coeff * RationalFunction.of(factor)
+    return MonopoleElement(out)
+
+
+def _ref_transition_eigenvalues(nu_point, xi, theory):
+    vals = []
+    for mu in theory.matter:
+        p = mu.pair(xi)
+        base = mu.evaluate(nu_point)
+        if p > 0:
+            vals.extend(base - j for j in range(1, p + 1))
+        elif p < 0:
+            vals.extend(base + j for j in range(0, -p))
+    return vals
+
+
+def _ref_phi0(lam, lam_prime, theory, seen, matter_indices=None):
+    out = ONE_POLY
+    indices = range(len(theory.matter)) if matter_indices is None else matter_indices
+    for i in indices:
+        mu = theory.matter[i]
+        drop = mu.pair(lam) - mu.pair(lam_prime)
+        skip = mu.pair(lam_prime)
+        for j in range(1, -drop + 1):
+            if j == skip:
+                seen["skip"] += 1
+                continue
+            out = out * (mu.form(hbar=1) - j)
+    return out
+
+
+def _ref_kappa(lam, xi, theory):
+    num = ONE_POLY
+    den = []
+    for mu in theory.matter:
+        if mu.pair(xi) >= 0:
+            continue
+        p = mu.pair(lam)
+        if p > 0:
+            for j in range(1, p):
+                num = num * (mu.form(hbar=1) - j)
+        else:
+            for j in range(0, -p):
+                den.append((mu.form(hbar=1) + j, 1))
+    return RationalFunction(num, den)
+
+
+def _ref_phi0_prime(nu, nu_prime, xi, theory, seen):
+    inv_idx = [i for i, mu in enumerate(theory.matter) if mu.pair(xi) == 0]
+    base = _ref_phi0(nu, nu_prime, theory, seen, inv_idx)
+    num = ONE_POLY
+    den = []
+    for mu in theory.matter:
+        if mu.pair(xi) >= 0:
+            continue
+        drop = mu.pair(nu) - mu.pair(nu_prime)
+        skip_num = mu.pair(nu_prime)
+        for j in range(1, -drop + 1):
+            if j == skip_num:
+                seen["skip"] += 1
+                continue
+            num = num * (mu.form(hbar=1) - j)
+        skip_den = -mu.pair(nu_prime)
+        for j in range(0, drop):
+            if j == skip_den:
+                seen["skip"] += 1
+                continue
+            den.append((mu.form(hbar=1) + j, 1))
+    return RationalFunction(base * num, den)
+
+
+def _shifted_theory(rng):
+    """A random theory whose flavour shifts are sometimes Gaussian; about a
+    third of its matter weights carry an h-shift."""
+    th = suites.random_theory(rng, max_rank=2, max_matter=4)
+    matter = [MatterWeight(mu.gauge,
+                           mu.flavour_shift + ExactScalar(0, Fraction(
+                               rng.randint(-2, 2), rng.choice([1, 2])))
+                           if rng.random() < 0.3 else mu.flavour_shift,
+                           mu.hbar_shift)
+              for mu in th.matter]
+    return TorusTheory(th.rank, matter)
+
+
+def test_factor_rule_matches_hand_written_loops():
+    rng = random.Random(6)
+    seen = Counter()
+    shifts = Counter()
+    for _ in range(200):
+        th = _shifted_theory(rng)
+        shifts["gaussian"] += any(mu.flavour_shift.imaginary for mu in th.matter)
+        shifts["hbar"] += any(mu.hbar_shift for mu in th.matter)
+        # coweights of norm <= 1 keep the expanded products small
+        xi = suites.random_coweight(rng, th.rank, bound=1)
+        nu = suites.random_coweight(rng, th.rank, bound=1, nonzero=False)
+        nup = suites.random_coweight(rng, th.rank, bound=1, nonzero=False)
+        a = suites.random_element(rng, th.rank, 2)
+        keep = [i for i in range(len(th.matter)) if rng.random() < 0.5]
+        point = tuple(as_scalar(Fraction(rng.randint(-3, 3), rng.choice([1, 2])))
+                      for _ in range(th.rank))
+        for x, y in ((xi, nu), (nu, xi), (xi, tuple(-v for v in xi))):
+            assert repr(relation_coefficient(th, x, y)) == \
+                repr(_ref_relation_coefficient(th, x, y, seen))
+        assert repr(inv_monopole(xi, nu, th)) == \
+            repr(_ref_inv_monopole(xi, nu, th, seen))
+        assert repr(forget_matter(a, keep, th)) == \
+            repr(_ref_forget_matter(a, keep, th))
+        assert Counter(transition_eigenvalues(point, xi, th)) == \
+            Counter(_ref_transition_eigenvalues(point, xi, th))
+        assert repr(phi0(nu, nup, th)) == repr(_ref_phi0(nu, nup, th, seen))
+        assert repr(kappa(nu, xi, th)) == repr(_ref_kappa(nu, xi, th))
+        assert repr(phi0_prime(nu, nup, xi, th)) == \
+            repr(_ref_phi0_prime(nu, nup, xi, th, seen))
+    assert min(seen["a>0>b"], seen["a<0<b"], seen["skip"]) >= 20, seen
+    assert min(shifts["gaussian"], shifts["hbar"]) >= 20, shifts

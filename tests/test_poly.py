@@ -84,12 +84,10 @@ def test_rational_function_sum_product_equality():
     assert s.evaluate({"x1": 3, HBAR: 1}) == as_scalar(Fraction(1, 2))
 
 
-def test_rational_function_substitute_inverse():
+def test_rational_function_substitute():
     s = RationalFunction(x, [(x - 1, 2)])
     shifted = s.substitute({"x1": x + 1})
     assert shifted == RationalFunction(x + 1, [(x, 2)])
-    inv = s.inverse()
-    assert s * inv == RationalFunction.of(1)
 
 
 # -- the coefficient normal form --------------------------------------------

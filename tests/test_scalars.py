@@ -6,6 +6,7 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from klrwcb.poly import Polynomial
 from klrwcb.scalars import (EQ, GT, LT, AmbiguousOrderError, ExactScalar,
                             SymbolTable, as_scalar, format_scalar, is_integral,
                             is_integral_difference, parse_scalar, real_compare,
@@ -58,6 +59,20 @@ def test_arithmetic():
     assert (a - a) == as_scalar(0)
     assert (a * 2).rational == 1
     assert as_scalar(3) / Fraction(3, 2) == as_scalar(2)
+
+
+@pytest.mark.parametrize("s", [ExactScalar(0, 1), ExactScalar(Fraction(1, 2), -2),
+                               ExactScalar(1, 0, {"t": 2}), as_scalar(3)])
+def test_arithmetic_with_polynomials(s):
+    # an operand as_scalar cannot read is left to the operand's reflected
+    # operator, so a scalar and a polynomial combine in either order
+    p = Polynomial.variable("x1") * 2 + Polynomial.variable("x2")
+    assert s * p == p * s == Polynomial.constant(s) * p
+    assert s + p == p + s == Polynomial.constant(s) + p
+    assert s - p == -(p - s) == Polynomial.constant(s) - p
+    assert isinstance(s * p, Polynomial)
+    with pytest.raises(TypeError):
+        s * object()
 
 
 def test_integral_difference_is_equivalence():
