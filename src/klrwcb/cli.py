@@ -31,7 +31,8 @@ from .poly import HBAR, ONE_POLY, Polynomial, RationalFunction
 from .quiver import dump_quiver_spec, load_quiver_spec
 from .relations import format_report, verify_relations
 from .render import render_diagram
-from .scalars import (SymbolTable, as_scalar, format_scalar, parse_scalar)
+from .scalars import (SymbolTable, _parse_rational, as_scalar, format_scalar,
+                      parse_scalar)
 from .sequences import (enumerate_orders, equivalent, format_sequence,
                         from_weight, is_unsteady, parse_sequence, validate)
 
@@ -94,32 +95,31 @@ def parse_poly(text, rank):
 
     def take():
         tok = peek()
+        if tok is None:
+            raise ValueError("truncated polynomial literal")
         pos[0] += 1
         return tok
 
     def atom():
         tok = take()
         if tok == "(":
-            p = expr()
+            base = expr()
             if take() != ")":
                 raise ValueError("unbalanced parenthesis")
-            return p
-        if tok is None:
-            raise ValueError("truncated polynomial literal")
-        if tok.isdigit():
-            num = Fraction(int(tok))
+        elif tok.isdigit():
+            den = 1
             if peek() == "/":
                 take()
-                den = take()
-                num = Fraction(int(tok), int(den))
-            base = Polynomial.constant(num)
+                den = int(take())
+                if not den:
+                    raise ValueError("zero denominator in polynomial literal")
+            base = Polynomial.constant(Fraction(int(tok), den))
+        elif tok == HBAR or re.fullmatch(r"x[0-9]+", tok):
+            if tok != HBAR and not (1 <= int(tok[1:]) <= rank):
+                raise ValueError("variable %s out of rank %d" % (tok, rank))
+            base = Polynomial.variable(tok)
         else:
-            if tok == HBAR or re.fullmatch(r"x[0-9]+", tok):
-                if tok != HBAR and not (1 <= int(tok[1:]) <= rank):
-                    raise ValueError("variable %s out of rank %d" % (tok, rank))
-                base = Polynomial.variable(tok)
-            else:
-                raise ValueError("unknown variable %r" % tok)
+            raise ValueError("unknown variable %r" % tok)
         if peek() == "^":
             take()
             base = base ** int(take())
@@ -152,7 +152,9 @@ _RTERM = re.compile(r"r\[([0-9,\s\-]*)\]")
 
 
 def parse_monopole(text, rank):
-    """Element literal: terms like '3*x1*r[1,0] + r[-1,0]' joined by +/-."""
+    """Element literal: terms like '3*x1*r[1,0] + r[-1,0]' joined by +/-.
+    The coefficient stands left of r[..]: r_xi f = f(x + h xi) r_xi, so a
+    factor on the right would be a different element."""
     total = MonopoleElement({})
     depth = 0
     terms = []
@@ -179,7 +181,10 @@ def parse_monopole(text, rank):
             else ()
         if len(nu) != rank:
             raise ValueError("coweight %r has wrong rank" % (nu,))
-        rest = (term[:m.start()] + term[m.end():]).strip().strip("*").strip()
+        if term[m.end():].strip():
+            raise ValueError("monopole term %r has text after its r[..] factor"
+                             % term)
+        rest = term[:m.start()].strip().strip("*").strip()
         sign = Fraction(1)
         while rest.startswith(("+", "-")):
             if rest[0] == "-":
@@ -200,7 +205,8 @@ def _parse_matter(specs, rank, table):
             raise ValueError("gauge charge %r has wrong rank" % (gauge,))
         shift = parse_scalar(parts[1], table) if len(parts) > 1 and parts[1] \
             else as_scalar(0)
-        hshift = Fraction(parts[2]) if len(parts) > 2 and parts[2] else Fraction(0)
+        hshift = _parse_rational(parts[2]) if len(parts) > 2 and parts[2] \
+            else Fraction(0)
         matter.append(MatterWeight(gauge, shift, hshift))
     return TorusTheory(rank, matter)
 
@@ -286,16 +292,8 @@ def cmd_reduce_integral(args):
     cover = build_cover(quiver, dims, completed, flavour, orbit, table)
     eta, phi_prime = integralize(cover)
     if args.format == "json":
-        data = dump_quiver_spec(cover.quiver,
-                                cover.dims, phi_prime)
-        data["vertices"] = [str(v) for v in cover.quiver.vertices]
-        data["edges"] = [{"id": e.id, "tail": str(e.tail), "head": str(e.head)}
-                         for e in cover.quiver.edges]
-        data["v"] = {str(k): v for k, v in cover.dims.v.items()}
-        data["w"] = {str(k): v for k, v in cover.dims.w.items()}
-        data["flavour"] = {eid: format_scalar(c)
-                           for eid, c in phi_prime.values.items()}
-        print(json.dumps(data, indent=2))
+        print(json.dumps(dump_quiver_spec(cover.quiver, cover.dims, phi_prime),
+                         indent=2))
         return 0
     print("vertices (v-tilde / w-tilde):")
     for cv in cover.quiver.vertices:
@@ -425,7 +423,7 @@ def cmd_render(args):
         dots = []
         for spec in args.dot:
             k, h = spec.split("@")
-            dots.append((int(k), Fraction(h)))
+            dots.append((int(k), _parse_rational(h)))
         diagram = engine.add_dots(diagram, dots)
     svg = render_diagram(engine, diagram, title=args.title)
     if args.output == "-":

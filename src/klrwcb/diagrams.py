@@ -14,6 +14,9 @@ positional in the corporeal order) by composing local operators:
     integral difference: multiply by y_self; leftward: nothing;
   * every other crossing: nothing.
 
+Engine.word_operators is the one walk of a word: it turns every step into
+its local operator once.  Engine.act and the relation suite apply its list.
+
 All relations of the algebra hold for these operators; verify_relations
 checks them exhaustively over given quiver data and is the normative
 arbiter for the sign conventions.
@@ -22,11 +25,12 @@ arbiter for the sign conventions.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import HBAR, ONE_POLY, Polynomial, as_poly
+from .poly import HBAR, ONE_POLY, Polynomial
 from .scalars import as_scalar, coset_rep, is_integral_difference
 from .sequences import FlavouredSequence, corporeal, from_weight, is_unsteady
 
@@ -86,12 +90,6 @@ class Diagram:
     def sigma(self):
         return dict(self.match)
 
-    def dots(self):
-        return tuple((ev[1].k, ev[2]) for ev in self.events if ev[0] == "dot")
-
-    def crossings(self):
-        return tuple(ev for ev in self.events if ev[0] == "cross")
-
     def item_map(self):
         """Bottom CGR item -> top CGR item along strands."""
         sig = self.sigma()
@@ -101,11 +99,10 @@ class Diagram:
 class Engine:
     """Holds the quiver data and implements the diagram calculus."""
 
-    def __init__(self, completed, flavour, table=None, demazure_sign=1):
+    def __init__(self, completed, flavour, table=None):
         self.completed = completed
         self.flavour = flavour
         self.table = table
-        self.demazure_sign = demazure_sign
         self.tails = {e.id: e.tail for e in completed.edges}
 
     # -- strand-pair classification ----------------------------------------
@@ -267,69 +264,57 @@ class Engine:
     # -- the polynomial representation ----------------------------------------
 
     def act(self, diagram, vector):
-        """Apply a diagram (or a list of (coeff, diagram)) to a PolyVector."""
-        if isinstance(diagram, list):
-            total = None
-            for coeff, dia in diagram:
-                piece = self.act(dia, vector)
-                term = PolyVector(piece.seq, as_poly(coeff) * piece.poly)
-                total = term if total is None else PolyVector(
-                    total.seq, total.poly + term.poly)
-            return total
+        """Apply a diagram to a PolyVector."""
         if vector.seq != diagram.bottom:
             raise TagMismatchError("vector tag differs from the diagram bottom")
-        order = list(diagram.bottom.order)
-        poly = vector.poly
-        for ev in sorted(diagram.events, key=lambda e: e[-1]):
-            if ev[0] == "dot":
-                p = self._corporeal_position(order, ev[1])
-                poly = poly * yvar(p)
-                continue
-            _, left, right, _ = ev
-            il, ir = order.index(left), order.index(right)
-            if (il, ir) != (ir - 1, il + 1):
-                raise ValueError("event %r is not adjacent" % (ev,))
-            poly = self._crossing_operator(diagram.bottom, order, left, right)(poly)
-            order[il], order[ir] = order[ir], order[il]
+        ops, order = self.word_operators(diagram.bottom, [
+            ev[:-1] for ev in sorted(diagram.events, key=lambda e: e[-1])])
         item_map = diagram.item_map()
         if [item_map[it] for it in order] != list(diagram.top.order):
             raise ValueError("event word does not realize the matching")
-        return PolyVector(diagram.top, poly)
+        return PolyVector(diagram.top, run_operators(ops, vector.poly))
 
-    def _corporeal_position(self, order, item):
-        p = 0
-        for it in order:
-            if it.is_corporeal():
-                p += 1
-            if it == item:
-                return p
-        raise KeyError(item)
+    def word_operators(self, seq, word):
+        """Walk a word once over seq.order: returns the local operator of
+        every step, in order, and the final order of the items.  A step is
+        ("dot", item), ("cross", i) for the items at positions i and i + 1,
+        or ("cross", left, right) for two adjacent items."""
+        order = list(seq.order)
+        ops = []
+        for step in word:
+            if step[0] == "dot":
+                ops.append(_times(yvar(_corporeal_position(order, step[1]))))
+                continue
+            i = step[1] if len(step) == 2 else order.index(step[1])
+            if len(step) == 3 and order.index(step[2]) != i + 1:
+                raise ValueError("event %r is not adjacent" % (step,))
+            ops.append(self._crossing_operator(seq, order, order[i], order[i + 1]))
+            order[i], order[i + 1] = order[i + 1], order[i]
+        return ops, order
 
     def _crossing_operator(self, seq, order, left, right):
         kind, c, g = self.pair_kind(seq, left, right)
         if kind == "inert":
             if left.is_corporeal() and right.is_corporeal():
                 # variables travel with strands: positionally this is the swap
-                r = self._corporeal_position(order, left)
+                r = _corporeal_position(order, left)
                 return lambda f: f.swap_vars("y%d" % r, "y%d" % (r + 1))
             return lambda f: f
         if kind == "demazure":
-            r = self._corporeal_position(order, left)
+            r = _corporeal_position(order, left)
             return lambda f: self._demazure(f, r)
-        p = self._corporeal_position(order, c)
-        moving_right = (c == left)
-        if kind == "ghost":
-            if not moving_right:
-                return lambda f: f
-            q = self._corporeal_position(order, corporeal(g.k))
-            return lambda f: f * (yvar(q) - yvar(p))
-        if not moving_right:
+        if c != left:
+            # a corporeal moving leftward across a ghost or red: nothing
             return lambda f: f
-        return lambda f: f * yvar(p)
+        p = _corporeal_position(order, c)
+        if kind == "ghost":
+            q = _corporeal_position(order, corporeal(g.k))
+            return _times(yvar(q) - yvar(p))
+        return _times(yvar(p))
 
     def _demazure(self, f, r):
         a, b = "y%d" % r, "y%d" % (r + 1)
-        denom = self.demazure_sign * (Polynomial.variable(a) - Polynomial.variable(b))
+        denom = Polynomial.variable(a) - Polynomial.variable(b)
         return (f - f.swap_vars(a, b)).divide_exact(denom)
 
     # -- degree ---------------------------------------------------------------
@@ -452,26 +437,35 @@ class Engine:
         return theta, theta_prime, ok
 
 
+def run_operators(ops, poly):
+    """Apply the operators of word_operators to poly, first step first."""
+    for op in ops:
+        poly = op(poly)
+    return poly
+
+
+def _times(factor):
+    return lambda f: f * factor
+
+
+def _corporeal_position(order, item):
+    p = 0
+    for it in order:
+        if it.is_corporeal():
+            p += 1
+        if it == item:
+            return p
+    raise KeyError(item)
+
+
 def _test_polynomials(n, degree_bound, extra_random, rng):
-    """All y/h monomials of weighted degree <= 2*degree_bound plus random
-    polynomials."""
-    vars_ = ["y%d" % k for k in range(1, n + 1)] + [HBAR]
-    monos = [ONE_POLY]
-    frontier = [ONE_POLY]
-    for _ in range(degree_bound):
-        nxt = []
-        for m in frontier:
-            for v in vars_:
-                nxt.append(m * Polynomial.variable(v))
-        monos.extend(nxt)
-        frontier = nxt
-    seen = set()
-    out = []
-    for m in monos:
-        key = tuple(sorted(m.terms))
-        if key not in seen:
-            seen.add(key)
-            out.append(m)
+    """All y/h monomials of weighted degree <= 2*degree_bound, by degree and
+    then lexicographically in y_1..y_n, h, plus random polynomials."""
+    variables = [Polynomial.variable("y%d" % k) for k in range(1, n + 1)]
+    variables.append(Polynomial.variable(HBAR))
+    out = [math.prod(combo, start=ONE_POLY)
+           for d in range(degree_bound + 1)
+           for combo in itertools.combinations_with_replacement(variables, d)]
     for _ in range(extra_random):
         p = sum((Fraction(rng.randint(-3, 3)) * m
                  for m in rng.sample(out, min(4, len(out)))), ONE_POLY * 0)

@@ -311,21 +311,18 @@ class RationalFunction:
         if not num:
             object.__setattr__(self, "den", {})
             return
-        changed = True
-        while changed:
-            changed = False
-            for key, (f, e) in list(den.items()):
-                while e > 0:
-                    try:
-                        num = num.divide_exact(f)
-                    except ArithmeticError:
-                        break
-                    e -= 1
-                    changed = True
-                if e:
-                    den[key] = (f, e)
-                else:
-                    del den[key]
+        # one pass: a factor that does not divide num divides no quotient of it
+        for key, (f, e) in list(den.items()):
+            while e > 0:
+                try:
+                    num = num.divide_exact(f)
+                except ArithmeticError:
+                    break
+                e -= 1
+            if e:
+                den[key] = (f, e)
+            else:
+                del den[key]
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

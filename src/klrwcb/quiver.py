@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .scalars import ExactScalar, SymbolTable, as_scalar, format_scalar, parse_scalar
+from .scalars import (ExactScalar, SymbolTable, as_scalar, format_scalar, is_integral,
+                      parse_scalar)
 
 INFINITY = "oo"
 
@@ -115,7 +116,6 @@ class Flavour:
             raise QuiverError("flavour missing edges %r" % (missing,))
 
     def is_integral(self):
-        from .scalars import is_integral
         return all(is_integral(c) for c in self.values.values())
 
 
@@ -165,12 +165,14 @@ def load_quiver_spec(path_or_dict, table=None):
         if not isinstance(data.get(key, kind()), kind):
             raise QuiverError("quiver spec field %r is not a JSON %s"
                               % (key, "array" if kind is list else "object"))
-    quiver = Quiver(_field(data, "vertices", "quiver spec"),
-                    [Edge(*(_field(e, key, "edge %r" % (e,))
-                            for key in ("id", "tail", "head")))
-                     for e in data.get("edges", [])])
-    v = {x: int(n) for x, n in data.get("v", {}).items()}
-    w = {x: int(n) for x, n in data.get("w", {}).items()}
+    vertices = _field(data, "vertices", "quiver spec")
+    edges = [[_field(e, key, "edge %r" % (e,)) for key in ("id", "tail", "head")]
+             for e in data.get("edges", [])]
+    for name in vertices + [x for ends in edges for x in ends]:
+        if not isinstance(name, str):
+            raise QuiverError("vertex or edge name %r is not a string" % (name,))
+    quiver = Quiver(vertices, [Edge(*ends) for ends in edges])
+    v, w = _counts(data, "v"), _counts(data, "w")
     for x in quiver.old_vertices():
         v.setdefault(x, 0)
         w.setdefault(x, 0)
@@ -186,6 +188,14 @@ def load_quiver_spec(path_or_dict, table=None):
     return quiver, dims, completed, flavour, table
 
 
+def _counts(data, key):
+    for x, n in data.get(key, {}).items():
+        if type(n) is not int:      # a JSON integer: no float, bool or string
+            raise QuiverError("quiver spec field %r: %r at %r is not an integer"
+                              % (key, n, x))
+    return dict(data.get(key, {}))
+
+
 def _field(obj, key, what):
     if not isinstance(obj, dict) or key not in obj:
         raise QuiverError("%s lacks %r" % (what, key))
@@ -193,11 +203,14 @@ def _field(obj, key, what):
 
 
 def dump_quiver_spec(quiver, dims, flavour=None):
+    """The JSON shape load_quiver_spec reads; vertex names are written
+    with str()."""
     data = {
-        "vertices": list(quiver.vertices),
-        "edges": [{"id": e.id, "tail": e.tail, "head": e.head} for e in quiver.edges],
-        "v": dict(dims.v),
-        "w": dict(dims.w),
+        "vertices": [str(x) for x in quiver.vertices],
+        "edges": [{"id": e.id, "tail": str(e.tail), "head": str(e.head)}
+                  for e in quiver.edges],
+        "v": {str(x): n for x, n in dims.v.items()},
+        "w": {str(x): n for x, n in dims.w.items()},
     }
     if flavour is not None:
         data["flavour"] = {eid: format_scalar(c) for eid, c in flavour.values.items()}

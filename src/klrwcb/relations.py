@@ -1,10 +1,12 @@
 """The local relation suite for the diagram calculus.
 
 Every local relation is instantiated over concrete quiver data as a pair
-of crossing/dot words on an explicit arrangement of strand items, and both
-sides are applied to a family of polynomials (all monomials up to a degree
-bound plus seeded random polynomials).  A relation instance passes when
-the two sides agree exactly.
+of crossing/dot words on an explicit arrangement of strand items.  Each
+word becomes its list of local operators once, through the engine's one
+word walk Engine.word_operators, and both sides are applied to a family of
+polynomials (all monomials up to a degree bound plus seeded random
+polynomials).  A relation instance passes when the two sides agree
+exactly.
 
 The correction signs of the two triple-point moves follow from the divided
 difference convention fixed in the engine; the suite is the normative
@@ -20,46 +22,36 @@ from fractions import Fraction
 from .poly import ONE_POLY, as_poly
 from .scalars import as_scalar
 from .sequences import FlavouredSequence, corporeal, ghost, red
-from .diagrams import _test_polynomials, yvar
+from .diagrams import _test_polynomials, run_operators
 
 
 class Scenario:
     """An arrangement of items with labels and longitudes, not required to
     be a valid flavoured sequence; words of positional crossings and strand
-    dots act on polynomials through the engine's local operators."""
+    dots act on polynomials through Engine.word_operators."""
 
     def __init__(self, engine, labels, longitudes, arrangement):
         self.engine = engine
         self.seq = FlavouredSequence(tuple(labels),
                                      tuple(as_scalar(a) for a in longitudes),
                                      tuple(arrangement))
-        self.arrangement = list(arrangement)
 
     @property
     def n(self):
         return len(self.seq.labels)
 
     def apply(self, word, poly):
-        order = list(self.arrangement)
-        eng = self.engine
-        for op in word:
-            if op[0] == "dot":
-                p = eng._corporeal_position(order, corporeal(op[1]))
-                poly = poly * yvar(p)
-                continue
-            i = op[1]
-            left, right = order[i], order[i + 1]
-            poly = eng._crossing_operator(self.seq, order, left, right)(poly)
-            order[i], order[i + 1] = order[i + 1], order[i]
-        return poly, order
+        ops, order = self.engine.word_operators(self.seq, word)
+        return run_operators(ops, poly), order
 
     def equal(self, lhs, rhs, polys):
-        """lhs, rhs: lists of (coeff, word); equality on every test poly."""
+        """lhs, rhs: lists of (coeff, word); equality on every test poly.
+        Each word is turned into its operators once, for all of polys."""
+        sides = [[(as_poly(c), self.engine.word_operators(self.seq, w)[0])
+                  for c, w in side] for side in (lhs, rhs)]
         for f in polys:
-            a = sum((as_poly(c) * self.apply(w, f)[0] for c, w in lhs),
-                    ONE_POLY * 0)
-            b = sum((as_poly(c) * self.apply(w, f)[0] for c, w in rhs),
-                    ONE_POLY * 0)
+            a, b = (sum((c * run_operators(ops, f) for c, ops in side),
+                        ONE_POLY * 0) for side in sides)
             if a != b:
                 return False, f
         return True, None
@@ -70,7 +62,7 @@ def cross(i):
 
 
 def dot(k):
-    return ("dot", k)
+    return ("dot", corporeal(k))
 
 
 def _instances(engine):
@@ -168,8 +160,7 @@ def _instances(engine):
         if e.tail == e.head:
             continue
         for off_i, off_j in [(zero, zero), (half, zero), (zero, one)]:
-            b1, b2 = zero, zero + (off_j if off_j != half else zero)
-            b2 = off_j
+            b1, b2 = zero, off_j
             z = b1 + as_scalar(engine.flavour[e.id]) + off_i
             sc = Scenario(engine, (e.tail, e.head, e.head), (z, b1, b2),
                           (ghost(2, e.id), corporeal(1), ghost(3, e.id),

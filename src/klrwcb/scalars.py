@@ -309,7 +309,10 @@ _NUM_RE = re.compile(r"^(-?[0-9]+(?:\.[0-9]+)?(?:/-?[0-9]+)?)(i?)$")
 def _parse_rational(text):
     if "." in text and "/" in text:
         raise ScalarParseError("mixed decimal/fraction literal %r" % text)
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ScalarParseError("zero denominator in %r" % text) from None
 
 
 def parse_scalar(text, table=None):

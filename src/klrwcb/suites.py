@@ -14,10 +14,12 @@ from .coulomb import (MatterWeight, MonopoleElement, TorusTheory,
                       forget_matter, fourier, hamiltonian_reduce, inv_monopole,
                       mul, res_support, rxi_closed_form, rxi_pairing,
                       transition_invertible, xi_negative)
+from .diagrams import Engine
 from .kacmoody import (cartan_matrix, decat_chevalley, fundamental_from_root_diff,
                        kostant_multiplicity, weyl_dimension, KMWeight)
 from .poly import Polynomial, RationalFunction
 from .quiver import DimensionData, Edge, Quiver, crawley_boevey, Flavour, kronecker_quiver
+from .relations import verify_relations
 from .scalars import ExactScalar, as_scalar
 
 
@@ -262,9 +264,6 @@ def suite_satake():
 
 
 def suite_relations(seed=0, degree_bound=3, n_random=10):
-    from .diagrams import Engine
-    from .relations import verify_relations
-
     out = {"ok": True, "reports": {}}
     datasets = []
     a1 = Quiver(["x"], [])

@@ -3,8 +3,11 @@ import os
 
 import pytest
 
-from klrwcb.cli import main, parse_monopole, parse_poly
+from klrwcb.cli import _parse_gamma, main, make_table, parse_monopole, parse_poly
+from klrwcb.cover import build_cover, integralize
 from klrwcb.poly import Polynomial, RationalFunction
+from klrwcb.quiver import load_quiver_spec
+from klrwcb.scalars import format_scalar
 
 KRON = {
     "vertices": ["alpha", "beta"],
@@ -80,6 +83,44 @@ def test_bad_polynomial_literal(capsys):
         "klrwcb: error: bad polynomial literal near '$x1'\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["monopole-mul", "--rank", "1", "1/0*r[1]", "r[0]"],
+     "zero denominator in polynomial literal"),
+    (["monopole-mul", "--rank", "1", "--matter", "1;1/0", "r[1]", "r[0]"],
+     "zero denominator in '1/0'"),
+    (["monopole-mul", "--rank", "1", "--matter", "1;0;1/0", "r[1]", "r[0]"],
+     "zero denominator in '1/0'"),
+    (["res-support", "--rank", "1", "--gamma0", "1/0", "--xi", "1"],
+     "zero denominator in '1/0'"),
+    (["render-diagram", "--quiver", "KRON", "--bottom",
+      "[(alpha,0),(beta,2)] order=[1,e@1,2,f@2]", "--dot", "1@1/0"],
+     "zero denominator in '1/0'"),
+])
+def test_zero_denominator_literal(kron_file, capsys, argv, message):
+    assert main([kron_file if a == "KRON" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "klrwcb: error: %s\n" % message
+
+
+def test_parse_poly_power_of_parenthesis():
+    x1 = Polynomial.variable("x1")
+    assert parse_poly("(x1+1)^2", 1) == x1 * x1 + 2 * x1 + 1
+    h = Polynomial.variable("h")
+    assert parse_poly("-(x1-h)^2*h", 1) == -((x1 - h) ** 2) * h
+    with pytest.raises(ValueError, match="truncated polynomial literal"):
+        parse_poly("(x1+1)^", 1)
+
+
+def test_monopole_coefficient_right_of_r_is_rejected(capsys):
+    # r_xi f = f(x + h xi) r_xi, so 'r[1]*x1' is not 'x1*r[1]'
+    with pytest.raises(ValueError, match="text after its r"):
+        parse_monopole("r[1]*x1", 1)
+    assert main(["monopole-mul", "--rank", "1", "r[1]*x1", "r[0]"]) == 2
+    assert capsys.readouterr().err == \
+        "klrwcb: error: monopole term 'r[1]*x1' has text after its r[..] factor\n"
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-5"])
 def test_bad_shadow_precision(kron_file, capsys, monkeypatch, value):
     monkeypatch.setenv("KLRW_SHADOW_PRECISION", value)
@@ -110,6 +151,12 @@ def test_bad_symbolic_gamma(kron_file, capsys, gamma, message):
     ({"vertices": 5}, "field 'vertices' is not a JSON array"),
     ({"vertices": ["a"], "edges": 3}, "field 'edges' is not a JSON array"),
     ({"vertices": ["a"], "v": 3}, "field 'v' is not a JSON object"),
+    ({"vertices": ["a"], "v": {"a": [1]}}, "[1] at 'a' is not an integer"),
+    ({"vertices": ["a"], "v": {"a": 1.5}}, "1.5 at 'a' is not an integer"),
+    ({"vertices": ["a"], "w": {"a": "2"}}, "'2' at 'a' is not an integer"),
+    ({"vertices": [["a"]]}, "vertex or edge name ['a'] is not a string"),
+    ({"vertices": ["a"], "edges": [{"id": 1, "tail": "a", "head": "a"}]},
+     "vertex or edge name 1 is not a string"),
 ])
 def test_bad_quiver_spec(tmp_path, capsys, spec, message):
     path = tmp_path / "spec.json"
@@ -176,6 +223,27 @@ def test_reduce_integral_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "(alpha,[2/3])            v=2" in out
     assert "sqrt2" not in out.split("integralized")[1]
+
+    orbit = "alpha=0,1/3,1/2,2/3,2/3;beta=0,1/6,1/3,1/3,1/2,2/3"
+    assert main(["reduce-integral", "--quiver", str(path), "--orbit", orbit,
+                 "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    # reference: the spec written field by field with str() names
+    table = make_table()
+    quiver, dims, completed, flavour, table = load_quiver_spec(str(path), table)
+    cover = build_cover(quiver, dims, completed, flavour,
+                        _parse_gamma(orbit, table, quiver), table)
+    _, phi_prime = integralize(cover)
+    ref = {
+        "vertices": [str(v) for v in cover.quiver.vertices],
+        "edges": [{"id": e.id, "tail": str(e.tail), "head": str(e.head)}
+                  for e in cover.quiver.edges],
+        "v": {str(k): v for k, v in cover.dims.v.items()},
+        "w": {str(k): v for k, v in cover.dims.w.items()},
+        "flavour": {eid: format_scalar(c) for eid, c in phi_prime.values.items()},
+    }
+    assert out == json.dumps(ref, indent=2) + "\n"
+    assert load_quiver_spec(json.loads(out))[0].vertices == ref["vertices"]
 
 
 def test_category_o_command(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from klrwcb.diagrams import (ComposeMismatchError, Engine, FramedComponentError,
                              HTooSmallError, NoMatchingError, PolyVector,
                              TagMismatchError, _test_polynomials, yvar)
-from klrwcb.poly import ONE_POLY
+from klrwcb.poly import ONE_POLY, Polynomial
 from klrwcb.quiver import (DimensionData, Flavour, Quiver, crawley_boevey,
                            kronecker_quiver)
 from klrwcb.scalars import as_scalar, row_reduce
@@ -405,3 +406,35 @@ def test_faithfulness_three_strands():
     dense = [[r.get(c, Fraction(0)) for c in range(len(monomials))]
              for r in rows]
     assert len(row_reduce(dense)[1]) == len(ops)
+
+
+def _ref_test_polynomials(n, degree_bound, extra_random, rng):
+    """The former frontier-and-dedup construction of the test family."""
+    vars_ = ["y%d" % k for k in range(1, n + 1)] + ["h"]
+    monos = [ONE_POLY]
+    frontier = [ONE_POLY]
+    for _ in range(degree_bound):
+        nxt = [m * Polynomial.variable(v) for m in frontier for v in vars_]
+        monos.extend(nxt)
+        frontier = nxt
+    seen = set()
+    out = []
+    for m in monos:
+        key = tuple(sorted(m.terms))
+        if key not in seen:
+            seen.add(key)
+            out.append(m)
+    for _ in range(extra_random):
+        p = sum((Fraction(rng.randint(-3, 3)) * m
+                 for m in rng.sample(out, min(4, len(out)))), ONE_POLY * 0)
+        out.append(p if p else ONE_POLY)
+    return out
+
+
+def test_test_polynomials_match_frontier_reference():
+    for n in range(6):
+        for d in range(6):
+            got = _test_polynomials(n, d, 6, random.Random(n * 10 + d))
+            want = _ref_test_polynomials(n, d, 6, random.Random(n * 10 + d))
+            assert [repr(p) for p in got] == [repr(p) for p in want], (n, d)
+            assert len(got) == math.comb(n + 1 + d, d) + 6

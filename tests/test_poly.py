@@ -90,6 +90,52 @@ def test_rational_function_substitute():
     assert shifted == RationalFunction(x + 1, [(x, 2)])
 
 
+def _ref_reduce(num, den):
+    """The former fixpoint reduction: sweep the denominator factors until
+    no division goes through."""
+    den = dict(den)
+    if not num:
+        return num, {}
+    changed = True
+    while changed:
+        changed = False
+        for key, (f, e) in list(den.items()):
+            while e > 0:
+                try:
+                    num = num.divide_exact(f)
+                except ArithmeticError:
+                    break
+                e -= 1
+                changed = True
+            if e:
+                den[key] = (f, e)
+            else:
+                del den[key]
+    return num, den
+
+
+def test_rational_function_reduction_matches_fixpoint():
+    rng = random.Random(4)
+    pool = [x - y, 2 * x - 2 * y, x + h, x - y + h, x, h, x * x - y,
+            ExactScalar(0, 1) * (x - h), y + Fraction(1, 2) * h]
+    for _ in range(300):
+        num = rng.choice([ONE_POLY, x + 2 * y, x * y - h, Polynomial({})])
+        for _ in range(rng.randint(0, 5)):
+            num = num * rng.choice(pool)
+        den = [(rng.choice(pool), rng.randint(0, 3))
+               for _ in range(rng.randint(0, 4))]
+        merged = {}
+        for f, e in den:
+            if e:
+                key = _factor_key(f)
+                merged[key] = (f, merged.get(key, (f, 0))[1] + e)
+        want_num, want_den = _ref_reduce(num, merged)
+        got = RationalFunction(num, den)
+        assert repr(got.num) == repr(want_num)
+        assert [(k, repr(f), e) for k, (f, e) in got.den.items()] == \
+            [(k, repr(f), e) for k, (f, e) in want_den.items()]
+
+
 # -- the coefficient normal form --------------------------------------------
 
 

@@ -1,25 +1,48 @@
-from klrwcb.diagrams import Engine
+import random
+from fractions import Fraction
+
+import pytest
+
+from klrwcb.diagrams import (Diagram, Engine, PolyVector, TagMismatchError,
+                             _test_polynomials, yvar)
+from klrwcb.poly import ONE_POLY, as_poly
 from klrwcb.quiver import (DimensionData, Edge, Flavour, Quiver,
                            crawley_boevey, kronecker_quiver)
-from klrwcb.relations import format_report, verify_relations
+from klrwcb.relations import _instances, format_report, verify_relations
 from klrwcb.scalars import as_scalar
+from klrwcb.sequences import corporeal, from_weight
+
+
+def a1_engine():
+    q = Quiver(["x"], [])
+    comp = crawley_boevey(q, DimensionData({"x": 2}, {"x": 2}))
+    return Engine(comp, Flavour({"w[x]0": as_scalar(0), "w[x]1": as_scalar(2)}))
+
+
+def a2_engine():
+    q = Quiver(["1", "2"], [Edge("a", "1", "2")])
+    comp = crawley_boevey(q, DimensionData({"1": 1, "2": 1}, {"1": 1, "2": 0}))
+    return Engine(comp, Flavour({"a": as_scalar(1), "w[1]0": as_scalar(0)}))
+
+
+def kronecker_engine():
+    q = kronecker_quiver()
+    comp = crawley_boevey(q, DimensionData({"alpha": 2, "beta": 1},
+                                           {"alpha": 1, "beta": 1}))
+    return Engine(comp, Flavour({"e": as_scalar(1), "f": as_scalar(1),
+                                 "w[alpha]0": as_scalar(0),
+                                 "w[beta]0": as_scalar(2)}))
 
 
 def test_relations_a1():
-    q = Quiver(["x"], [])
-    comp = crawley_boevey(q, DimensionData({"x": 2}, {"x": 2}))
-    eng = Engine(comp, Flavour({"w[x]0": as_scalar(0), "w[x]1": as_scalar(2)}))
-    report = verify_relations(eng, degree_bound=3, n_random=5, seed=0)
+    report = verify_relations(a1_engine(), degree_bound=3, n_random=5, seed=0)
     assert report["ok"], format_report(report)
     assert report["dots-2"]["instances"] == 4
     assert report["strand-bigon"]["instances"] >= 3
 
 
 def test_relations_a2():
-    q = Quiver(["1", "2"], [Edge("a", "1", "2")])
-    comp = crawley_boevey(q, DimensionData({"1": 1, "2": 1}, {"1": 1, "2": 0}))
-    eng = Engine(comp, Flavour({"a": as_scalar(1), "w[1]0": as_scalar(0)}))
-    report = verify_relations(eng, degree_bound=3, n_random=5, seed=0)
+    report = verify_relations(a2_engine(), degree_bound=3, n_random=5, seed=0)
     assert report["ok"], format_report(report)
     for name in ("ghost-bigon2", "ghost-bigon2a", "triple-point1",
                  "triple-point2", "red-triple"):
@@ -27,21 +50,193 @@ def test_relations_a2():
 
 
 def test_relations_kronecker():
-    q = kronecker_quiver()
-    comp = crawley_boevey(q, DimensionData({"alpha": 2, "beta": 1},
-                                           {"alpha": 1, "beta": 1}))
-    eng = Engine(comp, Flavour({"e": as_scalar(1), "f": as_scalar(1),
-                                "w[alpha]0": as_scalar(0),
-                                "w[beta]0": as_scalar(2)}))
-    report = verify_relations(eng, degree_bound=3, n_random=4, seed=0)
+    report = verify_relations(kronecker_engine(), degree_bound=3, n_random=4,
+                              seed=0)
     assert report["ok"], format_report(report)
+
+
+class FlippedEngine(Engine):
+    """The divided difference with the opposite global sign."""
+
+    def _demazure(self, f, r):
+        return -super()._demazure(f, r)
 
 
 def test_demazure_sign_is_pinned():
     # flipping the global divided-difference sign breaks the dot-slide side
     q = Quiver(["x"], [])
     comp = crawley_boevey(q, DimensionData({"x": 2}, {"x": 0}))
-    eng = Engine(comp, Flavour({}), demazure_sign=-1)
+    eng = FlippedEngine(comp, Flavour({}))
     report = verify_relations(eng, degree_bound=2, n_random=3, seed=0)
     assert not report["ok"]
     assert report["dots-2"]["failures"]
+
+
+# -- the one word walk against the two walks it replaced ---------------------
+#
+# _ref_act walked timed item events and _ref_apply positional steps, each
+# classifying every crossing again for every polynomial; both use the
+# former crossing-operator table, written out here.
+
+
+def _ref_position(order, item):
+    p = 0
+    for it in order:
+        if it.is_corporeal():
+            p += 1
+        if it == item:
+            return p
+    raise KeyError(item)
+
+
+def _ref_crossing(engine, seq, order, left, right, f):
+    kind, c, g = engine.pair_kind(seq, left, right)
+    if kind == "inert":
+        if left.is_corporeal() and right.is_corporeal():
+            r = _ref_position(order, left)
+            return f.swap_vars("y%d" % r, "y%d" % (r + 1))
+        return f
+    if kind == "demazure":
+        return engine._demazure(f, _ref_position(order, left))
+    p = _ref_position(order, c)
+    if c != left:
+        return f
+    if kind == "ghost":
+        q = _ref_position(order, corporeal(g.k))
+        return f * (yvar(q) - yvar(p))
+    return f * yvar(p)
+
+
+def _ref_act(engine, diagram, vector):
+    if vector.seq != diagram.bottom:
+        raise TagMismatchError("vector tag differs from the diagram bottom")
+    order = list(diagram.bottom.order)
+    poly = vector.poly
+    for ev in sorted(diagram.events, key=lambda e: e[-1]):
+        if ev[0] == "dot":
+            poly = poly * yvar(_ref_position(order, ev[1]))
+            continue
+        _, left, right, _ = ev
+        il, ir = order.index(left), order.index(right)
+        if (il, ir) != (ir - 1, il + 1):
+            raise ValueError("event %r is not adjacent" % (ev,))
+        poly = _ref_crossing(engine, diagram.bottom, order, left, right, poly)
+        order[il], order[ir] = order[ir], order[il]
+    item_map = diagram.item_map()
+    if [item_map[it] for it in order] != list(diagram.top.order):
+        raise ValueError("event word does not realize the matching")
+    return PolyVector(diagram.top, poly)
+
+
+def _ref_apply(scenario, word, poly):
+    order = list(scenario.seq.order)
+    for step in word:
+        if step[0] == "dot":
+            poly = poly * yvar(_ref_position(order, step[1]))
+            continue
+        i = step[1]
+        poly = _ref_crossing(scenario.engine, scenario.seq, order, order[i],
+                             order[i + 1], poly)
+        order[i], order[i + 1] = order[i + 1], order[i]
+    return poly, order
+
+
+def _ref_equal(scenario, lhs, rhs, polys):
+    for f in polys:
+        a, b = (sum((as_poly(c) * _ref_apply(scenario, w, f)[0] for c, w in side),
+                    ONE_POLY * 0) for side in (lhs, rhs))
+        if a != b:
+            return False, f
+    return True, None
+
+
+def flipped_a1_engine():
+    eng = a1_engine()
+    return FlippedEngine(eng.completed, eng.flavour)
+
+
+@pytest.mark.parametrize("make", [a1_engine, a2_engine, kronecker_engine,
+                                  flipped_a1_engine])
+def test_word_operators_match_positional_walk(make):
+    engine = make()
+    rng = random.Random(11)
+    instances = list(_instances(engine))
+    assert instances
+    for _, sc, lhs, rhs in instances:
+        polys = _test_polynomials(sc.n, 2, 3, rng)
+        for _, word in lhs + rhs:
+            for f in polys[::3] + polys[-3:]:
+                assert sc.apply(word, f) == _ref_apply(sc, word, f)
+        assert sc.equal(lhs, rhs, polys) == _ref_equal(sc, lhs, rhs, polys)
+        broken = lhs + [(1, [])]
+        for family in (polys, polys[-1:]):
+            assert sc.equal(broken, rhs, family) == \
+                _ref_equal(sc, broken, rhs, family)
+
+
+def test_word_operators_match_event_walk():
+    """Engine.act against the timed-event walk on seeded straight-line
+    diagrams with dots, composites included, and on broken event words."""
+    kron = Engine(*_kron_framed())
+    qa = Quiver(["x"], [])
+    ca = crawley_boevey(qa, DimensionData({"x": 3}, {"x": 1}))
+    a1 = Engine(ca, Flavour({"w[x]0": as_scalar(1)}))
+    rng = random.Random(7)
+    checked = rejected = 0
+    for trial in range(40):
+        if trial % 2:
+            eng = kron
+
+            def weight():
+                return {"alpha": [as_scalar(Fraction(rng.randint(-6, 6),
+                                                     rng.choice([1, 2])))
+                                  for _ in range(2)],
+                        "beta": [as_scalar(rng.randint(-3, 3))]}
+        else:
+            eng = a1
+
+            def weight():
+                return {"x": [as_scalar(rng.randint(-3, 3)) for _ in range(3)]}
+        bottom, middle, top = (from_weight(weight(), eng.completed, eng.flavour)
+                               for _ in range(3))
+        try:
+            d1 = eng.straight_line(bottom, middle)
+            d = eng.compose(eng.straight_line(middle, top), d1)
+        except ValueError:
+            continue
+        d = eng.add_dots(d, [(rng.randint(1, 3), Fraction(rng.randint(1, 96), 97))
+                             for _ in range(rng.randint(0, 3))])
+        for f in _test_polynomials(3, 2, 2, rng)[-3:]:
+            vec = PolyVector(bottom, f)
+            assert eng.act(d, vec) == _ref_act(eng, d, vec)
+            checked += 1
+        crossings = [ev for ev in d.events if ev[0] == "cross"]
+        if len(crossings) > 1:
+            # the last crossing first: not adjacent, or the wrong matching
+            first, last = crossings[0], crossings[-1]
+            events = tuple(last[:-1] + (first[-1],) if ev is first else
+                           first[:-1] + (last[-1],) if ev is last else ev
+                           for ev in d.events)
+            bad = Diagram(d.bottom, d.top, d.match, events)
+            vec = PolyVector(bottom, yvar(1))
+            got = _outcome(lambda: eng.act(bad, vec))
+            assert got == _outcome(lambda: _ref_act(eng, bad, vec))
+            rejected += isinstance(got, str)
+    assert checked >= 60 and rejected >= 10, (checked, rejected)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except ValueError as exc:
+        # the step in the message drops its time
+        return "not adjacent" if "not adjacent" in str(exc) else str(exc)
+
+
+def _kron_framed():
+    q = kronecker_quiver()
+    comp = crawley_boevey(q, DimensionData({"alpha": 2, "beta": 1},
+                                           {"alpha": 2, "beta": 1}))
+    return comp, Flavour({"e": as_scalar(1), "f": as_scalar(1),
+                          "w[alpha]0": as_scalar(-4), "w[alpha]1": as_scalar(0),
+                          "w[beta]0": as_scalar(2)})
