@@ -72,8 +72,39 @@ def _parse_gamma(text, table, quiver):
     return gamma
 
 
+_INT_RE = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
 def _parse_intvec(text):
-    return tuple(int(v) for v in text.split(",") if v.strip())
+    """'1,-2,0' -> (1, -2, 0), naming an entry that is not an integer."""
+    out = []
+    for v in text.split(","):
+        if v.strip():
+            if not _INT_RE.fullmatch(v):
+                raise ValueError("bad integer %r in %r" % (v.strip(), text))
+            out.append(int(v))
+    return tuple(out)
+
+
+def _parse_vertex_counts(text, quiver, flag):
+    """'1=1,2=3' -> {vertex: count} over the quiver's old vertices (the
+    --w and --vmax of satake), naming an entry that is not vertex=count
+    with a known vertex and a nonnegative integer count."""
+    counts = {}
+    for entry in text.split(","):
+        entry = entry.strip()
+        if not entry:
+            continue
+        if "=" not in entry:
+            raise ValueError("%s entry %r is not vertex=count" % (flag, entry))
+        vertex, value = (part.strip() for part in entry.split("=", 1))
+        if vertex not in quiver.old_vertices():
+            raise ValueError("unknown vertex %r in %s entry %r" % (vertex, flag, entry))
+        if not _INT_RE.fullmatch(value) or int(value) < 0:
+            raise ValueError("count %r in %s entry %r is not a nonnegative integer"
+                             % (value, flag, entry))
+        counts[vertex] = int(value)
+    return counts
 
 
 def parse_poly(text, rank):
@@ -380,9 +411,9 @@ def cmd_relcheck(args):
 def cmd_satake(args):
     table = make_table()
     quiver, dims, completed, flavour, table = _load(args, table)
-    w = {k: int(v) for k, v in (kv.split("=") for kv in args.w.split(","))}
+    w = _parse_vertex_counts(args.w, quiver, "--w")
     if args.vmax:
-        vmax = {k: int(v) for k, v in (kv.split("=") for kv in args.vmax.split(","))}
+        vmax = _parse_vertex_counts(args.vmax, quiver, "--vmax")
     else:
         vmax = {x: sum(w.values()) for x in quiver.old_vertices()}
     res = decat_chevalley(quiver, w, vmax)

@@ -456,6 +456,12 @@ def res_support(module, xi, extension=None):
     active element; the reported dimension is the stabilized rank: 1 when
     some active weight sees only nonzero transition scalars all the way
     down, else 0.
+
+    Only the deepest active weight of a coset is walked, for ``extension``
+    steps.  The walk from any active start runs down the same line to the
+    same last weight, deepest - (extension - 1) xi, so it contains the
+    deepest weight's walk: some start sees only nonzero scalars iff the
+    deepest one does.
     """
     xi = tuple(xi)
     if not any(xi):
@@ -471,24 +477,13 @@ def res_support(module, xi, extension=None):
         extension = 2 * diam + 2
     result = {}
     for key, nus in chains.items():
-
-        def depth(nu):
-            return sum(a * b for a, b in zip(nu, xi))
-
-        nus.sort(key=depth, reverse=True)
-        deepest = nus[-1]
-        dim = 0
-        for start in nus:
-            ok = True
-            nu = start
-            for _ in range(_steps_between(start, deepest, xi) + extension):
-                if module.action_is_zero(xi, nu):
-                    ok = False
-                    break
-                nu = tuple(a - b for a, b in zip(nu, xi))
-            if ok:
-                dim = 1
+        nu = min(nus, key=lambda nu: sum(a * b for a, b in zip(nu, xi)))
+        dim = 1
+        for _ in range(extension):
+            if module.action_is_zero(xi, nu):
+                dim = 0
                 break
+            nu = tuple(a - b for a, b in zip(nu, xi))
         result[key] = dim
     return result
 

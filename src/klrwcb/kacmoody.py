@@ -117,22 +117,31 @@ class RootSystemSlice:
 
     Uses the Peterson recursion:  (beta, beta - 2 rho) c_beta =
     sum_{b'+b''=beta} (b', b'') c_b' c_b'',   c_beta = sum_n mult(beta/n)/n.
+    The value at beta needs only values at the smaller vectors of its own
+    box, so ``grow`` widens the box and computes just the new vectors, by
+    height.  ``roots`` lists (beta, mult) for every root found so far.
     """
 
     def __init__(self, A, bound):
         self.A = A
-        self.bound = tuple(bound)
-        n = len(A)
+        self.bound = (0,) * len(A)
         self._c = {}
         self._mult = {}
-        betas = sorted(_box(self.bound)[1:], key=_height)
-        simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        for s in simple:
-            if all(x <= b for x, b in zip(s, self.bound)):
-                self._c[s] = Fraction(1)
-                self._mult[s] = 1
+        self.roots = []
+        self.grow(bound)
+
+    def grow(self, bound):
+        """Widen the box to its join with 0 <= beta <= bound."""
+        old, new = self.bound, tuple(map(max, self.bound, bound))
+        A = self.A
+        betas = sorted((beta for beta in _box(new)
+                        if any(x > b for x, b in zip(beta, old))), key=_height)
+        found = []
         for beta in betas:
-            if beta in self._c:
+            if _height(beta) == 1:  # a simple root
+                self._c[beta] = Fraction(1)
+                self._mult[beta] = 1
+                found.append((beta, 1))
                 continue
             # (beta, beta) - 2 height(beta)  [since (beta, 2rho) = 2 ht for symmetric A]
             denom = Fraction(_bilinear(A, beta, beta) - 2 * _height(beta))
@@ -161,9 +170,19 @@ class RootSystemSlice:
             if m.denominator != 1 or m < 0:
                 raise ArithmeticError("non-integral root multiplicity at %r" % (beta,))
             self._mult[beta] = int(m)
+            if m:
+                found.append((beta, int(m)))
+        # the new roots and bound count only once every new vector is done,
+        # so after a raise above the next grow computes those vectors again
+        self.roots.extend(found)
+        self.bound = new
 
-    def positive_roots(self):
-        return [(beta, m) for beta, m in self._mult.items() if m > 0]
+
+@functools.lru_cache(maxsize=None)
+def _root_slice(A):
+    """The one growing RootSystemSlice of the Cartan matrix A (a tuple of
+    rows): root multiplicities depend on A alone."""
+    return RootSystemSlice(A, (0,) * len(A))
 
 
 def _as_fund_vector(weight, verts):
@@ -216,34 +235,31 @@ def _multiplicities(A, lam_vec):
     fundamental coordinates and A is symmetric.
 
     One memo serves every query: the value at beta depends only on the
-    roots <= beta and on values at smaller depths, and Peterson root
-    multiplicities do not depend on the box, so the root slice is rebuilt
-    only when a query leaves it.  Inner products use (varpi_i, alpha_j) =
-    delta_ij, (alpha_i, alpha_j) = A_ij.
+    roots <= beta and on values at smaller depths.  Peterson root
+    multiplicities depend on A alone, so every lam shares the one slice of
+    A (``_root_slice``), grown only when a query leaves its box.  Inner
+    products use (varpi_i, alpha_j) = delta_ij, (alpha_i, alpha_j) = A_ij.
     """
     if any(c < 0 for c in lam_vec):
         raise NotDominantError("lambda is not dominant: %r" % (lam_vec,))
-    n = len(A)
+    root_slice = _root_slice(tuple(map(tuple, A)))
     cache = {}
-    box, roots = (0,) * n, []
 
     def mult(beta):
-        nonlocal box, roots
         if any(b < 0 for b in beta):
             return 0
         if not any(beta):
             return 1
         if beta in cache:
             return cache[beta]
-        if any(b > c for b, c in zip(beta, box)):
-            box = tuple(map(max, beta, box))
-            roots = RootSystemSlice(A, box).positive_roots()
+        if any(b > c for b, c in zip(beta, root_slice.bound)):
+            root_slice.grow(beta)
         # (lam+rho, lam+rho) - (mu+rho, mu+rho) with mu = lam - beta:
         #   = 2 (lam, beta) - (beta, beta) + 2 ht(beta)
         denom = Fraction(2 * _dot(lam_vec, beta) - _bilinear(A, beta, beta)
                          + 2 * _height(beta))
         total = Fraction(0)
-        for alpha, am in roots:
+        for alpha, am in root_slice.roots:
             k = 1
             while True:
                 beta_up = _vec_sub(beta, tuple(k * a for a in alpha))

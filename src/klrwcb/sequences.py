@@ -212,18 +212,23 @@ def equivalent(s1, s2, completed, flavour, table=None):
     of each corporeal against every ghost/red item whose edge has tail equal
     to the corporeal's label, and preserve the strict real-longitude order
     inside each label class.
+
+    The last condition splits each label class into blocks of equal real
+    longitude, matched in order, so sigma is a bijection of blocks.  These
+    are searched depth first: corporeals are assigned label by label (in
+    str order), block by block, each taking the images still free in its
+    block in order, which visits complete bijections in the order of the
+    product of the blocks' permutations.  A relative-order constraint
+    (corporeal m against an item it) is tested as soon as sigma is known on
+    m and on the owner of it, and a failing one prunes every completion.
+    So the sigma returned is the first bijection in that order that passes,
+    the one an exhaustive search returns.
     """
     if sorted(map(str, s1.labels)) != sorted(map(str, s2.labels)):
         return False, None
     if len(s1.order) != len(s2.order):
         return False, None
 
-    pos1 = {it: i for i, it in enumerate(s1.order)}
-    pos2 = {it: i for i, it in enumerate(s2.order)}
-    tails = {e.id: e.tail for e in completed.edges}
-
-    # condition (3) splits each label class into blocks by strict real order;
-    # sigma must match blocks in order, so enumerate block bijections only.
     def blocks(seq):
         out = {}
         for lab in set(seq.labels):
@@ -237,38 +242,44 @@ def equivalent(s1, s2, completed, flavour, table=None):
         if [len(g) for g in b1[lab]] != [len(g) for g in b2.get(lab, [])]:
             return False, None
 
-    def check(sigma):
-        for m in range(1, s1.n + 1):
-            i_m = s1.labels[m - 1]
-            for it in s1.order:
-                if it.is_corporeal():
-                    continue
-                if tails[it.edge] != i_m:
-                    continue
-                before1 = pos1[corporeal(m)] < pos1[it]
-                before2 = pos2[corporeal(sigma[m])] < pos2[it.renumber(sigma)]
-                if before1 != before2:
-                    return False
-        return True
+    # slots[d] = (m, images): the d-th corporeal of s1 to assign and the
+    # block of s2 it maps into
+    slots = [(m, g2) for lab in sorted(b1, key=str)
+             for g1, g2 in zip(b1[lab], b2[lab]) for m in g1]
+    depth = {m: d for d, (m, _) in enumerate(slots)}
+    pos1 = {it: i for i, it in enumerate(s1.order)}
+    pos2 = {it: i for i, it in enumerate(s2.order)}
+    tails = {e.id: e.tail for e in completed.edges}
+    # the constraints (m, item, m before item in s1) tested at each depth
+    constraints = [[] for _ in slots]
+    for m in range(1, s1.n + 1):
+        c1 = pos1[corporeal(m)]
+        for it in s1.order:
+            if not it.is_corporeal() and tails[it.edge] == s1.labels[m - 1]:
+                d = depth[m] if it.is_red() else max(depth[m], depth[it.k])
+                constraints[d].append((m, it, c1 < pos1[it]))
 
-    labs = sorted(b1, key=str)
-    per_label_choices = []
-    for lab in labs:
-        choices = []
-        for assignment in itertools.product(
-                *[itertools.permutations(g2) for g2 in b2[lab]]):
-            mapping = {}
-            for g1, g2perm in zip(b1[lab], assignment):
-                mapping.update(dict(zip(g1, g2perm)))
-            choices.append(mapping)
-        per_label_choices.append(choices)
+    sigma, used = {}, set()
 
-    for combo in itertools.product(*per_label_choices):
-        sigma = {}
-        for mapping in combo:
-            sigma.update(mapping)
-        if check(sigma):
-            return True, sigma
+    def extend(d):
+        if d == len(slots):
+            return True
+        m, images = slots[d]
+        for k in images:
+            if k in used:
+                continue
+            sigma[m] = k
+            if all((pos2[corporeal(sigma[m2])] < pos2[it.renumber(sigma)]) == before
+                   for m2, it, before in constraints[d]):
+                used.add(k)
+                if extend(d + 1):
+                    return True
+                used.discard(k)
+            del sigma[m]
+        return False
+
+    if extend(0):
+        return True, sigma
     return False, None
 
 
@@ -341,7 +352,9 @@ def enumerate_orders(labels_multiset, gamma, completed, flavour, table=None,
 
     gamma maps vertex -> list of longitudes; all label arrangements that
     weakly increase in real longitude are explored, and all admissible
-    tie-breaking orders on CGR.
+    tie-breaking orders on CGR.  Up to equivalence, the first admissible
+    order of an arrangement stands for all of them, and is kept unless it
+    is equivalent to a sequence kept before.
     """
     entries = [(as_scalar(a), vertex)
                for vertex in sorted(gamma, key=str) for a in gamma[vertex]]
@@ -360,20 +373,23 @@ def enumerate_orders(labels_multiset, gamma, completed, flavour, table=None,
                 yield from arrangements(prefix + (i,), [j for j in left if j != i])
 
     results = []
-    seen = []
     for perm in arrangements((), list(range(len(entries)))):
         labels = tuple(entries[i][1] for i in perm)
         longitudes = tuple(entries[i][0] for i in perm)
         base = FlavouredSequence(labels, longitudes, ())
         # every admissible order over a weakly increasing arrangement is valid
-        for order in _admissible_orders(base, build_cgr(labels, completed),
-                                        flavour, table):
-            seq = FlavouredSequence(labels, longitudes, order)
-            if up_to_equivalence:
-                if any(equivalent(seq, s, completed, flavour, table)[0]
-                       for s in seen):
-                    continue
-                seen.append(seq)
+        orders = _admissible_orders(base, build_cgr(labels, completed),
+                                    flavour, table)
+        if not up_to_equivalence:
+            results.extend(FlavouredSequence(labels, longitudes, order)
+                           for order in orders)
+            continue
+        # the orders of one arrangement differ only inside tie classes, among
+        # ghost/red items, so each is equivalent to the first under the
+        # identity: the first order stands for the arrangement
+        seq = FlavouredSequence(labels, longitudes, next(orders))
+        if not any(equivalent(seq, s, completed, flavour, table)[0]
+                   for s in results):
             results.append(seq)
     return results
 
@@ -385,17 +401,25 @@ def _classes(ranked):
 
 
 def _admissible_orders(base, items, flavour, table):
-    """All total orders compatible with rule (i) and (ii): sort into weak
-    real-longitude classes, then permute ghost/red items within a class
-    (corporeal items keep index order and come last in the class)."""
-    per_class = []
+    """All total orders compatible with rule (i) and (ii), lazily: sort into
+    weak real-longitude classes, then permute ghost/red items within a class
+    (corporeal items keep index order and come last in the class).  Orders
+    come in the order of the product of the classes' permutations."""
+    classes = []
     for cls in _classes(real_order(items, lambda it: base.longitude(it, flavour),
                                    table)):
-        gr = [it for it in cls if not it.is_corporeal()]
         corp = sorted([it for it in cls if it.is_corporeal()], key=lambda it: it.k)
-        per_class.append([list(p) + corp for p in itertools.permutations(gr)])
-    for combo in itertools.product(*per_class):
-        yield tuple(itertools.chain.from_iterable(combo))
+        classes.append(([it for it in cls if not it.is_corporeal()], tuple(corp)))
+
+    def orders(i, prefix):
+        if i == len(classes):
+            yield prefix
+            return
+        gr, corp = classes[i]
+        for p in itertools.permutations(gr):
+            yield from orders(i + 1, prefix + p + corp)
+
+    yield from orders(0, ())
 
 
 # -- Z x C flavoured sequences ---------------------------------------------

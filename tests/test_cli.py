@@ -272,6 +272,29 @@ def test_satake_command(a2_file, capsys):
     assert "total: 8  (dim V(lambda) = 8)" in out
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--w", "1=1,7=3"], "unknown vertex '7' in --w entry '7=3'"),
+    (["--w", "1=1", "--vmax", "9=1"], "unknown vertex '9' in --vmax entry '9=1'"),
+    (["--w", "1=1,2"], "--w entry '2' is not vertex=count"),
+    (["--w", "1=x"], "count 'x' in --w entry '1=x' is not a nonnegative integer"),
+    (["--w", "1=1", "--vmax", "1=2,2=-1"],
+     "count '-1' in --vmax entry '2=-1' is not a nonnegative integer"),
+])
+def test_bad_satake_input(a2_file, capsys, flags, message):
+    assert main(["satake", "--quiver", a2_file] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "klrwcb: error: %s\n" % message
+
+
+def test_bad_intvec_entry(capsys):
+    assert main(["res-support", "--rank", "2", "--gamma0", "0,0",
+                 "--xi", "1,a"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "klrwcb: error: bad integer 'a' in '1,a'\n"
+
+
 def test_monopole_mul_complex_shift(capsys):
     assert main(["monopole-mul", "--rank", "1", "--matter", "1;1/2+1i",
                  "r[1]", "r[-1]"]) == 0

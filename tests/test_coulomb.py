@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -12,7 +13,7 @@ from klrwcb.coulomb import (BadCocharacterError, MatterNotInvariantError,
                             phi0_prime, relation_coefficient, res_support,
                             rxi_closed_form, rxi_pairing,
                             transition_eigenvalues, transition_invertible,
-                            xi_negative)
+                            xi_negative, _coset_key, _steps_between)
 from klrwcb.poly import HBAR, ONE_POLY, Polynomial, RationalFunction
 from klrwcb.scalars import ExactScalar, as_scalar
 from klrwcb import suites
@@ -193,6 +194,64 @@ def test_res_support_box_with_vanishing_eigenvalue():
 def test_res_support_theorem():
     out = suites.suite_restriction(seed=1, n=15)
     assert out["ok"], out["witnesses"][:3]
+
+
+def _ref_res_support(module, xi, extension):
+    """The former res_support: every active weight of a coset is walked
+    down to deepest - (extension - 1) xi, until one sees no zero."""
+    chains = {}
+    for nu in module.active:
+        chains.setdefault(_coset_key(nu, xi), []).append(nu)
+    result = {}
+    for key, nus in chains.items():
+        nus.sort(key=lambda nu: sum(a * b for a, b in zip(nu, xi)), reverse=True)
+        deepest = nus[-1]
+        result[key] = 0
+        for start in nus:
+            nu = start
+            for _ in range(_steps_between(start, deepest, xi) + extension):
+                if module.action_is_zero(xi, nu):
+                    break
+                nu = tuple(a - b for a, b in zip(nu, xi))
+            else:
+                result[key] = 1
+                break
+    return result
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43, 44])
+def test_res_support_matches_all_starts_walk(seed):
+    rng = random.Random(seed)
+    tally = Counter()
+    for case in range(60):
+        kind = ("rational", "gaussian", "symbolic")[case % 3]
+        rank = rng.randint(1, 2)
+        matter = []
+        for _ in range(rng.randint(1, 3)):
+            shift = as_scalar(Fraction(rng.randint(-2, 2), rng.choice([1, 2])))
+            if kind == "gaussian" and rng.random() < 0.5:
+                shift = shift + ExactScalar(0, rng.choice([1, -1]))
+            if kind == "symbolic" and rng.random() < 0.5:
+                shift = shift + ExactScalar(0, 0, {"irr": 1})
+            matter.append(MatterWeight(tuple(rng.randint(-2, 2) for _ in range(rank)),
+                                       shift))
+        gamma0 = tuple(as_scalar(Fraction(rng.randint(-2, 2), rng.choice([1, 2])))
+                       for _ in range(rank))
+        span = rng.randint(2, 4)
+        box = set(itertools.product(range(span), repeat=rank))
+        m = UniversalWeightModule(TorusTheory(rank, matter), gamma0, box)
+        xi = tuple(rng.randint(-2, 2) for _ in range(rank))
+        if not any(xi):
+            xi = (1,) + xi[1:]
+        # extension 0 or 1 leaves the deepest weight's walk nearly empty;
+        # None is the default, 2 * (box diameter) + 2
+        extension = rng.choice([None, 0, 1, 3])
+        got = res_support(m, xi, extension)
+        want = _ref_res_support(m, xi, 2 * (span - 1) + 2 if extension is None
+                                else extension)
+        assert got == want, (m, xi, extension)
+        tally.update(got.values())
+    assert tally[0] >= 10 and tally[1] >= 10, tally
 
 
 def test_hamiltonian_reduce():

@@ -1,12 +1,14 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
 from klrwcb.kacmoody import (EdgeLoopError, KMWeight, NotBelowError,
-                             NotDominantError, cartan_matrix, decat_chevalley,
-                             fundamental_from_root_diff, kostant_multiplicity,
-                             mu_from_dimensions, weight_multiplicity,
-                             weyl_dimension)
+                             NotDominantError, RootSystemSlice, cartan_matrix,
+                             decat_chevalley, fundamental_from_root_diff,
+                             kostant_multiplicity, mu_from_dimensions,
+                             weight_multiplicity, weyl_dimension)
 from klrwcb.quiver import (DimensionData, Edge, Quiver, crawley_boevey,
                            jordan_quiver, kronecker_quiver)
 
@@ -222,3 +224,56 @@ def test_kostant_multiplicity_off_the_weights():
     got = [kostant_multiplicity(a1, lam, KMWeight.make("fundamental", {"x": m}))
            for m in (1, 3, 4, 0, -2)]
     assert got == [0, 0, 0, 1, 1]
+
+
+def _ref_root_multiplicities(A, bound):
+    """The former RootSystemSlice constructor: the Peterson recursion over
+    the whole box at once, by height, simple roots first."""
+    n = len(A)
+
+    def form(a, b):
+        return sum(A[i][j] * a[i] * b[j] for i in range(n) for j in range(n))
+
+    box = list(itertools.product(*(range(b + 1) for b in bound)))
+    c, mult = {}, {}
+    for i in range(n):
+        s = tuple(int(j == i) for j in range(n))
+        if all(x <= b for x, b in zip(s, bound)):
+            c[s], mult[s] = Fraction(1), 1
+    for beta in sorted(box[1:], key=sum):
+        if beta in c:
+            continue
+        denom = Fraction(form(beta, beta) - 2 * sum(beta))
+        total = Fraction(0)
+        for bp in list(itertools.product(*(range(b + 1) for b in beta)))[1:-1]:
+            bpp = tuple(x - y for x, y in zip(beta, bp))
+            if c.get(bp) and c.get(bpp):
+                total += form(bp, bpp) * c[bp] * c[bpp]
+        tail = sum((Fraction(mult.get(tuple(x // k for x in beta), 0), k)
+                    for k in range(2, max(beta) + 1)
+                    if all(x % k == 0 for x in beta)), Fraction(0))
+        if denom == 0:
+            c[beta], mult[beta] = tail, 0
+            continue
+        c[beta] = total / denom
+        mult[beta] = int(c[beta] - tail)
+    return mult
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33, 34])
+def test_grown_root_slice_matches_fresh_slice(seed):
+    rng = random.Random(seed)
+    wild = Quiver(["p", "q"], [Edge("a", "p", "q"), Edge("b", "p", "q"),
+                               Edge("c", "q", "p")])
+    for quiver in (Quiver(["1", "2"], [Edge("a", "1", "2")]), A3,
+                   kronecker_quiver(), wild):
+        A = cartan_matrix(quiver)[1]
+        top = 2 if len(A) > 2 else 4
+        grown = RootSystemSlice(A, (0,) * len(A))
+        for _ in range(4):
+            grown.grow(tuple(rng.randint(0, top) for _ in A))
+            fresh = RootSystemSlice(A, grown.bound)
+            assert grown._mult == fresh._mult == \
+                _ref_root_multiplicities(A, grown.bound)
+            assert sorted(grown.roots) == sorted(
+                (beta, m) for beta, m in fresh._mult.items() if m)

@@ -7,13 +7,14 @@ import pytest
 from klrwcb.quiver import (DimensionData, Flavour, Quiver, crawley_boevey,
                            kronecker_quiver)
 from klrwcb.scalars import (EQ, GT, LT, AmbiguousOrderError, ExactScalar,
-                            SymbolTable, as_scalar, real_compare)
+                            SymbolTable, as_scalar, real_compare, real_keys)
 from klrwcb.sequences import (FlavouredSequence, NonIntegralInputError,
                               ZCFlavouredSequence, ZCLongitude, _admissible_orders,
-                              build_cgr, corporeal, enumerate_orders, equivalent,
-                              format_sequence, from_weight, ghost, is_unsteady,
-                              parse_sequence, red, to_loading_order, validate,
-                              zc_concat, zc_is_unsteady, zc_split, zc_validate)
+                              _classes, build_cgr, corporeal, enumerate_orders,
+                              equivalent, format_sequence, from_weight, ghost,
+                              is_unsteady, parse_sequence, real_order, red,
+                              to_loading_order, validate, zc_concat,
+                              zc_is_unsteady, zc_split, zc_validate)
 
 
 def kron2_data():
@@ -624,3 +625,189 @@ def test_zc_validate_matches_pairwise_scan():
                                lambda: _zc_validate_pairwise(s, framed, fl, table),
                                unorderable, tally)
     assert min(tally.values()) >= 5, tally
+
+
+# -- one order per arrangement and the pruned search against the former code --
+
+
+def _ref_admissible_orders(base, items, flavour, table):
+    """The former _admissible_orders: the permutations of every class are
+    listed before the first order is yielded."""
+    per_class = []
+    for cls in _classes(real_order(items, lambda it: base.longitude(it, flavour),
+                                   table)):
+        gr = [it for it in cls if not it.is_corporeal()]
+        corp = sorted([it for it in cls if it.is_corporeal()], key=lambda it: it.k)
+        per_class.append([list(p) + corp for p in itertools.permutations(gr)])
+    for combo in itertools.product(*per_class):
+        yield tuple(itertools.chain.from_iterable(combo))
+
+
+def _ref_equivalent(s1, s2, completed, flavour, table=None):
+    """The former equivalent: every block bijection is built, then tested
+    in the order of the product of the blocks' permutations."""
+    if sorted(map(str, s1.labels)) != sorted(map(str, s2.labels)):
+        return False, None
+    if len(s1.order) != len(s2.order):
+        return False, None
+    pos1 = {it: i for i, it in enumerate(s1.order)}
+    pos2 = {it: i for i, it in enumerate(s2.order)}
+    tails = {e.id: e.tail for e in completed.edges}
+
+    def blocks(seq):
+        out = {}
+        for lab in set(seq.labels):
+            ks = [k for k in range(1, seq.n + 1) if seq.labels[k - 1] == lab]
+            out[lab] = _classes(real_order(ks, lambda k: seq.longitudes[k - 1],
+                                           table))
+        return out
+
+    b1, b2 = blocks(s1), blocks(s2)
+    for lab in b1:
+        if [len(g) for g in b1[lab]] != [len(g) for g in b2.get(lab, [])]:
+            return False, None
+
+    def check(sigma):
+        for m in range(1, s1.n + 1):
+            for it in s1.order:
+                if it.is_corporeal() or tails[it.edge] != s1.labels[m - 1]:
+                    continue
+                before1 = pos1[corporeal(m)] < pos1[it]
+                before2 = pos2[corporeal(sigma[m])] < pos2[it.renumber(sigma)]
+                if before1 != before2:
+                    return False
+        return True
+
+    per_label_choices = []
+    for lab in sorted(b1, key=str):
+        choices = []
+        for assignment in itertools.product(
+                *[itertools.permutations(g2) for g2 in b2[lab]]):
+            mapping = {}
+            for g1, g2perm in zip(b1[lab], assignment):
+                mapping.update(dict(zip(g1, g2perm)))
+            choices.append(mapping)
+        per_label_choices.append(choices)
+    for combo in itertools.product(*per_label_choices):
+        sigma = {}
+        for mapping in combo:
+            sigma.update(mapping)
+        if check(sigma):
+            return True, sigma
+    return False, None
+
+
+def _ref_enumerate_orders(gamma, completed, flavour, table, up_to_equivalence):
+    """The former enumerate_orders: every admissible order of every
+    arrangement, deduplicated pairwise against the kept classes."""
+    entries = [(as_scalar(a), vertex)
+               for vertex in sorted(gamma, key=str) for a in gamma[vertex]]
+    keys = real_keys([e[0] for e in entries], table)
+
+    def arrangements(prefix, left):
+        if not left:
+            yield prefix
+            return
+        low = min(keys[i] for i in left)
+        for i in left:
+            if keys[i] == low and not any(j < i and entries[j] == entries[i]
+                                          for j in left):
+                yield from arrangements(prefix + (i,), [j for j in left if j != i])
+
+    results, seen = [], []
+    for perm in arrangements((), list(range(len(entries)))):
+        labels = tuple(entries[i][1] for i in perm)
+        longitudes = tuple(entries[i][0] for i in perm)
+        base = FlavouredSequence(labels, longitudes, ())
+        for order in _ref_admissible_orders(base, build_cgr(labels, completed),
+                                            flavour, table):
+            seq = FlavouredSequence(labels, longitudes, order)
+            if up_to_equivalence:
+                if any(_ref_equivalent(seq, t, completed, flavour, table)[0]
+                       for t in seen):
+                    continue
+                seen.append(seq)
+            results.append(seq)
+    return results
+
+
+def _described(fn):
+    """describe() of every sequence fn returns, or the order error it raises."""
+    try:
+        return [s.describe() for s in fn()]
+    except AmbiguousOrderError as exc:
+        return "AmbiguousOrderError: %s" % exc
+
+
+def _draw_tied(rng, kind):
+    """A longitude or flavour from a small pool, so that real parts tie."""
+    q = as_scalar(rng.choice([0, 0, 1, Fraction(1, 2)]))
+    if kind == "gaussian" and rng.random() < 0.5:
+        return q + ExactScalar(0, rng.choice([1, -1]))
+    if kind == "symbolic" and rng.random() < 0.5:
+        return q + ExactScalar(0, 0, {"s": 1})
+    return q
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13, 14])
+def test_enumerate_orders_matches_pairwise_dedup(seed):
+    rng = random.Random(seed)
+    tally = {"classes": 0, "orders": 0, "raised": 0}
+    for case in range(18):
+        kind = ("rational", "gaussian", "symbolic")[case % 3]
+        va, vb = rng.choice([(1, 1), (2, 1), (1, 2), (2, 2), (3, 0), (0, 2)])
+        comp = crawley_boevey(kronecker_quiver(), DimensionData(
+            {"alpha": va, "beta": vb},
+            {"alpha": rng.randint(0, 1), "beta": rng.randint(0, 1)}))
+        fl = Flavour({e.id: _draw_tied(rng, kind) for e in comp.edges})
+        gamma = {"alpha": [_draw_tied(rng, kind) for _ in range(va)],
+                 "beta": [_draw_tied(rng, kind) for _ in range(vb)]}
+        table = _TABLES[case % 2]
+        for up in (True, False):
+            got = _described(lambda: enumerate_orders(None, gamma, comp, fl, table, up))
+            want = _described(lambda: _ref_enumerate_orders(gamma, comp, fl, table, up))
+            assert got == want, (gamma, up)
+            if isinstance(want, str):
+                tally["raised"] += 1
+            else:
+                tally["classes" if up else "orders"] += len(want)
+    assert tally["orders"] > tally["classes"] > 0, tally
+
+
+@pytest.mark.parametrize("seed", [21, 22, 23, 24])
+def test_equivalent_matches_exhaustive_search(seed):
+    # pairs of valid orders of two weights with the same labels, so that
+    # many pairs are not equivalent
+    rng = random.Random(seed)
+    tally = {True: 0, False: 0}
+    for case in range(12):
+        kind = ("rational", "gaussian", "symbolic")[case % 3]
+        va, vb = rng.randint(1, 3), rng.randint(0, 2)
+        comp, fl, gamma = _random_kronecker(rng, kind, va, vb, rng.randint(0, 1),
+                                            rng.randint(0, 1))
+        other = {v: [_draw_scalar(rng, kind) for _ in vals] for v, vals in gamma.items()}
+        table = _TABLES[1]
+        seqs = []
+        for g in (gamma, other):
+            seqs += enumerate_orders(None, g, comp, fl, table, False)[:4]
+            seqs.append(from_weight(g, comp, fl, table))
+        for s1 in seqs:
+            for s2 in seqs:
+                got = equivalent(s1, s2, comp, fl, table)
+                want = _ref_equivalent(s1, s2, comp, fl, table)
+                # the same sigma, built in the same order
+                assert repr(got) == repr(want), (s1.describe(), s2.describe())
+                tally[got[0]] += 1
+    assert min(tally.values()) >= 20, tally
+
+
+def test_enumerate_orders_tied_kronecker_five_plus_five():
+    # unframed, every longitude 0: 252 arrangements, each with 10! ghost
+    # orders, form one class
+    comp = crawley_boevey(kronecker_quiver(), DimensionData(
+        {"alpha": 5, "beta": 5}, {"alpha": 0, "beta": 0}))
+    fl = Flavour({"e": as_scalar(1), "f": as_scalar(1)})
+    gamma = {"alpha": [as_scalar(0)] * 5, "beta": [as_scalar(0)] * 5}
+    got = enumerate_orders(None, gamma, comp, fl)
+    assert len(got) == 1
+    assert equivalent(got[0], from_weight(gamma, comp, fl), comp, fl)[0]
