@@ -131,6 +131,13 @@ def parse_poly(text, rank):
         pos[0] += 1
         return tok
 
+    def natural(kind):
+        tok = take()
+        if not tok.isdigit():
+            raise ValueError("%s %r in polynomial literal %r is not a "
+                             "nonnegative integer" % (kind, tok, text))
+        return int(tok)
+
     def atom():
         tok = take()
         if tok == "(":
@@ -141,7 +148,7 @@ def parse_poly(text, rank):
             den = 1
             if peek() == "/":
                 take()
-                den = int(take())
+                den = natural("denominator")
                 if not den:
                     raise ValueError("zero denominator in polynomial literal")
             base = Polynomial.constant(Fraction(int(tok), den))
@@ -153,7 +160,7 @@ def parse_poly(text, rank):
             raise ValueError("unknown variable %r" % tok)
         if peek() == "^":
             take()
-            base = base ** int(take())
+            base = base ** natural("exponent")
         return base
 
     def product():

@@ -7,7 +7,10 @@ positional in the corporeal order) by composing local operators:
 
   * dot on the strand at corporeal position p:  multiply by y_p;
   * same-label integral-difference corporeal crossing at positions r, r+1:
-    the divided-difference operator f -> (f - s f)/(y_r - y_{r+1});
+    the divided-difference operator f -> (f - s f)/(y_r - y_{r+1}), taken
+    in closed form (Polynomial.divided_difference): y_r^p y_{r+1}^q goes to
+    +-(y_r y_{r+1})^min(p,q) times the sum of y_r^i y_{r+1}^(|p-q|-1-i)
+    over i < |p-q|, + when p > q, - when p < q, and 0 when p = q;
   * a t(e)-labelled corporeal passing rightward across an e-ghost with
     integral difference: multiply by (y_owner - y_self); leftward: nothing;
   * a t(e)-labelled corporeal passing rightward across an e-red with
@@ -25,8 +28,8 @@ arbiter for the sign conventions.
 from __future__ import annotations
 
 import itertools
-import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -313,9 +316,7 @@ class Engine:
         return _times(yvar(p))
 
     def _demazure(self, f, r):
-        a, b = "y%d" % r, "y%d" % (r + 1)
-        denom = Polynomial.variable(a) - Polynomial.variable(b)
-        return (f - f.swap_vars(a, b)).divide_exact(denom)
+        return f.divided_difference("y%d" % r, "y%d" % (r + 1))
 
     # -- degree ---------------------------------------------------------------
 
@@ -460,14 +461,18 @@ def _corporeal_position(order, item):
 
 def _test_polynomials(n, degree_bound, extra_random, rng):
     """All y/h monomials of weighted degree <= 2*degree_bound, by degree and
-    then lexicographically in y_1..y_n, h, plus random polynomials."""
-    variables = [Polynomial.variable("y%d" % k) for k in range(1, n + 1)]
-    variables.append(Polynomial.variable(HBAR))
-    out = [math.prod(combo, start=ONE_POLY)
+    then lexicographically in y_1..y_n, h, plus random polynomials: each
+    one an integer combination of up to 4 earlier members of the family."""
+    names = ["y%d" % k for k in range(1, n + 1)] + [HBAR]
+    out = [Polynomial({tuple(sorted(Counter(combo).items())): 1})
            for d in range(degree_bound + 1)
-           for combo in itertools.combinations_with_replacement(variables, d)]
+           for combo in itertools.combinations_with_replacement(names, d)]
     for _ in range(extra_random):
-        p = sum((Fraction(rng.randint(-3, 3)) * m
-                 for m in rng.sample(out, min(4, len(out)))), ONE_POLY * 0)
+        terms = {}
+        for p in rng.sample(out, min(4, len(out))):
+            k = rng.randint(-3, 3)
+            for m, c in p.terms.items():
+                terms[m] = terms.get(m, 0) + k * c
+        p = Polynomial(terms)
         out.append(p if p else ONE_POLY)
     return out

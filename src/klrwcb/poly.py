@@ -110,7 +110,10 @@ class Polynomial:
         return bool(self.terms)
 
     def __eq__(self, other):
-        other = as_poly(other)
+        try:
+            other = as_poly(other)
+        except (TypeError, ValueError):
+            return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
@@ -154,6 +157,10 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        if not isinstance(n, int):
+            raise TypeError("polynomial exponent %r is not an int" % (n,))
+        if n < 0:
+            raise ValueError("negative polynomial exponent %d" % n)
         out = Polynomial.constant(1)
         for _ in range(n):
             out = out * self
@@ -204,6 +211,32 @@ class Polynomial:
                 piece = piece * base ** e
             out = out + piece
         return out
+
+    def divided_difference(self, a, b):
+        """(f - s f) / (a - b), s swapping the variables a and b, in closed
+        form: a^p b^q * rest goes to sign * (a b)^min(p, q) *
+        sum_{i < |p - q|} a^i b^(|p - q| - 1 - i) * rest, with sign + for
+        p > q and - for p < q; a monomial with p == q goes to 0."""
+        terms = {}
+        for m, c in self.terms.items():
+            p = q = 0
+            rest = []
+            for v, e in m:
+                if v == a:
+                    p = e
+                elif v == b:
+                    q = e
+                else:
+                    rest.append((v, e))
+            if p == q:
+                continue
+            if p < q:
+                p, q, c = q, p, -c
+            for i in range(p - q):
+                mono = tuple(sorted(rest + [(v, e) for v, e in
+                                            ((a, q + i), (b, p - 1 - i)) if e]))
+                terms[mono] = terms.get(mono, 0) + c
+        return Polynomial(terms)
 
     def swap_vars(self, a, b):
         def rename(m):

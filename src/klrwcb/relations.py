@@ -19,7 +19,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .poly import ONE_POLY, as_poly
+from .poly import Polynomial, coefficient
 from .scalars import as_scalar
 from .sequences import FlavouredSequence, corporeal, ghost, red
 from .diagrams import _test_polynomials, run_operators
@@ -46,15 +46,24 @@ class Scenario:
 
     def equal(self, lhs, rhs, polys):
         """lhs, rhs: lists of (coeff, word); equality on every test poly.
-        Each word is turned into its operators once, for all of polys."""
-        sides = [[(as_poly(c), self.engine.word_operators(self.seq, w)[0])
+        Each word is turned into its operators once, for all of polys, and
+        each side's sum is gathered in one term dict."""
+        sides = [[(coefficient(c), self.engine.word_operators(self.seq, w)[0])
                   for c, w in side] for side in (lhs, rhs)]
         for f in polys:
-            a, b = (sum((c * run_operators(ops, f) for c, ops in side),
-                        ONE_POLY * 0) for side in sides)
+            a, b = (_side_sum(side, f) for side in sides)
             if a != b:
                 return False, f
         return True, None
+
+
+def _side_sum(side, f):
+    """sum of c * (ops applied to f) over the (c, ops) pairs of a side."""
+    terms = {}
+    for c, ops in side:
+        for m, v in run_operators(ops, f).terms.items():
+            terms[m] = terms.get(m, 0) + c * v
+    return Polynomial(terms)
 
 
 def cross(i):
@@ -219,6 +228,12 @@ def _instances(engine):
 def verify_relations(engine, degree_bound=3, n_random=10, seed=0):
     """Run the whole relation suite; returns a report dict with per-relation
     instance counts and any failing witnesses."""
+    for name, value in (("degree bound", degree_bound),
+                        ("random count", n_random)):
+        # a negative count would shrink the test family without a word, to
+        # nothing for the degree bound, and an empty family passes everything
+        if value < 0:
+            raise ValueError("%s must be nonnegative, got %d" % (name, value))
     rng = random.Random(seed)
     report = {}
     for name, sc, lhs, rhs in _instances(engine):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -110,6 +111,23 @@ def test_parse_poly_power_of_parenthesis():
     assert parse_poly("-(x1-h)^2*h", 1) == -((x1 - h) ** 2) * h
     with pytest.raises(ValueError, match="truncated polynomial literal"):
         parse_poly("(x1+1)^", 1)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x1^x2", "exponent 'x2' in polynomial literal 'x1^x2'"),
+    ("x1^-1", "exponent '-' in polynomial literal 'x1^-1'"),
+    ("2/x1", "denominator 'x1' in polynomial literal '2/x1'"),
+    ("(x1+h)^(2)", "exponent '(' in polynomial literal '(x1+h)^(2)'"),
+])
+def test_bad_exponent_or_denominator_token(text, message, capsys):
+    with pytest.raises(ValueError, match="^%s is not a nonnegative integer$"
+                       % re.escape(message)):
+        parse_poly(text, 2)
+    assert main(["monopole-mul", "--rank", "2", text + "*r[1,0]", "r[0,0]"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "klrwcb: error: %s is not a nonnegative integer\n" % message
 
 
 def test_monopole_coefficient_right_of_r_is_rejected(capsys):
@@ -262,6 +280,22 @@ def test_relcheck_command(a2_file, capsys):
                "--random", "2"])
     assert rc == 0
     assert "overall: pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["relcheck", "--quiver", "A2", "--bound", "-1", "--random", "-1"],
+     "degree bound must be nonnegative, got -1"),
+    (["relcheck", "--quiver", "A2", "--bound", "2", "--random", "-1"],
+     "random count must be nonnegative, got -1"),
+    (["suite", "relations", "--bound", "-2"],
+     "degree bound must be nonnegative, got -2"),
+])
+def test_negative_relation_family_is_rejected(a2_file, capsys, argv, message):
+    # an empty test family would pass every relation
+    assert main([a2_file if a == "A2" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "klrwcb: error: %s\n" % message
 
 
 def test_satake_command(a2_file, capsys):

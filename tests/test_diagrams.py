@@ -432,9 +432,11 @@ def _ref_test_polynomials(n, degree_bound, extra_random, rng):
 
 
 def test_test_polynomials_match_frontier_reference():
-    for n in range(6):
-        for d in range(6):
-            got = _test_polynomials(n, d, 6, random.Random(n * 10 + d))
-            want = _ref_test_polynomials(n, d, 6, random.Random(n * 10 + d))
-            assert [repr(p) for p in got] == [repr(p) for p in want], (n, d)
-            assert len(got) == math.comb(n + 1 + d, d) + 6
+    # a tail of 40 on a few monomials samples earlier random polynomials
+    cases = [(n, d, 6) for n in range(6) for d in range(6)]
+    cases += [(0, 1, 40), (1, 1, 40), (2, 2, 40), (3, 3, 40)]
+    for n, d, extra in cases:
+        got = _test_polynomials(n, d, extra, random.Random(n * 10 + d))
+        want = _ref_test_polynomials(n, d, extra, random.Random(n * 10 + d))
+        assert [repr(p) for p in got] == [repr(p) for p in want], (n, d)
+        assert len(got) == math.comb(n + 1 + d, d) + extra

@@ -232,6 +232,23 @@ def test_equal_and_hash_across_coefficient_types():
     assert list(r.den.values()) == [(ps[0], 3)]
 
 
+def test_power_rejects_negative_and_non_int_exponents():
+    assert x ** 0 == ONE_POLY and x ** 3 == x * x * x
+    with pytest.raises(ValueError, match="negative polynomial exponent -2"):
+        x ** -2
+    for n in (Fraction(2), 2.0, "2"):
+        with pytest.raises(TypeError, match="is not an int"):
+            x ** n
+
+
+def test_equal_to_unreadable_operand_is_false():
+    # as_poly cannot read None, a list or a non-literal string
+    for other in (None, [x], "x1"):
+        assert not x == other and x != other
+    assert x not in [None, "?"]
+    assert x in [None, x] and ONE_POLY == 1 and ONE_POLY == "1"
+
+
 def test_repr_parenthesizes_coefficient_sums():
     sym = ExactScalar(Fraction(1, 2), 0, {"s": -1})
     p = (Polynomial.constant(sym) * x + Polynomial.constant(ExactScalar(0, -1)) * x * h

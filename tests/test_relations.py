@@ -5,11 +5,11 @@ import pytest
 
 from klrwcb.diagrams import (Diagram, Engine, PolyVector, TagMismatchError,
                              _test_polynomials, yvar)
-from klrwcb.poly import ONE_POLY, as_poly
+from klrwcb.poly import ONE_POLY, Polynomial, as_poly
 from klrwcb.quiver import (DimensionData, Edge, Flavour, Quiver,
                            crawley_boevey, kronecker_quiver)
 from klrwcb.relations import _instances, format_report, verify_relations
-from klrwcb.scalars import as_scalar
+from klrwcb.scalars import ExactScalar, as_scalar
 from klrwcb.sequences import corporeal, from_weight
 
 
@@ -70,6 +70,58 @@ def test_demazure_sign_is_pinned():
     report = verify_relations(eng, degree_bound=2, n_random=3, seed=0)
     assert not report["ok"]
     assert report["dots-2"]["failures"]
+
+
+# -- the closed-form divided difference against division ---------------------
+
+
+def _ref_demazure(f, r):
+    """The former operator: f - s f, then long division by y_r - y_{r+1}."""
+    a, b = "y%d" % r, "y%d" % (r + 1)
+    denom = Polynomial.variable(a) - Polynomial.variable(b)
+    return (f - f.swap_vars(a, b)).divide_exact(denom)
+
+
+_COEFFICIENTS = {
+    "int": lambda rng: rng.randint(-5, 5),
+    "fraction": lambda rng: Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+    "gaussian": lambda rng: ExactScalar(Fraction(rng.randint(-3, 3), 2),
+                                        rng.randint(-3, 3)),
+    "symbolic": lambda rng: ExactScalar(Fraction(rng.randint(-3, 3), 3), 0,
+                                        {rng.choice("st"): rng.randint(-2, 2)}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_COEFFICIENTS))
+def test_closed_form_demazure_matches_division(kind):
+    """Every position of 4 strands, with h and the other strands' variables
+    in every monomial's rest, and each of p > q, p < q and p == q hit for
+    the exponents p, q of y_r, y_{r+1}."""
+    engine = a1_engine()
+    draw = _COEFFICIENTS[kind]
+    names = ["h", "y1", "y2", "y3", "y4"]     # sorted, as in a monomial
+    rng = random.Random(sorted(_COEFFICIENTS).index(kind))
+    seen = set()
+    for _ in range(60):
+        f = Polynomial({})
+        for _ in range(rng.randint(1, 6)):
+            exps = [(v, rng.randint(0, 4)) for v in names]
+            f = f + Polynomial({tuple(ve for ve in exps if ve[1]): draw(rng)})
+        for g in (f, f + f.swap_vars("y2", "y3")):
+            for r in (1, 2, 3):
+                got = engine._demazure(g, r)
+                want = _ref_demazure(g, r)
+                assert got.terms == want.terms, (g, r)
+                assert {m: type(c) for m, c in got.terms.items()} == \
+                    {m: type(c) for m, c in want.terms.items()}
+                for m in g.terms:
+                    d = dict(m)
+                    p, q = d.get("y%d" % r, 0), d.get("y%d" % (r + 1), 0)
+                    seen.add((p > q) - (p < q))
+                    seen.add("rest" if set(d) - {"y%d" % r, "y%d" % (r + 1)}
+                             else "bare")
+    assert seen == {1, -1, 0, "rest", "bare"}
+    assert engine._demazure(Polynomial({}), 1) == Polynomial({})
 
 
 # -- the one word walk against the two walks it replaced ---------------------
