@@ -369,6 +369,8 @@ def cmd_monopole_mul(args):
 
 def _module_from_args(args, table):
     theory = _parse_matter(args.matter or [], args.rank, table)
+    if args.box < 0:
+        raise ValueError("--box %d is negative" % args.box)
     gamma0 = tuple(parse_scalar(v, table) for v in args.gamma0.split(","))
     if len(gamma0) != args.rank:
         raise ValueError("gamma0 has wrong rank")

@@ -16,6 +16,9 @@ Every structure constant here is a product of linear forms mu + j h, and
 one factor rule makes them all: ``_relation_factors`` (the relation above)
 and ``_lowering_factors`` (the matter-forgetting map) list (mu, j) pairs,
 and ``_forms`` alone turns pairs into forms, with h symbolic or specialized.
+``_product`` and ``_quotient`` keep the forms as factors of a
+RationalFunction, never expanded: coefficients multiply, cancel and compare
+factor by factor, and are expanded only when printed.
 ``rxi_closed_form`` writes its products out by hand on purpose: it is the
 independent oracle that the monopole suite checks ``mul`` against.
 """
@@ -83,6 +86,8 @@ class TorusTheory:
     matter: list = field(default_factory=list)
 
     def __post_init__(self):
+        if self.rank < 0:
+            raise ValueError("torus rank %d is negative" % self.rank)
         self.matter = [m if isinstance(m, MatterWeight) else MatterWeight(*m)
                        for m in self.matter]
         for m in self.matter:
@@ -132,21 +137,27 @@ def _lowering_factors(matter, xi):
 
 def _forms(pairs, hbar=None):
     """The linear forms mu + j h of (mu, j) pairs, in order; hbar=None keeps
-    h symbolic, otherwise h is specialized to hbar."""
+    h symbolic, otherwise h is specialized to hbar.  Every caller lists the
+    pairs of one matter weight together, so mu.form is built once per run."""
     h = Polynomial.variable(HBAR) if hbar is None else hbar
-    return [mu.form(hbar) + j * h for mu, j in pairs]
+    out = []
+    last = form = None
+    for mu, j in pairs:
+        if mu is not last:
+            last, form = mu, mu.form(hbar)
+        out.append(form + j * h)
+    return out
 
 
 def _product(pairs, hbar=None):
-    out = ONE_POLY
-    for f in _forms(pairs, hbar):
-        out = out * f
-    return out
+    """The product of the forms of pairs, kept factored."""
+    return RationalFunction(ONE_POLY, [(f, -1) for f in _forms(pairs, hbar)])
 
 
 def _quotient(num, pairs, hbar=None):
     """num over the forms of pairs, kept as denominator factors in order."""
-    return RationalFunction(num, [(f, 1) for f in _forms(pairs, hbar)])
+    return RationalFunction.of(num) \
+        * RationalFunction(ONE_POLY, [(f, 1) for f in _forms(pairs, hbar)])
 
 
 def relation_coefficient(theory, xi, nu):
@@ -232,7 +243,7 @@ def mul(a, b, theory):
     for xi, f in a.terms.items():
         for nu, g in b.terms.items():
             coeff = f * g.substitute(_shift_map(xi)) \
-                * RationalFunction.of(relation_coefficient(theory, xi, nu))
+                * relation_coefficient(theory, xi, nu)
             total = total + MonopoleElement({tuple(x + n for x, n in zip(xi, nu)):
                                              coeff})
     return total
@@ -284,7 +295,7 @@ def forget_matter(a, indices, theory):
     r_nu picks up prod_{<mu,nu><0} prod_{j=<mu,nu>}^{-1} (mu + j h)."""
     forgotten = [theory.matter[i] for i in indices]
     return MonopoleElement({
-        nu: coeff * RationalFunction.of(_product(_lowering_factors(forgotten, nu)))
+        nu: coeff * _product(_lowering_factors(forgotten, nu))
         for nu, coeff in a.terms.items()})
 
 
@@ -353,8 +364,7 @@ def elprime_identity_holds(nu, nu_prime, xi, theory):
     shift = _shift_map(eta, hbar=1)
     lhs = phi0_prime(nu, nu_prime, xi, theory) * kappa(nu, xi, theory).substitute(shift)
     inv_idx = [i for i, mu in enumerate(theory.matter) if mu.pair(xi) == 0]
-    rhs = RationalFunction.of(phi0(nu, nu_prime, theory, inv_idx)) \
-        * kappa(nu_prime, xi, theory)
+    rhs = phi0(nu, nu_prime, theory, inv_idx) * kappa(nu_prime, xi, theory)
     return lhs == rhs
 
 
@@ -440,6 +450,14 @@ def module_action(module, xi, nu):
     return module.action_scalar(xi, nu)
 
 
+def _module_coweight(module, xi):
+    xi = tuple(xi)
+    if len(xi) != module.theory.rank:
+        raise ValueError("coweight %r has wrong rank: the module has rank %d"
+                         % (xi, module.theory.rank))
+    return xi
+
+
 def _coset_key(nu, xi):
     """Canonical representative of nu + Z xi (as a tuple of Fractions)."""
     num = sum(a * b for a, b in zip(nu, xi))
@@ -463,7 +481,7 @@ def res_support(module, xi, extension=None):
     deepest weight's walk: some start sees only nonzero scalars iff the
     deepest one does.
     """
-    xi = tuple(xi)
+    xi = _module_coweight(module, xi)
     if not any(xi):
         raise ValueError("xi must be a nonzero coweight")
     chains = {}
@@ -503,7 +521,7 @@ def hamiltonian_reduce(module, xi):
     occupied Z xi-cosets, the oracle runs exact linear algebra on the
     truncated relation matrix.  They must agree.
     """
-    xi = tuple(xi)
+    xi = _module_coweight(module, xi)
     for mu in module.theory.matter:
         if mu.pair(xi) != 0:
             raise MatterNotInvariantError("matter weight %r pairs to %s"

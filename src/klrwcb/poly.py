@@ -11,14 +11,18 @@ ExactScalar operators, and the same polynomial has the same ``terms`` (and
 hash) however its coefficients were written.  ``evaluate`` still returns an
 ExactScalar.
 
-Rational functions keep their denominators as a multiset of polynomial
-factors (the localization pattern: products of linear forms), with
-cancellation by exact division.
+A rational function is a polynomial times polynomial factors with signed
+exponents (the localization pattern: products of linear forms mu + j h).
+Products add exponents, so a factor cancels by key match, and only the
+polynomial part is trial-divided by the denominator factors; sums expand
+only the factors that the two operands do not share.  The expanded, reduced
+form is built for printing alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .scalars import ExactScalar, as_scalar
 
@@ -313,51 +317,133 @@ def _factor_key(p):
     return tuple(sorted(p.terms.items(), key=lambda t: t[0]))
 
 
-class RationalFunction:
-    """numerator / product of polynomial factors, factors kept separate."""
+def _value_at(pairs, point):
+    """prod f^e at a point over (f, e) pairs, e > 0."""
+    out = as_scalar(1)
+    for f, e in pairs:
+        v = f.evaluate(point)
+        for _ in range(e):
+            out = out * v
+    return out
 
-    __slots__ = ("num", "den")
+
+def _divide_out(poly, factors):
+    """One pass of exact trial division of a nonzero poly by the
+    denominator factors, in order: a factor that does not divide poly
+    divides no quotient of it.  Returns poly and the factors, copied if an
+    exponent changed."""
+    out = factors
+    lead = poly.leading()[0]
+    for key, (f, e) in factors.items():
+        k = e
+        while k < 0 and _mono_divides(f.leading()[0], lead):
+            try:
+                poly = poly.divide_exact(f)
+            except ArithmeticError:
+                break
+            lead = poly.leading()[0]
+            k += 1
+        if k != e:
+            if out is factors:
+                out = _Factors(factors)
+            if k:
+                out[key] = (f, k)
+            else:
+                del out[key]
+    return poly, out
+
+
+def _merge(factors, key, f, e):
+    """Multiply factors by f^e.  A numerator factor that turns denominator
+    moves last, where the expanded form puts a new denominator factor."""
+    old = factors.get(key)
+    if old is None:
+        factors[key] = (f, e)
+        return
+    e += old[1]
+    if e < 0 < old[1]:
+        del factors[key]
+        factors[key] = (f, e)
+    elif e:
+        factors[key] = (old[0], e)
+    else:
+        del factors[key]
+
+
+class _Factors(dict):
+    """key -> (factor, signed exponent), every exponent nonzero and no
+    factor zero: the factors of an operation's result, already merged."""
+
+    __slots__ = ()
+
+
+class RationalFunction:
+    """poly * prod f^e over polynomial factors f, each with a nonzero signed
+    exponent e (e < 0: a denominator factor), keyed by ``_factor_key``.
+
+    Products add exponents, so factors cancel by key match, and the
+    constructor trial-divides poly alone by the denominator factors; sums
+    keep the common factors and expand only the two remainders.  Associate
+    factors such as x - y and 2x - 2y have different keys and are not
+    merged.  ``num``, ``den`` and ``repr`` show the expanded form: the
+    numerator factors multiplied into poly, then the same trial division.
+    It is built on first access.
+    """
+
+    __slots__ = ("poly", "factors", "_view")
 
     def __init__(self, num, den=None):
-        object.__setattr__(self, "num", as_poly(num))
-        factors = {}
-        if den:
-            for f, e in (den.items() if isinstance(den, dict) else den):
+        """num over den; den lists (factor, exponent) pairs or maps factor
+        -> exponent, and a negative exponent puts the factor in the
+        numerator."""
+        poly = as_poly(num)
+        if type(den) is _Factors:
+            factors = den
+        else:
+            factors = _Factors()
+            for f, e in (den.items() if isinstance(den, dict) else den or ()):
                 f = as_poly(f)
                 if not f:
-                    raise ZeroDivisionError("zero denominator factor")
-                if e:
-                    key = _factor_key(f)
-                    if key in factors:
-                        factors[key] = (f, factors[key][1] + e)
-                    else:
-                        factors[key] = (f, e)
-        object.__setattr__(self, "den", {k: v for k, v in factors.items() if v[1]})
-        self._reduce()
+                    if e >= 0:
+                        raise ZeroDivisionError("zero denominator factor")
+                    poly = f
+                elif e:
+                    _merge(factors, _factor_key(f), f, -e)
+        if not poly:
+            factors = _Factors()
+        elif factors:
+            poly, factors = _divide_out(poly, factors)
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "_view", None)
 
     def __setattr__(self, *a):
         raise AttributeError("RationalFunction is immutable")
 
-    def _reduce(self):
-        num = self.num
-        den = dict(self.den)
-        if not num:
-            object.__setattr__(self, "den", {})
-            return
-        # one pass: a factor that does not divide num divides no quotient of it
-        for key, (f, e) in list(den.items()):
-            while e > 0:
-                try:
-                    num = num.divide_exact(f)
-                except ArithmeticError:
-                    break
-                e -= 1
-            if e:
-                den[key] = (f, e)
-            else:
-                del den[key]
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+    def _expanded(self):
+        """(num, den): the numerator factors multiplied into poly, then the
+        trial division of ``_divide_out`` by the denominator factors."""
+        if self._view is None:
+            num = self.poly
+            den = _Factors()
+            for key, (f, e) in self.factors.items():
+                if e > 0:
+                    num = num * f ** e
+                else:
+                    den[key] = (f, e)
+            if den:
+                num, den = _divide_out(num, den)
+            object.__setattr__(self, "_view", (num, {k: (f, -e) for k, (f, e)
+                                                     in den.items()}))
+        return self._view
+
+    @property
+    def num(self):
+        return self._expanded()[0]
+
+    @property
+    def den(self):
+        return self._expanded()[1]
 
     @staticmethod
     def of(x):
@@ -365,48 +451,63 @@ class RationalFunction:
             return x
         return RationalFunction(as_poly(x))
 
-    def den_poly(self):
-        p = ONE_POLY
-        for f, e in self.den.values():
-            p = p * f ** e
-        return p
-
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.poly)
 
     def __eq__(self, other):
-        other = RationalFunction.of(other)
-        return (self.num * other.den_poly()) == (other.num * self.den_poly())
+        try:
+            other = RationalFunction.of(other)
+        except (TypeError, ValueError):
+            return NotImplemented
+        p, q = self.poly, other.poly
+        a, b = self.factors, other.factors
+        for key in dict.fromkeys(chain(a, b)):
+            f, e1 = a.get(key) or (b[key][0], 0)
+            e = e1 - b.get(key, (f, 0))[1]
+            if e > 0:
+                p = p * f ** e
+            elif e < 0:
+                q = q * f ** -e
+        return p == q
 
     def __hash__(self):
         raise TypeError("unhashable")
 
     def __mul__(self, other):
         other = RationalFunction.of(other)
-        den = [(f, e) for f, e in self.den.values()]
-        den += [(f, e) for f, e in other.den.values()]
-        return RationalFunction(self.num * other.num, den)
+        factors = _Factors(self.factors)
+        for key, (f, e) in other.factors.items():
+            _merge(factors, key, f, e)
+        return RationalFunction(self.poly * other.poly, factors)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return RationalFunction(-self.num, list(self.den.values()))
+        return RationalFunction(-self.poly, self.factors)
 
     def __add__(self, other):
+        """Over the common factors, min(e1, e2) per key (the lcm of the
+        denominators, the gcd of the numerator factors); each operand's
+        remaining factors are expanded into its poly.  The denominator
+        factors come first, self's before other's, as in the expanded
+        form."""
         other = RationalFunction.of(other)
-        all_factors = {}
-        for key, (f, e) in self.den.items():
-            all_factors[key] = (f, max(e, other.den.get(key, (f, 0))[1]))
-        for key, (f, e) in other.den.items():
-            if key not in all_factors:
-                all_factors[key] = (f, e)
-        num1, num2 = self.num, other.num
-        for key, (f, e) in all_factors.items():
-            e1 = self.den.get(key, (f, 0))[1]
-            e2 = other.den.get(key, (f, 0))[1]
-            num1 = num1 * f ** (e - e1)
-            num2 = num2 * f ** (e - e2)
-        return RationalFunction(num1 + num2, list(all_factors.values()))
+        p, q = self.poly, other.poly
+        a, b = self.factors, other.factors
+        common = _Factors()
+        for key in dict.fromkeys(chain(
+                (k for k, (_, e) in a.items() if e < 0),
+                (k for k, (_, e) in b.items() if e < 0), a, b)):
+            f, e1 = a.get(key) or (b[key][0], 0)
+            e2 = b.get(key, (f, 0))[1]
+            e = min(e1, e2)
+            if e:
+                common[key] = (f, e)
+            if e1 > e:
+                p = p * f ** (e1 - e)
+            if e2 > e:
+                q = q * f ** (e2 - e)
+        return RationalFunction(p + q, common)
 
     __radd__ = __add__
 
@@ -417,23 +518,40 @@ class RationalFunction:
         return RationalFunction.of(other) + (-self)
 
     def substitute(self, mapping):
-        return RationalFunction(self.num.substitute(mapping),
-                                [(f.substitute(mapping), e)
-                                 for f, e in self.den.values()])
+        """Map poly and every factor; a numerator factor that becomes 0 makes
+        the value 0.  Where a denominator factor becomes 0, the reduced form
+        ``num / den`` is mapped instead, and a factor of den that becomes 0
+        raises."""
+        try:
+            return RationalFunction(self.poly.substitute(mapping),
+                                    [(f.substitute(mapping), -e)
+                                     for f, e in self.factors.values()])
+        except ZeroDivisionError:
+            num, den = self._expanded()
+            return RationalFunction(num.substitute(mapping),
+                                    [(f.substitute(mapping), e)
+                                     for f, e in den.values()])
 
     def evaluate(self, point):
-        d = as_scalar(1)
-        for f, e in self.den.values():
-            val = f.evaluate(point)
-            for _ in range(e):
-                d = d * val
+        """The value at a point, factor by factor; where the denominator
+        factors vanish or are not real, the value of the reduced form
+        ``num / den``."""
+        factors = self.factors.values()
+        try:
+            return self.poly.evaluate(point) \
+                * _value_at([(f, e) for f, e in factors if e > 0], point) \
+                / _value_at([(f, -e) for f, e in factors if e < 0], point)
+        except ArithmeticError:
+            num, den = self._expanded()
+        d = _value_at(den.values(), point)
         if not d:
             raise ZeroDivisionError("denominator vanishes at %r" % (point,))
-        return self.num.evaluate(point) / d
+        return num.evaluate(point) / d
 
     def __repr__(self):
-        if not self.den:
-            return repr(self.num)
+        num, den = self._expanded()
+        if not den:
+            return repr(num)
         den = "*".join("(%r)^%d" % (f, e) if e > 1 else "(%r)" % (f,)
-                       for f, e in self.den.values())
-        return "(%r)/[%s]" % (self.num, den)
+                       for f, e in den.values())
+        return "(%r)/[%s]" % (num, den)

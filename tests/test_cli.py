@@ -298,6 +298,41 @@ def test_negative_relation_family_is_rejected(a2_file, capsys, argv, message):
     assert captured.err == "klrwcb: error: %s\n" % message
 
 
+_MODULE = ["--matter", "1", "--gamma0", "0", "--box", "3"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a coweight longer than the rank raised IndexError or, for qhr, gave
+    # weights and "agreement: True"; a shorter one was cut by zip
+    (["res-support", "--rank", "1"] + _MODULE + ["--xi", "1,2"],
+     "coweight (1, 2) has wrong rank: the module has rank 1"),
+    (["qhr", "--rank", "1", "--matter", "0", "--gamma0", "0", "--box", "3",
+      "--xi", "1,2"],
+     "coweight (1, 2) has wrong rank: the module has rank 1"),
+    (["res-support", "--rank", "2", "--matter", "1,0", "--gamma0", "0,0",
+      "--xi", "1"],
+     "coweight (1,) has wrong rank: the module has rank 2"),
+    (["qhr", "--rank", "2", "--matter", "1,-1", "--gamma0", "0,0",
+      "--xi", "1"],
+     "coweight (1,) has wrong rank: the module has rank 2"),
+    # a negative box is an empty module, so every check passed vacuously
+    (["res-support", "--rank", "1", "--matter", "1", "--gamma0", "0",
+      "--box", "-1", "--xi", "1"], "--box -1 is negative"),
+    (["qhr", "--rank", "1", "--matter", "0", "--gamma0", "0", "--box", "-3",
+      "--xi", "1"], "--box -3 is negative"),
+    (["monopole-mul", "--rank", "-1", "r[]", "r[]"], "torus rank -1 is negative"),
+    (["res-support", "--rank", "-1", "--gamma0", "0", "--xi", "1"],
+     "torus rank -1 is negative"),
+    (["qhr", "--rank", "-2", "--gamma0", "0", "--xi", "1"],
+     "torus rank -2 is negative"),
+])
+def test_bad_module_command_input(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "klrwcb: error: %s\n" % message
+
+
 def test_satake_command(a2_file, capsys):
     rc = main(["satake", "--quiver", a2_file, "--w", "1=1,2=1",
                "--vmax", "1=2,2=2"])

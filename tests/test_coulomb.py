@@ -280,6 +280,19 @@ def test_hamiltonian_reduce_two_cosets():
     assert sorted(f.values()) == [1, 1, 1]
 
 
+def test_module_coweight_of_wrong_rank_is_rejected():
+    m1 = UniversalWeightModule(TH1, (0,), {(k,) for k in range(3)})
+    m2 = UniversalWeightModule(TorusTheory(2, [MatterWeight((1, -1))]),
+                               (0, 0), {(0, 0), (1, 1)})
+    for fn, module, xi in ((res_support, m1, (1, 2)), (res_support, m2, (1,)),
+                           (hamiltonian_reduce, m1, (0, 1)),
+                           (hamiltonian_reduce, m2, (1,))):
+        with pytest.raises(ValueError, match="wrong rank: the module has rank"):
+            fn(module, xi)
+    with pytest.raises(ValueError, match="torus rank -1 is negative"):
+        TorusTheory(-1)
+
+
 def test_gk_dim():
     assert gk_dim([([], (0,))]) == 0
     assert gk_dim([([(1, 0), (0, 1)], (0, 0))]) == 2

@@ -1,11 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from klrwcb.coulomb import MatterWeight, TorusTheory, mul
-from klrwcb.poly import (HBAR, ONE_POLY, Polynomial, RationalFunction,
+from klrwcb.poly import (HBAR, ONE_POLY, Polynomial, RationalFunction, as_poly,
                          _factor_key)
 from klrwcb.scalars import ExactScalar, as_scalar
 from klrwcb.suites import random_element, random_theory
@@ -249,6 +250,16 @@ def test_equal_to_unreadable_operand_is_false():
     assert x in [None, x] and ONE_POLY == 1 and ONE_POLY == "1"
 
 
+def test_rational_function_equal_to_unreadable_operand_is_false():
+    # RationalFunction.of cannot read None, a list or a non-literal string
+    r = RationalFunction(x, [(x - h, 1)])
+    for other in (None, [x], "x1"):
+        assert not r == other and r != other
+    assert r not in [None, "?"] and r in [None, r]
+    one = RationalFunction.of(1)
+    assert one == 1 and one == "1" and one == ONE_POLY and 1 == one
+
+
 def test_repr_parenthesizes_coefficient_sums():
     sym = ExactScalar(Fraction(1, 2), 0, {"s": -1})
     p = (Polynomial.constant(sym) * x + Polynomial.constant(ExactScalar(0, -1)) * x * h
@@ -388,3 +399,312 @@ def test_coulomb_mul_matches_reference_product(imaginary):
             for coeff in got.terms.values():
                 _assert_normal(coeff.num)
             assert _ref_element(got, th.rank) == want
+
+
+# -- the factored RationalFunction against the expanded one it replaced -----
+
+
+class _RefRationalFunction:
+    """The former RationalFunction, kept as the reference: an expanded
+    numerator over a dict of denominator factors, reduced by one pass of
+    exact trial division after every operation."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=None):
+        object.__setattr__(self, "num", as_poly(num))
+        factors = {}
+        if den:
+            for f, e in (den.items() if isinstance(den, dict) else den):
+                f = as_poly(f)
+                if not f:
+                    raise ZeroDivisionError("zero denominator factor")
+                if e:
+                    key = _factor_key(f)
+                    if key in factors:
+                        factors[key] = (f, factors[key][1] + e)
+                    else:
+                        factors[key] = (f, e)
+        object.__setattr__(self, "den", {k: v for k, v in factors.items() if v[1]})
+        self._reduce()
+
+    def __setattr__(self, *a):
+        raise AttributeError("immutable")
+
+    def _reduce(self):
+        num = self.num
+        den = dict(self.den)
+        if not num:
+            object.__setattr__(self, "den", {})
+            return
+        for key, (f, e) in list(den.items()):
+            while e > 0:
+                try:
+                    num = num.divide_exact(f)
+                except ArithmeticError:
+                    break
+                e -= 1
+            if e:
+                den[key] = (f, e)
+            else:
+                del den[key]
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @staticmethod
+    def of(x):
+        if isinstance(x, _RefRationalFunction):
+            return x
+        return _RefRationalFunction(as_poly(x))
+
+    def den_poly(self):
+        p = ONE_POLY
+        for f, e in self.den.values():
+            p = p * f ** e
+        return p
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def __eq__(self, other):
+        other = _RefRationalFunction.of(other)
+        return (self.num * other.den_poly()) == (other.num * self.den_poly())
+
+    def __mul__(self, other):
+        other = _RefRationalFunction.of(other)
+        den = [(f, e) for f, e in self.den.values()]
+        den += [(f, e) for f, e in other.den.values()]
+        return _RefRationalFunction(self.num * other.num, den)
+
+    def __neg__(self):
+        return _RefRationalFunction(-self.num, list(self.den.values()))
+
+    def __add__(self, other):
+        other = _RefRationalFunction.of(other)
+        all_factors = {}
+        for key, (f, e) in self.den.items():
+            all_factors[key] = (f, max(e, other.den.get(key, (f, 0))[1]))
+        for key, (f, e) in other.den.items():
+            if key not in all_factors:
+                all_factors[key] = (f, e)
+        num1, num2 = self.num, other.num
+        for key, (f, e) in all_factors.items():
+            e1 = self.den.get(key, (f, 0))[1]
+            e2 = other.den.get(key, (f, 0))[1]
+            num1 = num1 * f ** (e - e1)
+            num2 = num2 * f ** (e - e2)
+        return _RefRationalFunction(num1 + num2, list(all_factors.values()))
+
+    def __sub__(self, other):
+        return self + (-_RefRationalFunction.of(other))
+
+    def substitute(self, mapping):
+        return _RefRationalFunction(self.num.substitute(mapping),
+                                    [(f.substitute(mapping), e)
+                                     for f, e in self.den.values()])
+
+    def evaluate(self, point):
+        d = as_scalar(1)
+        for f, e in self.den.values():
+            val = f.evaluate(point)
+            for _ in range(e):
+                d = d * val
+        if not d:
+            raise ZeroDivisionError("denominator vanishes at %r" % (point,))
+        return self.num.evaluate(point) / d
+
+    def __repr__(self):
+        if not self.den:
+            return repr(self.num)
+        den = "*".join("(%r)^%d" % (f, e) if e > 1 else "(%r)" % (f,)
+                       for f, e in self.den.values())
+        return "(%r)/[%s]" % (self.num, den)
+
+
+_I =ExactScalar(0, 1)
+_S = ExactScalar(0, 0, {"s": 1})
+
+# Pools of factors, pairwise not associate and each with a rational leading
+# coefficient, as every linear form mu + j h has, so that the expanded form
+# is determined by the value and by the order in which factors first meet
+# the denominator.  x1 - x2 and h - x2 become 0 under the substitutions
+# below, and the constant factor cancels in every reduction.
+_POOLS = {
+    "int": [x - y, x + h, 2 * x + 3 * y - h, h - y, Polynomial.constant(3)],
+    "fraction": [x - y, x + Fraction(1, 2) * h, Fraction(1, 3) * x - y + h,
+                 h - y, Polynomial.constant(Fraction(-2, 3))],
+    "gaussian": [x - y, x + _I * h, y + (2 - _I) * h + _I, h - y,
+                 Polynomial.constant(2)],
+    "symbolic": [x - y, x + Polynomial.constant(_S), y + 2 * h, h - y,
+                 Polynomial.constant(5)],
+}
+# Associates, among them a pair with non-real coefficients: an associate
+# pair cancels by trial division in the reference and by key match here, so
+# only values and equality are compared.
+_ASSOCIATES = [x - y, 2 * x - 2 * y, y - x, x + h, -x - h, h - y, x + _I * h,
+               2 * x + 2 * _I * h]
+
+_MAPS = [{"x1": y}, {"x2": x}, {"h": y}, {"x2": h}, {"x1": x + h},
+         {"x2": y + 1, "h": 2 * h}, {"x1": Fraction(1, 2) * y - h}]
+_POINTS = [{"x1": Fraction(3, 7), "x2": Fraction(-5, 11), HBAR: Fraction(2, 13)},
+           {"x1": 1, "x2": 1, HBAR: 2}, {"x1": 2, "x2": 1, HBAR: 1}]
+
+
+def _atom(rng, pool):
+    """A pair (factored, reference) built from a small polynomial, up to two
+    numerator factors and up to two denominator factors of pool."""
+    poly = Polynomial.constant(rng.choice([1, -2, Fraction(3, 2)]))
+    if rng.random() < 0.5:
+        poly = poly * rng.choice([x, y, h, x + 1])
+    nums = rng.sample(pool, rng.randint(0, 2))
+    den = [(rng.choice(pool), rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
+    expanded = poly
+    for f in nums:
+        expanded = expanded * f
+    return (RationalFunction(poly, [(f, -1) for f in nums] + den),
+            _RefRationalFunction(expanded, den))
+
+
+def _has_associates(r):
+    """Two nonconstant factors of r that differ by a scalar."""
+    fs = [f for f, _ in r.factors.values() if f.variables()]
+    return any(f * Polynomial.constant(g.leading()[1])
+               == g * Polynomial.constant(f.leading()[1])
+               for i, f in enumerate(fs) for g in fs[:i])
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (ZeroDivisionError, ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+def _assert_same_form(got, want):
+    assert repr(got) == repr(want)
+    assert got.num.terms == want.num.terms and repr(got.num) == repr(want.num)
+    assert [(k, repr(f), e) for k, (f, e) in got.den.items()] == \
+        [(k, repr(f), e) for k, (f, e) in want.den.items()]
+    assert bool(got) == bool(want)
+
+
+def _run_sequences(seed, pool, same_form, n_seq=30, n_steps=10):
+    """Seeded random sequences of *, +, -, substitute, == and evaluate on
+    pairs (factored, reference); returns a tally of what was compared.
+
+    With same_form, repr, num and den must agree too, unless an associate
+    pair has met in the value's history (a substitution can make one): the
+    reference cancels such a pair by trial division in its denominator's
+    order, and the factored form by key match."""
+    rng = random.Random(seed)
+    tally = Counter()
+    for _ in range(n_seq):
+        vals = [(r, ref, same_form and not _has_associates(r))
+                for r, ref in (_atom(rng, pool) for _ in range(3))]
+        for _ in range(n_steps):
+            (a, ra, pa), (b, rb, pb) = rng.choice(vals), rng.choice(vals)
+            op = rng.choice(["*", "*", "+", "-", "sub", "==", "eval"])
+            if op == "==":
+                want = _outcome(lambda: ra == rb)
+                if isinstance(want, type):
+                    tally["raises:" + want.__name__] += 1
+                    continue
+                # random pairs, and pairs equal by the ring axioms, whose
+                # expansion may meet a symbol times a symbol
+                tally["eq"] += 1
+                assert (a == b) == want and (a == 0) == (not ra)
+                for same in (lambda: a * b == b * a, lambda: (a + b) - b == a,
+                             lambda: a - a == 0):
+                    assert _outcome(same) in (True, ValueError)
+                continue
+            if op == "eval":
+                point = rng.choice(_POINTS)
+                got, want = _outcome(lambda: a.evaluate(point)), \
+                    _outcome(lambda: ra.evaluate(point))
+                tally["eval:" + ("value" if type(want) is ExactScalar
+                                 else want.__name__)] += 1
+                assert got == want
+                continue
+            if op == "sub":
+                m = rng.choice(_MAPS)
+                got, want = _outcome(lambda: a.substitute(m)), \
+                    _outcome(lambda: ra.substitute(m))
+                plain = pa
+            else:
+                fn = {"*": lambda p, q: p * q, "+": lambda p, q: p + q,
+                      "-": lambda p, q: p - q}[op]
+                got, want = _outcome(lambda: fn(a, b)), _outcome(lambda: fn(ra, rb))
+                plain = pa and pb
+            if isinstance(want, type):
+                # the reference raises; a symbol times a symbol is outside
+                # the model, and the factored form may cancel it unexpanded
+                tally["raises:" + want.__name__] += 1
+                if want is ZeroDivisionError:
+                    assert got is want
+                continue
+            tally[op] += 1
+            tally["zero"] += not want
+            assert not isinstance(got, type)
+            assert got == RationalFunction(want.num, list(want.den.values()))
+            assert _outcome(lambda: got.evaluate(_POINTS[0])) == \
+                _outcome(lambda: want.evaluate(_POINTS[0]))
+            plain = plain and not _has_associates(got)
+            if plain:
+                tally["same form"] += 1
+                _assert_same_form(got, want)
+            if len(want.num.terms) <= 24:
+                # keep the operands small; their size adds no coverage
+                vals = vals[-5:] + [(got, want, plain)]
+    return tally
+
+
+def _pair(poly, nums=(), den=()):
+    expanded = poly
+    for f in nums:
+        expanded = expanded * f
+    return (RationalFunction(poly, [(f, -1) for f in nums] + list(den)),
+            _RefRationalFunction(expanded, list(den)))
+
+
+def test_factor_order_follows_the_expanded_form():
+    # x1 - x2 cancels against the polynomial at once, h - x2 and x1 + h are
+    # numerator factors that meet denominators: each denominator factor
+    # stands where the reference, which reduces after every step, puts it
+    vals = [_pair(x - y, den=[(x - y, 1), (x + h, 1)]),
+            _pair(ONE_POLY, den=[(h - y, 1), (x - y, 1)]),
+            _pair(y, nums=[x + h, h - y]),
+            _pair(ONE_POLY, den=[(x + h, 2), (x - y, 1), (h - y, 2)])]
+    for (a, ra) in vals:
+        _assert_same_form(a, ra)
+        for (b, rb) in vals:
+            _assert_same_form(a * b, ra * rb)
+            _assert_same_form(a + b, ra + rb)
+            _assert_same_form((a * b) * a, (ra * rb) * ra)
+
+
+def test_cancelled_factor_may_vanish():
+    # x1 - x2 over its associate 2 x1 - 2 x2 is 1/2 everywhere
+    r = RationalFunction(ONE_POLY, [(2 * x - 2 * y, 1), (x - y, -1)])
+    assert r.substitute({"x1": y}) == Fraction(1, 2)
+    assert r.evaluate({"x1": 1, "x2": 1}) == as_scalar(Fraction(1, 2))
+    assert RationalFunction(x, [(x - y, -1)]).substitute({"x1": y}) == 0
+    with pytest.raises(ZeroDivisionError):
+        RationalFunction(x, [(x - y, 1)]).substitute({"x1": y})
+    with pytest.raises(ZeroDivisionError, match="denominator vanishes"):
+        RationalFunction(x, [(x - y, 1)]).evaluate({"x1": 1, "x2": 1})
+
+
+_HIT = ("*", "+", "-", "sub", "eq", "zero", "raises:ZeroDivisionError",
+        "eval:value", "eval:ZeroDivisionError")
+
+
+@pytest.mark.parametrize("kind", sorted(_POOLS))
+def test_factored_matches_expanded_reference(kind):
+    tally = _run_sequences(10 + sorted(_POOLS).index(kind), _POOLS[kind], True)
+    assert min(tally[k] for k in _HIT) >= 3, tally
+    assert tally["same form"] >= 150, tally
+
+
+def test_factored_matches_expanded_reference_with_associates():
+    tally = _run_sequences(20, _ASSOCIATES, False)
+    assert min(tally[k] for k in _HIT) >= 3, tally
