@@ -13,6 +13,7 @@ quiver file that cannot be read.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -238,6 +239,8 @@ def _parse_matter(specs, rank, table):
     matter = []
     for spec in specs:
         parts = spec.split(";")
+        if len(parts) > 3:
+            raise ValueError("matter spec %r has more than three ';' fields" % spec)
         gauge = _parse_intvec(parts[0])
         if len(gauge) != rank:
             raise ValueError("gauge charge %r has wrong rank" % (gauge,))
@@ -255,7 +258,11 @@ def _load(args, table):
     if override:
         if os.path.exists(override):
             with open(override) as fh:
-                entries = json.load(fh).items()
+                values = json.load(fh)
+            if not isinstance(values, dict):
+                raise ValueError("flavour override file %r is not a JSON object"
+                                 % override)
+            entries = values.items()
         else:
             entries = (chunk.split("=", 1) for chunk in override.split(";")
                        if chunk.strip())
@@ -369,14 +376,13 @@ def cmd_monopole_mul(args):
 
 def _module_from_args(args, table):
     theory = _parse_matter(args.matter or [], args.rank, table)
-    if args.box < 0:
-        raise ValueError("--box %d is negative" % args.box)
+    if args.box <= 0:
+        raise ValueError("--box %d is %s"
+                         % (args.box, "negative" if args.box else "empty"))
     gamma0 = tuple(parse_scalar(v, table) for v in args.gamma0.split(","))
     if len(gamma0) != args.rank:
         raise ValueError("gamma0 has wrong rank")
-    box = [()]
-    for _ in range(args.rank):
-        box = [b + (k,) for b in box for k in range(args.box)]
+    box = itertools.product(range(args.box), repeat=args.rank)
     return UniversalWeightModule(theory, gamma0, set(box))
 
 
@@ -516,13 +522,13 @@ def main(argv=None):
                        help="override flavours: 'edge=lit;...' or a JSON file")
 
     p = sub.add_parser("enumerate-sequences",
-                       help="all valid orders for a longitude assignment")
+                       help="valid orders of a weight, up to equivalence")
     add_quiver_args(p)
     p.add_argument("--gamma", required=True,
                    help="per-vertex longitudes, e.g. 'alpha=0;beta=2'")
     p.add_argument("--table", action="store_true")
     p.add_argument("--all-orders", action="store_true",
-                   help="do not deduplicate up to equivalence")
+                   help="every valid order, not the one class representative")
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.set_defaults(func=cmd_enumerate)
 

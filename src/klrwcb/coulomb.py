@@ -371,12 +371,10 @@ def elprime_identity_holds(nu, nu_prime, xi, theory):
 # -- xi-negativity and transition eigenvalues -------------------------------
 
 
-def xi_negative(lam_point, xi, theory, stabilizer_ok=True):
-    """No positive-pairing weight hits a positive integer at lam, no
-    negative-pairing weight hits a non-positive integer, and the stabilizer
-    condition (trivially true in the abelian case) holds."""
-    if not stabilizer_ok:
-        return False
+def xi_negative(lam_point, xi, theory):
+    """No positive-pairing weight hits a positive integer at lam, and no
+    negative-pairing weight hits a non-positive integer (the stabilizer
+    condition is trivially true for a torus)."""
     for mu in theory.matter:
         p = mu.pair(xi)
         if p:

@@ -261,15 +261,14 @@ class Polynomial:
             total = total + val
         return total
 
-    def weighted_degree(self, weight=lambda v: 2):
-        """Max weighted total degree; None for the zero polynomial."""
+    def weighted_degree(self):
+        """Max total degree, every variable of degree 2; None for zero."""
         if not self.terms:
             return None
-        return max(sum(weight(v) * e for v, e in m) for m in self.terms)
+        return max(2 * sum(e for _, e in m) for m in self.terms)
 
-    def is_homogeneous(self, weight=lambda v: 2):
-        degs = {sum(weight(v) * e for v, e in m) for m in self.terms}
-        return len(degs) <= 1
+    def is_homogeneous(self):
+        return len({sum(e for _, e in m) for m in self.terms}) <= 1
 
     def variables(self):
         out = set()

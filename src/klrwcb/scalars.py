@@ -35,18 +35,18 @@ class ScalarParseError(ValueError):
 
 @dataclass
 class SymbolTable:
-    """Declared symbols: name -> (rational shadow, declared_nonintegral)."""
+    """Declared symbols: name -> rational shadow of an irrational real."""
 
     entries: dict = field(default_factory=dict)
 
-    def declare(self, name, shadow, nonintegral=True):
-        self.entries[name] = (Fraction(shadow), bool(nonintegral))
+    def declare(self, name, shadow):
+        self.entries[name] = Fraction(shadow)
         return self
 
     def shadow(self, name):
         if name not in self.entries:
             raise UndeclaredSymbolError("undeclared symbol %r" % name)
-        return self.entries[name][0]
+        return self.entries[name]
 
 
 def _scalar_operand(method):

@@ -347,14 +347,17 @@ def to_loading_order(seq, completed, flavour, table=None):
 
 def enumerate_orders(labels_multiset, gamma, completed, flavour, table=None,
                      up_to_equivalence=True):
-    """All valid flavoured sequences with the given per-vertex longitude
-    multisets, optionally deduplicated up to equivalence.
+    """All valid flavoured sequences with the per-vertex longitude
+    multisets gamma (vertex -> list of longitudes): every admissible order
+    of every label arrangement that weakly increases in real longitude.
 
-    gamma maps vertex -> list of longitudes; all label arrangements that
-    weakly increase in real longitude are explored, and all admissible
-    tie-breaking orders on CGR.  Up to equivalence, the first admissible
-    order of an arrangement stands for all of them, and is kept unless it
-    is equivalent to a sequence kept before.
+    Up to equivalence they form one class, returned as the first order of
+    the first arrangement.  By the definition of ``equivalent``: two valid
+    sequences of one weight split each label class into blocks of equal
+    real longitude of the same sizes, matched in order; the relative order
+    of a corporeal and a ghost/red item is fixed by their real longitudes,
+    the ghost/red item first at a tie (rule ii); so every block-respecting
+    sigma keeps it, and the two sequences are equivalent.
     """
     entries = [(as_scalar(a), vertex)
                for vertex in sorted(gamma, key=str) for a in gamma[vertex]]
@@ -372,26 +375,19 @@ def enumerate_orders(labels_multiset, gamma, completed, flavour, table=None,
                                           for j in left):
                 yield from arrangements(prefix + (i,), [j for j in left if j != i])
 
-    results = []
-    for perm in arrangements((), list(range(len(entries)))):
+    def sequences(perm):
+        # every admissible order over a weakly increasing arrangement is valid
         labels = tuple(entries[i][1] for i in perm)
         longitudes = tuple(entries[i][0] for i in perm)
         base = FlavouredSequence(labels, longitudes, ())
-        # every admissible order over a weakly increasing arrangement is valid
-        orders = _admissible_orders(base, build_cgr(labels, completed),
-                                    flavour, table)
-        if not up_to_equivalence:
-            results.extend(FlavouredSequence(labels, longitudes, order)
-                           for order in orders)
-            continue
-        # the orders of one arrangement differ only inside tie classes, among
-        # ghost/red items, so each is equivalent to the first under the
-        # identity: the first order stands for the arrangement
-        seq = FlavouredSequence(labels, longitudes, next(orders))
-        if not any(equivalent(seq, s, completed, flavour, table)[0]
-                   for s in results):
-            results.append(seq)
-    return results
+        for order in _admissible_orders(base, build_cgr(labels, completed),
+                                        flavour, table):
+            yield FlavouredSequence(labels, longitudes, order)
+
+    perms = arrangements((), list(range(len(entries))))
+    if up_to_equivalence:
+        return [next(sequences(next(perms)))]
+    return [seq for perm in perms for seq in sequences(perm)]
 
 
 def _classes(ranked):

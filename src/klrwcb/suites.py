@@ -6,6 +6,7 @@ boolean "ok" plus counters; failures carry a witness.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from .relations import verify_relations
 from .scalars import ExactScalar, as_scalar
 
 
-def random_theory(rng, max_rank=3, max_matter=4, with_shifts=True):
+def random_theory(rng, max_rank=3, max_matter=4):
     rank = rng.randint(1, max_rank)
     matter = []
     for _ in range(rng.randint(1, max_matter)):
@@ -31,8 +32,8 @@ def random_theory(rng, max_rank=3, max_matter=4, with_shifts=True):
         if not any(gauge):
             gauge = tuple(1 if i == 0 else 0 for i in range(rank))
         shift = Fraction(rng.randint(-2, 2), rng.choice([1, 1, 2])) \
-            if with_shifts and rng.random() < 0.5 else 0
-        hshift = Fraction(rng.randint(-1, 1)) if with_shifts and rng.random() < 0.3 else 0
+            if rng.random() < 0.5 else 0
+        hshift = Fraction(rng.randint(-1, 1)) if rng.random() < 0.3 else 0
         matter.append(MatterWeight(gauge, as_scalar(shift), hshift))
     return TorusTheory(rank, matter)
 
@@ -146,7 +147,7 @@ def suite_elprime(seed=0, n=20):
     return out
 
 
-def random_module(rng, with_symbols=False, span=3):
+def random_module(rng, with_symbols=False):
     th = random_theory(rng, max_rank=2, max_matter=3)
     gamma0 = []
     for i in range(th.rank):
@@ -155,9 +156,7 @@ def random_module(rng, with_symbols=False, span=3):
             gamma0.append(ExactScalar(base, 0, {"irr%d" % i: 1}))
         else:
             gamma0.append(as_scalar(base))
-    box = [()]
-    for _ in range(th.rank):
-        box = [b + (k,) for b in box for k in range(span)]
+    box = itertools.product(range(3), repeat=th.rank)
     return UniversalWeightModule(th, tuple(gamma0), set(box))
 
 

@@ -66,7 +66,7 @@ def test_enumerate_deterministic(kron_file, capsys):
     assert capsys.readouterr().out == first
 
 
-def test_flavour_override(kron_file, capsys):
+def test_flavour_override(kron_file, tmp_path, capsys):
     main(["enumerate-sequences", "--quiver", kron_file, "--flavour", "e=2;f=2",
           "--gamma", "alpha=0;beta=1"])
     out = capsys.readouterr().out.strip()
@@ -76,6 +76,15 @@ def test_flavour_override(kron_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "klrwcb: error: flavour override for unknown edge 'nope'\n"
+    # a JSON file whose top level is not an object ended in AttributeError
+    listed = tmp_path / "flavour.json"
+    listed.write_text("[1, 2]")
+    assert main(["enumerate-sequences", "--quiver", kron_file,
+                 "--flavour", str(listed), "--gamma", "alpha=0;beta=1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("klrwcb: error: flavour override file %r is not a "
+                            "JSON object\n" % str(listed))
 
 
 def test_bad_polynomial_literal(capsys):
@@ -325,6 +334,12 @@ _MODULE = ["--matter", "1", "--gamma0", "0", "--box", "3"]
      "torus rank -1 is negative"),
     (["qhr", "--rank", "-2", "--gamma0", "0", "--xi", "1"],
      "torus rank -2 is negative"),
+    # a box of size 0 passed vacuously too (empty table, "agreement: True")
+    (["qhr", "--rank", "1", "--matter", "0", "--gamma0", "0", "--box", "0",
+      "--xi", "1"], "--box 0 is empty"),
+    # a fourth field was dropped without a word
+    (["monopole-mul", "--rank", "1", "--matter", "1;0;0;junk", "r[1]", "r[-1]"],
+     "matter spec '1;0;0;junk' has more than three ';' fields"),
 ])
 def test_bad_module_command_input(capsys, argv, message):
     assert main(argv) == 2

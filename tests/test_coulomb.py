@@ -111,7 +111,6 @@ def test_xi_negative():
     assert xi_negative((Fraction(-1, 2),), (1,), TH1)
     assert not xi_negative((3,), (1,), TH1)
     assert xi_negative((3,), (1,), TorusTheory(1, []))
-    assert not xi_negative((0,), (1,), TH1, stabilizer_ok=False)
     # condition (2): negative pairing with non-positive integer value
     thm = TorusTheory(1, [MatterWeight((-1,))])
     assert not xi_negative((0,), (1,), thm)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from klrwcb import sequences
 from klrwcb.quiver import (DimensionData, Flavour, Quiver, crawley_boevey,
                            kronecker_quiver)
 from klrwcb.scalars import (EQ, GT, LT, AmbiguousOrderError, ExactScalar,
@@ -811,3 +812,32 @@ def test_enumerate_orders_tied_kronecker_five_plus_five():
     got = enumerate_orders(None, gamma, comp, fl)
     assert len(got) == 1
     assert equivalent(got[0], from_weight(gamma, comp, fl), comp, fl)[0]
+
+
+def _no_equivalent(*args, **kwargs):
+    raise AssertionError("enumerate_orders called equivalent")
+
+
+@pytest.mark.parametrize("framing, e, f", [((0, 0), 0, 1), ((1, 0), 1, 2)])
+def test_enumerate_orders_one_class_without_equivalent(monkeypatch, framing, e, f):
+    # 3+3 strands, every longitude 0: 20 arrangements, one class, and the
+    # representative is found without a search
+    comp = crawley_boevey(kronecker_quiver(), DimensionData(
+        {"alpha": 3, "beta": 3}, {"alpha": framing[0], "beta": framing[1]}))
+    fl = Flavour({edge.id: as_scalar({"e": e, "f": f}.get(edge.id, 0))
+                  for edge in comp.edges})
+    gamma = {"alpha": [as_scalar(0)] * 3, "beta": [as_scalar(0)] * 3}
+    want = _ref_enumerate_orders(gamma, comp, fl, None, True)
+    monkeypatch.setattr(sequences, "equivalent", _no_equivalent)
+    got = enumerate_orders(None, gamma, comp, fl)
+    assert len(want) == 1
+    assert [s.describe() for s in got] == [s.describe() for s in want]
+
+
+def test_enumerate_orders_five_plus_five_without_equivalent(monkeypatch):
+    comp = crawley_boevey(kronecker_quiver(), DimensionData(
+        {"alpha": 5, "beta": 5}, {"alpha": 0, "beta": 0}))
+    fl = Flavour({"e": as_scalar(1), "f": as_scalar(1)})
+    gamma = {"alpha": [as_scalar(0)] * 5, "beta": [as_scalar(0)] * 5}
+    monkeypatch.setattr(sequences, "equivalent", _no_equivalent)
+    assert len(enumerate_orders(None, gamma, comp, fl)) == 1
