@@ -285,11 +285,12 @@ def cmd_enumerate(args):
     for s in seqs:
         line = format_sequence(s)
         if args.table:
-            longs = [s.longitude(it, flavour) for it in s.order]
+            longs = [as_scalar(s.longitude(it, flavour)) for it in s.order]
             regime = []
-            for (a, it1), (b, it2) in zip(zip(longs, s.order),
-                                          zip(longs[1:], s.order[1:])):
-                rel = "=" if a == b else "<="
+            for a, b in zip(longs, longs[1:]):
+                # a tie is an equal real part: rational and symbolic parts
+                same = a.rational == b.rational and a.symbolic == b.symbolic
+                rel = "=" if same else "<="
                 regime.append("Re(%s)%sRe(%s)" % (format_scalar(a), rel,
                                                   format_scalar(b)))
             line += "   regime: " + "  ".join(regime)
@@ -414,8 +415,7 @@ def cmd_relcheck(args):
     table = make_table()
     quiver, dims, completed, flavour, table = _load(args, table)
     if not flavour.is_integral():
-        print("relcheck needs an integral flavour")
-        return 2
+        raise ValueError("relcheck needs an integral flavour")
     engine = Engine(completed, flavour, table)
     report = verify_relations(engine, degree_bound=args.bound,
                               n_random=args.random, seed=args.seed)

@@ -18,7 +18,16 @@ positional in the corporeal order) by composing local operators:
   * every other crossing: nothing.
 
 Engine.word_operators is the one walk of a word: it turns every step into
-its local operator once.  Engine.act and the relation suite apply its list.
+a hashable descriptor of its local operator, ("swap", r), ("demazure", r),
+("times", p) for y_p or ("times", q, p) for y_q - y_p, and drops the
+steps that act as the identity.  Engine.run_operators applies a descriptor
+tuple; Engine.act applies it directly, with no memo.  Engine.images is the
+engine's memo for the relation suite: the image of each monomial under a
+descriptor tuple, computed with run_operators on first use and kept as a
+tuple of (monomial, coefficient) pairs.  Every operator is Q-linear, so the
+image of a polynomial is the sum of its coefficients times the images of
+its monomials.  The memo belongs to the engine, so engines with different
+operators (a subclass overriding _demazure) never share images.
 
 All relations of the algebra hold for these operators; verify_relations
 checks them exhaustively over given quiver data and is the normative
@@ -27,6 +36,7 @@ arbiter for the sign conventions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -107,6 +117,8 @@ class Engine:
         self.flavour = flavour
         self.table = table
         self.tails = {e.id: e.tail for e in completed.edges}
+        # descriptor tuple -> _Images, filled on lookup (see images())
+        self._images = {}
 
     # -- strand-pair classification ----------------------------------------
 
@@ -275,45 +287,69 @@ class Engine:
         item_map = diagram.item_map()
         if [item_map[it] for it in order] != list(diagram.top.order):
             raise ValueError("event word does not realize the matching")
-        return PolyVector(diagram.top, run_operators(ops, vector.poly))
+        return PolyVector(diagram.top, self.run_operators(ops, vector.poly))
 
     def word_operators(self, seq, word):
-        """Walk a word once over seq.order: returns the local operator of
-        every step, in order, and the final order of the items.  A step is
-        ("dot", item), ("cross", i) for the items at positions i and i + 1,
-        or ("cross", left, right) for two adjacent items."""
+        """Walk a word once over seq.order: returns the tuple of operator
+        descriptors of its steps, in order, and the final order of the
+        items.  A step is ("dot", item), ("cross", i) for the items at
+        positions i and i + 1, or ("cross", left, right) for two adjacent
+        items.  A descriptor is ("swap", r), ("demazure", r), ("times", p)
+        for y_p or ("times", q, p) for y_q - y_p; steps that act as the
+        identity get none."""
         order = list(seq.order)
         ops = []
         for step in word:
             if step[0] == "dot":
-                ops.append(_times(yvar(_corporeal_position(order, step[1]))))
+                ops.append(("times", _corporeal_position(order, step[1])))
                 continue
             i = step[1] if len(step) == 2 else order.index(step[1])
             if len(step) == 3 and order.index(step[2]) != i + 1:
                 raise ValueError("event %r is not adjacent" % (step,))
-            ops.append(self._crossing_operator(seq, order, order[i], order[i + 1]))
+            op = self._crossing_operator(seq, order, order[i], order[i + 1])
+            if op is not None:
+                ops.append(op)
             order[i], order[i + 1] = order[i + 1], order[i]
-        return ops, order
+        return tuple(ops), order
 
     def _crossing_operator(self, seq, order, left, right):
         kind, c, g = self.pair_kind(seq, left, right)
         if kind == "inert":
             if left.is_corporeal() and right.is_corporeal():
                 # variables travel with strands: positionally this is the swap
-                r = _corporeal_position(order, left)
-                return lambda f: f.swap_vars("y%d" % r, "y%d" % (r + 1))
-            return lambda f: f
+                return "swap", _corporeal_position(order, left)
+            return None
         if kind == "demazure":
-            r = _corporeal_position(order, left)
-            return lambda f: self._demazure(f, r)
+            return "demazure", _corporeal_position(order, left)
         if c != left:
             # a corporeal moving leftward across a ghost or red: nothing
-            return lambda f: f
+            return None
         p = _corporeal_position(order, c)
         if kind == "ghost":
-            q = _corporeal_position(order, corporeal(g.k))
-            return _times(yvar(q) - yvar(p))
-        return _times(yvar(p))
+            return "times", _corporeal_position(order, corporeal(g.k)), p
+        return "times", p
+
+    def run_operators(self, ops, poly):
+        """Apply a tuple of word_operators descriptors to poly, first step
+        first."""
+        for op in ops:
+            if op[0] == "times":
+                factor = yvar(op[1])
+                poly = poly * (factor if len(op) == 2 else factor - yvar(op[2]))
+            elif op[0] == "swap":
+                poly = poly.swap_vars("y%d" % op[1], "y%d" % (op[1] + 1))
+            else:
+                poly = self._demazure(poly, op[1])
+        return poly
+
+    def images(self, ops):
+        """The engine's memo of monomial images under one descriptor tuple:
+        a mapping monomial -> tuple of (monomial, coefficient) pairs that
+        computes an image with run_operators on its first lookup."""
+        table = self._images.get(ops)
+        if table is None:
+            table = self._images[ops] = _Images(self, ops)
+        return table
 
     def _demazure(self, f, r):
         return f.divided_difference("y%d" % r, "y%d" % (r + 1))
@@ -438,15 +474,21 @@ class Engine:
         return theta, theta_prime, ok
 
 
-def run_operators(ops, poly):
-    """Apply the operators of word_operators to poly, first step first."""
-    for op in ops:
-        poly = op(poly)
-    return poly
+class _Images(dict):
+    """monomial -> its image under one descriptor tuple, kept as a tuple of
+    (monomial, coefficient) pairs; a missing image is computed and kept."""
 
+    __slots__ = ("engine", "ops")
 
-def _times(factor):
-    return lambda f: f * factor
+    def __init__(self, engine, ops):
+        super().__init__()
+        self.engine = engine
+        self.ops = ops
+
+    def __missing__(self, monomial):
+        image = self[monomial] = tuple(self.engine.run_operators(
+            self.ops, Polynomial({monomial: 1})).terms.items())
+        return image
 
 
 def _corporeal_position(order, item):
@@ -459,14 +501,20 @@ def _corporeal_position(order, item):
     raise KeyError(item)
 
 
-def _test_polynomials(n, degree_bound, extra_random, rng):
+@functools.lru_cache(maxsize=None)
+def _monomial_family(n, degree_bound):
     """All y/h monomials of weighted degree <= 2*degree_bound, by degree and
-    then lexicographically in y_1..y_n, h, plus random polynomials: each
-    one an integer combination of up to 4 earlier members of the family."""
+    then lexicographically in y_1..y_n, h; built once per (n, bound)."""
     names = ["y%d" % k for k in range(1, n + 1)] + [HBAR]
-    out = [Polynomial({tuple(sorted(Counter(combo).items())): 1})
-           for d in range(degree_bound + 1)
-           for combo in itertools.combinations_with_replacement(names, d)]
+    return tuple(Polynomial({tuple(sorted(Counter(combo).items())): 1})
+                 for d in range(degree_bound + 1)
+                 for combo in itertools.combinations_with_replacement(names, d))
+
+
+def _test_polynomials(n, degree_bound, extra_random, rng):
+    """The monomial family of _monomial_family plus random polynomials: each
+    one an integer combination of up to 4 earlier members of the family."""
+    out = list(_monomial_family(n, degree_bound))
     for _ in range(extra_random):
         terms = {}
         for p in rng.sample(out, min(4, len(out))):

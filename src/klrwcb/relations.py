@@ -2,11 +2,15 @@
 
 Every local relation is instantiated over concrete quiver data as a pair
 of crossing/dot words on an explicit arrangement of strand items.  Each
-word becomes its list of local operators once, through the engine's one
-word walk Engine.word_operators, and both sides are applied to a family of
-polynomials (all monomials up to a degree bound plus seeded random
-polynomials).  A relation instance passes when the two sides agree
-exactly.
+word becomes its tuple of operator descriptors once, through the engine's
+one word walk Engine.word_operators, and both sides are applied to a family
+of polynomials (all monomials up to a degree bound plus seeded random
+polynomials).  Every operator is linear, so a side's value on a polynomial
+is gathered from the engine's memo of monomial images (Engine.images):
+the sum of coefficient times image over the polynomial's monomials, which
+is the polynomial the operators give applied to it.  A relation instance
+passes when the two sides agree exactly.  Each report entry counts its
+instances, the test polynomials they were checked on, and its failures.
 
 The correction signs of the two triple-point moves follow from the divided
 difference convention fixed in the engine; the suite is the normative
@@ -22,13 +26,14 @@ from fractions import Fraction
 from .poly import Polynomial, coefficient
 from .scalars import as_scalar
 from .sequences import FlavouredSequence, corporeal, ghost, red
-from .diagrams import _test_polynomials, run_operators
+from .diagrams import _test_polynomials
 
 
 class Scenario:
     """An arrangement of items with labels and longitudes, not required to
     be a valid flavoured sequence; words of positional crossings and strand
-    dots act on polynomials through Engine.word_operators."""
+    dots act on polynomials through Engine.word_operators and the engine's
+    memo of monomial images."""
 
     def __init__(self, engine, labels, longitudes, arrangement):
         self.engine = engine
@@ -42,28 +47,32 @@ class Scenario:
 
     def apply(self, word, poly):
         ops, order = self.engine.word_operators(self.seq, word)
-        return run_operators(ops, poly), order
+        return Polynomial(_image_sum([(1, self.engine.images(ops))], poly)), order
 
     def equal(self, lhs, rhs, polys):
         """lhs, rhs: lists of (coeff, word); equality on every test poly.
-        Each word is turned into its operators once, for all of polys, and
-        each side's sum is gathered in one term dict."""
-        sides = [[(coefficient(c), self.engine.word_operators(self.seq, w)[0])
-                  for c, w in side] for side in (lhs, rhs)]
+        Each word is turned into its descriptors once, for all of polys, and
+        lhs - rhs is gathered in one term dict from the monomial images."""
+        engine = self.engine
+        pairs = [(sign * coefficient(c),
+                  engine.images(engine.word_operators(self.seq, w)[0]))
+                 for sign, side in ((1, lhs), (-1, rhs)) for c, w in side]
         for f in polys:
-            a, b = (_side_sum(side, f) for side in sides)
-            if a != b:
+            if Polynomial(_image_sum(pairs, f)):
                 return False, f
         return True, None
 
 
-def _side_sum(side, f):
-    """sum of c * (ops applied to f) over the (c, ops) pairs of a side."""
+def _image_sum(pairs, f):
+    """The term dict of the sum of c * image(f) over the (c, images) pairs,
+    by linearity from the images of f's monomials."""
     terms = {}
-    for c, ops in side:
-        for m, v in run_operators(ops, f).terms.items():
-            terms[m] = terms.get(m, 0) + c * v
-    return Polynomial(terms)
+    for c, images in pairs:
+        for m0, v0 in f.terms.items():
+            k = c * v0
+            for m, v in images[m0]:
+                terms[m] = terms.get(m, 0) + k * v
+    return terms
 
 
 def cross(i):
@@ -239,8 +248,10 @@ def verify_relations(engine, degree_bound=3, n_random=10, seed=0):
     for name, sc, lhs, rhs in _instances(engine):
         polys = _test_polynomials(sc.n, degree_bound, n_random, rng)
         ok, witness = sc.equal(lhs, rhs, polys)
-        entry = report.setdefault(name, {"instances": 0, "failures": []})
+        entry = report.setdefault(name, {"instances": 0, "test_polys": 0,
+                                         "failures": []})
         entry["instances"] += 1
+        entry["test_polys"] += len(polys)
         if not ok:
             entry["failures"].append({
                 "labels": tuple(map(str, sc.seq.labels)),
@@ -257,7 +268,8 @@ def format_report(report):
     for name in sorted(k for k in report if k != "ok"):
         entry = report[name]
         status = "pass" if not entry["failures"] else "FAIL"
-        lines.append("%-28s %4d instances  %s" % (name, entry["instances"], status))
+        lines.append("%-28s %4d instances %6d test polys  %s"
+                     % (name, entry["instances"], entry["test_polys"], status))
         for f in entry["failures"][:3]:
             lines.append("    witness: labels=%s longitudes=%s poly=%s"
                          % (f["labels"], f["longitudes"], f["witness"]))

@@ -57,6 +57,16 @@ def test_enumerate_command(kron_file, capsys):
     assert out == "[(alpha,0),(beta,2)] order=[1,e@1,2,f@2]"
 
 
+def test_enumerate_table_marks_real_part_ties(kron_file, capsys):
+    # equal real parts with different imaginary parts are a tie
+    assert main(["enumerate-sequences", "--quiver", kron_file, "--gamma",
+                 "alpha=0,sym:sqrt2;beta=1+1i,1", "--table"]) == 0
+    regime = capsys.readouterr().out.split("regime: ")[1].split()
+    assert regime == ["Re(0)<=Re(1)", "Re(1)=Re(1+1i)", "Re(1+1i)=Re(1)",
+                      "Re(1)<=Re(sym:sqrt2)", "Re(sym:sqrt2)<=Re(2+1i)",
+                      "Re(2+1i)=Re(2)", "Re(2)<=Re(1+sym:sqrt2)"]
+
+
 def test_enumerate_deterministic(kron_file, capsys):
     main(["enumerate-sequences", "--quiver", kron_file, "--gamma",
           "alpha=0;beta=0", "--format", "json"])
@@ -298,6 +308,9 @@ def test_relcheck_command(a2_file, capsys):
      "random count must be nonnegative, got -1"),
     (["suite", "relations", "--bound", "-2"],
      "degree bound must be nonnegative, got -2"),
+    # a non-integral flavour printed its message on stdout
+    (["relcheck", "--quiver", "A2", "--flavour", "a=1/2"],
+     "relcheck needs an integral flavour"),
 ])
 def test_negative_relation_family_is_rejected(a2_file, capsys, argv, message):
     # an empty test family would pass every relation

@@ -1,4 +1,7 @@
+import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,9 +11,10 @@ from klrwcb.diagrams import (Diagram, Engine, PolyVector, TagMismatchError,
 from klrwcb.poly import ONE_POLY, Polynomial, as_poly
 from klrwcb.quiver import (DimensionData, Edge, Flavour, Quiver,
                            crawley_boevey, kronecker_quiver)
-from klrwcb.relations import _instances, format_report, verify_relations
+from klrwcb.relations import (Scenario, _instances, cross, dot, format_report,
+                              verify_relations)
 from klrwcb.scalars import ExactScalar, as_scalar
-from klrwcb.sequences import corporeal, from_weight
+from klrwcb.sequences import corporeal, from_weight, ghost, red
 
 
 def a1_engine():
@@ -210,20 +214,127 @@ def flipped_a1_engine():
 @pytest.mark.parametrize("make", [a1_engine, a2_engine, kronecker_engine,
                                   flipped_a1_engine])
 def test_word_operators_match_positional_walk(make):
+    """Scenario.equal and Scenario.apply, which sum memoized monomial
+    images, against the former walk on every instance, broken sides
+    included: first with a cold memo, then with the memo that pass filled."""
     engine = make()
     rng = random.Random(11)
-    instances = list(_instances(engine))
-    assert instances
-    for _, sc, lhs, rhs in instances:
-        polys = _test_polynomials(sc.n, 2, 3, rng)
+    cases = [(sc, lhs, rhs, _test_polynomials(sc.n, 2, 3, rng))
+             for _, sc, lhs, rhs in _instances(engine)]
+    assert cases and not engine._images
+    late = 0
+    for memo in ("cold", "warm"):
+        for sc, lhs, rhs, polys in cases:
+            assert sc.equal(lhs, rhs, polys) == _ref_equal(sc, lhs, rhs, polys)
+            # the second broken side first fails past the constant when its
+            # extra crossing is a divided difference
+            for broken in (lhs + [(1, [])], lhs + [(1, [cross(0)])]):
+                for family in (polys, polys[-1:]):
+                    got = sc.equal(broken, rhs, family)
+                    assert got == _ref_equal(sc, broken, rhs, family), memo
+                    late += got[1] is not None and got[1] != family[0]
+            for _, word in lhs + rhs:
+                for f in polys[::3] + polys[-3:]:
+                    assert sc.apply(word, f) == _ref_apply(sc, word, f), memo
+        assert engine._images
+    assert late
+
+
+def test_engines_keep_separate_images():
+    """An engine and a sign-flipped engine on the same data: the first
+    passes and the second fails, whichever runs first."""
+    for flipped_first in (False, True):
+        plain = a1_engine()
+        flipped = FlippedEngine(plain.completed, plain.flavour)
+        runs = [(plain, True), (flipped, False)]
+        for eng, ok in (runs[::-1] if flipped_first else runs):
+            report = verify_relations(eng, degree_bound=2, n_random=3, seed=0)
+            assert report["ok"] is ok, format_report(report)
+        assert plain._images and flipped._images
+        assert plain._images is not flipped._images
+
+
+def test_word_operators_are_hashable_descriptors():
+    """Every descriptor is hashable and one of the four kinds; steps that
+    act as the identity get none."""
+    engine = a2_engine()
+    for _, sc, lhs, rhs in _instances(engine):
         for _, word in lhs + rhs:
-            for f in polys[::3] + polys[-3:]:
-                assert sc.apply(word, f) == _ref_apply(sc, word, f)
-        assert sc.equal(lhs, rhs, polys) == _ref_equal(sc, lhs, rhs, polys)
-        broken = lhs + [(1, [])]
-        for family in (polys, polys[-1:]):
-            assert sc.equal(broken, rhs, family) == \
-                _ref_equal(sc, broken, rhs, family)
+            ops, _ = engine.word_operators(sc.seq, word)
+            assert type(ops) is tuple and len(ops) <= len(word)
+            hash(ops)
+            assert {op[0] for op in ops} <= {"swap", "demazure", "times"}
+
+    def ops_of(labels, longitudes, arrangement, word):
+        sc = Scenario(engine, labels, longitudes, arrangement)
+        return engine.word_operators(sc.seq, word)[0]
+
+    ghost_line = (corporeal(1), ghost(2, "a"), corporeal(2))
+    bigon = [cross(0), cross(0)]
+    # rightward across a relevant ghost: y_2 - y_1; leftward: nothing
+    assert ops_of(("1", "2"), (1, 0), ghost_line, bigon) == (("times", 2, 1),)
+    assert ops_of(("1", "2"), (Fraction(3, 2), 0), ghost_line, bigon) == ()
+    red_line = (corporeal(1), red("w[1]0"))
+    assert ops_of(("1",), (0,), red_line, bigon) == (("times", 1),)
+    assert ops_of(("1",), (Fraction(1, 2),), red_line, bigon) == ()
+    pair = (corporeal(1), corporeal(2))
+    assert ops_of(("1", "1"), (0, 1), pair, [dot(2), cross(0)]) == \
+        (("times", 2), ("demazure", 1))
+    # after the swap, the dot on strand 1 sits at position 2
+    assert ops_of(("1", "1"), (0, Fraction(1, 2)), pair, [cross(0), dot(1)]) \
+        == (("swap", 1), ("times", 2))
+
+
+def _former_test_polynomials(n, degree_bound, extra_random, rng):
+    """The test family built afresh on every call."""
+    names = ["y%d" % k for k in range(1, n + 1)] + ["h"]
+    out = [Polynomial({tuple(sorted(Counter(combo).items())): 1})
+           for d in range(degree_bound + 1)
+           for combo in itertools.combinations_with_replacement(names, d)]
+    for _ in range(extra_random):
+        terms = {}
+        for p in rng.sample(out, min(4, len(out))):
+            k = rng.randint(-3, 3)
+            for m, c in p.terms.items():
+                terms[m] = terms.get(m, 0) + k * c
+        p = Polynomial(terms)
+        out.append(p if p else ONE_POLY)
+    return out
+
+
+def test_test_polynomials_match_former_construction():
+    """The shared monomial part gives the same family and the same rng
+    calls, and a caller that changes its list changes no later family."""
+    for n in range(5):
+        for d in range(5):
+            for extra in (0, 12):
+                got_rng, want_rng = random.Random(n + d), random.Random(n + d)
+                got = _test_polynomials(n, d, extra, got_rng)
+                want = _former_test_polynomials(n, d, extra, want_rng)
+                assert got == want and [repr(p) for p in got] == \
+                    [repr(p) for p in want], (n, d, extra)
+                assert got_rng.random() == want_rng.random()
+                got.append(ONE_POLY)
+                assert len(_test_polynomials(n, d, 0, got_rng)) == \
+                    math.comb(n + 1 + d, d)
+
+
+def test_report_counts_test_polynomials():
+    """Each entry's test_polys is the family size the degree bound implies,
+    summed over the entry's instances, and format_report prints it."""
+    engine = kronecker_engine()
+    bound, extra = 2, 3
+    want = Counter()
+    for name, sc, _, _ in _instances(engine):
+        want[name] += math.comb(sc.n + 1 + bound, bound) + extra
+    report = verify_relations(engine, degree_bound=bound, n_random=extra,
+                              seed=0)
+    assert {name: entry["test_polys"] for name, entry in report.items()
+            if name != "ok"} == want
+    lines = format_report(report).splitlines()
+    for name, total in want.items():
+        line, = [x for x in lines if x.split()[0] == name]
+        assert " %d test polys " % total in line, line
 
 
 def test_word_operators_match_event_walk():
