@@ -18,8 +18,9 @@ and ``_lowering_factors`` (the matter-forgetting map) list (mu, j) pairs,
 and ``_forms`` alone turns pairs into forms, with h symbolic or specialized.
 ``_product`` and ``_quotient`` keep the forms as factors of a
 RationalFunction, never expanded: coefficients multiply, cancel and compare
-factor by factor, and are expanded only when printed.
-``rxi_closed_form`` writes its products out by hand on purpose: it is the
+factor by factor, and are expanded only when printed.  ``_values`` gives
+the forms' values at a weight (h = 1), in ``poly.coefficient``'s normal form.
+``rxi_closed_form`` writes its factors out by hand on purpose: it is the
 independent oracle that the monopole suite checks ``mul`` against.
 """
 
@@ -27,9 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
-from .poly import HBAR, ONE_POLY, Polynomial, RationalFunction, as_poly
-from .scalars import ExactScalar, as_scalar, is_integral, row_reduce
+from .poly import (HBAR, ONE_POLY, Polynomial, RationalFunction, _value, as_poly,
+                   coefficient)
+from .scalars import ExactScalar, as_scalar, row_reduce
 
 
 class BadCocharacterError(ValueError):
@@ -65,15 +68,8 @@ class MatterWeight:
             if self.hbar_shift:
                 coeffs[HBAR] = coeffs.get(HBAR, 0) + self.hbar_shift
         else:
-            const = const + self.hbar_shift * Fraction(hbar)
+            const = coefficient(const) + self.hbar_shift * hbar
         return Polynomial.linear(coeffs, const)
-
-    def evaluate(self, point, hbar=1):
-        """mu at a weight point (tuple of scalars), h specialized."""
-        total = self.flavour_shift + self.hbar_shift * Fraction(hbar)
-        for g, p in zip(self.gauge, point):
-            total = total + as_scalar(p) * g
-        return total
 
     def dual(self):
         return MatterWeight(tuple(-g for g in self.gauge), -self.flavour_shift,
@@ -147,6 +143,13 @@ def _forms(pairs, hbar=None):
             last, form = mu, mu.form(hbar)
         out.append(form + j * h)
     return out
+
+
+def _values(pairs, point):
+    """The forms of pairs at a weight point (a tuple of scalars), h = 1, in
+    ``coefficient``'s normal form: the evaluation twin of ``_forms``."""
+    at = {"x%d" % (i + 1): p for i, p in enumerate(point)}
+    return [_value(f, at) for f in _forms(pairs, hbar=1)]
 
 
 def _product(pairs, hbar=None):
@@ -271,23 +274,22 @@ def rxi_closed_form(xi, theory):
     """The two closed-form products for r_{-xi} r_xi and r_xi r_{-xi}."""
     xi = tuple(xi)
     h = Polynomial.variable(HBAR)
-    first = ONE_POLY
-    second = ONE_POLY
+    first, second = [], []
     for mu in theory.matter:
         a = mu.pair(xi)
         if a > 0:
             for j in range(1, a + 1):
-                first = first * (mu.form() - j * h)
+                first.append(mu.form() - j * h)
             for j in range(0, a):
-                second = second * (mu.form() + j * h)
+                second.append(mu.form() + j * h)
         elif a < 0:
             for j in range(0, -a):
-                first = first * (mu.form() + j * h)
+                first.append(mu.form() + j * h)
             for j in range(1, -a + 1):
-                second = second * (mu.form() - j * h)
+                second.append(mu.form() - j * h)
     zero = tuple(0 for _ in xi)
-    return (MonopoleElement({zero: RationalFunction.of(first)}),
-            MonopoleElement({zero: RationalFunction.of(second)}))
+    return tuple(MonopoleElement({zero: RationalFunction(
+        ONE_POLY, [(f, -1) for f in forms])}) for forms in (first, second))
 
 
 def forget_matter(a, indices, theory):
@@ -375,12 +377,10 @@ def xi_negative(lam_point, xi, theory):
     """No positive-pairing weight hits a positive integer at lam, and no
     negative-pairing weight hits a non-positive integer (the stabilizer
     condition is trivially true for a torus)."""
-    for mu in theory.matter:
-        p = mu.pair(xi)
-        if p:
-            value = mu.evaluate(lam_point)
-            if is_integral(value) and (value.rational > 0) == (p > 0):
-                return False
+    matter = [mu for mu in theory.matter if mu.pair(xi)]
+    for mu, value in zip(matter, _values([(mu, 0) for mu in matter], lam_point)):
+        if type(value) is int and (value > 0) == (mu.pair(xi) > 0):
+            return False
     return True
 
 
@@ -388,8 +388,7 @@ def transition_eigenvalues(nu_point, xi, theory):
     """Eigenvalues of r_{-xi} r_xi on the weight space at nu_point (h=1):
     the factors of its relation coefficient, evaluated."""
     neg = tuple(-x for x in xi)
-    return [mu.evaluate(nu_point) + j
-            for mu, j in _relation_factors(theory.matter, neg, xi)]
+    return _values(_relation_factors(theory.matter, neg, xi), nu_point)
 
 
 def transition_invertible(nu_point, xi, theory):
@@ -414,7 +413,7 @@ class UniversalWeightModule:
     active: set
 
     def __post_init__(self):
-        self.gamma0 = tuple(as_scalar(g) for g in self.gamma0)
+        self.gamma0 = tuple(coefficient(g) for g in self.gamma0)
         self.active = {tuple(int(x) for x in nu) for nu in self.active}
 
     def weight_of(self, nu):
@@ -425,8 +424,7 @@ class UniversalWeightModule:
         r_xi . b_nu = scalar * b_{nu - xi} (h = 1)."""
         xi, nu = tuple(xi), tuple(nu)
         point = self.weight_of(tuple(n - x for n, x in zip(nu, xi)))
-        return [mu.evaluate(point) + j for mu, j in
-                _lowering_factors(self.theory.matter, xi)]
+        return _values(_lowering_factors(self.theory.matter, xi), point)
 
     def action_is_zero(self, xi, nu):
         return any(not f for f in self.action_factors(xi, nu))
@@ -435,10 +433,7 @@ class UniversalWeightModule:
         """r_xi . b_nu = scalar * b_{nu - xi}; with symbolic weights the
         product may not be expressible as a single scalar, in which case
         multiplying the factors raises."""
-        total = as_scalar(1)
-        for f in self.action_factors(xi, nu):
-            total = total * f
-        return total
+        return coefficient(prod(self.action_factors(xi, nu)))
 
 
 def module_action(module, xi, nu):
@@ -549,9 +544,9 @@ def hamiltonian_reduce(module, xi):
             if target in active:
                 row = [Fraction(0)] * len(index)
                 c = module.action_scalar(xi, nu)
-                if not c.is_rational:
+                if type(c) is ExactScalar:
                     raise ArithmeticError("non-rational transition scalar")
-                row[index[target]] += c.rational
+                row[index[target]] += c
                 row[index[nu]] -= 1
                 rows.append(row)
         oracle[key] = len(index) - len(row_reduce(rows)[1])

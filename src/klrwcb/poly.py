@@ -8,8 +8,8 @@ coefficient with an imaginary or symbolic part is an ExactScalar.  So the
 arithmetic on the rational coefficients that dominate every suite is native
 ``int``/``Fraction`` arithmetic, mixed sums and products go through the
 ExactScalar operators, and the same polynomial has the same ``terms`` (and
-hash) however its coefficients were written.  ``evaluate`` still returns an
-ExactScalar.
+hash) however its coefficients were written.  Values at a point are
+computed in the same normal form; ``evaluate`` returns them as ExactScalars.
 
 A rational function is a polynomial times polynomial factors with signed
 exponents (the localization pattern: products of linear forms mu + j h).
@@ -249,17 +249,7 @@ class Polynomial:
         return Polynomial({rename(m): c for m, c in self.terms.items()})
 
     def evaluate(self, point):
-        total = as_scalar(0)
-        for m, c in self.terms.items():
-            val = c
-            for v, e in m:
-                if v not in point:
-                    raise KeyError("no value for %r" % v)
-                base = as_scalar(point[v])
-                for _ in range(e):
-                    val = val * base
-            total = total + val
-        return total
+        return as_scalar(_value(self, point))
 
     def weighted_degree(self):
         """Max total degree, every variable of degree 2; None for zero."""
@@ -316,11 +306,26 @@ def _factor_key(p):
     return tuple(sorted(p.terms.items(), key=lambda t: t[0]))
 
 
+def _value(poly, point):
+    """poly at a point, computed in ``coefficient``'s normal form: a sum
+    whose symbolic parts cancel is rational again."""
+    total = 0
+    for m, c in poly.terms.items():
+        for v, e in m:
+            if v not in point:
+                raise KeyError("no value for %r" % v)
+            base = coefficient(point[v])
+            for _ in range(e):
+                c = c * base
+        total = total + c
+    return coefficient(total)
+
+
 def _value_at(pairs, point):
     """prod f^e at a point over (f, e) pairs, e > 0."""
-    out = as_scalar(1)
+    out = 1
     for f, e in pairs:
-        v = f.evaluate(point)
+        v = _value(f, point)
         for _ in range(e):
             out = out * v
     return out
@@ -537,15 +542,15 @@ class RationalFunction:
         ``num / den``."""
         factors = self.factors.values()
         try:
-            return self.poly.evaluate(point) \
-                * _value_at([(f, e) for f, e in factors if e > 0], point) \
+            return as_scalar(_value(self.poly, point) * _value_at(
+                [(f, e) for f, e in factors if e > 0], point)) \
                 / _value_at([(f, -e) for f, e in factors if e < 0], point)
         except ArithmeticError:
             num, den = self._expanded()
         d = _value_at(den.values(), point)
         if not d:
             raise ZeroDivisionError("denominator vanishes at %r" % (point,))
-        return num.evaluate(point) / d
+        return as_scalar(_value(num, point)) / d
 
     def __repr__(self):
         num, den = self._expanded()

@@ -24,7 +24,7 @@ import random
 from fractions import Fraction
 
 from .poly import Polynomial, coefficient
-from .scalars import as_scalar
+from .scalars import as_scalar, is_integral
 from .sequences import FlavouredSequence, corporeal, ghost, red
 from .diagrams import _test_polynomials
 
@@ -120,8 +120,7 @@ def _instances(engine):
     for i, j in itertools.product(old_vertices, repeat=2):
         for a, b in [(zero, zero), (zero, one), (zero, half)]:
             sc = Scenario(engine, (i, j), (a, b), (corporeal(1), corporeal(2)))
-            same = (i == j) and (b - a).is_rational \
-                and (b - a).rational.denominator == 1
+            same = (i == j) and is_integral(b - a)
             if same:
                 yield ("strand-bigon", sc, [(1, [cross(0), cross(0)])], [])
             else:

@@ -162,9 +162,10 @@ class ExactScalar:
         return (self.rational, self.imaginary) < (other.rational, other.imaginary)
 
     def __hash__(self):
+        # a real rational scalar equals its Fraction, so it hashes as one
         if self._hash is None:
-            object.__setattr__(self, "_hash",
-                               hash((self.rational, self.imaginary, self.symbolic)))
+            key = (self.rational, self.imaginary, self.symbolic)
+            object.__setattr__(self, "_hash", hash(key[0] if self.is_rational else key))
         return self._hash
 
     def __bool__(self):

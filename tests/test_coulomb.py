@@ -14,8 +14,8 @@ from klrwcb.coulomb import (BadCocharacterError, MatterNotInvariantError,
                             rxi_closed_form, rxi_pairing,
                             transition_eigenvalues, transition_invertible,
                             xi_negative, _coset_key, _steps_between)
-from klrwcb.poly import HBAR, ONE_POLY, Polynomial, RationalFunction
-from klrwcb.scalars import ExactScalar, as_scalar
+from klrwcb.poly import HBAR, ONE_POLY, Polynomial, RationalFunction, coefficient
+from klrwcb.scalars import ExactScalar, as_scalar, is_integral
 from klrwcb import suites
 
 x1 = Polynomial.variable("x1")
@@ -355,16 +355,56 @@ def _ref_forget_matter(a, indices, theory):
     return MonopoleElement(out)
 
 
+def _ref_mu_value(mu, point):
+    """The former MatterWeight.evaluate: mu at a weight point (h = 1), every
+    operation in ExactScalar."""
+    total = mu.flavour_shift + mu.hbar_shift
+    for g, p in zip(mu.gauge, point):
+        total = total + as_scalar(p) * g
+    return total
+
+
 def _ref_transition_eigenvalues(nu_point, xi, theory):
     vals = []
     for mu in theory.matter:
         p = mu.pair(xi)
-        base = mu.evaluate(nu_point)
+        base = _ref_mu_value(mu, nu_point)
         if p > 0:
             vals.extend(base - j for j in range(1, p + 1))
         elif p < 0:
             vals.extend(base + j for j in range(0, -p))
     return vals
+
+
+def _ref_xi_negative(lam_point, xi, theory):
+    for mu in theory.matter:
+        p = mu.pair(xi)
+        if p:
+            value = _ref_mu_value(mu, lam_point)
+            if is_integral(value) and (value.rational > 0) == (p > 0):
+                return False
+    return True
+
+
+def _ref_action_factors(module, xi, nu):
+    point = module.weight_of(tuple(n - x for n, x in zip(nu, xi)))
+    return [_ref_mu_value(mu, point) + j for mu in module.theory.matter
+            for j in range(mu.pair(xi), 0)]
+
+
+def _ref_action_scalar(module, xi, nu):
+    total = as_scalar(1)
+    for f in _ref_action_factors(module, xi, nu):
+        total = total * f
+    return total
+
+
+class _RefModule(UniversalWeightModule):
+    """A module whose action factors come from the former ExactScalar loop,
+    for res_support and hamiltonian_reduce."""
+
+    def action_factors(self, xi, nu):
+        return _ref_action_factors(self, xi, nu)
 
 
 def _ref_phi0(lam, lam_prime, theory, seen, matter_indices=None):
@@ -466,3 +506,124 @@ def test_factor_rule_matches_hand_written_loops():
             repr(_ref_phi0_prime(nu, nup, xi, th, seen))
     assert min(seen["a>0>b"], seen["a<0<b"], seen["skip"]) >= 20, seen
     assert min(shifts["gaussian"], shifts["hbar"]) >= 20, shifts
+
+
+def _raised(fn):
+    """fn's value, or the type and message of what it raised."""
+    try:
+        return fn()
+    except (ArithmeticError, ValueError, KeyError) as exc:
+        return type(exc), str(exc)
+
+
+def _evaluation_case(rng, kind):
+    """A module and a coweight with rational, Gaussian or symbolic weights.
+    In a "cancel" case every weight shares the symbol s and the matter
+    charges are (c, -c), so the symbolic parts of each value cancel."""
+    if kind == "cancel":
+        matter = []
+        for _ in range(rng.randint(1, 3)):
+            shift = as_scalar(Fraction(rng.randint(-2, 2), rng.choice([1, 2])))
+            if rng.random() < 0.2:
+                shift = shift + ExactScalar(0, 1)
+            c = rng.choice([1, -1, 2])
+            matter.append(MatterWeight((c, -c), shift))
+        th = TorusTheory(2, matter)
+    elif kind == "gaussian":
+        th = _shifted_theory(rng)
+    else:
+        th = suites.random_theory(rng, max_rank=2, max_matter=3)
+    gamma0 = []
+    for i in range(th.rank):
+        g = as_scalar(Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3])))
+        if kind == "cancel":
+            g = g + ExactScalar(0, 0, {"s": 1})
+        elif kind == "gaussian" and rng.random() < 0.5:
+            g = g + ExactScalar(0, rng.choice([1, -1]))
+        elif kind == "symbolic" and rng.random() < 0.5:
+            g = g + ExactScalar(0, 0, {"irr%d" % i: rng.choice([1, 2])})
+        gamma0.append(g)
+    box = set(itertools.product(range(3), repeat=th.rank))
+    xi = rng.choice([(1, 1), (1, 0), (0, -1), (2, -1)]) if kind == "cancel" \
+        else suites.random_coweight(rng, th.rank)
+    return UniversalWeightModule(th, tuple(gamma0), box), xi
+
+
+_KINDS = ["rational", "gaussian", "symbolic", "cancel"]
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_weight_values_match_exact_scalar_evaluators(kind):
+    """transition_eigenvalues, action_factors, action_scalar, xi_negative,
+    res_support and hamiltonian_reduce against the former ExactScalar
+    evaluation (equal values, equal raises); new values are in
+    ``coefficient``'s normal form."""
+    rng = random.Random(50 + _KINDS.index(kind))
+    tally = Counter()
+    for _ in range(40):
+        m, xi = _evaluation_case(rng, kind)
+        ref = _RefModule(m.theory, m.gamma0, m.active)
+        support = res_support(m, xi)
+        assert support == res_support(ref, xi)
+        tally.update("dim %d" % v for v in support.values())
+        qhr = _raised(lambda: hamiltonian_reduce(m, xi))
+        assert qhr == _raised(lambda: hamiltonian_reduce(ref, xi))
+        tally["qhr"] += not isinstance(qhr[0], type)
+        for nu in sorted(m.active):
+            point = m.weight_of(nu)
+            neg = xi_negative(point, xi, m.theory)
+            assert neg == _ref_xi_negative(point, xi, m.theory)
+            tally["xi-negative" if neg else "not xi-negative"] += 1
+            eig = transition_eigenvalues(point, xi, m.theory)
+            assert Counter(eig) == \
+                Counter(_ref_transition_eigenvalues(point, xi, m.theory))
+            factors = m.action_factors(xi, nu)
+            assert factors == _ref_action_factors(m, xi, nu)
+            for v in eig + factors:
+                assert coefficient(v) is v
+                tally["real" if type(v) is not ExactScalar else "value"] += 1
+            got, want = _raised(lambda: m.action_scalar(xi, nu)), \
+                _raised(lambda: _ref_action_scalar(m, xi, nu))
+            assert got == want
+            tally[want[0].__name__ if type(want) is tuple else "scalar"] += 1
+    assert min(tally[k] for k in ("dim 0", "dim 1", "xi-negative",
+                                  "not xi-negative", "real")) >= 5, tally
+    if kind != "rational":
+        assert tally["value"] >= 100, tally
+    if kind == "symbolic":
+        assert tally["ValueError"] >= 10, tally
+    if kind == "cancel":
+        assert tally["qhr"] >= 3, tally
+
+
+def _ref_rxi_closed_form(xi, theory):
+    """The former rxi_closed_form: the same loops, each product expanded."""
+    first = second = ONE_POLY
+    for mu in theory.matter:
+        a = mu.pair(xi)
+        if a > 0:
+            for j in range(1, a + 1):
+                first = first * (mu.form() - j * h)
+            for j in range(0, a):
+                second = second * (mu.form() + j * h)
+        elif a < 0:
+            for j in range(0, -a):
+                first = first * (mu.form() + j * h)
+            for j in range(1, -a + 1):
+                second = second * (mu.form() - j * h)
+    zero = tuple(0 for _ in xi)
+    return (MonopoleElement({zero: RationalFunction.of(first)}),
+            MonopoleElement({zero: RationalFunction.of(second)}))
+
+
+def test_rxi_closed_form_matches_expanded_products():
+    # small theories keep the expanded products small
+    rng = random.Random(8)
+    factors = 0
+    for _ in range(60):
+        th = _shifted_theory(rng)
+        xi = suites.random_coweight(rng, th.rank, bound=1)
+        got, want = rxi_closed_form(xi, th), _ref_rxi_closed_form(xi, th)
+        assert got == want and repr(got) == repr(want)
+        factors += sum(len(c.factors) for e in got for c in e.terms.values())
+    assert factors >= 100, factors

@@ -708,3 +708,85 @@ def test_factored_matches_expanded_reference(kind):
 def test_factored_matches_expanded_reference_with_associates():
     tally = _run_sequences(20, _ASSOCIATES, False)
     assert min(tally[k] for k in _HIT) >= 3, tally
+
+
+# -- evaluation against the former ExactScalar-only evaluators -------------
+
+
+def _ref_evaluate(p, point):
+    """The former Polynomial.evaluate: every operation in ExactScalar."""
+    total = as_scalar(0)
+    for m, c in p.terms.items():
+        val = c
+        for v, e in m:
+            if v not in point:
+                raise KeyError("no value for %r" % v)
+            base = as_scalar(point[v])
+            for _ in range(e):
+                val = val * base
+        total = total + val
+    return total
+
+
+def _ref_value_at(pairs, point):
+    out = as_scalar(1)
+    for f, e in pairs:
+        v = _ref_evaluate(f, point)
+        for _ in range(e):
+            out = out * v
+    return out
+
+
+def _ref_rf_evaluate(r, point):
+    """The former RationalFunction.evaluate, on _ref_evaluate."""
+    factors = r.factors.values()
+    try:
+        return _ref_evaluate(r.poly, point) \
+            * _ref_value_at([(f, e) for f, e in factors if e > 0], point) \
+            / _ref_value_at([(f, -e) for f, e in factors if e < 0], point)
+    except ArithmeticError:
+        num, den = r._expanded()
+    d = _ref_value_at(den.values(), point)
+    if not d:
+        raise ZeroDivisionError("denominator vanishes at %r" % (point,))
+    return _ref_evaluate(num, point) / d
+
+
+def _raised(fn):
+    """fn's value, or the type and message of what it raised."""
+    try:
+        return fn()
+    except (ArithmeticError, ValueError, KeyError) as exc:
+        return type(exc), str(exc)
+
+
+# Rational, Gaussian and symbolic points.  At the second Gaussian point and
+# at both symbolic points the non-real or symbolic parts cancel in x1 - x2;
+# the last point has no value for h.
+_EVAL_POINTS = _POINTS + [
+    {"x1": ExactScalar(1, 1), "x2": ExactScalar(Fraction(-1, 2), 2), HBAR: 1},
+    {"x1": _I, "x2": ExactScalar(3, 1), HBAR: ExactScalar(0, -1)},
+    {"x1": _S, "x2": _S + 1, HBAR: Fraction(1, 3)},
+    {"x1": _S + Fraction(1, 2), "x2": _S, HBAR: _S},
+    {"x1": 1, "x2": ExactScalar(1, 0, {"t": 2})}]
+
+
+@pytest.mark.parametrize("kind", sorted(_POOLS))
+def test_evaluate_matches_exact_scalar_evaluators(kind):
+    rng = random.Random(30 + sorted(_POOLS).index(kind))
+    tally = Counter()
+    for _ in range(60):
+        r, _ = _atom(rng, _POOLS[kind])
+        polys = [r.poly, r.num] + [f for f, _ in r.factors.values()]
+        for point in _EVAL_POINTS:
+            for p in polys:
+                got, want = _raised(lambda: p.evaluate(point)), \
+                    _raised(lambda: _ref_evaluate(p, point))
+                assert got == want and type(got) is type(want)
+            got, want = _raised(lambda: r.evaluate(point)), \
+                _raised(lambda: _ref_rf_evaluate(r, point))
+            assert got == want and type(got) is type(want)
+            tally[want[0].__name__ if type(want) is tuple
+                  else "rational" if want.is_rational else "value"] += 1
+    assert min(tally[k] for k in ("rational", "value", "KeyError", "ValueError",
+                                  "ArithmeticError", "ZeroDivisionError")) >= 20, tally

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -11,6 +12,23 @@ from klrwcb.scalars import (EQ, GT, LT, AmbiguousOrderError, ExactScalar,
                             SymbolTable, as_scalar, format_scalar, is_integral,
                             is_integral_difference, parse_scalar, real_compare,
                             real_keys, row_reduce)
+
+
+def test_hash_agrees_with_eq():
+    # a real rational scalar equals its int or Fraction, so sets, dicts and
+    # Counters treat the two as one key
+    for q in (3, -1, Fraction(1, 2), Fraction(-7, 3)):
+        a = ExactScalar(q)
+        assert a == q and hash(a) == hash(q)
+        assert len({a, q}) == 1
+        assert {a: 1}[q] == 1 and {q: 1}[a] == 1
+        assert Counter([a, q]) == Counter({q: 2}) == Counter([q, a])
+        assert Counter([a]) == Counter([q])
+    for a in (ExactScalar(1, 1), ExactScalar(0, 0, {"s": 1}),
+              ExactScalar(2, 0, {"s": -1})):
+        assert hash(a) == hash(ExactScalar(a.rational, a.imaginary,
+                                           dict(a.symbolic)))
+        assert len({a, a.rational}) == 2
 
 
 def test_integral_difference_examples():
