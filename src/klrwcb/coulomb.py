@@ -373,10 +373,21 @@ def elprime_identity_holds(nu, nu_prime, xi, theory):
 # -- xi-negativity and transition eigenvalues -------------------------------
 
 
+def _of_rank(what, vector, owner, rank):
+    """vector as a tuple; a ValueError when its length is not rank."""
+    vector = tuple(vector)
+    if len(vector) != rank:
+        raise ValueError("%s %r has wrong rank: the %s has rank %d"
+                         % (what, vector, owner, rank))
+    return vector
+
+
 def xi_negative(lam_point, xi, theory):
     """No positive-pairing weight hits a positive integer at lam, and no
     negative-pairing weight hits a non-positive integer (the stabilizer
     condition is trivially true for a torus)."""
+    lam_point = _of_rank("weight point", lam_point, "theory", theory.rank)
+    xi = _of_rank("coweight", xi, "theory", theory.rank)
     matter = [mu for mu in theory.matter if mu.pair(xi)]
     for mu, value in zip(matter, _values([(mu, 0) for mu in matter], lam_point)):
         if type(value) is int and (value > 0) == (mu.pair(xi) > 0):
@@ -387,6 +398,8 @@ def xi_negative(lam_point, xi, theory):
 def transition_eigenvalues(nu_point, xi, theory):
     """Eigenvalues of r_{-xi} r_xi on the weight space at nu_point (h=1):
     the factors of its relation coefficient, evaluated."""
+    nu_point = _of_rank("weight point", nu_point, "theory", theory.rank)
+    xi = _of_rank("coweight", xi, "theory", theory.rank)
     neg = tuple(-x for x in xi)
     return _values(_relation_factors(theory.matter, neg, xi), nu_point)
 
@@ -443,14 +456,6 @@ def module_action(module, xi, nu):
     return module.action_scalar(xi, nu)
 
 
-def _module_coweight(module, xi):
-    xi = tuple(xi)
-    if len(xi) != module.theory.rank:
-        raise ValueError("coweight %r has wrong rank: the module has rank %d"
-                         % (xi, module.theory.rank))
-    return xi
-
-
 def _coset_key(nu, xi):
     """Canonical representative of nu + Z xi (as a tuple of Fractions)."""
     num = sum(a * b for a, b in zip(nu, xi))
@@ -474,7 +479,7 @@ def res_support(module, xi, extension=None):
     deepest weight's walk: some start sees only nonzero scalars iff the
     deepest one does.
     """
-    xi = _module_coweight(module, xi)
+    xi = _of_rank("coweight", xi, "module", module.theory.rank)
     if not any(xi):
         raise ValueError("xi must be a nonzero coweight")
     chains = {}
@@ -514,7 +519,7 @@ def hamiltonian_reduce(module, xi):
     occupied Z xi-cosets, the oracle runs exact linear algebra on the
     truncated relation matrix.  They must agree.
     """
-    xi = _module_coweight(module, xi)
+    xi = _of_rank("coweight", xi, "module", module.theory.rank)
     for mu in module.theory.matter:
         if mu.pair(xi) != 0:
             raise MatterNotInvariantError("matter weight %r pairs to %s"

@@ -9,7 +9,16 @@ polynomials).  Every operator is linear, so a side's value on a polynomial
 is gathered from the engine's memo of monomial images (Engine.images):
 the sum of coefficient times image over the polynomial's monomials, which
 is the polynomial the operators give applied to it.  A relation instance
-passes when the two sides agree exactly.  Each report entry counts its
+passes when the two sides agree exactly on every test polynomial.
+
+By the same linearity the difference D = lhs - rhs vanishes on a test
+polynomial f when it vanishes on each monomial of f, since D(f) is the sum
+over f's monomials m of f's coefficient at m times D(m).  So Scenario.equal
+decides D on the distinct monomials of the family first; the random tail,
+whose members are combinations of monomials the family already holds,
+then costs no image sums.  Only when D is nonzero on some monomial are the
+test polynomials tried one by one, which names the same first failing
+polynomial as trying them all would.  Each report entry counts its
 instances, the test polynomials they were checked on, and its failures.
 
 The correction signs of the two triple-point moves follow from the divided
@@ -50,22 +59,43 @@ class Scenario:
         return Polynomial(_image_sum([(1, self.engine.images(ops))], poly)), order
 
     def equal(self, lhs, rhs, polys):
-        """lhs, rhs: lists of (coeff, word); equality on every test poly.
-        Each word is turned into its descriptors once, for all of polys, and
-        lhs - rhs is gathered in one term dict from the monomial images."""
+        """lhs, rhs: lists of (coeff, word); returns (True, None) when they
+        agree on every test poly, else (False, the first poly they differ
+        on).  Each word is turned into its descriptors once, for all of
+        polys, and D = lhs - rhs is gathered in term dicts from the monomial
+        images.
+
+        D is decided first on the distinct monomials of polys, in first-seen
+        order, each one's images summed without a product by its
+        coefficient 1.  D is linear: D(f) is the sum over f's monomials m of
+        f's coefficient at m times D(m), so if D(m) is zero for every such
+        m, D(f) is zero for every f in polys.  If some D(m) is not zero, the
+        polys are tried in order as before; this names the first failing
+        one, and still passes a family in which the nonzero monomial images
+        cancel inside every polynomial."""
         engine = self.engine
         pairs = [(sign * coefficient(c),
                   engine.images(engine.word_operators(self.seq, w)[0]))
                  for sign, side in ((1, lhs), (-1, rhs)) for c, w in side]
+        for m0 in dict.fromkeys(m for f in polys for m in f.terms):
+            terms = {}
+            for c, images in pairs:
+                for m, v in images[m0]:
+                    terms[m] = terms.get(m, 0) + c * v
+            if any(terms.values()):
+                break
+        else:
+            return True, None
         for f in polys:
-            if Polynomial(_image_sum(pairs, f)):
+            if any(_image_sum(pairs, f).values()):
                 return False, f
         return True, None
 
 
 def _image_sum(pairs, f):
     """The term dict of the sum of c * image(f) over the (c, images) pairs,
-    by linearity from the images of f's monomials."""
+    by linearity from the images of f's monomials; a coefficient in it may
+    be zero."""
     terms = {}
     for c, images in pairs:
         for m0, v0 in f.terms.items():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -290,6 +291,32 @@ def test_module_coweight_of_wrong_rank_is_rejected():
             fn(module, xi)
     with pytest.raises(ValueError, match="torus rank -1 is negative"):
         TorusTheory(-1)
+
+
+TH2 = TorusTheory(2, [MatterWeight((1, 1))])
+
+
+def _rejects_wrong_rank(fn):
+    """A weight point or coweight whose length is not the theory's rank."""
+    for point, xi, what in (((1,), (1, 0), "weight point (1,)"),
+                            ((1, 2, 3), (1, 0), "weight point (1, 2, 3)"),
+                            ((1, 2), (1,), "coweight (1,)")):
+        with pytest.raises(ValueError, match=r"^%s has wrong rank: the "
+                           r"theory has rank 2$" % re.escape(what)):
+            fn(point, xi, TH2)
+    fn((1, 2), (1, 0), TH2)
+
+
+def test_xi_negative_rejects_wrong_rank():
+    _rejects_wrong_rank(xi_negative)
+
+
+def test_transition_eigenvalues_rejects_wrong_rank():
+    _rejects_wrong_rank(transition_eigenvalues)
+
+
+def test_transition_invertible_rejects_wrong_rank():
+    _rejects_wrong_rank(transition_invertible)
 
 
 def test_gk_dim():

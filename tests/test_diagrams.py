@@ -6,7 +6,8 @@ import pytest
 
 from klrwcb.diagrams import (ComposeMismatchError, Engine, FramedComponentError,
                              HTooSmallError, NoMatchingError, PolyVector,
-                             TagMismatchError, _test_polynomials, yvar)
+                             TagMismatchError, _corporeal_position,
+                             _test_polynomials, yvar)
 from klrwcb.poly import ONE_POLY, Polynomial
 from klrwcb.quiver import (DimensionData, Flavour, Quiver, crawley_boevey,
                            kronecker_quiver)
@@ -339,6 +340,74 @@ def test_vanishing_certificate_framed_component():
         eng.vanishing_certificate({"alpha": [as_scalar(0)],
                                    "beta": [as_scalar(0)]},
                                   q.components()[0])
+
+
+class MarkedEngine(Engine):
+    """Every crossing that acts as nothing and has a corporeal item on its
+    left multiplies by that strand's variable instead, so the loop of a
+    vanishing certificate no longer acts as the identity."""
+
+    def _crossing_operator(self, seq, order, left, right):
+        op = super()._crossing_operator(seq, order, left, right)
+        if op is None and left.is_corporeal():
+            return "times", _corporeal_position(order, left)
+        return op
+
+
+def _ref_certificate_check(eng, theta, theta_p, checks, seed):
+    """The former check of vanishing_certificate: act on every member of
+    the test family in turn."""
+    s = theta.bottom
+    loop = eng.compose(theta_p, theta)
+    ident = eng.identity(s)
+    ok = is_unsteady(theta.top)[0]
+    rng = random.Random(seed)
+    for f in _test_polynomials(s.n, 4, checks, rng):
+        vec = PolyVector(s, f)
+        if eng.act(loop, vec).poly != eng.act(ident, vec).poly:
+            ok = False
+            break
+    return ok
+
+
+@pytest.mark.parametrize("cls", [Engine, MarkedEngine])
+def test_vanishing_certificate_matches_family_loop(cls):
+    """The certificate cases above, acceptance 10's and two whose loop has
+    crossings, decided on the family's monomials, against the loop over the
+    whole family."""
+    kq = kronecker_quiver()
+    comp = crawley_boevey(kq, DimensionData({"alpha": 2, "beta": 1},
+                                            {"alpha": 0, "beta": 0}))
+    kron = cls(comp, Flavour({"e": as_scalar(1), "f": as_scalar(1)}))
+    cases = []
+    for rng_seed, trials, bound, checks in ((6, 3, 3, 4), (0, 10, 4, 6)):
+        rng = random.Random(rng_seed)
+        for trial in range(trials):
+            gamma = {"alpha": [as_scalar(rng.randint(-bound, bound))
+                               for _ in range(2)],
+                     "beta": [as_scalar(rng.randint(-bound, bound))]}
+            cases.append((kron, gamma, kq.components()[0], checks, trial))
+    x = Quiver(["x"], [])
+    single = cls(crawley_boevey(x, DimensionData({"x": 1}, {"x": 0})),
+                 Flavour({}))
+    cases.append((single, {"x": [as_scalar(0)]}, {"x"}, 3, 0))
+    # two components, the framed one in the way: the loop has crossings
+    xz = Quiver(["x", "z"], [])
+    split = cls(crawley_boevey(xz, DimensionData({"x": 2, "z": 1},
+                                                 {"x": 0, "z": 1})),
+                Flavour({"w[z]0": as_scalar(1)}))
+    for seed, gamma in enumerate(([0, 1, 0], [-2, 3, 1])):
+        x1, x2, z = map(as_scalar, gamma)
+        cases.append((split, {"x": [x1, x2], "z": [z]}, {"x"}, 5, seed))
+    verdicts = []
+    for eng, gamma, component, checks, seed in cases:
+        theta, theta_p, ok = eng.vanishing_certificate(
+            gamma, component, checks=checks, seed=seed)
+        assert ok == _ref_certificate_check(eng, theta, theta_p, checks,
+                                            seed)
+        verdicts.append(ok)
+    # only the split loops have crossings for MarkedEngine to change
+    assert verdicts == [True] * (len(cases) - 2) + [cls is Engine] * 2
 
 
 def test_dot_on_crossing_rejected():

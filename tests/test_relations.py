@@ -240,6 +240,57 @@ def test_word_operators_match_positional_walk(make):
     assert late
 
 
+def test_equal_passes_when_monomial_images_cancel():
+    """The divided difference sends y1 to 1 and y2 to -1: it is nonzero on
+    both monomials and zero on their sum, so the per-polynomial pass after
+    the monomial pass still decides, and names the first failing poly."""
+    sc = Scenario(a1_engine(), ("x", "x"), (0, 0),
+                  (corporeal(1), corporeal(2)))
+    lhs, rhs = [(1, [cross(0)])], []
+    y1, y2 = yvar(1), yvar(2)
+    for family, want in (([y1 + y2], (True, None)),
+                         ([y1 + y2, y2, y1], (False, y2)),
+                         ([y1, y1 + y2], (False, y1))):
+        assert sc.equal(lhs, rhs, family) == want
+        assert _ref_equal(sc, lhs, rhs, family) == want
+
+
+@pytest.mark.parametrize("make", [a1_engine, a2_engine, kronecker_engine])
+def test_equal_matches_reference_on_large_families(make):
+    """Every instance on acceptance 04's family (degree 3, 100 random
+    polynomials), and a broken side of each, against the former walk."""
+    rng = random.Random(0)
+    failing = 0
+    for _, sc, lhs, rhs in _instances(make()):
+        polys = _test_polynomials(sc.n, 3, 100, rng)
+        assert sc.equal(lhs, rhs, polys) == _ref_equal(sc, lhs, rhs, polys)
+        broken = lhs + [(1, [cross(0)])]
+        got = sc.equal(broken, rhs, polys)
+        assert got == _ref_equal(sc, broken, rhs, polys)
+        failing += not got[0]
+    assert failing
+
+
+@pytest.mark.parametrize("n_random", [4, 100])
+@pytest.mark.parametrize("make", [a1_engine, a2_engine, kronecker_engine])
+def test_flipped_reports_match_reference(make, n_random, monkeypatch):
+    """verify_relations on sign-flipped engines prints the same report,
+    witnesses included, as with the former walk in place of Scenario.equal."""
+    plain = make()
+
+    def report():
+        engine = FlippedEngine(plain.completed, plain.flavour)
+        return verify_relations(engine, degree_bound=3, n_random=n_random,
+                                seed=0)
+
+    got = report()
+    monkeypatch.setattr(Scenario, "equal", _ref_equal)
+    want = report()
+    assert not got["ok"]
+    assert got == want
+    assert format_report(got) == format_report(want)
+
+
 def test_engines_keep_separate_images():
     """An engine and a sign-flipped engine on the same data: the first
     passes and the second fails, whichever runs first."""
