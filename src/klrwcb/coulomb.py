@@ -15,7 +15,9 @@ sign changes.  Weight modules specialize h = 1.
 Every structure constant here is a product of linear forms mu + j h, and
 one factor rule makes them all: ``_relation_factors`` (the relation above)
 and ``_lowering_factors`` (the matter-forgetting map) list (mu, j) pairs,
-and ``_forms`` alone turns pairs into forms, with h symbolic or specialized.
+and ``_forms`` alone turns pairs into forms, with h symbolic or specialized,
+each straight from the term dict of mu's form.  ``mul`` builds the shift
+map x -> x + h xi once per xi of its left operand.
 ``_product`` and ``_quotient`` keep the forms as factors of a
 RationalFunction, never expanded: coefficients multiply, cancel and compare
 factor by factor, and are expanded only when printed.  ``_values`` gives
@@ -133,15 +135,19 @@ def _lowering_factors(matter, xi):
 
 def _forms(pairs, hbar=None):
     """The linear forms mu + j h of (mu, j) pairs, in order; hbar=None keeps
-    h symbolic, otherwise h is specialized to hbar.  Every caller lists the
-    pairs of one matter weight together, so mu.form is built once per run."""
-    h = Polynomial.variable(HBAR) if hbar is None else hbar
+    h symbolic, otherwise h is specialized to hbar.  Each form is mu.form's
+    term dict with j h added to the h slot (the constant slot when h is
+    specialized).  Every caller lists the pairs of one matter weight
+    together, so mu.form is built once per run."""
+    slot, step = (((HBAR, 1),), 1) if hbar is None else ((), hbar)
     out = []
     last = form = None
     for mu, j in pairs:
         if mu is not last:
-            last, form = mu, mu.form(hbar)
-        out.append(form + j * h)
+            last, form = mu, mu.form(hbar).terms
+        terms = dict(form)
+        terms[slot] = terms.get(slot, 0) + j * step
+        out.append(Polynomial(terms))
     return out
 
 
@@ -244,8 +250,9 @@ def mul(a, b, theory):
     """Product in the abelian Coulomb branch algebra."""
     total = MonopoleElement.zero()
     for xi, f in a.terms.items():
+        shift = _shift_map(xi)
         for nu, g in b.terms.items():
-            coeff = f * g.substitute(_shift_map(xi)) \
+            coeff = f * g.substitute(shift) \
                 * relation_coefficient(theory, xi, nu)
             total = total + MonopoleElement({tuple(x + n for x, n in zip(xi, nu)):
                                              coeff})

@@ -10,6 +10,8 @@ arithmetic on the rational coefficients that dominate every suite is native
 ExactScalar operators, and the same polynomial has the same ``terms`` (and
 hash) however its coefficients were written.  Values at a point are
 computed in the same normal form; ``evaluate`` returns them as ExactScalars.
+``substitute`` expands only the mapped variables of each monomial, each
+power once per call, and copies the unmapped part through.
 
 A rational function is a polynomial times polynomial factors with signed
 exponents (the localization pattern: products of linear forms mu + j h).
@@ -202,19 +204,35 @@ class Polynomial:
         return Polynomial(quot_terms)
 
     def substitute(self, mapping):
-        """Replace variables by polynomials; unmapped variables stay."""
-        out = Polynomial({})
+        """Replace variables by polynomials; unmapped variables stay.  Each
+        monomial's unmapped part is copied through and only its mapped
+        variables are expanded, each power v^e once per call, and the
+        coefficient multiplies their product last; self is returned when no
+        variable of it is mapped."""
+        terms = {}
+        powers = {}
         for m, c in self.terms.items():
-            piece = Polynomial.constant(c)
+            rest = []
+            piece = None
             for v, e in m:
                 base = mapping.get(v)
                 if base is None:
-                    base = Polynomial.variable(v)
-                else:
-                    base = as_poly(base)
-                piece = piece * base ** e
-            out = out + piece
-        return out
+                    rest.append((v, e))
+                    continue
+                p = powers.get((v, e))
+                if p is None:
+                    p = powers[v, e] = as_poly(base) ** e
+                piece = p if piece is None else piece * p
+            if piece is None:
+                terms[m] = terms.get(m, 0) + c
+                continue
+            rest = tuple(rest)
+            for pm, pc in piece.terms.items():
+                mono = _mono_mul(rest, pm)
+                terms[mono] = terms.get(mono, 0) + c * pc
+        if not powers:
+            return self
+        return Polynomial(terms)
 
     def divided_difference(self, a, b):
         """(f - s f) / (a - b), s swapping the variables a and b, in closed
@@ -335,12 +353,14 @@ def _divide_out(poly, factors):
     """One pass of exact trial division of a nonzero poly by the
     denominator factors, in order: a factor that does not divide poly
     divides no quotient of it.  Returns poly and the factors, copied if an
-    exponent changed."""
+    exponent changed.  Only a constant factor divides a constant poly, and
+    that needs no leading monomial."""
     out = factors
     lead = poly.leading()[0]
     for key, (f, e) in factors.items():
         k = e
-        while k < 0 and _mono_divides(f.leading()[0], lead):
+        while k < 0 and (_mono_divides(f.leading()[0], lead) if lead
+                         else len(f.terms) == 1 and () in f.terms):
             try:
                 poly = poly.divide_exact(f)
             except ArithmeticError:

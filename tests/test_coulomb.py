@@ -14,8 +14,9 @@ from klrwcb.coulomb import (BadCocharacterError, MatterNotInvariantError,
                             phi0_prime, relation_coefficient, res_support,
                             rxi_closed_form, rxi_pairing,
                             transition_eigenvalues, transition_invertible,
-                            xi_negative, _coset_key, _steps_between)
-from klrwcb.poly import HBAR, ONE_POLY, Polynomial, RationalFunction, coefficient
+                            xi_negative, _coset_key, _forms, _steps_between)
+from klrwcb.poly import (HBAR, ONE_POLY, Polynomial, RationalFunction,
+                         _factor_key, coefficient)
 from klrwcb.scalars import ExactScalar, as_scalar, is_integral
 from klrwcb import suites
 
@@ -533,6 +534,39 @@ def test_factor_rule_matches_hand_written_loops():
             repr(_ref_phi0_prime(nu, nup, xi, th, seen))
     assert min(seen["a>0>b"], seen["a<0<b"], seen["skip"]) >= 20, seen
     assert min(shifts["gaussian"], shifts["hbar"]) >= 20, shifts
+
+
+def _ref_forms(pairs, hbar=None):
+    """The former _forms: mu.form(hbar) + j h through Polynomial arithmetic."""
+    step = Polynomial.variable(HBAR) if hbar is None else hbar
+    return [mu.form(hbar) + j * step for mu, j in pairs]
+
+
+def test_forms_match_polynomial_arithmetic():
+    rng = random.Random(8)
+    shifts = [0, Fraction(1, 2), -1, ExactScalar(Fraction(1, 2), 1),
+              ExactScalar(0, 0, {"s": 1})]
+    tally = Counter()
+    for _ in range(60):
+        rank = rng.randint(1, 2)
+        matter = [MatterWeight(tuple(rng.randint(-1, 2) for _ in range(rank)),
+                               rng.choice(shifts), rng.choice([0, 1, -2]))
+                  for _ in range(rng.randint(1, 3))]
+        pairs = [(mu, j) for mu in matter for j in range(-3, 4)
+                 if rng.random() < 0.5]
+        for hbar in (None, 1, Fraction(-1, 2)):
+            got, want = _forms(pairs, hbar), _ref_forms(pairs, hbar)
+            assert [(f.terms, _factor_key(f), repr(f)) for f in got] == \
+                [(f.terms, _factor_key(f), repr(f)) for f in want]
+            assert [[type(c) for c in f.terms.values()] for f in got] == \
+                [[type(c) for c in f.terms.values()] for f in want]
+            slot = ((HBAR, 1),) if hbar is None else ()
+            for (mu, j), f in zip(pairs, got):
+                tally["j<0" if j < 0 else "j>0" if j > 0 else "j=0"] += 1
+                tally["hbar_shift"] += bool(mu.hbar_shift)
+                tally["complex"] += bool(mu.flavour_shift.imaginary)
+                tally["slot cancels"] += j != 0 and slot not in f.terms
+    assert min(tally.values()) >= 20, tally
 
 
 def _raised(fn):

@@ -790,3 +790,115 @@ def test_evaluate_matches_exact_scalar_evaluators(kind):
                   else "rational" if want.is_rational else "value"] += 1
     assert min(tally[k] for k in ("rational", "value", "KeyError", "ValueError",
                                   "ArithmeticError", "ZeroDivisionError")) >= 20, tally
+
+
+# -- substitute against the former implementation ---------------------------
+
+
+def _ref_substitute(p, mapping):
+    """The former Polynomial.substitute: each monomial multiplied out as
+    c * prod base^e, unmapped variables included, and summed."""
+    out = Polynomial({})
+    for m, c in p.terms.items():
+        piece = Polynomial.constant(c)
+        for v, e in m:
+            base = mapping.get(v)
+            if base is None:
+                base = Polynomial.variable(v)
+            else:
+                base = as_poly(base)
+            piece = piece * base ** e
+        out = out + piece
+    return out
+
+
+z = Polynomial.variable("x3")
+_SUB_COEFFS = {
+    "int": lambda rng: rng.randint(-3, 3),
+    "fraction": lambda rng: Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+    "gaussian": lambda rng: ExactScalar(Fraction(rng.randint(-2, 2), 2),
+                                        rng.randint(-2, 2)),
+    "symbolic": lambda rng: ExactScalar(Fraction(rng.randint(-2, 2), 3), 0,
+                                        {"s": rng.choice([1, -1, 2])}),
+}
+# Affine shifts x_i -> x_i + c h, maps that are not affine, and maps of
+# variables the polynomials do not contain.  A symbol times a non-real is
+# outside the model, so the Gaussian maps meet no symbolic coefficient.
+_RATIONAL_MAPS = [
+    {"x1": x + h}, {"x1": x - 2 * h, "x2": y + Fraction(1, 2) * h},
+    {"x1": x + h, "x2": y - h, "x3": z + 3 * h},
+    {"x1": y ** 2 + 1}, {"x1": 0}, {"x1": y}, {"x1": y, "x2": x},
+    {"h": 2 * h - x, "x3": Fraction(1, 3)}, {"x2": x * h - y, "h": 1},
+    {"x9": x + h, "y1": 3}, {},
+]
+_GAUSSIAN_MAPS = [{"x1": x + _I * h}, {"x1": x + h, "x2": y + (1 - _I) * h},
+                  {"x3": _I * y + 1, "h": h - _I}]
+
+
+def _random_poly(rng, coeff):
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        mono = tuple((v, e) for v, e in ((v, rng.randint(0, 2)) for v in
+                                         ("h", "x1", "x2", "x3")) if e)
+        terms[mono] = coeff(rng)
+    return Polynomial(terms)
+
+
+@pytest.mark.parametrize("kind", sorted(_SUB_COEFFS))
+def test_substitute_matches_former_expansion(kind):
+    rng = random.Random(40 + sorted(_SUB_COEFFS).index(kind))
+    maps = _RATIONAL_MAPS + (_GAUSSIAN_MAPS if kind != "symbolic" else [])
+    tally = Counter()
+    for _ in range(60):
+        p = _random_poly(rng, _SUB_COEFFS[kind])
+        for mapping in maps:
+            got, want = p.substitute(mapping), _ref_substitute(p, mapping)
+            assert got.terms == want.terms and repr(got) == repr(want)
+            _assert_normal(got)
+            if not p.variables() & set(mapping):
+                assert got is p
+                tally["unmapped"] += 1
+            elif len(got.terms) < len(p.terms):
+                tally["fewer terms"] += 1
+            if any(sum(v in mapping for v, _ in m) > 1 for m in p.terms):
+                tally["several mapped"] += 1
+            tally["nonreal" if any(type(c) is ExactScalar
+                                   for c in got.terms.values()) else "real"] += 1
+    assert min(tally.values()) >= 20 and len(tally) == 5, tally
+
+
+def test_substitute_multiplies_the_mapped_powers_first():
+    # (i x2 + 1)(i x2 - 1) = -x2^2 - 1: the former expansion multiplied the
+    # symbolic coefficient by i first, which is outside the model
+    p = Polynomial({(("x1", 1), ("x3", 1)): _S})
+    mapping = {"x1": _I * y + 1, "x3": _I * y - 1}
+    assert p.substitute(mapping) == -Polynomial.constant(_S) * (y * y + 1)
+    with pytest.raises(ValueError, match="non-real"):
+        _ref_substitute(p, mapping)
+
+
+# -- the constant shortcut of _divide_out -------------------------------------
+
+
+def test_constant_over_factors_keeps_its_form():
+    # only a constant factor divides a constant; it still divides out, and a
+    # constant numerator factor stays a factor
+    cases = [
+        (RationalFunction(1, [(2, 1)]), {(): Fraction(1, 2)}, [], "1/2"),
+        (RationalFunction(3, [(x - y, 1), (2, 1), (x + h, 2),
+                              (Fraction(1, 3), -1), (4, 2)]),
+         {(): Fraction(3, 32)}, [(x - y, -1), (x + h, -2),
+                                 (Polynomial.constant(Fraction(1, 3)), 1)],
+         "(1/32)/[(-x2+x1)*(x1+h)^2]"),
+        (RationalFunction(Fraction(-2, 3), [(x - y, 1), (h - y, -1)]),
+         {(): Fraction(-2, 3)}, [(x - y, -1), (h - y, 1)],
+         "(2/3*x2-2/3*h)/[(-x2+x1)]"),
+        (RationalFunction(0, [(x - y, 1), (2, 1)]), {}, [], "0"),
+        (RationalFunction(Polynomial({}), [(x + h, 1)]), {}, [], "0"),
+    ]
+    for r, poly, factors, text in cases:
+        assert r.poly.terms == poly
+        assert [(f.terms, e) for f, e in r.factors.values()] == \
+            [(f.terms, e) for f, e in factors]
+        assert list(r.factors) == [_factor_key(f) for f, _ in factors]
+        assert repr(r) == text
