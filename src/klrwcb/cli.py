@@ -252,8 +252,11 @@ def _parse_matter(specs, rank, table):
     return TorusTheory(rank, matter)
 
 
-def _load(args, table):
-    quiver, dims, completed, flavour, table = load_quiver_spec(args.quiver, table)
+def _load(args):
+    """The quiver spec of --quiver with the --flavour overrides applied,
+    read against a fresh make_table()."""
+    quiver, dims, completed, flavour, table = load_quiver_spec(args.quiver,
+                                                               make_table())
     override = getattr(args, "flavour", None)
     if override:
         if os.path.exists(override):
@@ -273,9 +276,18 @@ def _load(args, table):
     return quiver, dims, completed, flavour, table
 
 
+def _valid_sequence(what, text, completed, flavour, table):
+    """The sequence literal text, parsed; a ValueError naming what and the
+    violations when it is not a valid flavoured sequence."""
+    s = parse_sequence(text, table)
+    bad = validate(s, completed, flavour, table)
+    if bad:
+        raise ValueError("%s invalid: %s" % (what, bad))
+    return s
+
+
 def cmd_enumerate(args):
-    table = make_table()
-    quiver, dims, completed, flavour, table = _load(args, table)
+    quiver, dims, completed, flavour, table = _load(args)
     gamma = _parse_gamma(args.gamma, table, quiver)
     seqs = enumerate_orders(None, gamma, completed, flavour, table,
                             up_to_equivalence=not args.all_orders)
@@ -285,7 +297,7 @@ def cmd_enumerate(args):
     for s in seqs:
         line = format_sequence(s)
         if args.table:
-            longs = [as_scalar(s.longitude(it, flavour)) for it in s.order]
+            longs = [s.longitude(it, flavour) for it in s.order]
             regime = []
             for a, b in zip(longs, longs[1:]):
                 # a tie is an equal real part: rational and symbolic parts
@@ -299,15 +311,9 @@ def cmd_enumerate(args):
 
 
 def cmd_equivalence(args):
-    table = make_table()
-    quiver, dims, completed, flavour, table = _load(args, table)
-    s1 = parse_sequence(args.first, table)
-    s2 = parse_sequence(args.second, table)
-    for name, s in (("first", s1), ("second", s2)):
-        bad = validate(s, completed, flavour, table)
-        if bad:
-            print("%s sequence invalid: %s" % (name, bad))
-            return 2
+    quiver, dims, completed, flavour, table = _load(args)
+    s1 = _valid_sequence("first sequence", args.first, completed, flavour, table)
+    s2 = _valid_sequence("second sequence", args.second, completed, flavour, table)
     ok, sigma = equivalent(s1, s2, completed, flavour, table)
     if ok:
         print("equivalent via sigma = %s" % (sigma,))
@@ -317,21 +323,15 @@ def cmd_equivalence(args):
 
 
 def cmd_unsteady(args):
-    table = make_table()
-    quiver, dims, completed, flavour, table = _load(args, table)
-    s = parse_sequence(args.seq, table)
-    bad = validate(s, completed, flavour, table)
-    if bad:
-        print("sequence invalid: %s" % bad)
-        return 2
+    quiver, dims, completed, flavour, table = _load(args)
+    s = _valid_sequence("sequence", args.seq, completed, flavour, table)
     flag, k = is_unsteady(s)
     print("unsteady k=%d" % k if flag else "steady")
     return 0
 
 
 def cmd_reduce_integral(args):
-    table = make_table()
-    quiver, dims, completed, flavour, table = _load(args, table)
+    quiver, dims, completed, flavour, table = _load(args)
     orbit = _parse_gamma(args.orbit, table, quiver)
     for x in quiver.old_vertices():
         orbit.setdefault(x, [])
@@ -354,8 +354,7 @@ def cmd_reduce_integral(args):
 
 
 def cmd_category_o(args):
-    table = make_table()
-    quiver, dims, completed, flavour, table = _load(args, table)
+    quiver, dims, completed, flavour, table = _load(args)
     graph, wt = category_o_graph(quiver, dims, completed, flavour, table)
     print("category-O support graph:")
     for v in graph.vertices:
@@ -412,8 +411,7 @@ def cmd_qhr(args):
 
 
 def cmd_relcheck(args):
-    table = make_table()
-    quiver, dims, completed, flavour, table = _load(args, table)
+    quiver, dims, completed, flavour, table = _load(args)
     if not flavour.is_integral():
         raise ValueError("relcheck needs an integral flavour")
     engine = Engine(completed, flavour, table)
@@ -424,8 +422,7 @@ def cmd_relcheck(args):
 
 
 def cmd_satake(args):
-    table = make_table()
-    quiver, dims, completed, flavour, table = _load(args, table)
+    quiver, dims, completed, flavour, table = _load(args)
     w = _parse_vertex_counts(args.w, quiver, "--w")
     if args.vmax:
         vmax = _parse_vertex_counts(args.vmax, quiver, "--vmax")
@@ -454,16 +451,12 @@ def cmd_satake(args):
 
 
 def cmd_render(args):
-    table = make_table()
-    quiver, dims, completed, flavour, table = _load(args, table)
+    quiver, dims, completed, flavour, table = _load(args)
     engine = Engine(completed, flavour, table)
-    bottom = parse_sequence(args.bottom, table)
-    top = parse_sequence(args.top, table) if args.top else bottom
-    for name, s in (("bottom", bottom), ("top", top)):
-        bad = validate(s, completed, flavour, table)
-        if bad:
-            print("%s sequence invalid: %s" % (name, bad))
-            return 2
+    bottom = _valid_sequence("bottom sequence", args.bottom, completed, flavour,
+                             table)
+    top = _valid_sequence("top sequence", args.top, completed, flavour, table) \
+        if args.top else bottom
     diagram = engine.straight_line(bottom, top)
     if args.dot:
         dots = []

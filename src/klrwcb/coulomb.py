@@ -389,6 +389,14 @@ def _of_rank(what, vector, owner, rank):
     return vector
 
 
+def _nonzero_coweight(xi, module):
+    """xi as a tuple of the module's rank; a ValueError when it is zero."""
+    xi = _of_rank("coweight", xi, "module", module.theory.rank)
+    if not any(xi):
+        raise ValueError("xi must be a nonzero coweight")
+    return xi
+
+
 def xi_negative(lam_point, xi, theory):
     """No positive-pairing weight hits a positive integer at lam, and no
     negative-pairing weight hits a non-positive integer (the stabilizer
@@ -486,9 +494,7 @@ def res_support(module, xi, extension=None):
     deepest weight's walk: some start sees only nonzero scalars iff the
     deepest one does.
     """
-    xi = _of_rank("coweight", xi, "module", module.theory.rank)
-    if not any(xi):
-        raise ValueError("xi must be a nonzero coweight")
+    xi = _nonzero_coweight(xi, module)
     chains = {}
     for nu in module.active:
         chains.setdefault(_coset_key(nu, xi), []).append(nu)
@@ -526,7 +532,7 @@ def hamiltonian_reduce(module, xi):
     occupied Z xi-cosets, the oracle runs exact linear algebra on the
     truncated relation matrix.  They must agree.
     """
-    xi = _of_rank("coweight", xi, "module", module.theory.rank)
+    xi = _nonzero_coweight(xi, module)
     for mu in module.theory.matter:
         if mu.pair(xi) != 0:
             raise MatterNotInvariantError("matter weight %r pairs to %s"

@@ -9,7 +9,11 @@ the corresponding coboundary) lands all data in the integers.
 
 A cover item lifts the base item with the same kind and owner whose edge
 is the cover edge's base edge (``_base_item``); transport and untransport
-match items through that one identity.
+match items through that one identity.  The cover keeps the base quiver
+data it was built from, so untransport rebuilds every base item, including
+the ghosts and reds the cover drops: it returns a valid base sequence
+equivalent to the one transported, and equal to it when the cover drops no
+item.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 from .quiver import (INFINITY, DimensionData, Edge, Flavour, Quiver,
                      crawley_boevey, new_edge_id)
-from .scalars import ExactScalar, as_scalar, coset_rep, format_scalar, is_integral
+from .scalars import ZERO, ExactScalar, coset_rep, format_scalar, is_integral
 from .sequences import CgrItem, FlavouredSequence, build_cgr, real_order, validate
 
 
@@ -62,7 +66,8 @@ class CoverData:
     completed: Quiver         # Crawley-Boevey completion of the cover
     flavour: Flavour          # pulled-back flavour on the completed cover
     base_edge: dict           # cover edge id -> base edge id
-    orbit: dict               # the defining orbit representative
+    base_completed: Quiver    # completed base quiver the cover was built from
+    base_flavour: Flavour     # its flavour
 
 
 def build_cover(quiver, dims, completed, flavour, orbit, table=None):
@@ -90,13 +95,12 @@ def build_cover(quiver, dims, completed, flavour, orbit, table=None):
     for e, lift in _lift_edges(completed.old_edges(), flavour, vertices, vset):
         edges.append(lift)
         base_edge[lift.id] = e.id
-        values[lift.id] = as_scalar(flavour[e.id])
+        values[lift.id] = flavour[e.id]
 
     wtilde = {cv: 0 for cv in vertices}
     new_lifts = {cv: [] for cv in vertices}
     for e in sorted(completed.new_edges(), key=lambda e: e.id):
-        phi = as_scalar(flavour[e.id])
-        cv = cover_vertex(e.tail, phi)
+        cv = cover_vertex(e.tail, flavour[e.id])
         if cv in vset:
             wtilde[cv] += 1
             new_lifts[cv].append(e)
@@ -107,12 +111,12 @@ def build_cover(quiver, dims, completed, flavour, orbit, table=None):
     for cv in vertices:
         for k, e in enumerate(new_lifts[cv]):
             eid = new_edge_id(cv, k)
-            values[eid] = as_scalar(flavour[e.id])
+            values[eid] = flavour[e.id]
             base_edge[eid] = e.id
     cflavour = Flavour(values)
     cflavour.check_total(cover_completed)
     return CoverData(cover_quiver, cover_dims, cover_completed, cflavour,
-                     base_edge, {i: list(c) for i, c in orbit.items()})
+                     base_edge, completed, flavour)
 
 
 def _lift_edges(old_edges, flavour, vertices, present):
@@ -120,7 +124,7 @@ def _lift_edges(old_edges, flavour, vertices, present):
     present cover vertices: (i, [w + phi_e]) -> (j, [w]) for each cover
     vertex (j, [w]) in vertices."""
     for e in old_edges:
-        phi = as_scalar(flavour[e.id])
+        phi = flavour[e.id]
         for cv in vertices:
             if cv.base != e.head:
                 continue
@@ -133,7 +137,7 @@ def eta_of(vertex):
     """The 0-cochain trivializing the flavour cocycle: the canonical coset
     representative at each cover vertex, zero at the framing vertex."""
     if vertex == INFINITY:
-        return as_scalar(0)
+        return ZERO
     return vertex.coset
 
 
@@ -142,8 +146,7 @@ def integralize(cover):
     phi'_e = phi_e - (eta(tail) - eta(head)); every value must land in Z."""
     values = {}
     for e in cover.completed.edges:
-        phi = as_scalar(cover.flavour[e.id])
-        corrected = phi - (eta_of(e.tail) - eta_of(e.head))
+        corrected = cover.flavour[e.id] - (eta_of(e.tail) - eta_of(e.head))
         if not is_integral(corrected):
             raise NonTrivializableError(
                 "edge %s keeps non-integral flavour %s" % (e.id, corrected))
@@ -166,7 +169,7 @@ def transport(seq, cover, table=None):
             raise CoverMismatchError("longitude %s at %r is not a cover vertex"
                                      % (format_scalar(a), lab))
         new_labels.append(cv)
-        new_longs.append(as_scalar(a) - eta[cv])
+        new_longs.append(a - eta[cv])
 
     lifted = FlavouredSequence(tuple(new_labels), tuple(new_longs), ())
     base_pos = {it: i for i, it in enumerate(seq.order)}
@@ -183,20 +186,19 @@ def transport(seq, cover, table=None):
 
 
 def untransport(seq, cover, table=None):
-    """Inverse of transport: restore base labels and longitudes, resorting
-    by the base real order with the transported order breaking ties."""
-    eta, _ = integralize(cover)
+    """Inverse of transport up to equivalence: restore base labels and
+    longitudes, and sort every base item by the base real order, the
+    transported order breaking ties.  An item the cover dropped has no
+    transported position, so it goes after the kept ghost and red items
+    it ties with; when the cover drops nothing the result is the sequence
+    that was transported."""
     base_labels = tuple(cv.base for cv in seq.labels)
-    base_longs = tuple(a + eta[cv] for a, cv in zip(seq.longitudes, seq.labels))
-    # the base quiver data is recoverable through the recorded edge mapping
-    base_completed = _base_completed_from(cover)
-    base_flavour = _base_flavour_from(cover)
+    base_longs = tuple(a + eta_of(cv) for a, cv in zip(seq.longitudes, seq.labels))
     base = FlavouredSequence(base_labels, base_longs, ())
-    # items correspond one-to-one when the cover drops nothing
     lifted_pos = {_base_item(it, cover): i for i, it in enumerate(seq.order)}
     order = tuple(it for _, it in real_order(
-        build_cgr(base_labels, base_completed),
-        lambda it: base.longitude(it, base_flavour), table,
+        build_cgr(base_labels, cover.base_completed),
+        lambda it: base.longitude(it, cover.base_flavour), table,
         lambda it: (it.is_corporeal(), lifted_pos.get(it, len(seq.order)))))
     return FlavouredSequence(base_labels, base_longs, order)
 
@@ -204,29 +206,6 @@ def untransport(seq, cover, table=None):
 def _base_item(item, cover):
     """The base item a cover item lifts: same kind and owner, base edge."""
     return CgrItem(item.kind, item.k, cover.base_edge.get(item.edge, item.edge))
-
-
-def _base_completed_from(cover):
-    # reconstruct enough of the base completed quiver for ghost building
-    verts = sorted({cv.base for cv in cover.quiver.vertices}, key=str) + [INFINITY]
-    edges = {}
-    for ce in cover.completed.edges:
-        bid = cover.base_edge.get(ce.id)
-        if bid is None:
-            continue
-        tail = ce.tail.base if ce.tail != INFINITY else INFINITY
-        head = ce.head.base if ce.head != INFINITY else INFINITY
-        edges[bid] = Edge(bid, tail, head)
-    return Quiver(verts, list(edges.values()))
-
-
-def _base_flavour_from(cover):
-    values = {}
-    for ce in cover.completed.edges:
-        bid = cover.base_edge.get(ce.id)
-        if bid is not None:
-            values[bid] = as_scalar(cover.flavour[ce.id])
-    return Flavour(values)
 
 
 def category_o_graph(quiver, dims, completed, flavour, table=None,
@@ -251,7 +230,7 @@ def category_o_graph(quiver, dims, completed, flavour, table=None,
         nxt = []
         for cv in frontier:
             for e in old_edges:
-                phi = as_scalar(flavour[e.id])
+                phi = flavour[e.id]
                 if e.tail == e.head and cv.base == e.tail and is_integral(phi):
                     raise EdgeLoopInCoverError(
                         "edge %s lifts to a loop at %s" % (e.id, cv))

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -430,7 +429,7 @@ class Engine:
 
     def _flavour_bound(self):
         """The largest absolute integer part of a flavour's rational part."""
-        return max([abs(int(as_scalar(self.flavour[e.id]).rational))
+        return max([abs(int(self.flavour[e.id].rational))
                     for e in self.completed.edges] + [0])
 
     # -- vanishing certificates --------------------------------------------------
@@ -443,12 +442,12 @@ class Engine:
 
         Returns (theta, theta_prime, check) with check True iff the exact
         operator identity act(theta' theta) = act(e(gamma)) holds on the
-        test family and e(gamma_H) is unsteady.  act is linear, so the
-        identity holds on the family when it holds on each distinct monomial
-        of the family, and it is decided there.  Each of those monomials is
-        itself a member of the family, so one that tells the two sides apart
-        is a failing member, and the verdict is the one the whole family
-        gives.
+        test family and e(gamma_H) is unsteady.  act is linear, and every
+        member of the test family (the monomials of _monomial_family(n, 4)
+        and integer combinations of them) is a combination of those
+        monomials, so the identity is decided on the monomials alone, in
+        family order.  checks and seed sized the random tail of that family;
+        they are kept for callers and no longer change the verdict.
         """
         comp_set = set(component)
         for e in self.completed.new_edges():
@@ -475,9 +474,7 @@ class Engine:
             vec = PolyVector(s, f)
             return self.act(loop, vec).poly != self.act(ident, vec).poly
 
-        family = _test_polynomials(s.n, 4, checks, random.Random(seed))
-        monomials = dict.fromkeys(m for f in family for m in f.terms)
-        ok = ok and not any(differs(Polynomial({m: 1})) for m in monomials)
+        ok = ok and not any(differs(f) for f in _monomial_family(s.n, 4))
         return theta, theta_prime, ok
 
 

@@ -103,9 +103,14 @@ class DimensionData:
 
 @dataclass
 class Flavour:
-    """Scalar per edge of the completed quiver."""
+    """Scalar per edge of the completed quiver.  The values are
+    ExactScalars from construction on: each is read once with as_scalar
+    into the flavour's own dict, so no reader converts them again."""
 
     values: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.values = {eid: as_scalar(c) for eid, c in self.values.items()}
 
     def __getitem__(self, edge_id):
         return self.values[edge_id]
@@ -182,7 +187,7 @@ def load_quiver_spec(path_or_dict, table=None):
     for eid, lit in data.get("flavour", {}).items():
         values[eid] = lit if isinstance(lit, ExactScalar) else parse_scalar(str(lit), table)
     for e in completed.edges:
-        values.setdefault(e.id, as_scalar(0))
+        values.setdefault(e.id, 0)
     flavour = Flavour(values)
     flavour.check_total(completed)
     return quiver, dims, completed, flavour, table

@@ -46,9 +46,7 @@ class Scenario:
 
     def __init__(self, engine, labels, longitudes, arrangement):
         self.engine = engine
-        self.seq = FlavouredSequence(tuple(labels),
-                                     tuple(as_scalar(a) for a in longitudes),
-                                     tuple(arrangement))
+        self.seq = FlavouredSequence(labels, longitudes, arrangement)
 
     @property
     def n(self):
@@ -164,7 +162,7 @@ def _instances(engine):
         for k in old_vertices:
             for off in (zero, half):
                 owner_long = zero
-                c_long = owner_long + as_scalar(engine.flavour[e.id]) + off
+                c_long = owner_long + engine.flavour[e.id] + off
                 sc = Scenario(engine, (k, e.head), (c_long, owner_long),
                               (corporeal(1), ghost(2, e.id), corporeal(2)))
                 relevant = (k == e.tail) and (off == zero)
@@ -189,7 +187,7 @@ def _instances(engine):
     for r in new_edges:
         for k in old_vertices:
             for off in (zero, half):
-                c_long = as_scalar(engine.flavour[r.id]) + off
+                c_long = engine.flavour[r.id] + off
                 sc = Scenario(engine, (k,), (c_long,),
                               (corporeal(1), red(r.id)))
                 relevant = (k == r.tail) and (off == zero)
@@ -210,7 +208,7 @@ def _instances(engine):
             continue
         for off_i, off_j in [(zero, zero), (half, zero), (zero, one)]:
             b1, b2 = zero, off_j
-            z = b1 + as_scalar(engine.flavour[e.id]) + off_i
+            z = b1 + engine.flavour[e.id] + off_i
             sc = Scenario(engine, (e.tail, e.head, e.head), (z, b1, b2),
                           (ghost(2, e.id), corporeal(1), ghost(3, e.id),
                            corporeal(2), corporeal(3)))
@@ -230,7 +228,7 @@ def _instances(engine):
             continue
         for off in (zero, half):
             b = zero
-            z = b + as_scalar(engine.flavour[e.id]) + off
+            z = b + engine.flavour[e.id] + off
             sc = Scenario(engine, (e.tail, e.tail, e.head), (z, z, b),
                           (corporeal(1), ghost(3, e.id), corporeal(2),
                            corporeal(3)))
@@ -245,7 +243,7 @@ def _instances(engine):
     for r in new_edges:
         for i, j in itertools.product(old_vertices, repeat=2):
             for off in (zero, half):
-                phi = as_scalar(engine.flavour[r.id])
+                phi = engine.flavour[r.id]
                 sc = Scenario(engine, (j, i), (phi + off, phi + off),
                               (corporeal(1), red(r.id), corporeal(2)))
                 w1 = [cross(0), cross(1), cross(0)]
@@ -259,7 +257,7 @@ def _instances(engine):
     # (dumb): dots slide freely over red crossings
     for r in new_edges:
         for i in old_vertices:
-            sc = Scenario(engine, (i,), (as_scalar(engine.flavour[r.id]),),
+            sc = Scenario(engine, (i,), (engine.flavour[r.id],),
                           (corporeal(1), red(r.id)))
             yield ("dumb-dot", sc, [(1, [dot(1), cross(0)])],
                    [(1, [cross(0), dot(1)])])

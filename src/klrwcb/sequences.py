@@ -101,8 +101,8 @@ class FlavouredSequence:
         if item.kind == CORPOREAL:
             return self.longitudes[item.k - 1]
         if item.kind == GHOST:
-            return self.longitudes[item.k - 1] + as_scalar(flavour[item.edge])
-        return as_scalar(flavour[item.edge])
+            return self.longitudes[item.k - 1] + flavour[item.edge]
+        return flavour[item.edge]
 
     def weight(self):
         """Per-vertex longitude multisets gamma_i."""
@@ -430,7 +430,7 @@ class ZCLongitude:
         object.__setattr__(self, "value", as_scalar(self.value))
 
     def shift(self, c):
-        return ZCLongitude(self.level, self.value + as_scalar(c))
+        return ZCLongitude(self.level, self.value + c)
 
 
 @dataclass(frozen=True)
@@ -448,7 +448,7 @@ class ZCFlavouredSequence:
             return self.longitudes[item.k - 1]
         if item.kind == GHOST:
             return self.longitudes[item.k - 1].shift(flavour[item.edge])
-        return ZCLongitude(0, as_scalar(flavour[item.edge]))
+        return ZCLongitude(0, flavour[item.edge])
 
 
 def zc_validate(seq, completed, flavour, table=None):

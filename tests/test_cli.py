@@ -237,6 +237,25 @@ def test_unsteady_command(kron_file, capsys):
     assert "unsteady k=2" in capsys.readouterr().out
 
 
+_VALID = "[(alpha,0),(beta,2)] order=[1,e@1,2,f@2]"
+_INVALID = "[(alpha,0),(beta,2)] order=[1,2,e@1,f@2]"
+_VIOLATIONS = "['rule (i): 2 at 2 precedes e@1 at 1']"
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["check-equivalence", _INVALID, _VALID], "first sequence"),
+    (["check-equivalence", _VALID, _INVALID], "second sequence"),
+    (["is-unsteady", _INVALID], "sequence"),
+    (["render-diagram", "--bottom", _INVALID], "bottom sequence"),
+    (["render-diagram", "--bottom", _VALID, "--top", _INVALID], "top sequence"),
+])
+def test_invalid_sequence_is_an_error(kron_file, capsys, argv, what):
+    assert main(argv[:1] + ["--quiver", kron_file] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "klrwcb: error: %s invalid: %s\n" % (what, _VIOLATIONS)
+
+
 def test_monopole_mul_command(capsys):
     main(["monopole-mul", "--rank", "1", "--matter", "1",
           "r[-1]", "r[1]"])
@@ -353,6 +372,11 @@ _MODULE = ["--matter", "1", "--gamma0", "0", "--box", "3"]
     # a fourth field was dropped without a word
     (["monopole-mul", "--rank", "1", "--matter", "1;0;0;junk", "r[1]", "r[-1]"],
      "matter spec '1;0;0;junk' has more than three ';' fields"),
+    # a zero coweight ended in ZeroDivisionError for qhr
+    (["qhr", "--rank", "1", "--matter=-1;1/2+1i;0", "--gamma0=1/3", "--box", "3",
+      "--xi=0"], "xi must be a nonzero coweight"),
+    (["res-support", "--rank", "1", "--matter=-1;1/2+1i;0", "--gamma0=1/3",
+      "--box", "3", "--xi=0"], "xi must be a nonzero coweight"),
 ])
 def test_bad_module_command_input(capsys, argv, message):
     assert main(argv) == 2

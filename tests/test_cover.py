@@ -10,7 +10,7 @@ from klrwcb.cover import (CoverMismatchError, EdgeLoopInCoverError,
 from klrwcb.quiver import (DimensionData, Edge, Flavour, Quiver,
                            crawley_boevey, jordan_quiver, kronecker_quiver)
 from klrwcb.scalars import SymbolTable, as_scalar, is_integral, parse_scalar
-from klrwcb.sequences import from_weight, is_unsteady, validate
+from klrwcb.sequences import equivalent, from_weight, is_unsteady, validate
 
 
 def golden_cover():
@@ -163,6 +163,40 @@ def test_transport_roundtrip_saturated():
         assert validate(ts, cov.completed, integralize(cov)[1]) == []
         back = untransport(ts, cov)
         assert back == s
+
+
+def _rational_random_data(rng):
+    """Random Kronecker data with rational flavours and longitudes of
+    denominators 1-3 and framing 0-1: most covers drop ghosts or reds."""
+    q = kronecker_quiver()
+    dims = DimensionData({"alpha": rng.randint(1, 3), "beta": rng.randint(1, 3)},
+                         {"alpha": rng.randint(0, 1), "beta": rng.randint(0, 1)})
+    comp = crawley_boevey(q, dims)
+    draw = lambda: as_scalar(Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+    fl = Flavour({e.id: draw() for e in comp.edges})
+    orbit = {x: [draw() for _ in range(dims.v[x])] for x in q.old_vertices()}
+    return q, dims, comp, fl, orbit
+
+
+def test_untransport_restores_dropped_items():
+    # untransport builds the base items from the base data the cover keeps,
+    # so the ghosts and reds the cover drops come back
+    rng = random.Random(16)
+    dropped = kept = 0
+    while dropped < 200:
+        q, dims, comp, fl, orbit = _rational_random_data(rng)
+        cov = build_cover(q, dims, comp, fl, orbit)
+        s = from_weight(orbit, comp, fl)
+        ts = transport(s, cov)
+        back = untransport(ts, cov)
+        assert validate(back, comp, fl) == []
+        assert equivalent(s, back, comp, fl)[0]
+        if len(ts.order) == len(s.order):
+            kept += 1
+            assert back == s
+        else:
+            dropped += 1
+    assert kept > 0
 
 
 def test_transport_preserves_unsteadiness_saturated():

@@ -1,5 +1,6 @@
 import math
 import random
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from klrwcb.diagrams import (ComposeMismatchError, Engine, FramedComponentError,
 from klrwcb.poly import ONE_POLY, Polynomial
 from klrwcb.quiver import (DimensionData, Flavour, Quiver, crawley_boevey,
                            kronecker_quiver)
+from klrwcb.render import render_diagram
 from klrwcb.scalars import as_scalar, row_reduce
 from klrwcb.sequences import (FlavouredSequence, corporeal, from_weight, ghost,
                               is_unsteady, parse_sequence, red)
@@ -45,6 +47,27 @@ def test_identity_diagram():
         eng.act(e, PolyVector(from_weight({"x": [as_scalar(0), as_scalar(1)]},
                                           eng.completed, eng.flavour),
                               ONE_POLY))
+
+
+def test_render_diagram_with_crossings():
+    eng = kron2_engine()
+    bottom = from_weight({"alpha": [as_scalar(0), as_scalar(3)],
+                          "beta": [as_scalar(1)]}, eng.completed, eng.flavour)
+    top = from_weight({"alpha": [as_scalar(2), as_scalar(0)],
+                       "beta": [as_scalar(-1)]}, eng.completed, eng.flavour)
+    d = eng.add_dots(eng.straight_line(bottom, top), [(1, Fraction(1, 3))])
+    crossings = [ev for ev in d.events if ev[0] == "cross"]
+    assert len(crossings) == 6
+    svg = render_diagram(eng, d)
+    root = ET.fromstring(svg.encode())
+    ns = "{http://www.w3.org/2000/svg}"
+    paths = root.findall(ns + "path")
+    assert len(paths) == len(bottom.order)
+    assert len(root.findall(ns + "circle")) == 1
+    # every crossing adds two waypoints to each of its two strands
+    segments = sum(p.get("d").count(" L ") for p in paths)
+    assert segments == len(bottom.order) + 4 * len(crossings)
+    assert render_diagram(eng, d) == svg
 
 
 def test_straight_line_kron2_golden():
