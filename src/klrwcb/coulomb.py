@@ -21,7 +21,8 @@ map x -> x + h xi once per xi of its left operand.
 ``_product`` and ``_quotient`` keep the forms as factors of a
 RationalFunction, never expanded: coefficients multiply, cancel and compare
 factor by factor, and are expanded only when printed.  ``_values`` gives
-the forms' values at a weight (h = 1), in ``poly.coefficient``'s normal form.
+the forms' values at a weight (h = 1), without building the forms, in
+``poly.coefficient``'s normal form; a weight module keeps them at gamma0.
 ``rxi_closed_form`` writes its factors out by hand on purpose: it is the
 independent oracle that the monopole suite checks ``mul`` against.
 """
@@ -32,8 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
-from .poly import (HBAR, ONE_POLY, Polynomial, RationalFunction, _value, as_poly,
-                   coefficient)
+from .poly import HBAR, ONE_POLY, Polynomial, RationalFunction, as_poly, coefficient
 from .scalars import ExactScalar, as_scalar, row_reduce
 
 
@@ -153,9 +153,16 @@ def _forms(pairs, hbar=None):
 
 def _values(pairs, point):
     """The forms of pairs at a weight point (a tuple of scalars), h = 1, in
-    ``coefficient``'s normal form: the evaluation twin of ``_forms``."""
-    at = {"x%d" % (i + 1): p for i, p in enumerate(point)}
-    return [_value(f, at) for f in _forms(pairs, hbar=1)]
+    ``coefficient``'s normal form: each run of one matter weight's pairs
+    pairs it with the point once, and adding an integer j keeps the form."""
+    out, last = [], None
+    for mu, j in pairs:
+        if mu is not last:
+            last, base = mu, coefficient(sum(
+                (g * coefficient(p) for g, p in zip(mu.gauge, point) if g),
+                coefficient(mu.flavour_shift) + mu.hbar_shift))
+        out.append(base + j)
+    return out
 
 
 def _product(pairs, hbar=None):
@@ -447,15 +454,30 @@ class UniversalWeightModule:
     def weight_of(self, nu):
         return tuple(g + n for g, n in zip(self.gamma0, nu))
 
+    def _at_gamma0(self):
+        """(mu, mu at gamma0) per matter weight, kept while gamma0 is the
+        same tuple and the matter equals the one it was computed for."""
+        memo, matter = self.__dict__.get("_memo"), self.theory.matter
+        if memo is None or memo[0] is not self.gamma0 or memo[1] != matter:
+            point = _of_rank("gamma0", self.gamma0, "theory", self.theory.rank)
+            at = _values([(mu, 0) for mu in matter], point)
+            memo = self._memo = (self.gamma0, list(matter), list(zip(matter, at)))
+        return memo[2]
+
     def action_factors(self, xi, nu):
         """The evaluated linear factors of the structure scalar of
-        r_xi . b_nu = scalar * b_{nu - xi} (h = 1)."""
-        xi, nu = tuple(xi), tuple(nu)
-        point = self.weight_of(tuple(n - x for n, x in zip(nu, xi)))
-        return _values(_lowering_factors(self.theory.matter, xi), point)
+        r_xi . b_nu = scalar * b_{nu - xi} (h = 1): at gamma0 + nu - xi,
+        mu + j is mu at gamma0 plus the integer <mu, nu - xi> + j."""
+        step = tuple(n - x for n, x in zip(nu, xi))
+        return [base + (mu.pair(step) + j) for mu, base in self._at_gamma0()
+                for j in range(mu.pair(xi), 0)]
 
     def action_is_zero(self, xi, nu):
-        return any(not f for f in self.action_factors(xi, nu))
+        """Some factor vanishes: only an integer mu at gamma0 (base) can, at
+        j = -(base + <mu, nu - xi>) with j in [<mu, xi>, 0)."""
+        step = tuple(n - x for n, x in zip(nu, xi))
+        return any(type(base) is int and 0 < base + mu.pair(step) <= -mu.pair(xi)
+                   for mu, base in self._at_gamma0())
 
     def action_scalar(self, xi, nu):
         """r_xi . b_nu = scalar * b_{nu - xi}; with symbolic weights the

@@ -239,6 +239,7 @@ def _multiplicities(A, lam_vec):
     multiplicities depend on A alone, so every lam shares the one slice of
     A (``_root_slice``), grown only when a query leaves its box.  Inner
     products use (varpi_i, alpha_j) = delta_ij, (alpha_i, alpha_j) = A_ij.
+    Every term is an integer, so the recursion ends in one divmod.
     """
     if any(c < 0 for c in lam_vec):
         raise NotDominantError("lambda is not dominant: %r" % (lam_vec,))
@@ -256,9 +257,9 @@ def _multiplicities(A, lam_vec):
             root_slice.grow(beta)
         # (lam+rho, lam+rho) - (mu+rho, mu+rho) with mu = lam - beta:
         #   = 2 (lam, beta) - (beta, beta) + 2 ht(beta)
-        denom = Fraction(2 * _dot(lam_vec, beta) - _bilinear(A, beta, beta)
-                         + 2 * _height(beta))
-        total = Fraction(0)
+        denom = (2 * _dot(lam_vec, beta) - _bilinear(A, beta, beta)
+                 + 2 * _height(beta))
+        total = 0
         for alpha, am in root_slice.roots:
             k = 1
             while True:
@@ -269,16 +270,17 @@ def _multiplicities(A, lam_vec):
                 if m_up:
                     # (mu + k alpha, alpha) = (lam - beta_up, alpha)
                     val = _dot(lam_vec, alpha) - _bilinear(A, beta_up, alpha)
-                    total += 2 * am * Fraction(val) * m_up
+                    total += 2 * am * val * m_up
                 k += 1
         if denom == 0:
             cache[beta] = 0
             return 0
-        m = total / denom
-        if m.denominator != 1 or m < 0:
-            raise ArithmeticError("Freudenthal produced %r at %r" % (m, beta))
-        cache[beta] = int(m)
-        return int(m)
+        m, rest = divmod(total, denom)
+        if rest or m < 0:
+            raise ArithmeticError("Freudenthal produced %r at %r"
+                                  % (Fraction(total, denom), beta))
+        cache[beta] = m
+        return m
 
     return mult
 

@@ -116,9 +116,11 @@ class Polynomial:
         return bool(self.terms)
 
     def __eq__(self, other):
+        if isinstance(other, str):  # as for ExactScalar: no literal equality
+            return NotImplemented
         try:
             other = as_poly(other)
-        except (TypeError, ValueError):
+        except TypeError:
             return NotImplemented
         return self.terms == other.terms
 
@@ -167,8 +169,8 @@ class Polynomial:
             raise TypeError("polynomial exponent %r is not an int" % (n,))
         if n < 0:
             raise ValueError("negative polynomial exponent %d" % n)
-        out = Polynomial.constant(1)
-        for _ in range(n):
+        out = self if n else ONE_POLY  # polynomials are immutable
+        for _ in range(n - 1):
             out = out * self
         return out
 
@@ -479,9 +481,11 @@ class RationalFunction:
         return bool(self.poly)
 
     def __eq__(self, other):
+        if isinstance(other, str):
+            return NotImplemented
         try:
             other = RationalFunction.of(other)
-        except (TypeError, ValueError):
+        except TypeError:
             return NotImplemented
         p, q = self.poly, other.poly
         a, b = self.factors, other.factors

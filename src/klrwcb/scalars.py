@@ -145,9 +145,12 @@ class ExactScalar:
         return self * Fraction(q.denominator, q.numerator)
 
     def __eq__(self, other):
+        # read as a literal, "3" would equal ExactScalar(3) but hash apart
+        if isinstance(other, str):
+            return NotImplemented
         try:
             other = as_scalar(other)
-        except (TypeError, ValueError):
+        except TypeError:
             return NotImplemented
         return (self.rational == other.rational
                 and self.imaginary == other.imaginary

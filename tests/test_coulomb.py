@@ -290,6 +290,12 @@ def test_module_coweight_of_wrong_rank_is_rejected():
                            (hamiltonian_reduce, m2, (1,))):
         with pytest.raises(ValueError, match="wrong rank: the module has rank"):
             fn(module, xi)
+    # a gamma0 of the wrong length, here also assigned after construction
+    m2.gamma0 = (Fraction(1, 2),)
+    for fn in (res_support, hamiltonian_reduce):
+        with pytest.raises(ValueError, match=r"gamma0 \(Fraction\(1, 2\),\) has "
+                                             "wrong rank: the theory has rank 2"):
+            fn(m2, (1, 1))
     with pytest.raises(ValueError, match="torus rank -1 is negative"):
         TorusTheory(-1)
 
@@ -428,11 +434,14 @@ def _ref_action_scalar(module, xi, nu):
 
 
 class _RefModule(UniversalWeightModule):
-    """A module whose action factors come from the former ExactScalar loop,
-    for res_support and hamiltonian_reduce."""
+    """A module whose action factors and zero test come from the former
+    ExactScalar loop, for res_support and hamiltonian_reduce."""
 
     def action_factors(self, xi, nu):
         return _ref_action_factors(self, xi, nu)
+
+    def action_is_zero(self, xi, nu):
+        return any(not f for f in _ref_action_factors(self, xi, nu))
 
 
 def _ref_phi0(lam, lam_prime, theory, seen, matter_indices=None):
@@ -655,6 +664,61 @@ def test_weight_values_match_exact_scalar_evaluators(kind):
         assert tally["ValueError"] >= 10, tally
     if kind == "cancel":
         assert tally["qhr"] >= 3, tally
+
+
+def test_module_reassigned_after_a_call_acts_like_a_fresh_one():
+    """A module keeps its matter's values at gamma0 between calls; a new
+    gamma0, a new theory or a changed matter list must not reuse them."""
+    rng = random.Random(57)
+    tally = Counter()
+    for case in range(60):
+        m, xi = _evaluation_case(rng, _KINDS[case % 4])
+        other, _ = _evaluation_case(rng, _KINDS[case % 4])
+        if other.theory.rank != m.theory.rank:
+            continue
+        before = res_support(m, xi)
+        if case % 3 == 0:
+            m.gamma0 = other.gamma0
+        elif case % 3 == 1:
+            m.theory = other.theory
+        else:
+            m.theory.matter[:] = other.theory.matter
+        fresh = UniversalWeightModule(m.theory, m.gamma0, m.active)
+        after = res_support(m, xi)
+        assert after == res_support(fresh, xi)
+        assert _raised(lambda: hamiltonian_reduce(m, xi)) == \
+            _raised(lambda: hamiltonian_reduce(fresh, xi))
+        for nu in sorted(m.active):
+            assert m.action_factors(xi, nu) == fresh.action_factors(xi, nu)
+        tally["changed" if after != before else "same"] += 1
+    assert min(tally["changed"], tally["same"]) >= 5, tally
+
+
+def test_res_support_builds_no_scalar_per_weight(monkeypatch):
+    """With a symbolic gamma0, res_support builds as many ExactScalars on a
+    6x6 box as on a 3x3 box: the walk itself stays in ints."""
+    th = TorusTheory(2, [MatterWeight((1, 0), Fraction(1, 2)),
+                         MatterWeight((1, -1)),
+                         MatterWeight((0, 1), ExactScalar(1, 0, {"s": 1}))])
+    gamma0 = (ExactScalar(Fraction(1, 2), 0, {"s": 1}), Fraction(1, 3))
+    init = ExactScalar.__init__
+    built = Counter()
+
+    def counting(self, *args, **kwargs):
+        built["n"] += 1
+        init(self, *args, **kwargs)
+
+    counts = []
+    for span in (3, 6):
+        m = UniversalWeightModule(th, gamma0, set(itertools.product(range(span),
+                                                                    repeat=2)))
+        monkeypatch.setattr(ExactScalar, "__init__", counting)
+        built.clear()
+        support = res_support(m, (1, 1))
+        monkeypatch.setattr(ExactScalar, "__init__", init)
+        assert support == res_support(_RefModule(th, gamma0, m.active), (1, 1))
+        counts.append(built["n"])
+    assert counts[0] == counts[1], counts
 
 
 def _ref_rxi_closed_form(xi, theory):

@@ -235,6 +235,8 @@ def test_equal_and_hash_across_coefficient_types():
 
 def test_power_rejects_negative_and_non_int_exponents():
     assert x ** 0 == ONE_POLY and x ** 3 == x * x * x
+    f = x + Polynomial.constant(ExactScalar(Fraction(1, 2), 1))
+    assert f ** 1 is f and f ** 0 is ONE_POLY and (f ** 2).terms == (f * f).terms
     with pytest.raises(ValueError, match="negative polynomial exponent -2"):
         x ** -2
     for n in (Fraction(2), 2.0, "2"):
@@ -243,11 +245,30 @@ def test_power_rejects_negative_and_non_int_exponents():
 
 
 def test_equal_to_unreadable_operand_is_false():
-    # as_poly cannot read None, a list or a non-literal string
+    # as_poly cannot read None or a list, and a comparison reads no string
     for other in (None, [x], "x1"):
         assert not x == other and x != other
     assert x not in [None, "?"]
-    assert x in [None, x] and ONE_POLY == 1 and ONE_POLY == "1"
+    assert x in [None, x] and ONE_POLY == 1 and ONE_POLY != "1"
+
+
+def test_equality_with_strings_agrees_with_hashing():
+    """Equal values hash equally: a string literal is never equal to the
+    scalar, polynomial or rational function it would parse to."""
+    values = [3, Fraction(3), Fraction(1, 2), ExactScalar(3), ExactScalar(0, 1),
+              ExactScalar(Fraction(1, 2)), ExactScalar(0, 0, {"s": 1}),
+              Polynomial.constant(3), Polynomial.constant(ExactScalar(0, 1)),
+              "3", "1/2", "i", "sym:s", "0"]
+    for a in values:
+        for b in values:
+            if isinstance(a, str) != isinstance(b, str):
+                assert a != b and not a == b, (a, b)
+            if a == b and not isinstance(a, Polynomial) \
+                    and not isinstance(b, Polynomial):
+                assert hash(a) == hash(b), (a, b)
+    assert len({ExactScalar(3), "3"}) == 2 and len({ExactScalar(3), 3}) == 1
+    assert Polynomial.constant(3) != "3" and RationalFunction.of(3) != "3"
+    assert ExactScalar(3) + "1/2" == Fraction(7, 2)  # arithmetic still reads literals
 
 
 def test_rational_function_equal_to_unreadable_operand_is_false():
@@ -257,7 +278,7 @@ def test_rational_function_equal_to_unreadable_operand_is_false():
         assert not r == other and r != other
     assert r not in [None, "?"] and r in [None, r]
     one = RationalFunction.of(1)
-    assert one == 1 and one == "1" and one == ONE_POLY and 1 == one
+    assert one == 1 and one != "1" and one == ONE_POLY and 1 == one
 
 
 def test_repr_parenthesizes_coefficient_sums():

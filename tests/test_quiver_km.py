@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from klrwcb import kacmoody
 from klrwcb.kacmoody import (EdgeLoopError, KMWeight, NotBelowError,
-                             NotDominantError, RootSystemSlice, cartan_matrix,
-                             decat_chevalley, fundamental_from_root_diff,
-                             kostant_multiplicity, mu_from_dimensions,
-                             weight_multiplicity, weyl_dimension)
+                             NotDominantError, RootSystemSlice, _multiplicities,
+                             cartan_matrix, decat_chevalley,
+                             fundamental_from_root_diff, kostant_multiplicity,
+                             mu_from_dimensions, weight_multiplicity,
+                             weyl_dimension)
 from klrwcb.quiver import (DimensionData, Edge, Quiver, crawley_boevey,
                            jordan_quiver, kronecker_quiver)
 
@@ -277,3 +279,105 @@ def test_grown_root_slice_matches_fresh_slice(seed):
                 _ref_root_multiplicities(A, grown.bound)
             assert sorted(grown.roots) == sorted(
                 (beta, m) for beta, m in fresh._mult.items() if m)
+
+
+def _ref_multiplicities(A, lam_vec, root_slice):
+    """The former Freudenthal recursion of _multiplicities over root_slice:
+    every term, the denominator and the quotient are Fractions."""
+    n = len(A)
+
+    def form(a, b):
+        return sum(A[i][j] * a[i] * b[j] for i in range(n) for j in range(n))
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    cache = {}
+
+    def mult(beta):
+        if any(b < 0 for b in beta):
+            return 0
+        if not any(beta):
+            return 1
+        if beta in cache:
+            return cache[beta]
+        if any(b > c for b, c in zip(beta, root_slice.bound)):
+            root_slice.grow(beta)
+        denom = Fraction(2 * dot(lam_vec, beta) - form(beta, beta) + 2 * sum(beta))
+        total = Fraction(0)
+        for alpha, am in root_slice.roots:
+            k = 1
+            while True:
+                beta_up = tuple(b - k * a for b, a in zip(beta, alpha))
+                if any(b < 0 for b in beta_up):
+                    break
+                m_up = mult(beta_up)
+                if m_up:
+                    val = dot(lam_vec, alpha) - form(beta_up, alpha)
+                    total += 2 * am * Fraction(val) * m_up
+                k += 1
+        if denom == 0:
+            cache[beta] = 0
+            return 0
+        m = total / denom
+        if m.denominator != 1 or m < 0:
+            raise ArithmeticError("Freudenthal produced %r at %r" % (m, beta))
+        cache[beta] = int(m)
+        return int(m)
+
+    return mult
+
+
+WILD3 = Quiver(["p", "q"], [Edge("a", "p", "q"), Edge("b", "p", "q"),
+                            Edge("c", "q", "p")])
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "kronecker", "wild3"])
+def test_integer_freudenthal_matches_fraction_recursion(name):
+    """Every mult(beta) over a box, for every lam in a box, against the
+    former Fraction recursion on a fresh root slice."""
+    quiver = {"A1": Quiver(["x"], []),
+              "A2": Quiver(["1", "2"], [Edge("a", "1", "2")]), "A3": A3,
+              "kronecker": kronecker_quiver(), "wild3": WILD3}[name]
+    A = cartan_matrix(quiver)[1]
+    n = len(A)
+    top = {1: 6, 2: 4, 3: 3}[n]
+    nonzero = 0
+    for lam in itertools.product(range(7 if n == 1 else 3), repeat=n):
+        mult = _multiplicities(A, lam)
+        ref = _ref_multiplicities(A, lam, RootSystemSlice(A, (0,) * n))
+        for beta in itertools.product(range(top + 1), repeat=n):
+            got = mult(beta)
+            assert type(got) is int and got == ref(beta), (lam, beta)
+            nonzero += got > 0
+    assert nonzero >= 20
+
+
+class _CorruptSlice:
+    """A root slice with a wrong multiplicity on the A2 root (1, 1)."""
+
+    def __init__(self, am):
+        self.roots = [((1, 0), 1), ((0, 1), 1), ((1, 1), am)]
+        self.bound = (9, 9)
+
+    def grow(self, beta):
+        pass
+
+
+@pytest.mark.parametrize("am, lam, beta, shown", [
+    (2, (0, 1), (1, 1), "Fraction(3, 2)"),
+    (3, (0, 1), (2, 1), "Fraction(-1, 1)")])
+def test_integer_freudenthal_raises_like_fraction_recursion(monkeypatch, am,
+                                                            lam, beta, shown):
+    """A non-integral and a negative quotient raise the former message."""
+    A = [[2, -1], [-1, 2]]
+    monkeypatch.setattr(kacmoody, "_root_slice", lambda A: _CorruptSlice(am))
+    messages = []
+    for mult in (_multiplicities(A, lam),
+                 _ref_multiplicities(A, lam, _CorruptSlice(am))):
+        with pytest.raises(ArithmeticError) as info:
+            for b in itertools.product(range(3), repeat=2):
+                mult(b)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == \
+        "Freudenthal produced %s at %r" % (shown, beta)
