@@ -4,13 +4,17 @@ Cartan matrix, weights in fundamental or root coordinates, Freudenthal
 weight multiplicities (with Peterson root multiplicities, so affine and
 wild quivers work on bounded intervals), and the decategorified Chevalley
 operators e_i/f_i as ranks between weight spaces over a dimension-vector
-grid.
+grid.  Multiplicities are W-invariant, so Freudenthal runs only at dominant
+weights and every other weight is reflected to one; on each sl2-string e_i
+is injective below the middle and surjective above it, so a rank is the
+smaller of two neighbouring multiplicities.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -84,10 +88,6 @@ def mu_from_dimensions(quiver, dims):
 
 
 # -- root multiplicities (Peterson) and Freudenthal ------------------------
-
-
-def _vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def _vec_sub(a, b):
@@ -234,6 +234,12 @@ def _multiplicities(A, lam_vec):
     by the Freudenthal recursion; lam_vec is a dominant weight in
     fundamental coordinates and A is symmetric.
 
+    Multiplicities are W-invariant, so a depth whose weight mu = lam - beta
+    has p = <mu, alpha_i^vee> < 0 takes the answer at the shallower depth
+    of s_i(mu) = lam - (beta + p e_i), and a negative coordinate gives 0.
+    The recursion runs only at dominant depths, where its denominator
+    (beta, lam + mu + 2 rho) is positive.
+
     One memo serves every query: the value at beta depends only on the
     roots <= beta and on values at smaller depths.  Peterson root
     multiplicities depend on A alone, so every lam shares the one slice of
@@ -253,6 +259,11 @@ def _multiplicities(A, lam_vec):
             return 1
         if beta in cache:
             return cache[beta]
+        for i, row in enumerate(A):
+            p = lam_vec[i] - _dot(row, beta)  # <lam - beta, alpha_i^vee>
+            if p < 0:  # s_i(lam - beta) = lam - (beta + p e_i)
+                cache[beta] = mult(_shift(beta, i, p))
+                return cache[beta]
         if any(b > c for b, c in zip(beta, root_slice.bound)):
             root_slice.grow(beta)
         # (lam+rho, lam+rho) - (mu+rho, mu+rho) with mu = lam - beta:
@@ -272,9 +283,6 @@ def _multiplicities(A, lam_vec):
                     val = _dot(lam_vec, alpha) - _bilinear(A, beta_up, alpha)
                     total += 2 * am * val * m_up
                 k += 1
-        if denom == 0:
-            cache[beta] = 0
-            return 0
         m, rest = divmod(total, denom)
         if rest or m < 0:
             raise ArithmeticError("Freudenthal produced %r at %r"
@@ -330,31 +338,18 @@ def kostant_multiplicity(quiver, lam, mu):
     n = len(verts)
     lam_vec = _as_fund_vector(lam, verts)
     mu_vec = _as_fund_vector(mu, verts)
-    inverse, roots, weyl = _finite_type_data(tuple(map(tuple, A)))
+    den, inverse, weyl, count = _finite_type_data(tuple(map(tuple, A)))
     # w(lam+rho) - (mu+rho) = (lam - mu) - (lam+rho - w(lam+rho)) and the
     # last term is a nonnegative combination of simple roots: when lam - mu
     # is not an integral one, or has a negative coordinate, every term is 0
-    diff = [sum(row[c] * (lam_vec[c] - mu_vec[c]) for c in range(n))
-            for row in inverse]
-    if any(c.denominator != 1 or c < 0 for c in diff):
-        return 0
-    diff = [int(c) for c in diff]
-    lam_rho = _vec_add(lam_vec, (1,) * n)
-
-    @functools.lru_cache(maxsize=None)
-    def count(idx, rem):
-        # ways to write rem (root coords) as an N-combination of roots[idx:]
-        if not any(rem):
-            return 1
-        if idx == len(roots):
+    diff = []
+    for row in inverse:
+        c, rest = divmod(sum(x * (a - b) for x, a, b in zip(row, lam_vec, mu_vec)),
+                         den)
+        if rest or c < 0:
             return 0
-        alpha = roots[idx]
-        total, k = 0, 0
-        while all(r - k * a >= 0 for r, a in zip(rem, alpha)):
-            total += count(idx + 1, tuple(r - k * a for r, a in zip(rem, alpha)))
-            k += 1
-        return total
-
+        diff.append(c)
+    lam_rho = tuple(x + 1 for x in lam_vec)
     total = 0
     for sign, lowering in weyl:
         rc = tuple(d - sum(row[c] * lam_rho[c] for c in range(n))
@@ -368,30 +363,49 @@ def kostant_multiplicity(quiver, lam, mu):
 @functools.lru_cache(maxsize=None)
 def _finite_type_data(A):
     """Data the Kostant oracle needs for the Cartan matrix A (a tuple of
-    rows), built once per matrix: the inverse of A, the positive roots in
-    root coordinates by descending height, and for each Weyl group element
-    w its sign and the integer matrix A^-1 (1 - w), which maps a weight x in
-    fundamental coordinates to the root coordinates of x - w(x).  Raises
-    ValueError off finite type, where the Weyl group does not close up."""
+    rows), built once per matrix: A^-1 as (common denominator, integer
+    matrix); for each Weyl group element w its sign and the integer matrix
+    A^-1 (1 - w), which maps a weight x in fundamental coordinates to the
+    root coordinates of x - w(x); and the Kostant partition function
+    ``count(idx, rem)``, the ways to write rem (root coordinates) as an
+    N-combination of the positive roots from idx on (by descending height),
+    whose memo serves every weight of A.  Raises ValueError off finite
+    type, where the Weyl group does not close up."""
     n = len(A)
     W = finite_weyl_group(A)
     roots = sorted(_finite_positive_roots(A), key=_height, reverse=True)
     rows, _ = row_reduce([list(A[j]) + [int(j == k) for k in range(n)]
                           for j in range(n)])
-    inverse = tuple(tuple(row[n:]) for row in rows)
+    den = math.lcm(*(x.denominator for row in rows for x in row[n:]))
+    inverse = tuple(tuple(int(x * den) for x in row[n:]) for row in rows)
     weyl = []
     for w, sign in W.items():
         lowering = []
         for row in inverse:
             out = []
             for c in range(n):
-                v = row[c] - sum(row[k] * w[k][c] for k in range(n))
-                if v.denominator != 1:
+                v, rest = divmod(row[c] - sum(row[k] * w[k][c] for k in range(n)),
+                                 den)
+                if rest:
                     raise ArithmeticError("x - w(x) left the root lattice")
-                out.append(int(v))
+                out.append(v)
             lowering.append(tuple(out))
         weyl.append((sign, tuple(lowering)))
-    return inverse, tuple(roots), tuple(weyl)
+
+    @functools.lru_cache(maxsize=None)
+    def count(idx, rem):
+        if not any(rem):
+            return 1
+        if idx == len(roots):
+            return 0
+        alpha = roots[idx]
+        total, k = 0, 0
+        while all(r - k * a >= 0 for r, a in zip(rem, alpha)):
+            total += count(idx + 1, tuple(r - k * a for r, a in zip(rem, alpha)))
+            k += 1
+        return total
+
+    return den, inverse, tuple(weyl), count
 
 
 def _finite_positive_roots(A):
@@ -425,42 +439,13 @@ def weyl_dimension(quiver, lam):
         # (lam + rho, alpha) / (rho, alpha); (varpi_i, alpha_j)=delta => dot products
         num *= sum((lam_vec[i] + 1) * alpha[i] for i in range(n))
         den *= sum(alpha[i] for i in range(n))
-    q = Fraction(num, den)
-    if q.denominator != 1:
+    q, rest = divmod(num, den)
+    if rest:
         raise ArithmeticError("Weyl dimension is not integral")
-    return int(q)
+    return q
 
 
 # -- decategorified Chevalley action ---------------------------------------
-
-
-def _string_decomposition(mults_along_line, pairings):
-    """Peel sl2 strings off a multiplicity profile along an alpha_i line.
-
-    mults_along_line[j] is the multiplicity at mu + j*alpha, pairings[j] the
-    pairing <mu + j*alpha, alpha_i^vee>.  The profile must cover whole
-    strings (zero at both ends).  Returns a list of (top_j, bottom_j) index
-    pairs, one per string copy.
-
-    A string with top pairing t is symmetric: it spans pairings t..-t, so
-    walking downward we close the strings whose bottom we just passed and
-    open new ones whenever the multiplicity exceeds the surviving count.
-    """
-    strings = []
-    open_tops = []  # top indices of strings covering the current position
-    for j in range(len(mults_along_line) - 1, -1, -1):
-        p = pairings[j]
-        # a string with top pairing t reaches down to pairing -t
-        open_tops = [jt for jt in open_tops if -pairings[jt] <= p]
-        n_new = mults_along_line[j] - len(open_tops)
-        if n_new < 0:
-            raise ArithmeticError("multiplicity profile is not a string profile")
-        if n_new and p < 0:
-            raise ArithmeticError("string top with negative pairing")
-        open_tops.extend([j] * n_new)
-        for _ in range(n_new):
-            strings.append((j, j - p))
-    return strings
 
 
 def decat_chevalley(quiver, dims_w, vmax):
@@ -469,9 +454,12 @@ def decat_chevalley(quiver, dims_w, vmax):
     Returns {"verts", "table", "ranks"}: verts are the sorted old vertices,
     table maps v (a tuple over verts) to dim V(lam)_{lam - sum v_i alpha_i},
     and ranks maps (i, v) to {"e": rank e_i: K(v) -> K(v - e_i),
-    "f": rank f_i: K(v) -> K(v + e_i)}.  Weight spaces are indexed by their
-    root-coordinate depth v, so the table is right for every loop-free
-    quiver, affine and wild ones included.
+    "f": rank f_i: K(v) -> K(v + e_i)} for every v with K(v) nonzero.
+    Weight spaces are indexed by their root-coordinate depth v, so the
+    table is right for every loop-free quiver, affine and wild ones
+    included.  On the alpha_i-strings of V(lam), e_i and f_i between two
+    neighbouring weight spaces are injective below the middle and
+    surjective above it, so each rank is the smaller multiplicity.
     """
     verts, A = cartan_matrix(quiver)
     lam_vec = tuple(dims_w.get(x, 0) for x in verts)
@@ -482,30 +470,10 @@ def decat_chevalley(quiver, dims_w, vmax):
 
     ranks = {}
     for idx, i in enumerate(verts):
-        for v in table:
-            if table[v] == 0:
-                continue
-            # walk the alpha_i string through mu(v): mu(v) + j alpha_i has
-            # dimension vector v - j e_i; extend the grid's stretch of it
-            # until the multiplicity vanishes (strings are finite)
-            hi_ext = vmax_vec[idx] - v[idx]
-            while mult(_shift(v, idx, -(hi_ext + 1))) > 0:
-                hi_ext += 1
-            lo_ext = -v[idx]
-            while mult(_shift(v, idx, -(lo_ext - 1))) > 0:
-                lo_ext -= 1
-            js = list(range(lo_ext, hi_ext + 1))
-            depths = [_shift(v, idx, -j) for j in js]
-            mults = [mult(d) for d in depths]
-            # <mu, alpha_i^vee> = lam_i - (A depth)_i
-            pair_at = [lam_vec[idx] - _dot(A[idx], d) for d in depths]
-            strings = _string_decomposition(mults, pair_at)
-            here = js.index(0)
-            e_rank = sum(1 for top, bot in strings
-                         if bot <= here <= top and here < top)
-            f_rank = sum(1 for top, bot in strings
-                         if bot <= here <= top and here > bot)
-            ranks[(i, v)] = {"e": e_rank, "f": f_rank}
+        for v, m in table.items():
+            if m:
+                ranks[(i, v)] = {"e": min(m, mult(_shift(v, idx, -1))),
+                                 "f": min(m, mult(_shift(v, idx, 1)))}
     return dict(zip(["verts", "table", "ranks"], (verts, table, ranks)))
 
 

@@ -125,6 +125,8 @@ class Polynomial:
         return self.terms == other.terms
 
     def __hash__(self):
+        if self.terms.keys() <= {()}:  # a constant equals its coefficient
+            return hash(self.terms.get((), 0))
         return hash(tuple(sorted(self.terms.items(), key=lambda t: t[0])))
 
     def __add__(self, other):

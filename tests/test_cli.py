@@ -1,9 +1,12 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import klrwcb
 from klrwcb.cli import _parse_gamma, main, make_table, parse_monopole, parse_poly
 from klrwcb.cover import build_cover, integralize
 from klrwcb.poly import Polynomial, RationalFunction
@@ -499,3 +502,24 @@ def test_render_strand_count(tmp_path, capsys):
 def test_suite_command(capsys):
     assert main(["suite", "satake"]) == 0
     assert "ok=True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""],
+                         ids=["unbuffered", "buffered"])
+def test_closed_pipe_is_a_quiet_exit(a2_file, unbuffered):
+    """A reader that closes stdout after one line (``| head -1``) ends the
+    command with exit 1 and nothing on stderr.  The output (about 115 kB)
+    outgrows a pipe's buffer, so a write meets the closed pipe whether
+    stdout is buffered or not."""
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.path.dirname(os.path.dirname(klrwcb.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "klrwcb.cli", "satake", "--quiver", a2_file,
+         "--w", "1=20,2=20"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert first.startswith(b"v -> dim V(lambda)") and err == b""

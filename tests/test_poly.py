@@ -253,20 +253,25 @@ def test_equal_to_unreadable_operand_is_false():
 
 
 def test_equality_with_strings_agrees_with_hashing():
-    """Equal values hash equally: a string literal is never equal to the
+    """Equal values hash equally, a constant polynomial (the zero one
+    included) as its coefficient; a string literal is never equal to the
     scalar, polynomial or rational function it would parse to."""
     values = [3, Fraction(3), Fraction(1, 2), ExactScalar(3), ExactScalar(0, 1),
-              ExactScalar(Fraction(1, 2)), ExactScalar(0, 0, {"s": 1}),
-              Polynomial.constant(3), Polynomial.constant(ExactScalar(0, 1)),
+              ExactScalar(Fraction(1, 2)), ExactScalar(0, 0, {"s": 1}), 0,
+              ExactScalar(0), Polynomial.constant(3), Polynomial(),
+              Polynomial.constant(ExactScalar(0, 1)), Polynomial.constant(0),
+              Polynomial.constant(Fraction(1, 2)),
+              Polynomial.constant(ExactScalar(0, 0, {"s": 1})), x, x - x + 3,
               "3", "1/2", "i", "sym:s", "0"]
     for a in values:
         for b in values:
             if isinstance(a, str) != isinstance(b, str):
                 assert a != b and not a == b, (a, b)
-            if a == b and not isinstance(a, Polynomial) \
-                    and not isinstance(b, Polynomial):
+            if a == b:
                 assert hash(a) == hash(b), (a, b)
     assert len({ExactScalar(3), "3"}) == 2 and len({ExactScalar(3), 3}) == 1
+    assert len({Polynomial.constant(3), 3, ExactScalar(3)}) == 1
+    assert len({Polynomial(), 0}) == 1 and len({x, Polynomial.constant(1)}) == 2
     assert Polynomial.constant(3) != "3" and RationalFunction.of(3) != "3"
     assert ExactScalar(3) + "1/2" == Fraction(7, 2)  # arithmetic still reads literals
 

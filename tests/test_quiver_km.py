@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from klrwcb.kacmoody import (EdgeLoopError, KMWeight, NotBelowError,
                              weyl_dimension)
 from klrwcb.quiver import (DimensionData, Edge, Quiver, crawley_boevey,
                            jordan_quiver, kronecker_quiver)
+from klrwcb.scalars import row_reduce
 
 def test_crawley_boevey_kronecker():
     q = kronecker_quiver()
@@ -365,11 +367,13 @@ class _CorruptSlice:
 
 
 @pytest.mark.parametrize("am, lam, beta, shown", [
-    (2, (0, 1), (1, 1), "Fraction(3, 2)"),
-    (3, (0, 1), (2, 1), "Fraction(-1, 1)")])
+    (2, (1, 1), (1, 1), "Fraction(8, 3)"),
+    (-3, (1, 2), (1, 1), "Fraction(-1, 1)")])
 def test_integer_freudenthal_raises_like_fraction_recursion(monkeypatch, am,
                                                             lam, beta, shown):
-    """A non-integral and a negative quotient raise the former message."""
+    """A non-integral and a negative quotient raise the former message.
+    Both raise at the dominant depth (1, 1): a non-dominant depth takes the
+    value of its reflection, which never reaches the corrupt root."""
     A = [[2, -1], [-1, 2]]
     monkeypatch.setattr(kacmoody, "_root_slice", lambda A: _CorruptSlice(am))
     messages = []
@@ -381,3 +385,151 @@ def test_integer_freudenthal_raises_like_fraction_recursion(monkeypatch, am,
         messages.append(str(info.value))
     assert messages[0] == messages[1] == \
         "Freudenthal produced %s at %r" % (shown, beta)
+
+
+def _ref_string_decomposition(mults_along_line, pairings):
+    """The former sl2-string peeling of decat_chevalley: mults_along_line[j]
+    is the multiplicity at mu + j alpha_i, pairings[j] its pairing with
+    alpha_i^vee; returns one (top_j, bottom_j) pair per string copy."""
+    strings = []
+    open_tops = []
+    for j in range(len(mults_along_line) - 1, -1, -1):
+        p = pairings[j]
+        open_tops = [jt for jt in open_tops if -pairings[jt] <= p]
+        n_new = mults_along_line[j] - len(open_tops)
+        if n_new < 0:
+            raise ArithmeticError("multiplicity profile is not a string profile")
+        if n_new and p < 0:
+            raise ArithmeticError("string top with negative pairing")
+        open_tops.extend([j] * n_new)
+        for _ in range(n_new):
+            strings.append((j, j - p))
+    return strings
+
+
+def _ref_ranks(quiver, dims_w, vmax):
+    """The former ranks of decat_chevalley: walk the alpha_i-string through
+    each nonzero weight of the grid, extended past the grid until the
+    multiplicity vanishes, and count the strings that continue up (e) or
+    down (f)."""
+    verts, A = cartan_matrix(quiver)
+    lam_vec = tuple(dims_w.get(x, 0) for x in verts)
+    mult = _multiplicities(A, lam_vec)
+    vmax_vec = tuple(vmax.get(x, 0) for x in verts)
+    table = {v: mult(v) for v in itertools.product(*(range(b + 1)
+                                                     for b in vmax_vec))}
+
+    def shift(v, idx, delta):
+        return tuple(x + (delta if k == idx else 0) for k, x in enumerate(v))
+
+    ranks = {}
+    for idx, i in enumerate(verts):
+        for v in table:
+            if table[v] == 0:
+                continue
+            hi_ext = vmax_vec[idx] - v[idx]
+            while mult(shift(v, idx, -(hi_ext + 1))) > 0:
+                hi_ext += 1
+            lo_ext = -v[idx]
+            while mult(shift(v, idx, -(lo_ext - 1))) > 0:
+                lo_ext -= 1
+            js = list(range(lo_ext, hi_ext + 1))
+            depths = [shift(v, idx, -j) for j in js]
+            mults = [mult(d) for d in depths]
+            pair_at = [lam_vec[idx] - sum(a * d for a, d in zip(A[idx], dep))
+                       for dep in depths]
+            strings = _ref_string_decomposition(mults, pair_at)
+            here = js.index(0)
+            ranks[(i, v)] = {
+                "e": sum(1 for top, bot in strings if bot <= here < top),
+                "f": sum(1 for top, bot in strings if bot < here <= top)}
+    return ranks
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "kronecker", "wild3"])
+def test_ranks_match_string_walk(name):
+    """e/f ranks and their dict order against the former string walk, for
+    every framing in a box and a grid one step past the weight's depth."""
+    quiver, top = {"A1": (Quiver(["x"], []), 6),
+                   "A2": (Quiver(["1", "2"], [Edge("a", "1", "2")]), 3),
+                   "A3": (A3, 2), "kronecker": (kronecker_quiver(), 2),
+                   "wild3": (WILD3, 1)}[name]
+    verts = cartan_matrix(quiver)[0]
+    compared = 0
+    for w in itertools.product(range(top + 1), repeat=len(verts)):
+        dims_w = dict(zip(verts, w))
+        vmax = {x: sum(w) + 1 for x in verts}
+        got = decat_chevalley(quiver, dims_w, vmax)["ranks"]
+        assert list(got.items()) == list(_ref_ranks(quiver, dims_w,
+                                                    vmax).items()), w
+        compared += len(got)
+    assert compared >= 20
+
+
+def _ref_kostant(quiver, lam, mu):
+    """The former Kostant oracle: Fraction inverse of A and a partition
+    memo made afresh on every call."""
+    verts, A = cartan_matrix(quiver)
+    n = len(verts)
+    lam_vec = [lam.as_dict().get(v, 0) for v in verts]
+    mu_vec = [mu.as_dict().get(v, 0) for v in verts]
+    rows, _ = row_reduce([list(A[j]) + [int(j == k) for k in range(n)]
+                          for j in range(n)])
+    inverse = [row[n:] for row in rows]
+    roots = sorted(kacmoody._finite_positive_roots(A), key=sum, reverse=True)
+    diff = [sum(row[c] * (lam_vec[c] - mu_vec[c]) for c in range(n))
+            for row in inverse]
+    if any(c.denominator != 1 or c < 0 for c in diff):
+        return 0
+
+    @functools.lru_cache(maxsize=None)
+    def count(idx, rem):
+        if not any(rem):
+            return 1
+        if idx == len(roots):
+            return 0
+        alpha = roots[idx]
+        total, k = 0, 0
+        while all(r - k * a >= 0 for r, a in zip(rem, alpha)):
+            total += count(idx + 1, tuple(r - k * a for r, a in zip(rem, alpha)))
+            k += 1
+        return total
+
+    total = 0
+    for w, sign in kacmoody.finite_weyl_group(A).items():
+        # lam - mu - (lam + rho - w(lam + rho)) in root coordinates
+        lr = [x + 1 for x in lam_vec]
+        wlr = [sum(w[r][c] * lr[c] for c in range(n)) for r in range(n)]
+        rc = tuple(int(d - sum(row[c] * (lr[c] - wlr[c]) for c in range(n)))
+                   for d, row in zip(diff, inverse))
+        if all(c >= 0 for c in rc):
+            total += sign * count(0, rc)
+    return total
+
+
+def test_kostant_shared_memo_matches_per_call_memo():
+    """Kostant answers with one partition memo per Cartan matrix, queried
+    round-robin across A1, A2, A1 x A1 (the same size as A2) and A3 and
+    with mu in reversed order, equal the former oracle that builds its memo
+    on every call."""
+    kacmoody._finite_type_data.cache_clear()
+    queues = []
+    for quiver, lams, span in ((Quiver(["x"], []), [(3,), (4,)], range(-5, 6)),
+                               (Quiver(["1", "2"], [Edge("a", "1", "2")]),
+                                [(2, 1), (1, 2)], range(-3, 4)),
+                               (Quiver(["1", "2"], []), [(2, 1)], range(-3, 4)),
+                               (A3, [(1, 0, 1)], range(-2, 3))):
+        verts = cartan_matrix(quiver)[0]
+        for lam in lams:
+            mus = list(itertools.product(span, repeat=len(verts)))[::-1]
+            queues.append([(quiver, KMWeight.make("fundamental",
+                                                  dict(zip(verts, lam))),
+                            KMWeight.make("fundamental", dict(zip(verts, mu))))
+                           for mu in mus])
+    nonzero = 0
+    for batch in itertools.zip_longest(*queues):
+        for quiver, lam, mu in filter(None, batch):
+            got = kostant_multiplicity(quiver, lam, mu)
+            assert got == _ref_kostant(quiver, lam, mu), (lam, mu)
+            nonzero += got != 0
+    assert nonzero >= 40
