@@ -440,7 +440,7 @@ def cmd_satake(args):
     lam = KMWeight.make("fundamental", {x: w.get(x, 0) for x in verts})
     try:
         dim = weyl_dimension(quiver, lam)
-    except ValueError:  # off finite type: the roots do not close up
+    except ValueError:  # off finite type: A is not positive definite
         print("total: %d" % total)
     else:
         print("total: %d  (dim V(lambda) = %d)" % (total, dim))
@@ -461,7 +461,9 @@ def cmd_render(args):
     if args.dot:
         dots = []
         for spec in args.dot:
-            k, h = spec.split("@")
+            k, at, h = spec.partition("@")
+            if not (at and k.isdigit() and h) or "@" in h:
+                raise ValueError("--dot %r is not strand@height" % spec)
             dots.append((int(k), _parse_rational(h)))
         diagram = engine.add_dots(diagram, dots)
     svg = render_diagram(engine, diagram, title=args.title)

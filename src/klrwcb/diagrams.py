@@ -242,7 +242,11 @@ class Engine:
         """New diagram with extra dots; dots is a list of (bottom corporeal
         index, height).  Dots may not sit on a crossing of their strand."""
         events = list(diagram.events)
+        n = diagram.bottom.n
         for k, t in dots:
+            if not 1 <= k <= n:
+                raise ValueError("no strand %r: the diagram has strands 1..%d"
+                                 % (k, n))
             t = Fraction(t)
             if not 0 < t < 1:
                 raise ValueError("dot height %s outside (0,1)" % t)

@@ -4,10 +4,13 @@ Cartan matrix, weights in fundamental or root coordinates, Freudenthal
 weight multiplicities (with Peterson root multiplicities, so affine and
 wild quivers work on bounded intervals), and the decategorified Chevalley
 operators e_i/f_i as ranks between weight spaces over a dimension-vector
-grid.  Multiplicities are W-invariant, so Freudenthal runs only at dominant
-weights and every other weight is reflected to one; on each sl2-string e_i
-is injective below the middle and surjective above it, so a rank is the
-smaller of two neighbouring multiplicities.
+grid.  Root multiplicities are computed once per (Cartan matrix, box): one
+Peterson pass that skips every beta with (beta, beta) > 2, which no root of
+a symmetric matrix has.  Multiplicities are W-invariant, so Freudenthal
+runs only at dominant weights and every other weight is reflected to one;
+on each sl2-string e_i is injective below the middle and surjective above
+it, so a rank is the smaller of two neighbouring multiplicities.  The
+Kostant and Weyl oracles need finite type, that is a positive definite A.
 """
 
 from __future__ import annotations
@@ -102,87 +105,48 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def _height(a):
-    return sum(a)
-
-
 def _box(bound):
     """All integer vectors 0 <= beta <= bound, in lexicographic order."""
     return list(itertools.product(*(range(b + 1) for b in bound)))
 
 
-class RootSystemSlice:
-    """Positive roots of the symmetric Kac-Moody algebra of a Cartan matrix,
-    restricted to the box 0 <= beta <= bound, with multiplicities.
+@functools.lru_cache(maxsize=256)  # weight_multiplicity asks one box per depth
+def _positive_roots(A, bound):
+    """(beta, mult beta) for the positive roots 0 <= beta <= bound of the
+    symmetric Kac-Moody algebra of the Cartan matrix A (a tuple of rows).
 
-    Uses the Peterson recursion:  (beta, beta - 2 rho) c_beta =
-    sum_{b'+b''=beta} (b', b'') c_b' c_b'',   c_beta = sum_n mult(beta/n)/n.
-    The value at beta needs only values at the smaller vectors of its own
-    box, so ``grow`` widens the box and computes just the new vectors, by
-    height.  ``roots`` lists (beta, mult) for every root found so far.
+    One pass of the Peterson recursion over the box, by height:
+    (beta, beta - 2 rho) c_beta = sum_{b'+b''=beta} (b', b'') c_b' c_b'',
+    c_beta = sum_{n >= 1} mult(beta/n)/n, where (beta, 2 rho) = 2 ht(beta)
+    for symmetric A.  Each root pushes its terms to its multiples, so c
+    holds the divisor sum of every vector not yet reached.  A root of a
+    symmetric A has (beta, beta) <= 2, so a wider beta has mult 0 and c_beta
+    is its divisor sum alone; below that bound and above height 1 the
+    factor (beta, beta) - 2 ht(beta) is negative.
     """
-
-    def __init__(self, A, bound):
-        self.A = A
-        self.bound = (0,) * len(A)
-        self._c = {}
-        self._mult = {}
-        self.roots = []
-        self.grow(bound)
-
-    def grow(self, bound):
-        """Widen the box to its join with 0 <= beta <= bound."""
-        old, new = self.bound, tuple(map(max, self.bound, bound))
-        A = self.A
-        betas = sorted((beta for beta in _box(new)
-                        if any(x > b for x, b in zip(beta, old))), key=_height)
-        found = []
-        for beta in betas:
-            if _height(beta) == 1:  # a simple root
-                self._c[beta] = Fraction(1)
-                self._mult[beta] = 1
-                found.append((beta, 1))
-                continue
-            # (beta, beta) - 2 height(beta)  [since (beta, 2rho) = 2 ht for symmetric A]
-            denom = Fraction(_bilinear(A, beta, beta) - 2 * _height(beta))
+    c, roots = {}, []
+    for beta in sorted(_box(bound)[1:], key=sum):
+        norm = _bilinear(A, beta, beta)
+        if norm > 2:
+            continue
+        m = 1  # a simple root
+        if sum(beta) > 1:
             total = Fraction(0)
             for bp in _box(beta)[1:-1]:  # the nonzero proper summands
                 bpp = _vec_sub(beta, bp)
-                cb1, cb2 = self._c.get(bp), self._c.get(bpp)
-                if cb1 and cb2:
-                    total += Fraction(_bilinear(A, bp, bpp)) * cb1 * cb2
-            divisor_tail = Fraction(0)
-            k = 2
-            while any(x >= k for x in beta):
-                if all(x % k == 0 for x in beta):
-                    sub = tuple(x // k for x in beta)
-                    divisor_tail += Fraction(self._mult.get(sub, 0), k)
-                k += 1
-            if denom == 0:
-                # (beta, beta - 2 rho) = 0 happens only off the root system,
-                # so mult = 0 and c is just the divisor tail
-                self._c[beta] = divisor_tail
-                self._mult[beta] = 0
-                continue
-            c = total / denom
-            self._c[beta] = c
-            m = c - divisor_tail
+                if c.get(bp) and c.get(bpp):
+                    total += _bilinear(A, bp, bpp) * c[bp] * c[bpp]
+            m = total / (norm - 2 * sum(beta)) - c.get(beta, 0)
             if m.denominator != 1 or m < 0:
-                raise ArithmeticError("non-integral root multiplicity at %r" % (beta,))
-            self._mult[beta] = int(m)
-            if m:
-                found.append((beta, int(m)))
-        # the new roots and bound count only once every new vector is done,
-        # so after a raise above the next grow computes those vectors again
-        self.roots.extend(found)
-        self.bound = new
-
-
-@functools.lru_cache(maxsize=None)
-def _root_slice(A):
-    """The one growing RootSystemSlice of the Cartan matrix A (a tuple of
-    rows): root multiplicities depend on A alone."""
-    return RootSystemSlice(A, (0,) * len(A))
+                raise ArithmeticError("non-integral root multiplicity at %r"
+                                      % (beta,))
+        if m:
+            m = int(m)
+            roots.append((beta, m))
+            for n in range(1, min(t // b for b, t in zip(beta, bound) if b) + 1):
+                multiple = tuple(n * b for b in beta)
+                c[multiple] = c.get(multiple, 0) + Fraction(m, n)
+    return tuple(roots)
 
 
 def _as_fund_vector(weight, verts):
@@ -206,8 +170,8 @@ def weight_multiplicity(quiver, lam, mu):
     verts, A = cartan_matrix(quiver)
     lam_vec = _as_fund_vector(lam, verts)
     mu_vec = _as_fund_vector(mu, verts)
-    mult = _multiplicities(A, lam_vec)
     diff = _root_coords_of_diff(verts, A, lam_vec, mu_vec)
+    mult = _multiplicities(A, lam_vec, diff or (0,) * len(verts))
     if diff is None or any(c < 0 for c in diff):
         raise NotBelowError("mu is not <= lambda in the root order")
     return mult(diff)
@@ -229,10 +193,10 @@ def _root_coords_of_diff(verts, A, lam_vec, mu_vec):
     return tuple(int(s) for s in sol)
 
 
-def _multiplicities(A, lam_vec):
-    """mult(beta) = dim V(lam)_{lam - beta} for beta in root coordinates,
-    by the Freudenthal recursion; lam_vec is a dominant weight in
-    fundamental coordinates and A is symmetric.
+def _multiplicities(A, lam_vec, bound):
+    """mult(beta) = dim V(lam)_{lam - beta} for beta <= bound in root
+    coordinates, by the Freudenthal recursion; lam_vec is a dominant weight
+    in fundamental coordinates and A is symmetric.
 
     Multiplicities are W-invariant, so a depth whose weight mu = lam - beta
     has p = <mu, alpha_i^vee> < 0 takes the answer at the shallower depth
@@ -241,15 +205,16 @@ def _multiplicities(A, lam_vec):
     (beta, lam + mu + 2 rho) is positive.
 
     One memo serves every query: the value at beta depends only on the
-    roots <= beta and on values at smaller depths.  Peterson root
-    multiplicities depend on A alone, so every lam shares the one slice of
-    A (``_root_slice``), grown only when a query leaves its box.  Inner
-    products use (varpi_i, alpha_j) = delta_ij, (alpha_i, alpha_j) = A_ij.
-    Every term is an integer, so the recursion ends in one divmod.
+    roots <= beta and on values at smaller depths, all inside the box, so
+    the roots of the box (``_positive_roots``, shared by every lam) serve
+    the whole recursion; a dominant depth outside the box raises rather
+    than read a truncated root list.  Inner products use
+    (varpi_i, alpha_j) = delta_ij, (alpha_i, alpha_j) = A_ij.  Every term
+    is an integer, so the recursion ends in one divmod.
     """
     if any(c < 0 for c in lam_vec):
         raise NotDominantError("lambda is not dominant: %r" % (lam_vec,))
-    root_slice = _root_slice(tuple(map(tuple, A)))
+    roots = _positive_roots(tuple(map(tuple, A)), tuple(bound))
     cache = {}
 
     def mult(beta):
@@ -264,25 +229,22 @@ def _multiplicities(A, lam_vec):
             if p < 0:  # s_i(lam - beta) = lam - (beta + p e_i)
                 cache[beta] = mult(_shift(beta, i, p))
                 return cache[beta]
-        if any(b > c for b, c in zip(beta, root_slice.bound)):
-            root_slice.grow(beta)
+        if any(b > c for b, c in zip(beta, bound)):
+            raise ValueError("depth %r is outside the box %r" % (beta, bound))
         # (lam+rho, lam+rho) - (mu+rho, mu+rho) with mu = lam - beta:
         #   = 2 (lam, beta) - (beta, beta) + 2 ht(beta)
         denom = (2 * _dot(lam_vec, beta) - _bilinear(A, beta, beta)
-                 + 2 * _height(beta))
+                 + 2 * sum(beta))
         total = 0
-        for alpha, am in root_slice.roots:
-            k = 1
-            while True:
-                beta_up = _vec_sub(beta, tuple(k * a for a in alpha))
-                if any(b < 0 for b in beta_up):
-                    break
+        for alpha, am in roots:
+            beta_up = _vec_sub(beta, alpha)  # beta - k alpha for k = 1, 2, ...
+            while all(b >= 0 for b in beta_up):
                 m_up = mult(beta_up)
                 if m_up:
                     # (mu + k alpha, alpha) = (lam - beta_up, alpha)
                     val = _dot(lam_vec, alpha) - _bilinear(A, beta_up, alpha)
                     total += 2 * am * val * m_up
-                k += 1
+                beta_up = _vec_sub(beta_up, alpha)
         m, rest = divmod(total, denom)
         if rest or m < 0:
             raise ArithmeticError("Freudenthal produced %r at %r"
@@ -296,9 +258,23 @@ def _multiplicities(A, lam_vec):
 # -- finite-type oracle (Kostant/Weyl), used only by tests and suites ------
 
 
+def _require_finite_type(A):
+    """Raise ValueError unless A is of finite type, that is positive
+    definite: every pivot of exact symmetric elimination is positive."""
+    M = [list(map(Fraction, row)) for row in A]
+    for k, pivot_row in enumerate(M):
+        if pivot_row[k] <= 0:
+            raise ValueError("Cartan matrix is not positive definite: "
+                             "not of finite type")
+        for row in M[k + 1:]:
+            f = row[k] / pivot_row[k]
+            row[:] = [x - f * y for x, y in zip(row, pivot_row)]
+
+
 def finite_weyl_group(A):
     """All elements of the Weyl group as matrices acting on fundamental
-    coordinates, with signs; raises if the group exceeds a safety bound."""
+    coordinates, with signs; raises ValueError off finite type."""
+    _require_finite_type(A)
     n = len(A)
 
     def refl(i):
@@ -325,8 +301,6 @@ def finite_weyl_group(A):
                     seen[wg] = -seen[w]
                     nxt.append(wg)
         frontier = nxt
-        if len(seen) > 100000:
-            raise ValueError("Weyl group too large; not finite type?")
     return seen
 
 
@@ -370,27 +344,21 @@ def _finite_type_data(A):
     ``count(idx, rem)``, the ways to write rem (root coordinates) as an
     N-combination of the positive roots from idx on (by descending height),
     whose memo serves every weight of A.  Raises ValueError off finite
-    type, where the Weyl group does not close up."""
+    type, where A is not positive definite."""
     n = len(A)
     W = finite_weyl_group(A)
-    roots = sorted(_finite_positive_roots(A), key=_height, reverse=True)
+    roots = sorted(_finite_positive_roots(A), key=sum, reverse=True)
     rows, _ = row_reduce([list(A[j]) + [int(j == k) for k in range(n)]
                           for j in range(n)])
     den = math.lcm(*(x.denominator for row in rows for x in row[n:]))
     inverse = tuple(tuple(int(x * den) for x in row[n:]) for row in rows)
     weyl = []
     for w, sign in W.items():
-        lowering = []
-        for row in inverse:
-            out = []
-            for c in range(n):
-                v, rest = divmod(row[c] - sum(row[k] * w[k][c] for k in range(n)),
-                                 den)
-                if rest:
-                    raise ArithmeticError("x - w(x) left the root lattice")
-                out.append(v)
-            lowering.append(tuple(out))
-        weyl.append((sign, tuple(lowering)))
+        scaled = [[row[c] - sum(row[k] * w[k][c] for k in range(n))
+                   for c in range(n)] for row in inverse]  # den A^-1 (1 - w)
+        if any(x % den for row in scaled for x in row):
+            raise ArithmeticError("x - w(x) left the root lattice")
+        weyl.append((sign, tuple(tuple(x // den for x in row) for row in scaled)))
 
     @functools.lru_cache(maxsize=None)
     def count(idx, rem):
@@ -409,6 +377,9 @@ def _finite_type_data(A):
 
 
 def _finite_positive_roots(A):
+    """The positive roots of finite type A, as the orbit of the simple
+    roots; raises ValueError off finite type."""
+    _require_finite_type(A)
     n = len(A)
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     roots = set(simple)
@@ -424,21 +395,18 @@ def _finite_positive_roots(A):
                     roots.add(cand)
                     nxt.add(cand)
         frontier = nxt
-        if len(roots) > 10000:
-            raise ValueError("root enumeration diverged; not finite type?")
     return roots
 
 
 def weyl_dimension(quiver, lam):
     """dim V(lam) by the Weyl dimension formula (finite type)."""
     verts, A = cartan_matrix(quiver)
-    n = len(verts)
-    lam_vec = _as_fund_vector(lam, verts)
+    lam_rho = tuple(x + 1 for x in _as_fund_vector(lam, verts))
     num, den = 1, 1
     for alpha in _finite_positive_roots(A):
         # (lam + rho, alpha) / (rho, alpha); (varpi_i, alpha_j)=delta => dot products
-        num *= sum((lam_vec[i] + 1) * alpha[i] for i in range(n))
-        den *= sum(alpha[i] for i in range(n))
+        num *= _dot(lam_rho, alpha)
+        den *= sum(alpha)
     q, rest = divmod(num, den)
     if rest:
         raise ArithmeticError("Weyl dimension is not integral")
@@ -463,8 +431,9 @@ def decat_chevalley(quiver, dims_w, vmax):
     """
     verts, A = cartan_matrix(quiver)
     lam_vec = tuple(dims_w.get(x, 0) for x in verts)
-    mult = _multiplicities(A, lam_vec)
     vmax_vec = tuple(vmax.get(x, 0) for x in verts)
+    # the f ranks read v + e_i
+    mult = _multiplicities(A, lam_vec, tuple(b + 1 for b in vmax_vec))
 
     table = {v: mult(v) for v in _box(vmax_vec)}
 

@@ -543,18 +543,25 @@ def parse_sequence(text, table=None):
         if depth >= 1:
             cur.append(ch)
     for chunk in chunks:
-        lab, lit = chunk.split(",", 1)
+        lab, comma, lit = chunk.partition(",")
+        if not comma:
+            raise ValueError("bad sequence literal %r: pair %r is not "
+                             "(label,longitude)" % (text, "(%s)" % chunk))
         labels.append(lab.strip())
         longitudes.append(parse_scalar(lit.strip(), table))
     order = []
     for tok in [t.strip() for t in order_part.split(",") if t.strip()]:
-        if tok.startswith("!"):
-            order.append(red(tok[1:]))
-        elif "@" in tok:
-            eid, k = tok.split("@")
-            order.append(ghost(int(k), eid))
-        else:
-            order.append(corporeal(int(tok)))
+        try:
+            if tok.startswith("!"):
+                order.append(red(tok[1:]))
+            elif "@" in tok:
+                eid, k = tok.split("@")
+                order.append(ghost(int(k), eid))
+            else:
+                order.append(corporeal(int(tok)))
+        except ValueError:
+            raise ValueError("bad sequence literal %r: order token %r is not "
+                             "k, e@k or !e" % (text, tok)) from None
     return FlavouredSequence(tuple(labels), tuple(longitudes), tuple(order))
 
 

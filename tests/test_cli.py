@@ -251,12 +251,25 @@ _VIOLATIONS = "['rule (i): 2 at 2 precedes e@1 at 1']"
     (["is-unsteady", _INVALID], "sequence"),
     (["render-diagram", "--bottom", _INVALID], "bottom sequence"),
     (["render-diagram", "--bottom", _VALID, "--top", _INVALID], "top sequence"),
+    (["is-unsteady", "[(alpha,0),(beta)] order=[1]"],
+     "bad sequence literal '[(alpha,0),(beta)] order=[1]': pair '(beta)' is "
+     "not (label,longitude)"),
+    (["is-unsteady", "[(alpha,0)] order=[a]"],
+     "bad sequence literal '[(alpha,0)] order=[a]': order token 'a' is not "
+     "k, e@k or !e"),
+    (["check-equivalence", _VALID, "[(alpha,0)] order=[1,e@1@2]"],
+     "bad sequence literal '[(alpha,0)] order=[1,e@1@2]': order token "
+     "'e@1@2' is not k, e@k or !e"),
 ])
 def test_invalid_sequence_is_an_error(kron_file, capsys, argv, what):
+    """A sequence that fails validation is named with its violations; a
+    malformed literal is named with its bad pair or order token."""
     assert main(argv[:1] + ["--quiver", kron_file] + argv[1:]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "klrwcb: error: %s invalid: %s\n" % (what, _VIOLATIONS)
+    if not what.startswith("bad sequence literal"):
+        what = "%s invalid: %s" % (what, _VIOLATIONS)
+    assert captured.err == "klrwcb: error: %s\n" % what
 
 
 def test_monopole_mul_command(capsys):
@@ -497,6 +510,23 @@ def test_render_strand_count(tmp_path, capsys):
     svg = (tmp_path / "k.svg").read_text()
     assert svg.count("<path") == 9       # n + |G| + |R| strands
     assert svg.count("<circle") == 1
+
+
+@pytest.mark.parametrize("dot, message", [
+    ("3@1/2", "no strand 3: the diagram has strands 1..1"),
+    ("0@1/2", "no strand 0: the diagram has strands 1..1"),
+    ("x", "--dot 'x' is not strand@height"),
+    ("1@1/2@3", "--dot '1@1/2@3' is not strand@height"),
+])
+def test_render_rejects_a_bad_dot(tmp_path, capsys, dot, message):
+    path = tmp_path / "a1.json"
+    path.write_text(json.dumps({"vertices": ["x"], "edges": [],
+                                "v": {"x": 1}, "w": {"x": 0}, "flavour": {}}))
+    assert main(["render-diagram", "--quiver", str(path), "--bottom",
+                 "[(x,0)] order=[1]", "--dot", dot]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "klrwcb: error: %s\n" % message
 
 
 def test_suite_command(capsys):

@@ -7,8 +7,8 @@ import pytest
 
 from klrwcb import kacmoody
 from klrwcb.kacmoody import (EdgeLoopError, KMWeight, NotBelowError,
-                             NotDominantError, RootSystemSlice, _multiplicities,
-                             cartan_matrix, decat_chevalley,
+                             NotDominantError, _multiplicities,
+                             _positive_roots, cartan_matrix, decat_chevalley,
                              fundamental_from_root_diff, kostant_multiplicity,
                              mu_from_dimensions, weight_multiplicity,
                              weyl_dimension)
@@ -231,8 +231,8 @@ def test_kostant_multiplicity_off_the_weights():
 
 
 def _ref_root_multiplicities(A, bound):
-    """The former RootSystemSlice constructor: the Peterson recursion over
-    the whole box at once, by height, simple roots first."""
+    """The Peterson recursion over the whole box at once, by height, simple
+    roots first, with no norm test: every beta solves its own equation."""
     n = len(A)
 
     def form(a, b):
@@ -264,28 +264,96 @@ def _ref_root_multiplicities(A, bound):
     return mult
 
 
+def _quiver(n, pairs):
+    """The quiver on vertices 1..n with one edge i -> j per pair."""
+    verts = [str(k) for k in range(1, n + 1)]
+    return Quiver(verts, [Edge("e%d" % k, str(i), str(j))
+                          for k, (i, j) in enumerate(pairs)])
+
+
+ROOT_QUIVERS = {
+    "A2": _quiver(2, [(1, 2)]), "A3": _quiver(3, [(1, 2), (2, 3)]),
+    "D4": _quiver(4, [(1, 2), (1, 3), (1, 4)]),
+    "kronecker": kronecker_quiver(),
+    "cycle3": _quiver(3, [(1, 2), (2, 3), (3, 1)]),  # affine A2
+    "wild3": _quiver(2, [(1, 2), (1, 2), (2, 1)]),
+    # the Kronecker pair joined to a third vertex: every proper part is of
+    # finite or affine type, but det A = -8
+    "hyperbolic": _quiver(3, [(1, 2), (2, 1), (2, 3), (3, 1)]),
+}
+
+
 @pytest.mark.parametrize("seed", [31, 32, 33, 34])
-def test_grown_root_slice_matches_fresh_slice(seed):
+def test_positive_roots_match_reference(seed):
+    """The roots of one Peterson pass with the norm test equal those of the
+    plain recursion, on finite, affine, wild and hyperbolic quivers, over
+    seeded boxes, each also with one coordinate zero."""
     rng = random.Random(seed)
-    wild = Quiver(["p", "q"], [Edge("a", "p", "q"), Edge("b", "p", "q"),
-                               Edge("c", "q", "p")])
-    for quiver in (Quiver(["1", "2"], [Edge("a", "1", "2")]), A3,
-                   kronecker_quiver(), wild):
-        A = cartan_matrix(quiver)[1]
-        top = 2 if len(A) > 2 else 4
-        grown = RootSystemSlice(A, (0,) * len(A))
-        for _ in range(4):
-            grown.grow(tuple(rng.randint(0, top) for _ in A))
-            fresh = RootSystemSlice(A, grown.bound)
-            assert grown._mult == fresh._mult == \
-                _ref_root_multiplicities(A, grown.bound)
-            assert sorted(grown.roots) == sorted(
-                (beta, m) for beta, m in fresh._mult.items() if m)
+    for name in sorted(ROOT_QUIVERS):
+        A = cartan_matrix(ROOT_QUIVERS[name])[1]
+        top = {2: 4, 3: 3, 4: 2}[len(A)]
+        bound = [rng.randint(1, top) for _ in A]
+        boxes = [tuple(bound)]
+        bound[rng.randrange(len(A))] = 0
+        boxes.append(tuple(bound))
+        for box in boxes:
+            roots = _positive_roots(tuple(map(tuple, A)), box)
+            assert dict(roots) == {beta: m for beta, m in
+                                   _ref_root_multiplicities(A, box).items()
+                                   if m}, (name, box)
+            assert len(dict(roots)) == len(roots)
+            assert [sum(beta) for beta, _ in roots] == \
+                sorted(sum(beta) for beta, _ in roots)
+            assert all(type(m) is int and m > 0 for _, m in roots)
 
 
-def _ref_multiplicities(A, lam_vec, root_slice):
-    """The former Freudenthal recursion of _multiplicities over root_slice:
-    every term, the denominator and the quotient are Fractions."""
+@pytest.mark.parametrize("A, lam, box, beta, value", [
+    ([[2]], (4,), (2,), (2,), 1),
+    ([[2, -2], [-2, 2]], (1, 0), (2, 2), (2, 2), 2)])
+def test_depth_outside_the_box_raises(A, lam, box, beta, value):
+    """A dominant depth past the box raises instead of answering from the
+    roots of the smaller box; inside the box it is answered."""
+    assert _multiplicities(A, lam, box)(beta) == value
+    small = tuple(b - 1 for b in box)
+    with pytest.raises(ValueError, match="outside the box"):
+        _multiplicities(A, lam, small)(beta)
+
+
+@pytest.mark.parametrize("quiver", [
+    ROOT_QUIVERS["kronecker"], ROOT_QUIVERS["cycle3"], ROOT_QUIVERS["wild3"],
+    Quiver(["x", "alpha", "beta"], [Edge("e", "beta", "alpha"),
+                                    Edge("f", "alpha", "beta")])],
+    ids=["kronecker", "cycle3", "wild3", "A1+kronecker"])
+def test_off_finite_type_raises(quiver):
+    """The Kostant oracle and the Weyl dimension formula reject a Cartan
+    matrix that is not positive definite, before any enumeration."""
+    verts = cartan_matrix(quiver)[0]
+    lam = KMWeight.make("fundamental", {v: 1 for v in verts})
+    with pytest.raises(ValueError, match="not positive definite"):
+        kostant_multiplicity(quiver, lam, lam)
+    with pytest.raises(ValueError, match="not positive definite"):
+        weyl_dimension(quiver, lam)
+
+
+def test_finite_types_are_positive_definite():
+    for quiver in (Quiver(["x"], []), ROOT_QUIVERS["A3"], ROOT_QUIVERS["D4"],
+                   Quiver(["x", "1", "2"], [Edge("a", "1", "2")])):
+        lam = KMWeight.make("fundamental",
+                            {v: 1 for v in cartan_matrix(quiver)[0]})
+        assert kostant_multiplicity(quiver, lam, lam) == 1
+        assert weyl_dimension(quiver, lam) > 1
+
+
+def _ref_roots(A, bound):
+    """The reference roots of the box, as _positive_roots lists them."""
+    return tuple((beta, m) for beta, m in
+                 _ref_root_multiplicities(A, bound).items() if m)
+
+
+def _ref_multiplicities(A, lam_vec, roots):
+    """The former Freudenthal recursion of _multiplicities over the roots
+    (beta, mult) of a box holding every depth it is asked: every term, the
+    denominator and the quotient are Fractions."""
     n = len(A)
 
     def form(a, b):
@@ -303,11 +371,9 @@ def _ref_multiplicities(A, lam_vec, root_slice):
             return 1
         if beta in cache:
             return cache[beta]
-        if any(b > c for b, c in zip(beta, root_slice.bound)):
-            root_slice.grow(beta)
         denom = Fraction(2 * dot(lam_vec, beta) - form(beta, beta) + 2 * sum(beta))
         total = Fraction(0)
-        for alpha, am in root_slice.roots:
+        for alpha, am in roots:
             k = 1
             while True:
                 beta_up = tuple(b - k * a for b, a in zip(beta, alpha))
@@ -337,17 +403,19 @@ WILD3 = Quiver(["p", "q"], [Edge("a", "p", "q"), Edge("b", "p", "q"),
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "kronecker", "wild3"])
 def test_integer_freudenthal_matches_fraction_recursion(name):
     """Every mult(beta) over a box, for every lam in a box, against the
-    former Fraction recursion on a fresh root slice."""
+    former Fraction recursion over the reference roots of the box."""
     quiver = {"A1": Quiver(["x"], []),
               "A2": Quiver(["1", "2"], [Edge("a", "1", "2")]), "A3": A3,
               "kronecker": kronecker_quiver(), "wild3": WILD3}[name]
     A = cartan_matrix(quiver)[1]
     n = len(A)
     top = {1: 6, 2: 4, 3: 3}[n]
+    box = (top,) * n
+    roots = _ref_roots(A, box)
     nonzero = 0
     for lam in itertools.product(range(7 if n == 1 else 3), repeat=n):
-        mult = _multiplicities(A, lam)
-        ref = _ref_multiplicities(A, lam, RootSystemSlice(A, (0,) * n))
+        mult = _multiplicities(A, lam, box)
+        ref = _ref_multiplicities(A, lam, roots)
         for beta in itertools.product(range(top + 1), repeat=n):
             got = mult(beta)
             assert type(got) is int and got == ref(beta), (lam, beta)
@@ -355,15 +423,9 @@ def test_integer_freudenthal_matches_fraction_recursion(name):
     assert nonzero >= 20
 
 
-class _CorruptSlice:
-    """A root slice with a wrong multiplicity on the A2 root (1, 1)."""
-
-    def __init__(self, am):
-        self.roots = [((1, 0), 1), ((0, 1), 1), ((1, 1), am)]
-        self.bound = (9, 9)
-
-    def grow(self, beta):
-        pass
+def _corrupt_roots(am):
+    """The A2 roots with a wrong multiplicity on the root (1, 1)."""
+    return ((1, 0), 1), ((0, 1), 1), ((1, 1), am)
 
 
 @pytest.mark.parametrize("am, lam, beta, shown", [
@@ -375,10 +437,11 @@ def test_integer_freudenthal_raises_like_fraction_recursion(monkeypatch, am,
     Both raise at the dominant depth (1, 1): a non-dominant depth takes the
     value of its reflection, which never reaches the corrupt root."""
     A = [[2, -1], [-1, 2]]
-    monkeypatch.setattr(kacmoody, "_root_slice", lambda A: _CorruptSlice(am))
+    monkeypatch.setattr(kacmoody, "_positive_roots",
+                        lambda A, bound: _corrupt_roots(am))
     messages = []
-    for mult in (_multiplicities(A, lam),
-                 _ref_multiplicities(A, lam, _CorruptSlice(am))):
+    for mult in (_multiplicities(A, lam, (2, 2)),
+                 _ref_multiplicities(A, lam, _corrupt_roots(am))):
         with pytest.raises(ArithmeticError) as info:
             for b in itertools.product(range(3), repeat=2):
                 mult(b)
@@ -414,8 +477,14 @@ def _ref_ranks(quiver, dims_w, vmax):
     down (f)."""
     verts, A = cartan_matrix(quiver)
     lam_vec = tuple(dims_w.get(x, 0) for x in verts)
-    mult = _multiplicities(A, lam_vec)
     vmax_vec = tuple(vmax.get(x, 0) for x in verts)
+    # the alpha_i-string through depth v ends at most lam_i +
+    # sum_{j != i} |A_ij| v_j deep in coordinate i; the walk reads one more
+    n = len(verts)
+    mult = _multiplicities(A, lam_vec, tuple(
+        vmax_vec[i] + lam_vec[i] + 1 + sum(abs(A[i][j]) * vmax_vec[j]
+                                           for j in range(n) if j != i)
+        for i in range(n)))
     table = {v: mult(v) for v in itertools.product(*(range(b + 1)
                                                      for b in vmax_vec))}
 
