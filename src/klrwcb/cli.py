@@ -4,10 +4,12 @@ Commands: enumerate-sequences, check-equivalence, is-unsteady,
 reduce-integral, category-o-graph, monopole-mul, res-support, qhr,
 relcheck, satake, render-diagram, suite.  All output is deterministic for
 a fixed --seed.  KLRW_SHADOW_PRECISION sets the denominator used for
-auto-declared shadows of sqrtN symbols.  Bad input (a malformed literal,
-an unknown vertex or edge, data the library rejects) prints one line
-``klrwcb: error: <message>`` on stderr and exits with status 2; so does a
-quiver file that cannot be read.
+auto-declared shadows of sqrtN symbols.  One grammar (``scalars.read_terms``)
+reads every literal, from ``2*sym:sqrt2`` to ``0.5*x1*r[1,0] - r[-1,0]``.
+Bad input (a malformed literal, an unknown vertex or edge, data the
+library rejects, a usage error) prints one line ``klrwcb: error:
+<message>`` on stderr and exits with status 2; so does a quiver file that
+cannot be read.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ from .coulomb import (MatterWeight, MonopoleElement, TorusTheory,
 from .cover import build_cover, category_o_graph, integralize
 from .diagrams import Engine
 from .kacmoody import decat_chevalley, weyl_dimension, KMWeight
-from .poly import HBAR, ONE_POLY, Polynomial, RationalFunction
+from .poly import HBAR, Polynomial, as_poly
 from .quiver import dump_quiver_spec, load_quiver_spec
 from .relations import format_report, verify_relations
 from .render import render_diagram
-from .scalars import (SymbolTable, _parse_rational, as_scalar, format_scalar,
-                      parse_scalar)
+from .scalars import (SymbolTable, as_scalar, format_scalar, parse_scalar,
+                      read_terms, real_keys, sum_terms)
 from .sequences import (enumerate_orders, equivalent, format_sequence,
                         from_weight, is_unsteady, parse_sequence, validate)
 
@@ -108,131 +110,52 @@ def _parse_vertex_counts(text, quiver, flag):
     return counts
 
 
+def _variable(tok, rank):
+    """The polynomial variable x1..xr or h named by tok."""
+    if tok == HBAR or re.fullmatch(r"x[0-9]+", tok):
+        if tok != HBAR and not (1 <= int(tok[1:]) <= rank):
+            raise ValueError("variable %s out of rank %d" % (tok, rank))
+        return Polynomial.variable(tok)
+    raise ValueError("unknown variable %r" % tok)
+
+
 def parse_poly(text, rank):
-    """Small polynomial literal parser: sums of products of rationals and
-    variables x1..xr, h with optional ^exponent."""
-    tokens = []
-    i = 0
-    spec = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*|[0-9]+|\^|\*|\+|\-|/|\(|\))")
-    while i < len(text):
-        m = spec.match(text, i)
-        if not m:
-            raise ValueError("bad polynomial literal near %r" % text[i:])
-        tokens.append(m.group(1))
-        i = m.end()
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
-
-    def take():
-        tok = peek()
-        if tok is None:
-            raise ValueError("truncated polynomial literal")
-        pos[0] += 1
-        return tok
-
-    def natural(kind):
-        tok = take()
-        if not tok.isdigit():
-            raise ValueError("%s %r in polynomial literal %r is not a "
-                             "nonnegative integer" % (kind, tok, text))
-        return int(tok)
-
-    def atom():
-        tok = take()
-        if tok == "(":
-            base = expr()
-            if take() != ")":
-                raise ValueError("unbalanced parenthesis")
-        elif tok.isdigit():
-            den = 1
-            if peek() == "/":
-                take()
-                den = natural("denominator")
-                if not den:
-                    raise ValueError("zero denominator in polynomial literal")
-            base = Polynomial.constant(Fraction(int(tok), den))
-        elif tok == HBAR or re.fullmatch(r"x[0-9]+", tok):
-            if tok != HBAR and not (1 <= int(tok[1:]) <= rank):
-                raise ValueError("variable %s out of rank %d" % (tok, rank))
-            base = Polynomial.variable(tok)
-        else:
-            raise ValueError("unknown variable %r" % tok)
-        if peek() == "^":
-            take()
-            base = base ** natural("exponent")
-        return base
-
-    def product():
-        p = atom()
-        while peek() == "*":
-            take()
-            p = p * atom()
-        return p
-
-    def expr():
-        sign = 1
-        if peek() in ("+", "-"):
-            sign = -1 if take() == "-" else 1
-        p = Fraction(sign) * product()
-        while peek() in ("+", "-"):
-            sgn = -1 if take() == "-" else 1
-            p = p + Fraction(sgn) * product()
-        return p
-
-    out = expr()
-    if pos[0] != len(tokens):
-        raise ValueError("trailing junk in polynomial literal")
-    return out
-
-
-_RTERM = re.compile(r"r\[([0-9,\s\-]*)\]")
+    """Polynomial literal: the scalar grammar with the variables x1..xr, h."""
+    return as_poly(sum_terms(read_terms(text, lambda tok: _variable(tok, rank),
+                                        "polynomial")))
 
 
 def parse_monopole(text, rank):
-    """Element literal: terms like '3*x1*r[1,0] + r[-1,0]' joined by +/-.
-    The coefficient stands left of r[..]: r_xi f = f(x + h xi) r_xi, so a
-    factor on the right would be a different element."""
-    total = MonopoleElement({})
-    depth = 0
-    terms = []
-    cur = []
-    for i, ch in enumerate(text):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch in "+-" and depth == 0 and i > 0 and text[i - 1] not in "*^/([+-":
-            terms.append("".join(cur))
-            cur = [ch]
-        else:
-            cur.append(ch)
-    terms.append("".join(cur))
-    for term in terms:
-        term = term.strip()
-        if not term:
-            continue
-        m = _RTERM.search(term)
-        if not m:
-            raise ValueError("monopole term %r lacks an r[..] factor" % term)
-        nu = tuple(int(v) for v in m.group(1).split(",")) if m.group(1).strip() \
-            else ()
+    """Element literal: terms like '3*x1*r[1,0] - r[-1,0]', each ending in
+    its r[nu] factor.  The coefficient stands left of r[..]: r_xi f =
+    f(x + h xi) r_xi, so a factor on the right would be a different
+    element."""
+    def name(tok):
+        if not (tok.startswith("r[") and tok.endswith("]")):
+            return _variable(tok, rank)
+        nu = _parse_intvec(tok[2:-1])
         if len(nu) != rank:
             raise ValueError("coweight %r has wrong rank" % (nu,))
-        if term[m.end():].strip():
+        return nu
+
+    total = MonopoleElement({})
+    for factors, source in read_terms(text, name, "monopole"):
+        *coeff, nu = factors
+        if tuple in map(type, coeff):
             raise ValueError("monopole term %r has text after its r[..] factor"
-                             % term)
-        rest = term[:m.start()].strip().strip("*").strip()
-        sign = Fraction(1)
-        while rest.startswith(("+", "-")):
-            if rest[0] == "-":
-                sign = -sign
-            rest = rest[1:].strip().strip("*").strip()
-        coeff = parse_poly(rest, rank) if rest else ONE_POLY
-        total = total + MonopoleElement({nu: RationalFunction.of(
-            Fraction(sign) * coeff)})
+                             % source)
+        if type(nu) is not tuple:
+            raise ValueError("monopole term %r lacks an r[..] factor" % source)
+        total = total + MonopoleElement({nu: as_poly(sum_terms([(coeff, source)]))})
     return total
+
+
+def _rational(text, what):
+    """The rational literal text; what names it in error messages."""
+    value = sum_terms(read_terms(text, what=what))
+    if not value.is_rational:
+        raise ValueError("%s %r is not rational" % (what, text))
+    return value.rational
 
 
 def _parse_matter(specs, rank, table):
@@ -246,8 +169,8 @@ def _parse_matter(specs, rank, table):
             raise ValueError("gauge charge %r has wrong rank" % (gauge,))
         shift = parse_scalar(parts[1], table) if len(parts) > 1 and parts[1] \
             else as_scalar(0)
-        hshift = _parse_rational(parts[2]) if len(parts) > 2 and parts[2] \
-            else Fraction(0)
+        hshift = _rational(parts[2], "--matter %r hshift" % spec) \
+            if len(parts) > 2 and parts[2] else Fraction(0)
         matter.append(MatterWeight(gauge, shift, hshift))
     return TorusTheory(rank, matter)
 
@@ -298,14 +221,11 @@ def cmd_enumerate(args):
         line = format_sequence(s)
         if args.table:
             longs = [s.longitude(it, flavour) for it in s.order]
-            regime = []
-            for a, b in zip(longs, longs[1:]):
-                # a tie is an equal real part: rational and symbolic parts
-                same = a.rational == b.rational and a.symbolic == b.symbolic
-                rel = "=" if same else "<="
-                regime.append("Re(%s)%sRe(%s)" % (format_scalar(a), rel,
-                                                  format_scalar(b)))
-            line += "   regime: " + "  ".join(regime)
+            keys = real_keys(longs, table)  # equal keys: equal real parts
+            line += "   regime: " + "  ".join(
+                "Re(%s)%sRe(%s)" % (format_scalar(a), "=" if ka == kb else "<=",
+                                    format_scalar(b))
+                for a, b, ka, kb in zip(longs, longs[1:], keys, keys[1:]))
         print(line)
     return 0
 
@@ -464,7 +384,7 @@ def cmd_render(args):
             k, at, h = spec.partition("@")
             if not (at and k.isdigit() and h) or "@" in h:
                 raise ValueError("--dot %r is not strand@height" % spec)
-            dots.append((int(k), _parse_rational(h)))
+            dots.append((int(k), _rational(h, "--dot %r height" % spec)))
         diagram = engine.add_dots(diagram, dots)
     svg = render_diagram(engine, diagram, title=args.title)
     if args.output == "-":
@@ -505,8 +425,15 @@ def cmd_suite(args):
     return 0 if result["ok"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is bad input too: one ``klrwcb: error:`` line, exit 2."""
+
+    def error(self, message):
+        self.exit(2, "klrwcb: error: %s\n" % message)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="klrwcb",
         description="flavoured KLRW and abelian Coulomb branch calculators")
     sub = parser.add_subparsers(dest="command", required=True)

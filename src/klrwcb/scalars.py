@@ -14,7 +14,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import total_ordering, wraps
+from functools import reduce, total_ordering, wraps
+from itertools import repeat
+from operator import mul
 
 LT, EQ, GT = -1, 0, 1
 
@@ -300,73 +302,143 @@ def row_reduce(rows):
 
 # -- literal grammar ------------------------------------------------------
 #
-#   scalar  ::=  term (('+'|'-') term)*
-#   term    ::=  rational | rational 'i' | 'i' | 'sym:' NAME '~' SHADOW
-#   rational::=  'a' | 'a/b' | decimal
+#   sum     ::=  term (('+'|'-') term)*      (the sign starts the next term)
+#   term    ::=  factor ('*' factor)*
+#   factor  ::=  ('+'|'-')* atom ['^' natural]
+#   atom    ::=  digits ['.' digits] ['/' natural] ['i'] | 'i' | '(' sum ')'
+#             |  'sym:' NAME ['~' factor] | NAME
 #
-# Examples: "5/2", "3+0i", "1/2+3/4i", "sym:sqrt2~1.41421", "1-sym:sqrt3~1.7"
+# Spaces may stand between tokens, not inside one.  A NAME (letters,
+# digits, '_', and an optional [..] as in r[1,0]) is read by a function the
+# caller supplies; scalar literals have none.  Examples: "5/2", "1/2+3/4i",
+# "2*sym:sqrt2", "1-sym:sqrt3~1.7", "0.5*x1*r[1,0] - r[-1,0]".
 
-_SYM_RE = re.compile(r"^sym:([A-Za-z_][A-Za-z_0-9]*)(?:~(-?[0-9]+(?:\.[0-9]+)?(?:/[0-9]+)?))?$")
-_NUM_RE = re.compile(r"^(-?[0-9]+(?:\.[0-9]+)?(?:/-?[0-9]+)?)(i?)$")
+_TOKEN_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?|sym:[A-Za-z_][A-Za-z_0-9]*"
+                       r"|[A-Za-z_][A-Za-z_0-9]*(?:\[[^\]]*\])?|[-+*/^()~]|(?P<bad>\S)")
 
 
-def _parse_rational(text):
-    if "." in text and "/" in text:
-        raise ScalarParseError("mixed decimal/fraction literal %r" % text)
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ScalarParseError("zero denominator in %r" % text) from None
+class _Reader:
+    """Recursive descent over the tokens of one literal; ``what`` names the
+    kind of literal in error messages."""
+
+    def __init__(self, text, name, what, table):
+        self.text, self.name, self.what, self.table = text, name, what, table
+        self.tokens, self.pos = [], 0
+        for m in _TOKEN_RE.finditer(text):
+            if m.lastgroup == "bad":
+                raise ScalarParseError("bad %s literal near %r" % (what, text[m.start():]))
+            self.tokens.append((m.group(), m.start(), m.end()))
+        self.tokens.append((None, len(text), len(text)))
+
+    def peek(self):
+        return self.tokens[self.pos][0]
+
+    def take(self):
+        tok = self.peek()
+        if tok is None:
+            raise ScalarParseError("truncated %s literal" % self.what)
+        self.pos += 1
+        return tok
+
+    def accept(self, tok):
+        """Take the next token if it is tok; whether it was."""
+        if self.peek() != tok:
+            return False
+        self.pos += 1
+        return True
+
+    def source(self, first):
+        """The text from token first to the last token taken."""
+        return self.text[self.tokens[first][1]:self.tokens[self.pos - 1][2]]
+
+    def bad(self, term):
+        return ScalarParseError("bad %s term %r in %r" % (self.what, term, self.text))
+
+    def natural(self, kind):
+        tok = self.take()
+        if not tok.isdigit():
+            raise ScalarParseError("%s %r in %s literal %r is not a nonnegative "
+                                   "integer" % (kind, tok, self.what, self.text))
+        return int(tok)
+
+    def terms(self):
+        out = []
+        while not out or self.peek() in ("+", "-"):
+            first, factors = self.pos, self.factor()
+            while self.accept("*"):
+                factors += self.factor()
+            out.append((factors, self.source(first)))
+        return out
+
+    def factor(self):
+        neg = False
+        while self.peek() in ("+", "-"):
+            neg ^= self.take() == "-"
+        first, base = self.pos, self.atom()
+        if self.accept("^"):
+            base = self.value([(repeat(base, self.natural("exponent")), "")], first)
+        return [-ONE, base] if neg else [base]
+
+    def atom(self):
+        first, tok = self.pos, self.take()
+        if tok[0].isdigit():
+            q = Fraction(tok)
+            if self.accept("/"):
+                den = self.natural("denominator")
+                if not den:
+                    raise ScalarParseError("zero denominator in %r" % self.source(first))
+                q /= den
+            return ExactScalar(0, q) if self.accept("i") else ExactScalar(q)
+        if tok == "(":
+            inner = self.terms()
+            if self.take() != ")":
+                raise ScalarParseError("unbalanced parenthesis")
+            return self.value(inner, first)
+        if tok == "i":
+            return ExactScalar(0, 1)
+        if tok.startswith("sym:"):
+            if self.accept("~"):
+                shadow = self.value([(self.factor(), "")], first)
+                if not (isinstance(shadow, ExactScalar) and shadow.is_rational):
+                    raise self.bad(self.source(first))
+                if self.table is not None and tok[4:] not in self.table.entries:
+                    self.table.declare(tok[4:], shadow.rational)
+            return ExactScalar(0, 0, {tok[4:]: 1})
+        if self.name is None or not (tok[0].isalpha() or tok[0] == "_"):
+            raise self.bad(tok)
+        return self.name(tok)
+
+    def value(self, terms, first):
+        """sum_terms(terms); factors that do not multiply (a NAME's value,
+        say) make the text from token first on a bad term."""
+        try:
+            return sum_terms(terms)
+        except TypeError:
+            raise self.bad(self.source(first)) from None
+
+
+def read_terms(text, name=None, what="scalar", table=None):
+    """Read a literal of the grammar above into (factors, source) for each
+    top-level term: a negative sign is a factor -1, source is the term's
+    text.  ``name`` reads a NAME token into a value (or raises ValueError);
+    a symbol written with a shadow is declared into ``table`` when one is
+    supplied and lacks it."""
+    reader = _Reader(text, name, what, table)
+    terms = reader.terms()
+    if reader.peek() is not None:
+        raise ScalarParseError("trailing junk in %s literal" % what)
+    return terms
+
+
+def sum_terms(terms):
+    """The value of read terms: the sum of the products of their factors."""
+    return sum((reduce(mul, factors, ONE) for factors, _ in terms), ZERO)
 
 
 def parse_scalar(text, table=None):
     """Parse a scalar literal; newly seen symbols are declared into ``table``
     (with their written shadows) when one is supplied."""
-    s = text.strip().replace(" ", "")
-    if not s:
-        raise ScalarParseError("empty scalar literal")
-    # split into signed terms at top level
-    terms = []
-    sign, start = 1, 0
-    if s[0] in "+-":
-        sign, start = (1 if s[0] == "+" else -1), 1
-    i = start
-    cur = []
-    while i < len(s):
-        ch = s[i]
-        if ch in "+-" and i > start and s[i - 1] not in "+-/~:":
-            terms.append((sign, "".join(cur)))
-            sign, cur = (1 if ch == "+" else -1), []
-        else:
-            cur.append(ch)
-        i += 1
-    terms.append((sign, "".join(cur)))
-
-    total = ExactScalar(0)
-    for sgn, term in terms:
-        if not term:
-            raise ScalarParseError("dangling sign in %r" % text)
-        m = _SYM_RE.match(term)
-        if m:
-            name = m.group(1)
-            if m.group(2) is not None:
-                shadow = _parse_rational(m.group(2))
-                if table is not None and name not in table.entries:
-                    table.declare(name, shadow)
-            total = total + ExactScalar(0, 0, {name: sgn})
-            continue
-        if term == "i":
-            total = total + ExactScalar(0, sgn)
-            continue
-        m = _NUM_RE.match(term)
-        if not m:
-            raise ScalarParseError("bad scalar term %r in %r" % (term, text))
-        value = sgn * _parse_rational(m.group(1))
-        if m.group(2):
-            total = total + ExactScalar(0, value)
-        else:
-            total = total + ExactScalar(value)
-    return total
+    return sum_terms(read_terms(text, table=table))
 
 
 def _format_fraction(q):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -5,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, note, settings, strategies as st
 
 import klrwcb
 from klrwcb.cli import _parse_gamma, main, make_table, parse_monopole, parse_poly
@@ -68,6 +71,26 @@ def test_enumerate_table_marks_real_part_ties(kron_file, capsys):
     assert regime == ["Re(0)<=Re(1)", "Re(1)=Re(1+1i)", "Re(1+1i)=Re(1)",
                       "Re(1)<=Re(sym:sqrt2)", "Re(sym:sqrt2)<=Re(2+1i)",
                       "Re(2+1i)=Re(2)", "Re(2)<=Re(1+sym:sqrt2)"]
+    # ties among symbolic longitudes, ordered by their shadows
+    assert main(["enumerate-sequences", "--quiver", kron_file, "--gamma",
+                 "alpha=sym:sqrt2,1+sym:sqrt2;beta=sym:sqrt2+1i,1",
+                 "--table"]) == 0
+    regime = capsys.readouterr().out.split("regime: ")[1].split()
+    assert regime == ["Re(1)<=Re(sym:sqrt2)", "Re(sym:sqrt2)=Re(1i+sym:sqrt2)",
+                      "Re(1i+sym:sqrt2)<=Re(2)", "Re(2)<=Re(1+sym:sqrt2)",
+                      "Re(1+sym:sqrt2)=Re(1+1i+sym:sqrt2)",
+                      "Re(1+1i+sym:sqrt2)=Re(1+sym:sqrt2)",
+                      "Re(1+sym:sqrt2)<=Re(2+sym:sqrt2)"]
+
+
+def test_enumerate_output_reads_back(kron_file, capsys):
+    # a symbol coefficient other than +-1 is printed as q*sym:NAME
+    assert main(["enumerate-sequences", "--quiver", kron_file, "--gamma",
+                 "alpha=sym:sqrt2+sym:sqrt2;beta=0"]) == 0
+    seq = capsys.readouterr().out.strip()
+    assert seq == "[(beta,0),(alpha,2*sym:sqrt2)] order=[1,f@1,2,e@2]"
+    assert main(["is-unsteady", "--quiver", kron_file, seq]) == 0
+    assert capsys.readouterr().out == "unsteady k=2\n"
 
 
 def test_enumerate_deterministic(kron_file, capsys):
@@ -101,14 +124,15 @@ def test_flavour_override(kron_file, tmp_path, capsys):
 
 
 def test_bad_polynomial_literal(capsys):
+    # a bad token is reported against the whole monopole literal
     assert main(["monopole-mul", "--rank", "1", "2$x1*r[1]", "r[-1]"]) == 2
     assert capsys.readouterr().err == \
-        "klrwcb: error: bad polynomial literal near '$x1'\n"
+        "klrwcb: error: bad monopole literal near '$x1*r[1]'\n"
 
 
 @pytest.mark.parametrize("argv, message", [
     (["monopole-mul", "--rank", "1", "1/0*r[1]", "r[0]"],
-     "zero denominator in polynomial literal"),
+     "zero denominator in '1/0'"),
     (["monopole-mul", "--rank", "1", "--matter", "1;1/0", "r[1]", "r[0]"],
      "zero denominator in '1/0'"),
     (["monopole-mul", "--rank", "1", "--matter", "1;0;1/0", "r[1]", "r[0]"],
@@ -148,8 +172,11 @@ def test_bad_exponent_or_denominator_token(text, message, capsys):
     assert main(["monopole-mul", "--rank", "2", text + "*r[1,0]", "r[0,0]"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    # the CLI names the whole monopole literal, e.g. 'x1^x2*r[1,0]'
+    cli_message = message.replace("polynomial literal %r" % text,
+                                  "monopole literal %r" % (text + "*r[1,0]"))
     assert captured.err == \
-        "klrwcb: error: %s is not a nonnegative integer\n" % message
+        "klrwcb: error: %s is not a nonnegative integer\n" % cli_message
 
 
 def test_monopole_coefficient_right_of_r_is_rejected(capsys):
@@ -276,6 +303,9 @@ def test_monopole_mul_command(capsys):
     main(["monopole-mul", "--rank", "1", "--matter", "1",
           "r[-1]", "r[1]"])
     assert capsys.readouterr().out.strip() == "(x1-h)*r[0]"
+    # a decimal coefficient reads as in every other literal
+    assert main(["monopole-mul", "--rank", "1", "0.5*r[1]", "r[0]"]) == 0
+    assert capsys.readouterr().out == "(1/2)*r[1]\n"
 
 
 def test_reduce_integral_command(tmp_path, capsys):
@@ -393,6 +423,9 @@ _MODULE = ["--matter", "1", "--gamma0", "0", "--box", "3"]
       "--xi=0"], "xi must be a nonzero coweight"),
     (["res-support", "--rank", "1", "--matter=-1;1/2+1i;0", "--gamma0=1/3",
       "--box", "3", "--xi=0"], "xi must be a nonzero coweight"),
+    # a space inside a number was deleted: '1 2' read as 12
+    (["res-support", "--rank", "1", "--gamma0", "1 2", "--box", "2", "--xi", "1"],
+     "trailing junk in scalar literal"),
 ])
 def test_bad_module_command_input(capsys, argv, message):
     assert main(argv) == 2
@@ -517,6 +550,7 @@ def test_render_strand_count(tmp_path, capsys):
     ("0@1/2", "no strand 0: the diagram has strands 1..1"),
     ("x", "--dot 'x' is not strand@height"),
     ("1@1/2@3", "--dot '1@1/2@3' is not strand@height"),
+    ("1@abc", "bad --dot '1@abc' height term 'abc' in 'abc'"),
 ])
 def test_render_rejects_a_bad_dot(tmp_path, capsys, dot, message):
     path = tmp_path / "a1.json"
@@ -553,3 +587,96 @@ def test_closed_pipe_is_a_quiet_exit(a2_file, unbuffered):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert first.startswith(b"v -> dim V(lambda)") and err == b""
+
+
+# -- fuzzing: one argument of a valid invocation at a time -------------------
+
+_SEQ = "[(alpha,0),(beta,2)] order=[1,e@1,2,f@2]"
+
+# The README's invocation of every subcommand, kept cheap: a large --box,
+# --w or --bound is valid input that costs exponential time.
+_FUZZ_BASES = [
+    ["enumerate-sequences", "--quiver", "KRON", "--flavour", "e=1;f=1",
+     "--gamma", "alpha=0;beta=2", "--table"],
+    ["check-equivalence", "--quiver", "KRON", _SEQ, _SEQ],
+    ["is-unsteady", "--quiver", "KRON", _SEQ],
+    ["reduce-integral", "--quiver", "KRON", "--orbit", "alpha=0;beta=1/2"],
+    ["category-o-graph", "--quiver", "KRON"],
+    ["monopole-mul", "--rank", "1", "--matter", "1;1/2;0", "r[-1]", "r[1]"],
+    ["res-support", "--rank", "1", "--matter", "1", "--gamma0", "1/2",
+     "--box", "4", "--xi", "1"],
+    ["qhr", "--rank", "1", "--gamma0", "0", "--box", "3", "--xi", "1"],
+    ["relcheck", "--quiver", "A2", "--bound", "1", "--random", "1", "--seed", "0"],
+    ["satake", "--quiver", "A2", "--w", "1=1,2=1", "--vmax", "1=2,2=2"],
+    ["render-diagram", "--quiver", "KRON", "--bottom", _SEQ, "--dot", "1@1/3"],
+    ["suite", "relations", "--bound", "0"],
+]
+
+_FUZZ_VALUES = [
+    # zero and negative numbers, wrong-length vectors, zero coweights
+    "0", "-1", "-7", "1,2,3", "0,0", "r[0]", "r[1,1]", "r[]", "1=0,2=0",
+    # malformed literals
+    "1 2", "0. 5", "+", "-", "1+", "*", "2*", "*2", "(1", "1)", "sym:",
+    "sym:~1", "1/0", "x1^", "2^-1", "r[", "r[a]", "1@", "@1", "1@1@1", "e@",
+    "alpha=", "alpha=0;beta", "=1", "1=", "1;x", "1;0;i",
+    "[(alpha,x)] order=[1]", "[(alpha,0),(beta,2)] order=[1,e@9,2,f@2]",
+    # empty lists
+    "", ",", ";", "[] order=[]",
+]
+
+# JSON of the wrong type, given where a quiver or flavour file goes
+_FUZZ_FILES = {
+    "list": [1, 2], "string": "x", "null": None,
+    "vertices": {"vertices": "ab"},
+    "edges": {"vertices": ["alpha"], "edges": [5]},
+    "flavour": {"vertices": ["alpha", "beta"], "flavour": [1]},
+    "value": {"vertices": ["a"], "v": {"a": 1}, "w": {"a": 1},
+              "flavour": {"w[a]0": [1]}},
+    "counts": {"vertices": ["a"], "v": {"a": -1}, "w": {"a": -2}},
+    "override": {"e": [1], "f": None},
+}
+
+
+def _fuzz_edits(value):
+    """Mutations of one argument: a space inside a number, a stray sign,
+    '*' without an operand, unbalanced parentheses, a nameless symbol, a
+    longer vector, every 1 made 0."""
+    return [value + " 1", value + "+", value + "*", "(" + value, value + ")",
+            value + "+sym:", value + ",0", value.replace("1", "0")]
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for name, data in dict(_FUZZ_FILES, KRON=KRON, A2=A2).items():
+        paths[name] = str(root / ("%s.json" % name))
+        with open(paths[name], "w") as fh:
+            json.dump(data, fh)
+    return paths
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_mutated_invocation_is_a_result_or_one_error_line(fuzz_paths, data):
+    """Every subcommand, with one argument replaced, exits 0, 1 or 2
+    without an uncaught exception; exit 2 prints exactly one
+    ``klrwcb: error:`` line and nothing on stdout."""
+    argv = [fuzz_paths.get(a, a) for a in data.draw(st.sampled_from(_FUZZ_BASES))]
+    k = data.draw(st.sampled_from([i for i, a in enumerate(argv)
+                                   if i and not a.startswith("--")]))
+    files = [p for name, p in fuzz_paths.items() if name not in ("KRON", "A2")]
+    argv[k] = data.draw(st.sampled_from(_FUZZ_VALUES + files
+                                        + _fuzz_edits(argv[k])))
+    note(repr(argv))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("klrwcb: error: ")
+        assert err.getvalue().count("\n") == 1

@@ -68,6 +68,14 @@ def test_parse_format_roundtrip():
         a = parse_scalar(lit, t)
         b = parse_scalar(format_scalar(a), t)
         assert a == b, lit
+    # a symbol coefficient other than +-1 is written q*sym:NAME
+    rng = random.Random(7)
+
+    def small():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    for _ in range(300):
+        a = ExactScalar(small(), small(), {"s": small(), "u": small()})
+        assert parse_scalar(format_scalar(a), t) == a, format_scalar(a)
 
 
 def test_arithmetic():

@@ -362,6 +362,15 @@ def test_sequence_literal_roundtrip():
     s = parse_sequence("[(alpha,0),(beta,1/2+1i)] order=[1,2,e@1,f@2,!r]", t)
     s2 = parse_sequence(format_sequence(s), t)
     assert s == s2
+    # longitudes with any rational symbol coefficients, as q*sym:NAME
+    rng = random.Random(11)
+    for _ in range(100):
+        longs = tuple(ExactScalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                                  rng.randint(-1, 1),
+                                  {"s": Fraction(rng.randint(-3, 3), rng.randint(1, 2))})
+                      for _ in range(2))
+        s = FlavouredSequence(("alpha", "beta"), longs, s2.order)
+        assert parse_sequence(format_sequence(s), t) == s, format_sequence(s)
 
 
 # -- Z x C flavoured sequences ------------------------------------------------
