@@ -79,14 +79,17 @@ _INT_RE = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 def _parse_intvec(text):
-    """'1,-2,0' -> (1, -2, 0), naming an entry that is not an integer."""
-    out = []
-    for v in text.split(","):
-        if v.strip():
-            if not _INT_RE.fullmatch(v):
-                raise ValueError("bad integer %r in %r" % (v.strip(), text))
-            out.append(int(v))
-    return tuple(out)
+    """'1,-2,0' -> (1, -2, 0) and '' -> (), naming an entry that is not an
+    integer, an empty one included."""
+    if not text.strip():
+        return ()
+    entries = text.split(",")
+    for v in entries:
+        if not v.strip():
+            raise ValueError("empty entry in %r" % text)
+        if not _INT_RE.fullmatch(v):
+            raise ValueError("bad integer %r in %r" % (v.strip(), text))
+    return tuple(map(int, entries))
 
 
 def _parse_vertex_counts(text, quiver, flag):
@@ -190,8 +193,13 @@ def _load(args):
                                  % override)
             entries = values.items()
         else:
-            entries = (chunk.split("=", 1) for chunk in override.split(";")
-                       if chunk.strip())
+            entries = []
+            for chunk in override.split(";"):
+                if "=" in chunk:
+                    entries.append(chunk.split("=", 1))
+                elif chunk.strip():
+                    raise ValueError("--flavour entry %r is not edge=value"
+                                     % chunk.strip())
         for eid, lit in entries:
             if eid.strip() not in flavour.values:
                 raise ValueError("flavour override for unknown edge %r" % eid)

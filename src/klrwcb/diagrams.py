@@ -27,7 +27,10 @@ descriptor tuple, computed with run_operators on first use and kept as a
 tuple of (monomial, coefficient) pairs.  Every operator is Q-linear, so the
 image of a polynomial is the sum of its coefficients times the images of
 its monomials.  The memo belongs to the engine, so engines with different
-operators (a subclass overriding _demazure) never share images.
+operators (a subclass overriding _demazure) never share images.  The
+relation suite builds its instances once per engine too, and walks each
+of their words with word_operators once; it still decides every instance
+afresh on every pass.
 
 All relations of the algebra hold for these operators; verify_relations
 checks them exhaustively over given quiver data and is the normative

@@ -1,15 +1,19 @@
 """The local relation suite for the diagram calculus.
 
 Every local relation is instantiated over concrete quiver data as a pair
-of crossing/dot words on an explicit arrangement of strand items.  Each
-word becomes its tuple of operator descriptors once, through the engine's
-one word walk Engine.word_operators, and both sides are applied to a family
-of polynomials (all monomials up to a degree bound plus seeded random
-polynomials).  Every operator is linear, so a side's value on a polynomial
-is gathered from the engine's memo of monomial images (Engine.images):
-the sum of coefficient times image over the polynomial's monomials, which
-is the polynomial the operators give applied to it.  A relation instance
-passes when the two sides agree exactly on every test polynomial.
+of crossing/dot words on an explicit arrangement of strand items.  The
+instances are built once per engine, on its first verify_relations pass,
+and kept while the engine lives; each word becomes its tuple of operator
+descriptors once per instance, through the engine's one word walk
+Engine.word_operators, so a later pass classifies no crossing.  Verdicts
+are not kept: every pass draws its random tail and sums its images
+afresh.  Both sides are applied to a family of polynomials (all monomials
+up to a degree bound plus seeded random polynomials).  Every operator is
+linear, so a side's value on a polynomial is gathered from the engine's
+memo of monomial images (Engine.images): the sum of coefficient times
+image over the polynomial's monomials, which is the polynomial the
+operators give applied to it.  A relation instance passes when the two
+sides agree exactly on every test polynomial.
 
 By the same linearity the difference D = lhs - rhs vanishes on a test
 polynomial f when it vanishes on each monomial of f, since D(f) is the sum
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 from .poly import Polynomial, coefficient
@@ -47,6 +52,8 @@ class Scenario:
     def __init__(self, engine, labels, longitudes, arrangement):
         self.engine = engine
         self.seq = FlavouredSequence(labels, longitudes, arrangement)
+        # tuple(word) -> its descriptor tuple over seq, for equal
+        self._operators = {}
 
     @property
     def n(self):
@@ -72,8 +79,7 @@ class Scenario:
         one, and still passes a family in which the nonzero monomial images
         cancel inside every polynomial."""
         engine = self.engine
-        pairs = [(sign * coefficient(c),
-                  engine.images(engine.word_operators(self.seq, w)[0]))
+        pairs = [(sign * coefficient(c), engine.images(self._descriptors(w)))
                  for sign, side in ((1, lhs), (-1, rhs)) for c, w in side]
         # _image_sum's rule for the term mapping {m0: 1}, inlined: calling it
         # per monomial cost about a tenth of the relation checks per second
@@ -90,6 +96,15 @@ class Scenario:
             if any(_image_sum(pairs, f).values()):
                 return False, f
         return True, None
+
+    def _descriptors(self, word):
+        """The descriptor tuple of word over seq, walked once per word."""
+        key = tuple(word)
+        ops = self._operators.get(key)
+        if ops is None:
+            ops = self._operators[key] = \
+                self.engine.word_operators(self.seq, word)[0]
+        return ops
 
 
 def _image_sum(pairs, f):
@@ -263,6 +278,22 @@ def _instances(engine):
                    [(1, [cross(0), dot(1)])])
 
 
+# engine -> the list of its _instances, built on its first pass.  The
+# scenarios reach their engine through a weak proxy, so the entry does not
+# keep its key alive and goes when the engine does.
+_RESOLVED = weakref.WeakKeyDictionary()
+
+
+def _resolved_instances(engine):
+    """The list of _instances(engine), built once per engine from its
+    quiver data and flavour as they are then; each scenario keeps its
+    words' descriptor tuples (Scenario._descriptors)."""
+    instances = _RESOLVED.get(engine)
+    if instances is None:
+        instances = _RESOLVED[engine] = list(_instances(weakref.proxy(engine)))
+    return instances
+
+
 def verify_relations(engine, degree_bound=3, n_random=10, seed=0):
     """Run the whole relation suite; returns a report dict with per-relation
     instance counts and any failing witnesses."""
@@ -274,7 +305,7 @@ def verify_relations(engine, degree_bound=3, n_random=10, seed=0):
             raise ValueError("%s must be nonnegative, got %d" % (name, value))
     rng = random.Random(seed)
     report = {}
-    for name, sc, lhs, rhs in _instances(engine):
+    for name, sc, lhs, rhs in _resolved_instances(engine):
         polys = _test_polynomials(sc.n, degree_bound, n_random, rng)
         ok, witness = sc.equal(lhs, rhs, polys)
         entry = report.setdefault(name, {"instances": 0, "test_polys": 0,

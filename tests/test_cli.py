@@ -123,6 +123,19 @@ def test_flavour_override(kron_file, tmp_path, capsys):
                             "JSON object\n" % str(listed))
 
 
+@pytest.mark.parametrize("override", ["e", "e=2;f", "e=2; f "])
+def test_flavour_override_entry_without_equals(kron_file, capsys, override):
+    # an entry without '=' was unpacked into two names and failed with
+    # "not enough values to unpack"
+    assert main(["enumerate-sequences", "--quiver", kron_file,
+                 "--flavour", override, "--gamma", "alpha=0;beta=1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    entry = override.split(";")[-1].strip()
+    assert captured.err == ("klrwcb: error: --flavour entry %r is not "
+                            "edge=value\n" % entry)
+
+
 def test_bad_polynomial_literal(capsys):
     # a bad token is reported against the whole monopole literal
     assert main(["monopole-mul", "--rank", "1", "2$x1*r[1]", "r[-1]"]) == 2
@@ -463,6 +476,20 @@ def test_bad_intvec_entry(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "klrwcb: error: bad integer 'a' in '1,a'\n"
+
+
+@pytest.mark.parametrize("argv, literal", [
+    (["res-support", "--rank", "2", "--gamma0", "0,0", "--xi", "1,,"], "1,,"),
+    (["res-support", "--rank", "2", "--gamma0", "0,0", "--xi", ",1,0"], ",1,0"),
+    (["monopole-mul", "--rank", "2", "r[1,,0]", "r[0,0]"], "1,,0"),
+    (["monopole-mul", "--rank", "2", "r[0,0]", "r[1, ,0]"], "1, ,0"),
+])
+def test_empty_intvec_entry(capsys, argv, literal):
+    # empty entries were skipped: r[1,,0] read as r[1,0] and exited 0
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "klrwcb: error: empty entry in %r\n" % literal
 
 
 def test_monopole_mul_complex_shift(capsys):

@@ -10,8 +10,8 @@ from klrwcb.diagrams import (ComposeMismatchError, Engine, FramedComponentError,
                              TagMismatchError, _corporeal_position,
                              _test_polynomials, yvar)
 from klrwcb.poly import ONE_POLY, Polynomial
-from klrwcb.quiver import (DimensionData, Flavour, Quiver, crawley_boevey,
-                           kronecker_quiver)
+from klrwcb.quiver import (DimensionData, Edge, Flavour, Quiver,
+                           crawley_boevey, kronecker_quiver)
 from klrwcb.render import render_diagram
 from klrwcb.scalars import as_scalar, row_reduce
 from klrwcb.sequences import (FlavouredSequence, corporeal, from_weight, ghost,
@@ -431,6 +431,35 @@ def test_vanishing_certificate_matches_family_loop(cls):
         verdicts.append(ok)
     # only the split loops have crossings for MarkedEngine to change
     assert verdicts == [True] * (len(cases) - 2) + [cls is Engine] * 2
+
+
+def _two_component_engine(cls):
+    """The Kronecker quiver beside a vertex z, all of it unframed."""
+    q = Quiver(["alpha", "beta", "z"], [Edge("e", "beta", "alpha"),
+                                       Edge("f", "alpha", "beta")])
+    comp = crawley_boevey(q, DimensionData({"alpha": 2, "beta": 1, "z": 2},
+                                           {"alpha": 0, "beta": 0, "z": 0}))
+    return q, cls(comp, Flavour({"e": as_scalar(1), "f": as_scalar(1)}))
+
+
+@pytest.mark.parametrize("shifted", [0, 1], ids=["kronecker", "z"])
+def test_vanishing_certificate_crosses_other_component(shifted):
+    """Shifting one component moves its strands and ghosts past the other
+    component's strands, so theta and theta' have crossings and the check
+    compares two different words; a MarkedEngine, whose crossings no longer
+    cancel, fails the same certificates."""
+    q, eng = _two_component_engine(Engine)
+    _, marked = _two_component_engine(MarkedEngine)
+    component = q.components()[shifted]
+    rng = random.Random(3)
+    for _ in range(3):
+        gamma = {"alpha": [as_scalar(rng.randint(-3, 3)) for _ in range(2)],
+                 "beta": [as_scalar(rng.randint(-3, 3))],
+                 "z": [as_scalar(rng.randint(-3, 3)) for _ in range(2)]}
+        theta, theta_p, ok = eng.vanishing_certificate(gamma, component)
+        assert len(theta.events) > 0 and len(theta_p.events) > 0
+        assert ok is True
+        assert marked.vanishing_certificate(gamma, component)[2] is False
 
 
 def test_dot_on_crossing_rejected():

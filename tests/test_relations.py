@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -11,8 +13,9 @@ from klrwcb.diagrams import (Diagram, Engine, PolyVector, TagMismatchError,
 from klrwcb.poly import ONE_POLY, Polynomial, as_poly
 from klrwcb.quiver import (DimensionData, Edge, Flavour, Quiver,
                            crawley_boevey, kronecker_quiver)
-from klrwcb.relations import (Scenario, _instances, cross, dot, format_report,
-                              verify_relations)
+from klrwcb import relations
+from klrwcb.relations import (Scenario, _instances, _resolved_instances,
+                              cross, dot, format_report, verify_relations)
 from klrwcb.scalars import ExactScalar, as_scalar
 from klrwcb.sequences import corporeal, from_weight, ghost, red
 
@@ -303,6 +306,70 @@ def test_engines_keep_separate_images():
             assert report["ok"] is ok, format_report(report)
         assert plain._images and flipped._images
         assert plain._images is not flipped._images
+
+
+def _fresh_reports(engine, seeds, monkeypatch):
+    """verify_relations with no instance memo: fresh scenarios from
+    _instances and a fresh word walk for every word on every pass."""
+    with monkeypatch.context() as m:
+        m.setattr(relations, "_resolved_instances", _instances)
+        m.setattr(Scenario, "_descriptors",
+                  lambda sc, word: sc.engine.word_operators(sc.seq, word)[0])
+        return [verify_relations(engine, degree_bound=3, n_random=4, seed=s)
+                for s in seeds]
+
+
+@pytest.mark.parametrize("make", [a1_engine, a2_engine, kronecker_engine,
+                                  flipped_a1_engine])
+def test_instance_memo_matches_fresh_instances(make, monkeypatch):
+    """Three passes on one engine, seeds 0, 1, 2, report what fresh
+    instances and fresh word walks report, failures and witnesses included;
+    only the first pass classifies crossings."""
+    seeds = (0, 1, 2)
+    want = _fresh_reports(make(), seeds, monkeypatch)
+    engine = make()
+    calls = []
+    pair_kind = Engine.pair_kind
+
+    def counted(self, seq, a, b):
+        calls[-1] += 1
+        return pair_kind(self, seq, a, b)
+
+    monkeypatch.setattr(Engine, "pair_kind", counted)
+    for seed, report in zip(seeds, want):
+        calls.append(0)
+        got = verify_relations(engine, degree_bound=3, n_random=4, seed=seed)
+        assert got == report
+        assert format_report(got) == format_report(report)
+    assert calls[0] > 0 and calls[1:] == [0, 0]
+    assert want[0]["ok"] is (make is not flipped_a1_engine)
+
+
+def test_engines_on_the_same_data_keep_separate_instances():
+    """Two engines on one quiver's data each get their own scenarios,
+    every one of them bound to its own engine."""
+    plain = a1_engine()
+    engines = [plain, Engine(plain.completed, plain.flavour),
+               FlippedEngine(plain.completed, plain.flavour)]
+    for eng in engines:
+        verify_relations(eng, degree_bound=2, n_random=3, seed=0)
+    memos = [_resolved_instances(eng) for eng in engines]
+    for eng, memo in zip(engines, memos):
+        assert memo is _resolved_instances(eng)
+        assert all(sc.engine._images is eng._images for _, sc, _, _ in memo)
+    ids = [{id(sc) for _, sc, _, _ in memo} for memo in memos]
+    assert all(ids) and sum(map(len, ids)) == len(set().union(*ids))
+
+
+def test_instance_memo_goes_with_its_engine():
+    engine = a2_engine()
+    verify_relations(engine, degree_bound=2, n_random=3, seed=0)
+    assert engine in relations._RESOLVED
+    engine_ref = weakref.ref(engine)
+    scenario_ref = weakref.ref(relations._RESOLVED[engine][0][1])
+    del engine
+    gc.collect()
+    assert engine_ref() is None and scenario_ref() is None
 
 
 def test_word_operators_are_hashable_descriptors():
