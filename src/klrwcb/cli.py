@@ -4,12 +4,15 @@ Commands: enumerate-sequences, check-equivalence, is-unsteady,
 reduce-integral, category-o-graph, monopole-mul, res-support, qhr,
 relcheck, satake, render-diagram, suite.  All output is deterministic for
 a fixed --seed.  KLRW_SHADOW_PRECISION sets the denominator used for
-auto-declared shadows of sqrtN symbols.  One grammar (``scalars.read_terms``)
-reads every literal, from ``2*sym:sqrt2`` to ``0.5*x1*r[1,0] - r[-1,0]``.
-Bad input (a malformed literal, an unknown vertex or edge, data the
-library rejects, a usage error) prints one line ``klrwcb: error:
-<message>`` on stderr and exits with status 2; so does a quiver file that
-cannot be read.
+auto-declared shadows of sqrtN symbols.  One reader (``scalars.Reader``)
+reads every literal, from ``2*sym:sqrt2`` and ``0.5*x1*r[1,0] - r[-1,0]``
+to the sequence ``[(alpha,0),(beta,2)] order=[1,e@1,2,f@2]``, the lists
+``alpha=0,1/2;beta=2`` of --gamma and ``1=1,2=0`` of --w, and the vector
+``1,-2,0`` of --xi, and it reads the whole argument.  Bad input (a
+malformed literal, an empty entry, a repeated or unknown vertex or edge,
+data the library rejects, a usage error) prints one line ``klrwcb:
+error: <message>`` on stderr and exits with status 2; so does a quiver or
+flavour file that cannot be read or is not JSON.
 """
 
 from __future__ import annotations
@@ -34,18 +37,17 @@ from .poly import HBAR, Polynomial, as_poly
 from .quiver import dump_quiver_spec, load_quiver_spec
 from .relations import format_report, verify_relations
 from .render import render_diagram
-from .scalars import (SymbolTable, as_scalar, format_scalar, parse_scalar,
-                      read_terms, real_keys, sum_terms)
+from .scalars import (ZERO, Reader, SymbolTable, format_scalar, parse_scalar,
+                      read_terms, read_vector, real_keys, sum_terms)
 from .sequences import (enumerate_orders, equivalent, format_sequence,
                         from_weight, is_unsteady, parse_sequence, validate)
 
 
 def _shadow_precision():
     text = os.environ.get("KLRW_SHADOW_PRECISION", "1000000")
-    if not re.fullmatch(r"\s*[0-9]+\s*", text) or int(text) == 0:
-        raise ValueError("KLRW_SHADOW_PRECISION must be a positive integer, "
-                         "got %r" % text)
-    return int(text)
+    r = Reader(text)
+    return r.item(lambda: r.integer(1), "", lambda _: "KLRW_SHADOW_PRECISION must "
+                  "be a positive integer, got %r" % text)
 
 
 def make_table():
@@ -58,59 +60,28 @@ def make_table():
     return table
 
 
-def _parse_gamma(text, table, quiver):
+def _longitudes(text, flag, table, quiver):
     """'alpha=0,1/2;beta=2' -> {vertex: [scalars]} over the quiver's
-    vertices."""
-    gamma = {}
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "=" not in chunk:
-            raise ValueError("longitude chunk %r is not vertex=values" % chunk)
-        vertex, vals = (part.strip() for part in chunk.split("=", 1))
-        if vertex not in quiver.old_vertices():
-            raise ValueError("unknown vertex %r in %r" % (vertex, chunk))
-        gamma[vertex] = [parse_scalar(v, table) for v in vals.split(",") if v.strip()]
-    return gamma
+    vertices (the --gamma of enumerate-sequences, the --orbit of
+    reduce-integral)."""
+    r = Reader(text, what=flag, table=table)
+    return r.assignments(";", lambda: r.items(r.scalar, ",", ";", None),
+                         lambda item: "longitude chunk %r is not vertex=values" % item,
+                         "vertex", "%r", quiver.old_vertices())
 
 
-_INT_RE = re.compile(r"\s*[+-]?[0-9]+\s*")
-
-
-def _parse_intvec(text):
-    """'1,-2,0' -> (1, -2, 0) and '' -> (), naming an entry that is not an
-    integer, an empty one included."""
-    if not text.strip():
-        return ()
-    entries = text.split(",")
-    for v in entries:
-        if not v.strip():
-            raise ValueError("empty entry in %r" % text)
-        if not _INT_RE.fullmatch(v):
-            raise ValueError("bad integer %r in %r" % (v.strip(), text))
-    return tuple(map(int, entries))
-
-
-def _parse_vertex_counts(text, quiver, flag):
+def _counts(text, flag, quiver):
     """'1=1,2=3' -> {vertex: count} over the quiver's old vertices (the
-    --w and --vmax of satake), naming an entry that is not vertex=count
-    with a known vertex and a nonnegative integer count."""
-    counts = {}
-    for entry in text.split(","):
-        entry = entry.strip()
-        if not entry:
-            continue
-        if "=" not in entry:
-            raise ValueError("%s entry %r is not vertex=count" % (flag, entry))
-        vertex, value = (part.strip() for part in entry.split("=", 1))
-        if vertex not in quiver.old_vertices():
-            raise ValueError("unknown vertex %r in %s entry %r" % (vertex, flag, entry))
-        if not _INT_RE.fullmatch(value) or int(value) < 0:
+    --w and --vmax of satake)."""
+    r = Reader(text, what=flag)
+    counts = r.assignments(",", r.word,
+                           lambda item: "%s entry %r is not vertex=count" % (flag, item),
+                           "vertex", flag + " entry %r", quiver.old_vertices())
+    for x, n in counts.items():
+        if not n.isdecimal():
             raise ValueError("count %r in %s entry %r is not a nonnegative integer"
-                             % (value, flag, entry))
-        counts[vertex] = int(value)
-    return counts
+                             % (n, flag, "%s=%s" % (x, n)))
+    return {x: int(n) for x, n in counts.items()}
 
 
 def _variable(tok, rank):
@@ -136,7 +107,7 @@ def parse_monopole(text, rank):
     def name(tok):
         if not (tok.startswith("r[") and tok.endswith("]")):
             return _variable(tok, rank)
-        nu = _parse_intvec(tok[2:-1])
+        nu = read_vector(tok[2:-1])
         if len(nu) != rank:
             raise ValueError("coweight %r has wrong rank" % (nu,))
         return nu
@@ -153,57 +124,67 @@ def parse_monopole(text, rank):
     return total
 
 
-def _rational(text, what):
-    """The rational literal text; what names it in error messages."""
-    value = sum_terms(read_terms(text, what=what))
+def _rational(r, what):
+    """The rational sum at the reader's cursor; what names it in messages."""
+    start = r.skip()
+    value = r.scalar()
     if not value.is_rational:
-        raise ValueError("%s %r is not rational" % (what, text))
+        raise ValueError("%s %r is not rational" % (what, r.text[start:r.pos]))
     return value.rational
 
 
 def _parse_matter(specs, rank, table):
+    """A TorusTheory of --matter specs gauge[;shift[;hshift]], '1,0;1/2' say;
+    an empty shift or hshift is 0."""
     matter = []
     for spec in specs:
-        parts = spec.split(";")
-        if len(parts) > 3:
-            raise ValueError("matter spec %r has more than three ';' fields" % spec)
-        gauge = _parse_intvec(parts[0])
+        r = Reader(spec, what="--matter", table=table)
+        gauge = r.vector(";")
         if len(gauge) != rank:
             raise ValueError("gauge charge %r has wrong rank" % (gauge,))
-        shift = parse_scalar(parts[1], table) if len(parts) > 1 and parts[1] \
-            else as_scalar(0)
-        hshift = _rational(parts[2], "--matter %r hshift" % spec) \
-            if len(parts) > 2 and parts[2] else Fraction(0)
+        shift = r.scalar() if r.accept(";") and not r.at(";") else ZERO
+        hshift = _rational(r, "--matter %r hshift" % spec) \
+            if r.accept(";") and not r.at("") else Fraction(0)
+        if r.accept(";"):
+            raise ValueError("matter spec %r has more than three ';' fields" % spec)
+        if not r.at(""):
+            raise ValueError("matter spec %r is not gauge;shift;hshift" % spec)
         matter.append(MatterWeight(gauge, shift, hshift))
     return TorusTheory(rank, matter)
+
+
+def _json(path, flag):
+    """The JSON value in the file at path, which flag named."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError("%s file %r is not JSON: %s" % (flag, path, exc)) from None
 
 
 def _load(args):
     """The quiver spec of --quiver with the --flavour overrides applied,
     read against a fresh make_table()."""
-    quiver, dims, completed, flavour, table = load_quiver_spec(args.quiver,
-                                                               make_table())
+    quiver, dims, completed, flavour, table = load_quiver_spec(
+        _json(args.quiver, "--quiver"), make_table())
     override = getattr(args, "flavour", None)
     if override:
         if os.path.exists(override):
-            with open(override) as fh:
-                values = json.load(fh)
+            values = _json(override, "--flavour")
             if not isinstance(values, dict):
                 raise ValueError("flavour override file %r is not a JSON object"
                                  % override)
-            entries = values.items()
+            values = {eid.strip(): parse_scalar(str(lit), table)
+                      for eid, lit in values.items()}
         else:
-            entries = []
-            for chunk in override.split(";"):
-                if "=" in chunk:
-                    entries.append(chunk.split("=", 1))
-                elif chunk.strip():
-                    raise ValueError("--flavour entry %r is not edge=value"
-                                     % chunk.strip())
-        for eid, lit in entries:
-            if eid.strip() not in flavour.values:
+            r = Reader(override, what="--flavour", table=table)
+            values = r.assignments(
+                ";", r.scalar, lambda item: "--flavour entry %r is not edge=value" % item,
+                "edge", "--flavour entry %r")
+        for eid, value in values.items():
+            if eid not in flavour.values:
                 raise ValueError("flavour override for unknown edge %r" % eid)
-            flavour.values[eid.strip()] = parse_scalar(str(lit), table)
+            flavour.values[eid] = value
     return quiver, dims, completed, flavour, table
 
 
@@ -219,7 +200,7 @@ def _valid_sequence(what, text, completed, flavour, table):
 
 def cmd_enumerate(args):
     quiver, dims, completed, flavour, table = _load(args)
-    gamma = _parse_gamma(args.gamma, table, quiver)
+    gamma = _longitudes(args.gamma, "--gamma", table, quiver)
     seqs = enumerate_orders(None, gamma, completed, flavour, table,
                             up_to_equivalence=not args.all_orders)
     if args.format == "json":
@@ -260,7 +241,7 @@ def cmd_unsteady(args):
 
 def cmd_reduce_integral(args):
     quiver, dims, completed, flavour, table = _load(args)
-    orbit = _parse_gamma(args.orbit, table, quiver)
+    orbit = _longitudes(args.orbit, "--orbit", table, quiver)
     for x in quiver.old_vertices():
         orbit.setdefault(x, [])
     cover = build_cover(quiver, dims, completed, flavour, orbit, table)
@@ -307,7 +288,9 @@ def _module_from_args(args, table):
     if args.box <= 0:
         raise ValueError("--box %d is %s"
                          % (args.box, "negative" if args.box else "empty"))
-    gamma0 = tuple(parse_scalar(v, table) for v in args.gamma0.split(","))
+    r = Reader(args.gamma0, table=table)
+    # the one misfit of a scalar is text after it
+    gamma0 = tuple(r.items(r.scalar, ",", "", lambda _: "trailing junk in scalar literal"))
     if len(gamma0) != args.rank:
         raise ValueError("gamma0 has wrong rank")
     box = itertools.product(range(args.box), repeat=args.rank)
@@ -317,7 +300,7 @@ def _module_from_args(args, table):
 def cmd_res_support(args):
     table = make_table()
     module = _module_from_args(args, table)
-    xi = _parse_intvec(args.xi)
+    xi = read_vector(args.xi)
     support = res_support(module, xi)
     print("coset representative -> limit dimension")
     for key in sorted(support):
@@ -328,7 +311,7 @@ def cmd_res_support(args):
 def cmd_qhr(args):
     table = make_table()
     module = _module_from_args(args, table)
-    xi = _parse_intvec(args.xi)
+    xi = read_vector(args.xi)
     formula, oracle = hamiltonian_reduce(module, xi)
     print("projected weight -> dimension (formula / linear algebra)")
     for key in sorted(formula):
@@ -351,9 +334,9 @@ def cmd_relcheck(args):
 
 def cmd_satake(args):
     quiver, dims, completed, flavour, table = _load(args)
-    w = _parse_vertex_counts(args.w, quiver, "--w")
+    w = _counts(args.w, "--w", quiver)
     if args.vmax:
-        vmax = _parse_vertex_counts(args.vmax, quiver, "--vmax")
+        vmax = _counts(args.vmax, "--vmax", quiver)
     else:
         vmax = {x: sum(w.values()) for x in quiver.old_vertices()}
     res = decat_chevalley(quiver, w, vmax)
@@ -389,10 +372,14 @@ def cmd_render(args):
     if args.dot:
         dots = []
         for spec in args.dot:
-            k, at, h = spec.partition("@")
-            if not (at and k.isdigit() and h) or "@" in h:
-                raise ValueError("--dot %r is not strand@height" % spec)
-            dots.append((int(k), _rational(h, "--dot %r height" % spec)))
+            r = Reader(spec, what="--dot")
+
+            def dot():
+                k = r.integer(0)
+                r.expect("@")
+                return k, _rational(r, "--dot %r height" % spec)
+
+            dots.append(r.item(dot, "", lambda _: "--dot %r is not strand@height" % spec))
         diagram = engine.add_dots(diagram, dots)
     svg = render_diagram(engine, diagram, title=args.title)
     if args.output == "-":

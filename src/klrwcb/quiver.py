@@ -8,6 +8,7 @@ flavour assigns an exact scalar to every edge of the completed quiver.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 from .scalars import (ExactScalar, SymbolTable, as_scalar, format_scalar, is_integral,
@@ -155,14 +156,15 @@ def crawley_boevey(quiver, dims):
 
 
 def load_quiver_spec(path_or_dict, table=None):
-    """Read a quiver spec; returns (quiver, dims, completed, flavour, table)."""
+    """Read a quiver spec, from a path or as its JSON value; returns
+    (quiver, dims, completed, flavour, table)."""
     if table is None:
         table = SymbolTable()
-    if isinstance(path_or_dict, dict):
-        data = path_or_dict
-    else:
+    if isinstance(path_or_dict, (str, os.PathLike)):
         with open(path_or_dict) as fh:
             data = json.load(fh)
+    else:  # a JSON value already read
+        data = path_or_dict
     if not isinstance(data, dict):
         raise QuiverError("quiver spec is not a JSON object")
     for key, kind in (("vertices", list), ("edges", list), ("v", dict),

@@ -307,49 +307,90 @@ def row_reduce(rows):
 #   factor  ::=  ('+'|'-')* atom ['^' natural]
 #   atom    ::=  digits ['.' digits] ['/' natural] ['i'] | 'i' | '(' sum ')'
 #             |  'sym:' NAME ['~' factor] | NAME
+#   name    ::=  characters other than space , ; = @ ! ) ] outside brackets:
+#                ( and [ open a level that must close, so "(alpha,[1/3])",
+#                "e|[1/3]" and "w[a]0" are names
+#   vector  ::=  [integer (',' integer)*]        integer ::= ['+'|'-'] digits
+#   list    ::=  [item (sep item)*]              (sep ',' or ';'; no empty item)
+#   assign  ::=  list of name '=' value          (value read by the caller)
+#   sequence ::= '[' list of pair ']' 'order' '=' '[' list of token ']'
+#   pair    ::=  '(' name ',' sum ')'    token ::= digits | name '@' digits | '!' name
 #
 # Spaces may stand between tokens, not inside one.  A NAME (letters,
 # digits, '_', and an optional [..] as in r[1,0]) is read by a function the
 # caller supplies; scalar literals have none.  Examples: "5/2", "1/2+3/4i",
-# "2*sym:sqrt2", "1-sym:sqrt3~1.7", "0.5*x1*r[1,0] - r[-1,0]".
+# "2*sym:sqrt2", "0.5*x1*r[1,0] - r[-1,0]", "alpha=0,1/2;beta=2" (--gamma:
+# an assign over ';' of lists of sums over ','), "1=1,2=0" (--w).  Every
+# reader reads its whole argument.
 
-_TOKEN_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?|sym:[A-Za-z_][A-Za-z_0-9]*"
-                       r"|[A-Za-z_][A-Za-z_0-9]*(?:\[[^\]]*\])?|[-+*/^()~]|(?P<bad>\S)")
+_TOKEN_RE = re.compile(r"\s*(?:(?P<tok>[0-9]+(?:\.[0-9]+)?|sym:[A-Za-z_][A-Za-z_0-9]*"
+                       r"|[A-Za-z_][A-Za-z_0-9]*(?:\[[^\]]*\])?|[-+*/^()~])|(?P<bad>\S))?")
+_SPACES_RE = re.compile(r"\s*")
 
 
-class _Reader:
-    """Recursive descent over the tokens of one literal; ``what`` names the
-    kind of literal in error messages."""
+class _Misfit(ScalarParseError):
+    """Text that is not of the shape its production reads."""
 
-    def __init__(self, text, name, what, table):
+
+def _scan(text, i, stops):
+    """The end of the run of text from i that stops at one of stops outside
+    brackets, and the brackets left open there."""
+    depth = 0
+    while i < len(text) and (depth or text[i] not in stops):
+        depth = max(depth + (text[i] in "([") - (text[i] in ")]"), 0)
+        i += 1
+    return i, depth
+
+
+class Reader:
+    """Recursive descent over one literal, lexed at a cursor; ``what`` names
+    the kind of literal in error messages."""
+
+    def __init__(self, text, name=None, what="scalar", table=None):
         self.text, self.name, self.what, self.table = text, name, what, table
-        self.tokens, self.pos = [], 0
-        for m in _TOKEN_RE.finditer(text):
-            if m.lastgroup == "bad":
-                raise ScalarParseError("bad %s literal near %r" % (what, text[m.start():]))
-            self.tokens.append((m.group(), m.start(), m.end()))
-        self.tokens.append((None, len(text), len(text)))
+        self.pos = 0
 
     def peek(self):
-        return self.tokens[self.pos][0]
+        """The token at the cursor, None at the end; a character outside
+        the tokens (',' say) is one of its own, which take refuses."""
+        m = _TOKEN_RE.match(self.text, self.pos)
+        return m.group("tok") or m.group("bad")
 
     def take(self):
-        tok = self.peek()
-        if tok is None:
+        m = _TOKEN_RE.match(self.text, self.pos)
+        if m.group("bad"):
+            raise ScalarParseError("bad %s literal near %r"
+                                   % (self.what, self.text[m.start("bad"):]))
+        if not m.group("tok"):
             raise ScalarParseError("truncated %s literal" % self.what)
-        self.pos += 1
-        return tok
+        self.pos = m.end()
+        return m.group("tok")
 
     def accept(self, tok):
         """Take the next token if it is tok; whether it was."""
         if self.peek() != tok:
             return False
-        self.pos += 1
+        self.pos = _TOKEN_RE.match(self.text, self.pos).end()
         return True
 
+    def expect(self, tok):
+        if not self.accept(tok):
+            raise self.misfit()
+
+    def misfit(self):
+        return _Misfit("bad %s literal %r" % (self.what, self.text))
+
+    def skip(self):
+        self.pos = _SPACES_RE.match(self.text, self.pos).end()
+        return self.pos
+
+    def at(self, chars):
+        """Whether the cursor, past spaces, is at the end or at one of chars."""
+        return self.skip() == len(self.text) or self.text[self.pos] in chars
+
     def source(self, first):
-        """The text from token first to the last token taken."""
-        return self.text[self.tokens[first][1]:self.tokens[self.pos - 1][2]]
+        """The text read since the cursor stood at first."""
+        return self.text[first:self.pos].lstrip()
 
     def bad(self, term):
         return ScalarParseError("bad %s term %r in %r" % (self.what, term, self.text))
@@ -410,11 +451,86 @@ class _Reader:
 
     def value(self, terms, first):
         """sum_terms(terms); factors that do not multiply (a NAME's value,
-        say) make the text from token first on a bad term."""
+        say) make the text read since first a bad term."""
         try:
             return sum_terms(terms)
         except TypeError:
             raise self.bad(self.source(first)) from None
+
+    def scalar(self):
+        return sum_terms(self.terms())
+
+    def integer(self, low=None):
+        """The integer at the cursor; a misfit when there is none or it is
+        below low."""
+        sign = -1 if self.accept("-") else 1
+        if sign > 0:
+            self.accept("+")
+        tok = self.peek()
+        if not (tok and tok.isdigit()) or low is not None and sign * int(tok) < low:
+            raise self.misfit()
+        return sign * int(self.take())
+
+    def word(self):
+        """The name at the cursor; a misfit when there is none."""
+        start = self.skip()
+        self.pos, depth = _scan(self.text, start, ",;=@!)] \t\n\r\f\v")
+        if depth or self.pos == start:
+            raise self.misfit()
+        return self.text[start:self.pos]
+
+    def item(self, read, stops, misfit):
+        """read() at the cursor, which must read up to one of stops or the
+        end.  A misfit raises misfit(the text up to there), or passes on
+        when misfit is None."""
+        start = self.skip()
+        try:
+            value = read()
+            if not self.at(stops):
+                raise self.misfit()
+        except _Misfit:
+            if misfit is None:
+                raise
+            end = _scan(self.text, start, stops)[0]
+            raise ScalarParseError(misfit(self.text[start:end].rstrip())) from None
+        return value
+
+    def items(self, read, sep, ends, misfit):
+        """[read() for each item] of a list separated by sep, which runs up
+        to one of ends or the end, [] when it starts there; see item."""
+        out = []
+        if self.at(ends):
+            return out
+        while not out or self.accept(sep):
+            if self.at(sep + ends):
+                raise ScalarParseError("empty entry in %r" % self.text)
+            out.append(self.item(read, sep + ends, misfit))
+        return out
+
+    def vector(self, ends=""):
+        """The integer vector at the cursor, '1,-2,0' say."""
+        return tuple(self.items(self.integer, ",", ends,
+                                lambda item: "bad integer %r in %r" % (item, self.text)))
+
+    def assignments(self, sep, value, misfit, kind, named, keys=None):
+        """{name: value()} over the list name=value,... separated by sep that
+        is the whole text (see items).  A name is given once, and is one of
+        keys when they are given; a wrong one is named as a kind (vertex,
+        edge) in named % (its item)."""
+        out = {}
+
+        def assignment():
+            start, key = self.skip(), self.word()
+            self.expect("=")
+            why = ("unknown" if keys is not None and key not in keys
+                   else "repeated" if key in out else None)
+            if why:
+                item = self.text[start:_scan(self.text, start, sep)[0]].rstrip()
+                raise ScalarParseError("%s %s %r in %s" % (why, kind, key, named % item))
+            out[key] = value()
+
+        self.items(assignment, sep, "", misfit)
+        return out
 
 
 def read_terms(text, name=None, what="scalar", table=None):
@@ -423,11 +539,17 @@ def read_terms(text, name=None, what="scalar", table=None):
     text.  ``name`` reads a NAME token into a value (or raises ValueError);
     a symbol written with a shadow is declared into ``table`` when one is
     supplied and lacks it."""
-    reader = _Reader(text, name, what, table)
+    reader = Reader(text, name, what, table)
     terms = reader.terms()
     if reader.peek() is not None:
+        reader.take()  # a character outside the grammar is named as such
         raise ScalarParseError("trailing junk in %s literal" % what)
     return terms
+
+
+def read_vector(text):
+    """The integer vector literal text, '1,-2,0' say; '' is ()."""
+    return Reader(text).vector()
 
 
 def sum_terms(terms):

@@ -16,11 +16,10 @@ Z x C.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 
-from .scalars import (ExactScalar, as_scalar, format_scalar, is_integral,
-                      parse_scalar, real_keys)
+from .scalars import (ExactScalar, Reader, as_scalar, format_scalar, is_integral,
+                      real_keys)
 
 CORPOREAL, GHOST, RED = "C", "G", "R"
 
@@ -513,56 +512,45 @@ def zc_concat(parts):
 
 
 # -- sequence literals ------------------------------------------------------
-#
-#   [(label,longitude),...] order=[tok,tok,...]
-# with corporeal tokens 1..n, ghost tokens e@k, red tokens !e.
-
-_SEQ_RE = re.compile(r"^\s*\[(.*)\]\s*order=\[(.*)\]\s*$")
 
 
 def parse_sequence(text, table=None):
-    m = _SEQ_RE.match(text)
-    if not m:
-        raise ValueError("bad sequence literal %r" % text)
-    pairs_part, order_part = m.group(1), m.group(2)
-    labels, longitudes = [], []
-    depth = 0
-    cur = []
-    chunks = []
-    for ch in pairs_part:
-        if ch == "(":
-            depth += 1
-            if depth == 1:
-                cur = []
-                continue
-        if ch == ")":
-            depth -= 1
-            if depth == 0:
-                chunks.append("".join(cur))
-                continue
-        if depth >= 1:
-            cur.append(ch)
-    for chunk in chunks:
-        lab, comma, lit = chunk.partition(",")
-        if not comma:
-            raise ValueError("bad sequence literal %r: pair %r is not "
-                             "(label,longitude)" % (text, "(%s)" % chunk))
-        labels.append(lab.strip())
-        longitudes.append(parse_scalar(lit.strip(), table))
-    order = []
-    for tok in [t.strip() for t in order_part.split(",") if t.strip()]:
-        try:
-            if tok.startswith("!"):
-                order.append(red(tok[1:]))
-            elif "@" in tok:
-                eid, k = tok.split("@")
-                order.append(ghost(int(k), eid))
-            else:
-                order.append(corporeal(int(tok)))
-        except ValueError:
-            raise ValueError("bad sequence literal %r: order token %r is not "
-                             "k, e@k or !e" % (text, tok)) from None
-    return FlavouredSequence(tuple(labels), tuple(longitudes), tuple(order))
+    """The sequence literal text, as describe writes it:
+    [(label,longitude),...] order=[token,...] with corporeal tokens 1..n,
+    ghost tokens e@k and red tokens !e (see the grammar in scalars)."""
+    r = Reader(text, what="sequence", table=table)
+
+    def pair():
+        r.expect("(")
+        label = r.word()
+        r.expect(",")
+        longitude = r.scalar()
+        r.expect(")")
+        return label, longitude
+
+    def token():
+        if r.accept("!"):
+            return red(r.word())
+        name = r.word()
+        if r.accept("@"):
+            return ghost(r.integer(0), name)
+        if not name.isdecimal():
+            raise r.misfit()
+        return corporeal(int(name))
+
+    def sequence():
+        r.expect("[")
+        pairs = r.items(pair, ",", "]", lambda item: "bad sequence literal %r: pair "
+                        "%r is not (label,longitude)" % (text, item))
+        for tok in ("]", "order", "=", "["):
+            r.expect(tok)
+        order = r.items(token, ",", "]", lambda item: "bad sequence literal %r: order "
+                        "token %r is not k, e@k or !e" % (text, item))
+        r.expect("]")
+        return FlavouredSequence(tuple(label for label, _ in pairs),
+                                 tuple(a for _, a in pairs), tuple(order))
+
+    return r.item(sequence, "", None)
 
 
 def format_sequence(seq):

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, note, settings, strategies as st
 
 import klrwcb
-from klrwcb.cli import _parse_gamma, main, make_table, parse_monopole, parse_poly
+from klrwcb.cli import _longitudes, main, make_table, parse_monopole, parse_poly
 from klrwcb.cover import build_cover, integralize
 from klrwcb.poly import Polynomial, RationalFunction
 from klrwcb.quiver import load_quiver_spec
-from klrwcb.scalars import format_scalar
+from klrwcb.scalars import Reader, format_scalar, parse_scalar
+from klrwcb.sequences import parse_sequence
 
 KRON = {
     "vertices": ["alpha", "beta"],
@@ -263,6 +264,97 @@ def test_bad_gamma_vertex(tmp_path, capsys, gamma, message):
     assert captured.err == "klrwcb: error: %s\n" % message
 
 
+@pytest.mark.parametrize("argv, message", [
+    # text between pairs was dropped: each of these exited 0
+    (["is-unsteady", "[(alpha,0) junk (beta,2)] order=[1,e@1,2,f@2]"],
+     "bad sequence literal '[(alpha,0) junk (beta,2)] order=[1,e@1,2,f@2]': "
+     "pair '(alpha,0) junk (beta,2)' is not (label,longitude)"),
+    (["is-unsteady", "[(alpha,0)(beta,2)] order=[1,e@1,2,f@2]"],
+     "bad sequence literal '[(alpha,0)(beta,2)] order=[1,e@1,2,f@2]': "
+     "pair '(alpha,0)(beta,2)' is not (label,longitude)"),
+    # empty entries were skipped
+    (["is-unsteady", "[(alpha,0),,(beta,2)] order=[1,e@1,2,f@2]"],
+     "empty entry in '[(alpha,0),,(beta,2)] order=[1,e@1,2,f@2]'"),
+    (["is-unsteady", "[(alpha,0),(beta,2)] order=[1,,e@1,2,f@2]"],
+     "empty entry in '[(alpha,0),(beta,2)] order=[1,,e@1,2,f@2]'"),
+    (["is-unsteady", "[(alpha,0),(beta,2)] order=[1,e@1,2,f@2,]"],
+     "empty entry in '[(alpha,0),(beta,2)] order=[1,e@1,2,f@2,]'"),
+    (["enumerate-sequences", "--gamma", "alpha=0,,1;beta=2"],
+     "empty entry in 'alpha=0,,1;beta=2'"),
+    (["enumerate-sequences", "--gamma", "alpha=0;;beta=2"],
+     "empty entry in 'alpha=0;;beta=2'"),
+])
+def test_malformed_literal_is_named(kron_file, capsys, argv, message):
+    assert main(argv[:1] + ["--quiver", kron_file] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "klrwcb: error: %s\n" % message
+
+
+def test_parenthesised_longitude_is_a_scalar(kron_file, capsys):
+    assert main(["is-unsteady", "--quiver", kron_file,
+                 "[(alpha,(0)),(beta,2)] order=[1,e@1,2,f@2]"]) == 0
+    assert capsys.readouterr().out == "unsteady k=2\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the last value was kept
+    (["enumerate-sequences", "--quiver", "KRON", "--gamma", "alpha=0;alpha=1;beta=2"],
+     "repeated vertex 'alpha' in 'alpha=1'"),
+    (["reduce-integral", "--quiver", "KRON", "--orbit", "alpha=1/3;alpha=0;beta=0"],
+     "repeated vertex 'alpha' in 'alpha=0'"),
+    (["satake", "--quiver", "A2", "--w", "1=1,1=2"],
+     "repeated vertex '1' in --w entry '1=2'"),
+    (["satake", "--quiver", "A2", "--w", "1=1", "--vmax", "1=2,2=2,1=1"],
+     "repeated vertex '1' in --vmax entry '1=1'"),
+    (["enumerate-sequences", "--quiver", "KRON", "--flavour", "e=1;e=2",
+      "--gamma", "alpha=0;beta=2"], "repeated edge 'e' in --flavour entry 'e=2'"),
+])
+def test_repeated_key_is_an_error(kron_file, a2_file, capsys, argv, message):
+    files = {"KRON": kron_file, "A2": a2_file}
+    assert main([files.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "klrwcb: error: %s\n" % message
+
+
+def test_cover_sequence_reads_back(tmp_path, capsys):
+    """Cover vertex names (v,[c]), lifted edge ids e|[c] and new-edge ids
+    w[v]k are names: the sequences enumerate-sequences prints on a cover
+    read back (they failed with a bad scalar literal)."""
+    spec = dict(KRON, w={"alpha": 1, "beta": 0},
+                flavour={"e": "1", "f": "1", "w[alpha]0": "1/3"})
+    path, cover = tmp_path / "kronw.json", tmp_path / "cover.json"
+    path.write_text(json.dumps(spec))
+    assert main(["reduce-integral", "--quiver", str(path), "--orbit",
+                 "alpha=1/3;beta=4/3", "--format", "json"]) == 0
+    cover.write_text(capsys.readouterr().out)
+    assert main(["enumerate-sequences", "--quiver", str(cover), "--gamma",
+                 "(alpha,[1/3])=1/3;(beta,[1/3])=4/3"]) == 0
+    seq = capsys.readouterr().out.strip()
+    assert seq == ("[((alpha,[1/3]),1/3),((beta,[1/3]),4/3)] "
+                   "order=[!w[(alpha,[1/3])]0,1,e|[1/3]@1,2,f|[1/3]@2]")
+    assert main(["is-unsteady", "--quiver", str(cover), seq]) == 0
+    assert capsys.readouterr().out == "unsteady k=2\n"
+    assert main(["check-equivalence", "--quiver", str(cover), seq, seq]) == 0
+    assert capsys.readouterr().out == "equivalent via sigma = {1: 1, 2: 2}\n"
+
+
+@pytest.mark.parametrize("flag", ["--quiver", "--flavour"])
+def test_file_that_is_not_json(kron_file, tmp_path, capsys, flag):
+    # the message was json's alone: "Expecting value: line 1 column 1 (char 0)"
+    path = str(tmp_path / "notes.txt")
+    with open(path, "w") as fh:
+        fh.write("e=1;f=1\n")
+    args = dict({"--quiver": kron_file, "--flavour": "e=1"}, **{flag: path})
+    assert main(["enumerate-sequences", "--gamma", "alpha=0;beta=2"]
+                + [a for pair in args.items() for a in pair]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("klrwcb: error: %s file %r is not JSON: Expecting value: "
+                            "line 1 column 1 (char 0)\n" % (flag, path))
+
+
 def test_equivalence_command(kron_file, capsys):
     rc = main(["check-equivalence", "--quiver", kron_file,
                "[(alpha,0),(beta,0)] order=[1,2,f@2,e@1]",
@@ -347,7 +439,7 @@ def test_reduce_integral_command(tmp_path, capsys):
     table = make_table()
     quiver, dims, completed, flavour, table = load_quiver_spec(str(path), table)
     cover = build_cover(quiver, dims, completed, flavour,
-                        _parse_gamma(orbit, table, quiver), table)
+                        _longitudes(orbit, "--orbit", table, quiver), table)
     _, phi_prime = integralize(cover)
     ref = {
         "vertices": [str(v) for v in cover.quiver.vertices],
@@ -577,7 +669,7 @@ def test_render_strand_count(tmp_path, capsys):
     ("0@1/2", "no strand 0: the diagram has strands 1..1"),
     ("x", "--dot 'x' is not strand@height"),
     ("1@1/2@3", "--dot '1@1/2@3' is not strand@height"),
-    ("1@abc", "bad --dot '1@abc' height term 'abc' in 'abc'"),
+    ("1@abc", "bad --dot term 'abc' in '1@abc'"),
 ])
 def test_render_rejects_a_bad_dot(tmp_path, capsys, dot, message):
     path = tmp_path / "a1.json"
@@ -649,6 +741,15 @@ _FUZZ_VALUES = [
     "[(alpha,x)] order=[1]", "[(alpha,0),(beta,2)] order=[1,e@9,2,f@2]",
     # empty lists
     "", ",", ";", "[] order=[]",
+    # text that was dropped, empty entries, repeated keys
+    "[(alpha,0) junk (beta,2)] order=[1,e@1,2,f@2]",
+    "[(alpha,0)(beta,2)] order=[1,e@1,2,f@2]",
+    "[(alpha,0),,(beta,2)] order=[1,e@1,2,f@2]",
+    "[(alpha,(0)),(beta,2)] order=[1,e@1,2,f@2]",
+    "[(alpha,0),(beta,2)] order=[1,,e@1,2,f@2]",
+    "[(alpha,0),(beta,2)] order=[1,e@1,2,f@2,]",
+    "alpha=0,,1;beta=2", "alpha=0;;beta=2", "alpha=0;alpha=1;beta=2", "1=1,1=2",
+    "e=1;e=2",
 ]
 
 # JSON of the wrong type, given where a quiver or flavour file goes
@@ -707,3 +808,70 @@ def test_mutated_invocation_is_a_result_or_one_error_line(fuzz_paths, data):
         assert out.getvalue() == ""
         assert err.getvalue().startswith("klrwcb: error: ")
         assert err.getvalue().count("\n") == 1
+
+
+# -- no silent drop: what a reader accepts is all of it, and reads back --------
+
+_COVER_SEQ = ("[((alpha,[1/3]),1/3),((beta,[1/3]),4/3)] "
+              "order=[!w[(alpha,[1/3])]0,1,e|[1/3]@1,2,f|[1/3]@2]")
+
+# each literal reader with the writer of its values
+_ROUND_TRIPS = {
+    "sequence": (parse_sequence, lambda s: s.describe()),
+    "scalar": (parse_scalar, format_scalar),
+    "rank-1 monopole": (lambda text, table: parse_monopole(text, 1), repr),
+    "rank-2 monopole": (lambda text, table: parse_monopole(text, 2), repr),
+}
+
+
+@contextlib.contextmanager
+def _reading():
+    """The list of the Readers made inside the block; each keeps in
+    ``covered`` the places of its text that the lexemes it took span."""
+    made, saved = [], {n: getattr(Reader, n) for n in ("__init__", "take", "accept", "word")}
+
+    def init(self, *args, **kwargs):
+        saved["__init__"](self, *args, **kwargs)
+        self.covered = set()
+        made.append(self)
+
+    def lexeme(name):
+        def read(self, *args):
+            start = self.pos
+            out = saved[name](self, *args)
+            self.covered.update(range(start, self.pos))
+            return out
+        return read
+
+    Reader.__init__ = init
+    for name in ("take", "accept", "word"):
+        setattr(Reader, name, lexeme(name))
+    try:
+        yield made
+    finally:
+        for name, method in saved.items():
+            setattr(Reader, name, method)
+
+
+def test_accepted_literal_is_read_whole_and_reads_back():
+    """Every argument of the fuzz test's invocations and every mutation it
+    makes of one, given to every literal reader: when a reader accepts it,
+    a lexeme it took covers each character of it but spaces, and the value
+    written out reads back as the same value."""
+    bases = {a for argv in _FUZZ_BASES for a in argv[1:] if not a.startswith("-")}
+    bases.add(_COVER_SEQ)
+    texts = set(_FUZZ_VALUES).union(bases, *map(_fuzz_edits, bases))
+    table = make_table()
+    accepted = dict.fromkeys(_ROUND_TRIPS, 0)
+    for text in sorted(texts):
+        for kind, (read, write) in _ROUND_TRIPS.items():
+            with _reading() as made:
+                try:
+                    value = read(text, table)
+                except ValueError:
+                    continue
+            assert made and all(i in r.covered or c.isspace()
+                                for r in made for i, c in enumerate(r.text)), (kind, text)
+            assert read(write(value), table) == value, (kind, text)
+            accepted[kind] += 1
+    assert all(accepted.values()), accepted
