@@ -40,7 +40,7 @@ from .render import render_diagram
 from .scalars import (ZERO, Reader, SymbolTable, format_scalar, parse_scalar,
                       read_terms, read_vector, real_keys, sum_terms)
 from .sequences import (enumerate_orders, equivalent, format_sequence,
-                        from_weight, is_unsteady, parse_sequence, validate)
+                        is_unsteady, parse_sequence, validate)
 
 
 def _shadow_precision():
@@ -93,17 +93,12 @@ def _variable(tok, rank):
     raise ValueError("unknown variable %r" % tok)
 
 
-def parse_poly(text, rank):
-    """Polynomial literal: the scalar grammar with the variables x1..xr, h."""
-    return as_poly(sum_terms(read_terms(text, lambda tok: _variable(tok, rank),
-                                        "polynomial")))
-
-
 def parse_monopole(text, rank):
     """Element literal: terms like '3*x1*r[1,0] - r[-1,0]', each ending in
     its r[nu] factor.  The coefficient stands left of r[..]: r_xi f =
     f(x + h xi) r_xi, so a factor on the right would be a different
-    element."""
+    element.  A term of value zero needs no r[..] factor, so '0', the
+    repr of the zero element, reads back."""
     def name(tok):
         if not (tok.startswith("r[") and tok.endswith("]")):
             return _variable(tok, rank)
@@ -119,7 +114,9 @@ def parse_monopole(text, rank):
             raise ValueError("monopole term %r has text after its r[..] factor"
                              % source)
         if type(nu) is not tuple:
-            raise ValueError("monopole term %r lacks an r[..] factor" % source)
+            if sum_terms([(factors, source)]):
+                raise ValueError("monopole term %r lacks an r[..] factor" % source)
+            continue
         total = total + MonopoleElement({nu: as_poly(sum_terms([(coeff, source)]))})
     return total
 

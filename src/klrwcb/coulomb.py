@@ -486,13 +486,6 @@ class UniversalWeightModule:
         return coefficient(prod(self.action_factors(xi, nu)))
 
 
-def module_action(module, xi, nu):
-    """Structure scalar of r_xi on b_nu (target b_{nu - xi})."""
-    if tuple(nu) not in module.active:
-        raise KeyError("inactive weight %r" % (nu,))
-    return module.action_scalar(xi, nu)
-
-
 def _coset_key(nu, xi):
     """Canonical representative of nu + Z xi (as a tuple of Fractions)."""
     num = sum(a * b for a, b in zip(nu, xi))
@@ -599,10 +592,3 @@ def _line_coset_key(nu, xi):
     t = num / den
     return tuple(Fraction(a) - t * b for a, b in zip(nu, xi))
 
-
-def gk_dim(pieces):
-    """Max rank of the lattice generator sets presenting the support."""
-    best = 0
-    for generators, _base in pieces:
-        best = max(best, len(row_reduce(generators)[1]))
-    return best

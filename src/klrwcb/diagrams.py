@@ -62,10 +62,6 @@ class ComposeMismatchError(ValueError):
     pass
 
 
-class HTooSmallError(ValueError):
-    pass
-
-
 class FramedComponentError(ValueError):
     pass
 
@@ -375,71 +371,12 @@ class Engine:
                 deg += 1
         return deg
 
-    # -- nilHecke and cyclotomic idempotents -----------------------------------
-
-    def nilhecke_idempotent(self, gamma):
-        """The primitive idempotent projecting along the stabilizer of the
-        weight: staircase dots y_1^{k-1}...y_{k-1} on each block of equal
-        (label, longitude) consecutive strands, followed by the block's
-        longest-word crossings.  With trivial stabilizer this is e(gamma)."""
-        seq = gamma if isinstance(gamma, FlavouredSequence) else \
-            from_weight(gamma, self.completed, self.flavour, self.table)
-        blocks = self._stabilizer_blocks(seq)
-        sig = {k: k for k in range(1, seq.n + 1)}
-        for block in blocks:
-            for a, b in zip(block, reversed(block)):
-                sig[a] = b
-        word = self.permutation_diagram(seq, seq, sig)
-        dots = []
-        t = Fraction(0)
-        step = (word.events[0][-1] if word.events else Fraction(1)) \
-            / (1 + sum(len(b) * (len(b) - 1) // 2 for b in blocks))
-        for block in blocks:
-            k = len(block)
-            for i, strand in enumerate(block):
-                for _ in range(k - 1 - i):
-                    t += step
-                    dots.append((strand, t))
-        return self.add_dots(word, dots)
-
-    def _stabilizer_blocks(self, seq):
-        blocks = []
-        current = []
-        for k in range(1, seq.n + 1):
-            if current and seq.labels[k - 1] == seq.labels[current[-1] - 1] \
-                    and seq.longitudes[k - 1] == seq.longitudes[current[-1] - 1]:
-                current.append(k)
-            else:
-                if len(current) > 1:
-                    blocks.append(current)
-                current = [k]
-        if len(current) > 1:
-            blocks.append(current)
-        return blocks
-
-    def cyclotomic_idempotent(self, word, sign, H):
-        """e(word, +-H): the straight-line idempotent whose k-th strand
-        (left to right) has label word[k] and longitude kH (sign +) or
-        (k - n - 1)H (sign -)."""
-        n = len(word)
-        bound = self._flavour_bound()
-        if H <= bound + n:
-            raise HTooSmallError("H must exceed %d" % (bound + n))
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        # the longitudes strictly increase, so from_weight keeps the word order
-        gamma = {}
-        for k, label in enumerate(word, start=1):
-            gamma.setdefault(label, []).append(k * H if sign > 0 else (k - n - 1) * H)
-        return self.identity(from_weight(gamma, self.completed, self.flavour,
-                                         self.table))
+    # -- vanishing certificates --------------------------------------------------
 
     def _flavour_bound(self):
         """The largest absolute integer part of a flavour's rational part."""
         return max([abs(int(self.flavour[e.id].rational))
                     for e in self.completed.edges] + [0])
-
-    # -- vanishing certificates --------------------------------------------------
 
     def vanishing_certificate(self, gamma, component, H=None, checks=20, seed=0):
         """Certificate that e(gamma) dies in the steadied quotient when the

@@ -82,14 +82,6 @@ def fundamental_from_root_diff(verts, A, lam_fund, root_coords):
     return out
 
 
-def mu_from_dimensions(quiver, dims):
-    """mu = sum w_i varpi_i - sum v_i alpha_i, in fundamental coordinates."""
-    verts, A = cartan_matrix(quiver)
-    lam = {x: dims.w.get(x, 0) for x in verts}
-    mu = fundamental_from_root_diff(verts, A, lam, dims.v)
-    return KMWeight.make("fundamental", mu)
-
-
 # -- root multiplicities (Peterson) and Freudenthal ------------------------
 
 

@@ -279,9 +279,6 @@ class Polynomial:
             return None
         return max(2 * sum(e for _, e in m) for m in self.terms)
 
-    def is_homogeneous(self):
-        return len({sum(e for _, e in m) for m in self.terms}) <= 1
-
     def variables(self):
         out = set()
         for m in self.terms:

@@ -230,6 +230,3 @@ def kronecker_quiver():
     return Quiver(["alpha", "beta"],
                   [Edge("e", "beta", "alpha"), Edge("f", "alpha", "beta")])
 
-
-def jordan_quiver():
-    return Quiver(["x"], [Edge("t", "x", "x")])

@@ -1,4 +1,4 @@
-"""Flavoured sequences over C and over Z x C.
+"""Flavoured sequences over C.
 
 A flavoured sequence is a triple (labels, longitudes, total order) on the
 set of corporeal, ghostly and red (CGR) items.  Corporeal item k carries
@@ -9,8 +9,7 @@ at equal real longitude.  Corporeal indices are 1-based.
 
 This module is the one home of the item rules: ``build_cgr`` lists the
 items of a label word, ``CgrItem.renumber`` carries an item along a strand
-map, and one scan over exact order keys checks validity over C and over
-Z x C.
+map, and ``validate`` is the one validity scan, over exact order keys.
 """
 
 from __future__ import annotations
@@ -18,14 +17,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .scalars import (ExactScalar, Reader, as_scalar, format_scalar, is_integral,
-                      real_keys)
+from .scalars import Reader, as_scalar, format_scalar, real_keys
 
 CORPOREAL, GHOST, RED = "C", "G", "R"
-
-
-class NonIntegralInputError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -121,44 +115,35 @@ def validate(seq, completed, flavour, table=None):
     """Empty list iff the order is a flavoured sequence; otherwise one
     violation string per offending pair or structural defect.  Raises
     AmbiguousOrderError when two of the real longitudes cannot be ordered
-    (see real_keys), whatever their places in the order."""
-    return _violations(seq, completed, flavour,
-                       lambda longs: real_keys(longs, table), detailed=True)
+    (see real_keys), whatever their places in the order.
 
-
-def _violations(seq, completed, flavour, order_keys, detailed):
-    """The one validity scan.  order_keys maps the longitudes along the
-    order to exact keys: a later key is smaller iff rule (i) fails between
-    the two items, and keys are equal iff their real longitudes are."""
+    The one validity scan: the longitudes along the order map to exact
+    keys, a later key is smaller iff rule (i) fails between the two items,
+    and keys are equal iff their real longitudes are."""
     order = seq.order
     expect = set(build_cgr(seq.labels, completed))
     if set(order) != expect:
-        if not detailed:
-            return ["item set mismatch"]
         return ["item set mismatch: missing %s extra %s"
                 % (sorted(i.token() for i in expect - set(order)),
                    sorted(i.token() for i in set(order) - expect))]
     violations = []
     corp = [it.k for it in order if it.is_corporeal()]
     if corp != sorted(corp):
-        violations.append("corporeal items out of index order"
-                          + (": %s" % (corp,) if detailed else ""))
+        violations.append("corporeal items out of index order: %s" % (corp,))
     longs = [seq.longitude(it, flavour) for it in order]
-    keys = order_keys(longs)
-    at = (lambda i: " at %s" % longs[i]) if detailed else (lambda i: "")
+    keys = real_keys(longs, table)
     for i in range(len(order) - 1):
         if keys[i] > keys[i + 1]:
-            violations.append("rule (i): %s%s precedes %s%s"
-                              % (order[i].token(), at(i), order[i + 1].token(),
-                                 at(i + 1)))
+            violations.append("rule (i): %s at %s precedes %s at %s"
+                              % (order[i].token(), longs[i], order[i + 1].token(),
+                                 longs[i + 1]))
     for i1, it1 in enumerate(order):
         if not it1.is_corporeal():
             continue
         for i2 in range(i1 + 1, len(order)):
             if not order[i2].is_corporeal() and keys[i1] == keys[i2]:
-                violations.append("rule (ii): corporeal %s precedes %s%s"
-                                  % (it1.token(), order[i2].token(),
-                                     " at equal real longitude" if detailed else ""))
+                violations.append("rule (ii): corporeal %s precedes %s at equal "
+                                  "real longitude" % (it1.token(), order[i2].token()))
     return violations
 
 
@@ -319,31 +304,6 @@ def is_unsteady(seq):
     return False, None
 
 
-def to_loading_order(seq, completed, flavour, table=None):
-    """The order induced by reading the sequence as a loading.
-
-    Corporeal k sits at a_k + k*epsilon, a ghost or red item at its
-    longitude minus one half (plus the owner's epsilon for ghosts).
-    Realized combinatorially with doubled integer keys: corporeal k gets
-    (2 a_k, 1, k), ghost (k,e) gets (2 a_g - 1, 0, k), red e gets
-    (2 phi_e - 1, 0, 0); ties between reds fall back to the edge id.
-    Input flavours and longitudes must be integral.
-    """
-    keys = {}
-    for it in seq.order:
-        a = seq.longitude(it, flavour)
-        if not is_integral(a):
-            raise NonIntegralInputError("longitude %s of %s is not an integer"
-                                        % (a, it.token()))
-        v = int(a.rational)
-        if it.is_corporeal():
-            keys[it] = (2 * v, 1, it.k, "")
-        else:
-            keys[it] = (2 * v - 1, 0, it.k, str(it.edge))
-    new_order = sorted(seq.order, key=lambda it: keys[it])
-    return FlavouredSequence(seq.labels, seq.longitudes, new_order)
-
-
 def enumerate_orders(labels_multiset, gamma, completed, flavour, table=None,
                      up_to_equivalence=True):
     """All valid flavoured sequences with the per-vertex longitude
@@ -415,100 +375,6 @@ def _admissible_orders(base, items, flavour, table):
             yield from orders(i + 1, prefix + p + corp)
 
     yield from orders(0, ())
-
-
-# -- Z x C flavoured sequences ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class ZCLongitude:
-    level: int
-    value: ExactScalar
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", as_scalar(self.value))
-
-    def shift(self, c):
-        return ZCLongitude(self.level, self.value + c)
-
-
-@dataclass(frozen=True)
-class ZCFlavouredSequence:
-    labels: tuple
-    longitudes: tuple       # of ZCLongitude
-    order: tuple
-
-    @property
-    def n(self):
-        return len(self.labels)
-
-    def longitude(self, item, flavour):
-        if item.kind == CORPOREAL:
-            return self.longitudes[item.k - 1]
-        if item.kind == GHOST:
-            return self.longitudes[item.k - 1].shift(flavour[item.edge])
-        return ZCLongitude(0, flavour[item.edge])
-
-
-def zc_validate(seq, completed, flavour, table=None):
-    """validate over Z x C: the order key of a longitude is (level, real
-    key), with real keys taken per level, so two levels are never compared."""
-    return _violations(seq, completed, flavour,
-                       lambda longs: _zc_keys(longs, table), detailed=False)
-
-
-def _zc_keys(longs, table):
-    by_level = {}
-    for i, a in enumerate(longs):
-        by_level.setdefault(a.level, []).append(i)
-    keys = [None] * len(longs)
-    for level, idx in by_level.items():
-        for i, key in zip(idx, real_keys([longs[i].value for i in idx], table)):
-            keys[i] = (level, key)
-    return keys
-
-
-def zc_is_unsteady(seq):
-    plain = FlavouredSequence(seq.labels, tuple(as_scalar(0) for _ in seq.labels),
-                              seq.order)
-    return is_unsteady(plain)
-
-
-def zc_split(seq):
-    """Split a valid sequence into its level components, levels increasing.
-
-    Returns a list of (level, FlavouredSequence); corporeal indices are
-    renumbered within each level preserving relative order."""
-    item_level = {}
-    for it in seq.order:
-        if it.is_red():
-            item_level[it] = 0
-        else:
-            item_level[it] = seq.longitudes[it.k - 1].level
-    levels = sorted(set(item_level.values()))
-    out = []
-    for p in levels:
-        sub_items = [it for it in seq.order if item_level[it] == p]
-        corp_ks = [it.k for it in sub_items if it.is_corporeal()]
-        renumber = {k: i + 1 for i, k in enumerate(sorted(corp_ks))}
-        labels = tuple(seq.labels[k - 1] for k in sorted(corp_ks))
-        longitudes = tuple(seq.longitudes[k - 1].value for k in sorted(corp_ks))
-        out.append((p, FlavouredSequence(
-            labels, longitudes, [it.renumber(renumber) for it in sub_items])))
-    return out
-
-
-def zc_concat(parts):
-    """Inverse of zc_split: levels must be strictly increasing."""
-    labels, longitudes, order = [], [], []
-    offset = 0
-    for p, seq in parts:
-        remap = {k: k + offset for k in range(1, seq.n + 1)}
-        labels.extend(seq.labels)
-        longitudes.extend(ZCLongitude(p, a) for a in seq.longitudes)
-        order.extend(it.renumber(remap) for it in seq.order)
-        offset += seq.n
-    return ZCFlavouredSequence(tuple(labels), tuple(longitudes), tuple(order))
 
 
 # -- sequence literals ------------------------------------------------------

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import settings
 
 from klrwcb.quiver import (DimensionData, Edge, Flavour, Quiver,
-                           crawley_boevey, jordan_quiver, kronecker_quiver)
+                           crawley_boevey, kronecker_quiver)
 from klrwcb.scalars import as_scalar
 
 # Property tests run without a deadline (a loaded machine runs the same

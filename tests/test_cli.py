@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, note, settings, strategies as st
 
 import klrwcb
-from klrwcb.cli import _longitudes, main, make_table, parse_monopole, parse_poly
+from klrwcb.cli import _longitudes, main, make_table, parse_monopole
+from klrwcb.coulomb import MonopoleElement
 from klrwcb.cover import build_cover, integralize
 from klrwcb.poly import Polynomial, RationalFunction
 from klrwcb.quiver import load_quiver_spec
@@ -48,10 +49,11 @@ def a2_file(tmp_path):
 
 
 def test_parse_poly_and_monopole():
-    p = parse_poly("2*x1^2 - 1/2*h + 3", 2)
+    p = parse_monopole("(2*x1^2 - 1/2*h + 3)*r[0,0]", 2).terms[(0, 0)]
     x1 = Polynomial.variable("x1")
     h = Polynomial.variable("h")
-    assert p == 2 * x1 * x1 - __import__("fractions").Fraction(1, 2) * h + 3
+    assert p == RationalFunction.of(
+        2 * x1 * x1 - __import__("fractions").Fraction(1, 2) * h + 3)
     el = parse_monopole("x1*r[1,0] - r[-1,0]", 2)
     assert set(el.terms) == {(1, 0), (-1, 0)}
     assert el.terms[(1, 0)] == RationalFunction.of(x1)
@@ -166,11 +168,13 @@ def test_zero_denominator_literal(kron_file, capsys, argv, message):
 
 def test_parse_poly_power_of_parenthesis():
     x1 = Polynomial.variable("x1")
-    assert parse_poly("(x1+1)^2", 1) == x1 * x1 + 2 * x1 + 1
+    assert parse_monopole("(x1+1)^2*r[0]", 1) == \
+        MonopoleElement({(0,): x1 * x1 + 2 * x1 + 1})
     h = Polynomial.variable("h")
-    assert parse_poly("-(x1-h)^2*h", 1) == -((x1 - h) ** 2) * h
-    with pytest.raises(ValueError, match="truncated polynomial literal"):
-        parse_poly("(x1+1)^", 1)
+    assert parse_monopole("-(x1-h)^2*h*r[0]", 1) == \
+        MonopoleElement({(0,): -((x1 - h) ** 2) * h})
+    with pytest.raises(ValueError, match="truncated monopole literal"):
+        parse_monopole("(x1+1)^", 1)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -180,17 +184,18 @@ def test_parse_poly_power_of_parenthesis():
     ("(x1+h)^(2)", "exponent '(' in polynomial literal '(x1+h)^(2)'"),
 ])
 def test_bad_exponent_or_denominator_token(text, message, capsys):
+    # the reader names the whole monopole literal, e.g. 'x1^x2*r[1,0]'
+    literal = text + "*r[1,0]"
+    message = message.replace("polynomial literal %r" % text,
+                              "monopole literal %r" % literal)
     with pytest.raises(ValueError, match="^%s is not a nonnegative integer$"
                        % re.escape(message)):
-        parse_poly(text, 2)
-    assert main(["monopole-mul", "--rank", "2", text + "*r[1,0]", "r[0,0]"]) == 2
+        parse_monopole(literal, 2)
+    assert main(["monopole-mul", "--rank", "2", literal, "r[0,0]"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    # the CLI names the whole monopole literal, e.g. 'x1^x2*r[1,0]'
-    cli_message = message.replace("polynomial literal %r" % text,
-                                  "monopole literal %r" % (text + "*r[1,0]"))
     assert captured.err == \
-        "klrwcb: error: %s is not a nonnegative integer\n" % cli_message
+        "klrwcb: error: %s is not a nonnegative integer\n" % message
 
 
 def test_monopole_coefficient_right_of_r_is_rejected(capsys):
@@ -411,6 +416,18 @@ def test_monopole_mul_command(capsys):
     # a decimal coefficient reads as in every other literal
     assert main(["monopole-mul", "--rank", "1", "0.5*r[1]", "r[0]"]) == 0
     assert capsys.readouterr().out == "(1/2)*r[1]\n"
+    # the zero element prints as 0, which reads back; only a term of value
+    # zero may lack its r[..] factor
+    assert main(["monopole-mul", "--rank", "1", "0*r[1]", "r[0]"]) == 0
+    zero = capsys.readouterr().out.strip()
+    assert zero == "0"
+    assert main(["monopole-mul", "--rank", "1", zero, "r[0]"]) == 0
+    assert capsys.readouterr().out == "0\n"
+    assert main(["monopole-mul", "--rank", "1", "0*x1 + x1*r[1]", "r[0]"]) == 0
+    assert capsys.readouterr().out == "(x1)*r[1]\n"
+    assert main(["monopole-mul", "--rank", "1", "x1", "r[0]"]) == 2
+    assert capsys.readouterr().err == \
+        "klrwcb: error: monopole term 'x1' lacks an r[..] factor\n"
 
 
 def test_reduce_integral_command(tmp_path, capsys):
@@ -875,3 +892,7 @@ def test_accepted_literal_is_read_whole_and_reads_back():
             assert read(write(value), table) == value, (kind, text)
             accepted[kind] += 1
     assert all(accepted.values()), accepted
+    # the zero element is written 0, which reads back
+    for kind in ("rank-1 monopole", "rank-2 monopole"):
+        read, write = _ROUND_TRIPS[kind]
+        assert read(write(MonopoleElement.zero()), table) == MonopoleElement.zero()

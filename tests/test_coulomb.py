@@ -9,8 +9,8 @@ import pytest
 from klrwcb.coulomb import (BadCocharacterError, MatterNotInvariantError,
                             MatterWeight, MonopoleElement, TorusTheory,
                             UniversalWeightModule, d, elprime_identity_holds,
-                            forget_matter, fourier, gk_dim, hamiltonian_reduce,
-                            inv_monopole, kappa, module_action, mul, phi0,
+                            forget_matter, fourier, hamiltonian_reduce,
+                            inv_monopole, kappa, mul, phi0,
                             phi0_prime, relation_coefficient, res_support,
                             rxi_closed_form, rxi_pairing,
                             transition_eigenvalues, transition_invertible,
@@ -137,10 +137,10 @@ def test_transition_invertible():
 
 def test_module_action_examples():
     m = UniversalWeightModule(TH1, (Fraction(1, 2),), {(k,) for k in range(4)})
-    assert module_action(m, (0,), (1,)) == as_scalar(1)
+    assert m.action_scalar((0,), (1,)) == as_scalar(1)
     # scalars of the up-down composite match the closed-form eigenvalue
-    c_down = module_action(m, (1,), (1,))
-    c_up = module_action(m, (-1,), (0,))
+    c_down = m.action_scalar((1,), (1,))
+    c_up = m.action_scalar((-1,), (0,))
     eig = rxi_closed_form((1,), TH1)[0].terms[(0,)].evaluate(
         {"x1": m.weight_of((1,))[0], HBAR: 1})
     assert c_up * c_down == eig
@@ -324,12 +324,6 @@ def test_transition_eigenvalues_rejects_wrong_rank():
 
 def test_transition_invertible_rejects_wrong_rank():
     _rejects_wrong_rank(transition_invertible)
-
-
-def test_gk_dim():
-    assert gk_dim([([], (0,))]) == 0
-    assert gk_dim([([(1, 0), (0, 1)], (0, 0))]) == 2
-    assert gk_dim([([(1, 1)], (0, 0)), ([], (5, 5))]) == 1
 
 
 def test_monopole_suite_small():

@@ -8,7 +8,7 @@ from klrwcb.cover import (CoverMismatchError, EdgeLoopInCoverError,
                           cover_vertex, coset_rep, integralize, transport,
                           untransport)
 from klrwcb.quiver import (DimensionData, Edge, Flavour, Quiver,
-                           crawley_boevey, jordan_quiver, kronecker_quiver)
+                           crawley_boevey, kronecker_quiver)
 from klrwcb.scalars import SymbolTable, as_scalar, is_integral, parse_scalar
 from klrwcb.sequences import equivalent, from_weight, is_unsteady, validate
 
@@ -210,7 +210,7 @@ def test_transport_preserves_unsteadiness_saturated():
 
 
 def test_category_o_graph_jordan_halfstep():
-    q = jordan_quiver()
+    q = Quiver(["x"], [Edge("t", "x", "x")])
     dims = DimensionData({"x": 1}, {"x": 1})
     comp = crawley_boevey(q, dims)
     fl = Flavour({"t": as_scalar(Fraction(1, 2)), "w[x]0": as_scalar(0)})
@@ -239,7 +239,7 @@ def test_category_o_graph_no_framing():
 
 
 def test_category_o_graph_edge_loop():
-    q = jordan_quiver()
+    q = Quiver(["x"], [Edge("t", "x", "x")])
     dims = DimensionData({"x": 1}, {"x": 1})
     comp = crawley_boevey(q, dims)
     fl = Flavour({"t": as_scalar(1), "w[x]0": as_scalar(0)})
@@ -248,7 +248,7 @@ def test_category_o_graph_edge_loop():
 
 
 def test_category_o_graph_infinite():
-    q = jordan_quiver()
+    q = Quiver(["x"], [Edge("t", "x", "x")])
     dims = DimensionData({"x": 1}, {"x": 1})
     comp = crawley_boevey(q, dims)
     t = SymbolTable()

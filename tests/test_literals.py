@@ -12,7 +12,7 @@ import random
 import re
 from fractions import Fraction
 
-from klrwcb.cli import parse_monopole, parse_poly
+from klrwcb.cli import parse_monopole
 from klrwcb.coulomb import MonopoleElement
 from klrwcb.poly import HBAR, ONE_POLY, Polynomial, RationalFunction
 from klrwcb.scalars import (ExactScalar, ScalarParseError, SymbolTable,
@@ -273,9 +273,18 @@ def _read(kind, text, table, readers):
     return readers[2](text, 2)
 
 
+def _parse_poly(text, rank):
+    """The polynomial literal text, read as the coefficient of r[0,..,0]."""
+    return parse_monopole("(%s)*r[%s]" % (text, ",".join("0" * rank)), rank)
+
+
+def _ref_parse_poly_at_zero(text, rank):
+    return MonopoleElement({(0,) * rank: _ref_parse_poly(text, rank)})
+
+
 def test_one_grammar_reads_what_the_former_readers_read():
-    new, ref = (parse_scalar, parse_poly, parse_monopole), \
-        (_ref_parse_scalar, _ref_parse_poly, _ref_parse_monopole)
+    new, ref = (parse_scalar, _parse_poly, parse_monopole), \
+        (_ref_parse_scalar, _ref_parse_poly_at_zero, _ref_parse_monopole)
     t_new, t_ref = SymbolTable(), SymbolTable()
     compared, rejected = 0, []
     for kind, text in _family():
@@ -298,8 +307,10 @@ def test_one_grammar_reads_what_the_former_readers_read():
 
 def test_decimals_and_unary_signs_are_read_everywhere():
     x1 = Polynomial.variable("x1")
-    assert parse_poly("0.5*x1", 1) == parse_poly("1/2*x1", 1) == Fraction(1, 2) * x1
-    assert parse_poly("x1+-2", 1) == parse_poly("--x1-2", 1) == x1 - 2
+    assert _parse_poly("0.5*x1", 1) == _parse_poly("1/2*x1", 1) == \
+        MonopoleElement({(0,): Fraction(1, 2) * x1})
+    assert _parse_poly("x1+-2", 1) == _parse_poly("--x1-2", 1) == \
+        MonopoleElement({(0,): x1 - 2})
     assert parse_monopole("0.5*r[1]", 1) == parse_monopole("1/2*r[1]", 1)
     assert parse_monopole("-x1*-r[1]", 1) == parse_monopole("x1*r[1]", 1)
     assert parse_scalar("2*sym:s-1/2*sym:s") == ExactScalar(0, 0, {"s": Fraction(3, 2)})

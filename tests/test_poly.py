@@ -59,8 +59,6 @@ def test_substitute_swap_evaluate():
 
 def test_degrees():
     assert (x * x * h).weighted_degree() == 6
-    assert (x + h).is_homogeneous()
-    assert not (x + x * h).is_homogeneous()
     assert Polynomial({}).weighted_degree() is None
 
 

@@ -1,0 +1,73 @@
+"""Every public name of the library has a caller.
+
+A public module-level function or class of ``src/klrwcb``, or a public
+method of one of its classes, must be named somewhere outside its own
+definition: in the library, in ``tests/test_acceptance.py`` or in
+``perfbench/*.py``.  A name counts as named where it is read as a
+variable, an attribute or an import, or where it is a word of a string
+constant: the benchmark tracer names the functions it wraps by strings
+such as ``"Scenario.apply"``, and a docstring or a message that names a
+function counts too.  Names are matched by spelling alone, so a method is
+named by any attribute of the same name.  The unit tests are not places:
+a name only they reach has no caller.  The perfbench files are parsed,
+never imported.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = sorted((ROOT / "src" / "klrwcb").glob("*.py"))
+CALLERS = LIBRARY + [ROOT / "tests" / "test_acceptance.py"] \
+    + sorted((ROOT / "perfbench").glob("*.py"))
+
+EXEMPT = {
+    # the diagram tests build every same-class crossing with it (bigons,
+    # the degree -2 swap); straight_line cannot prescribe the matching
+    "diagrams.Engine.permutation_diagram",
+}
+
+_WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+def _names(node):
+    """The names node reads, one per reading: variables, attributes,
+    imports and the words of string constants."""
+    out = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.append(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.append(sub.name.rpartition(".")[2])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.extend(_WORD.findall(sub.value))
+    return out
+
+
+def _public_definitions(path, tree):
+    """(qualified name, definition node) of every public module-level
+    function or class and every public method of a module-level class."""
+    module = path.stem
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield "%s.%s" % (module, node.name), node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield "%s.%s.%s" % (module, node.name, member.name), member
+
+
+def test_every_public_name_has_a_caller():
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in CALLERS}
+    named = Counter(name for tree in trees.values() for name in _names(tree))
+    unnamed = [qualified for path in LIBRARY
+               for qualified, node in _public_definitions(path, trees[path])
+               if named[node.name] == _names(node).count(node.name)]
+    # an exempt name that gains a caller leaves the list
+    assert sorted(unnamed) == sorted(EXEMPT)

@@ -7,15 +7,12 @@ import pytest
 from klrwcb import sequences
 from klrwcb.quiver import (DimensionData, Flavour, Quiver, crawley_boevey,
                            kronecker_quiver)
-from klrwcb.scalars import (EQ, GT, LT, AmbiguousOrderError, ExactScalar,
+from klrwcb.scalars import (EQ, GT, AmbiguousOrderError, ExactScalar,
                             SymbolTable, as_scalar, real_compare, real_keys)
-from klrwcb.sequences import (FlavouredSequence, NonIntegralInputError,
-                              ZCFlavouredSequence, ZCLongitude, _admissible_orders,
-                              _classes, build_cgr, corporeal, enumerate_orders,
-                              equivalent, format_sequence, from_weight, ghost,
-                              is_unsteady, parse_sequence, real_order, red,
-                              to_loading_order, validate, zc_concat,
-                              zc_is_unsteady, zc_split, zc_validate)
+from klrwcb.sequences import (FlavouredSequence, _admissible_orders, _classes,
+                              build_cgr, corporeal, enumerate_orders, equivalent,
+                              format_sequence, from_weight, ghost, is_unsteady,
+                              parse_sequence, real_order, red, validate)
 
 
 def kron2_data():
@@ -203,51 +200,6 @@ def test_unsteady_invariant_under_equivalence(kronecker_framed):
                 assert is_unsteady(s1)[0] == is_unsteady(s2)[0]
 
 
-def test_to_loading_order_kron2():
-    q, dims, comp, fl = kron2_data()
-    s = from_weight({"alpha": [as_scalar(-6), as_scalar(-1)],
-                     "beta": [as_scalar(0)]}, comp, fl)
-    loaded = to_loading_order(s, comp, fl)
-    assert loaded.order == (corporeal(1), ghost(1, "e"), red(R), corporeal(2),
-                            red(RP), ghost(2, "e"), corporeal(3),
-                            ghost(3, "f"), red(S))
-
-
-def test_to_loading_order_trivial_and_keys(a1_data):
-    q, dims, comp, fl = a1_data
-    s = from_weight({"x": [as_scalar(1)]}, comp, fl)
-    assert to_loading_order(s, comp, fl).order == s.order
-
-
-def test_to_loading_order_own_ghost(kronecker_unframed):
-    # a corporeal at 0 precedes its own ghost at 1: keys 0 versus 1/2
-    q, dims, comp, fl = kronecker_unframed
-    s = from_weight({"alpha": [as_scalar(0)], "beta": []}, comp, fl)
-    loaded = to_loading_order(s, comp, fl)
-    assert loaded.order == (corporeal(1), ghost(1, "e"))
-
-
-def test_to_loading_order_rejects_nonintegral(kronecker_unframed):
-    q, dims, comp, fl = kronecker_unframed
-    s = from_weight({"alpha": [as_scalar(Fraction(1, 2))], "beta": []},
-                    comp, fl)
-    with pytest.raises(NonIntegralInputError):
-        to_loading_order(s, comp, fl)
-
-
-def test_loading_order_is_equivalent(kronecker_framed):
-    # the bridge lemma, machine checked on random integral data
-    q, dims, comp, fl = kronecker_framed
-    rng = random.Random(11)
-    for _ in range(15):
-        gamma = {"alpha": [as_scalar(rng.randint(-4, 4))],
-                 "beta": [as_scalar(rng.randint(-4, 4))]}
-        s = from_weight(gamma, comp, fl)
-        loaded = to_loading_order(s, comp, fl)
-        assert validate(loaded, comp, fl) == []
-        assert equivalent(s, loaded, comp, fl)[0]
-
-
 def test_enumerate_kronecker_table(kronecker_unframed):
     q, dims, comp, fl = kronecker_unframed
     def enum(a, b):
@@ -373,66 +325,6 @@ def test_sequence_literal_roundtrip():
         assert parse_sequence(format_sequence(s), t) == s, format_sequence(s)
 
 
-# -- Z x C flavoured sequences ------------------------------------------------
-
-
-def zc_kron(kron, levels):
-    q, dims, comp, fl = kron
-    labels, longs, order = [], [], []
-    # build per-level sequences and concatenate
-    parts = []
-    for p, (a, b) in levels:
-        s = from_weight({"alpha": [as_scalar(a)], "beta": [as_scalar(b)]},
-                        comp, fl)
-        parts.append((p, s))
-    return zc_concat(parts)
-
-
-def test_zc_validate_embeds_level_zero(kronecker_unframed):
-    q, dims, comp, fl = kronecker_unframed
-    z = zc_kron(kronecker_unframed, [(0, (0, 2))])
-    assert zc_validate(z, comp, fl) == []
-
-
-def test_zc_validate_level_order(kronecker_unframed):
-    q, dims, comp, fl = kronecker_unframed
-    z = zc_kron(kronecker_unframed, [(0, (0, 2)), (1, (0, 2))])
-    assert zc_validate(z, comp, fl) == []
-    bad = ZCFlavouredSequence(z.labels, z.longitudes, tuple(reversed(z.order)))
-    assert zc_validate(bad, comp, fl)
-
-
-def test_zc_split_concat_roundtrip(kronecker_unframed):
-    q, dims, comp, fl = kronecker_unframed
-    rng = random.Random(5)
-    for _ in range(10):
-        levels = sorted(rng.sample([-1, 0, 1, 2], rng.randint(1, 3)))
-        z = zc_kron(kronecker_unframed,
-                    [(p, (rng.randint(-3, 3), rng.randint(-3, 3)))
-                     for p in levels])
-        assert zc_validate(z, comp, fl) == []
-        parts = zc_split(z)
-        assert [p for p, _ in parts] == levels
-        assert zc_concat(parts) == z
-
-
-def test_zc_unsteady(kronecker_framed):
-    q, dims, comp, fl = kronecker_framed
-    # an item at level 1 with a red at level 0 escapes
-    lvl0 = from_weight({"alpha": [as_scalar(0)], "beta": [as_scalar(0)]},
-                       comp, fl)
-    comp0 = crawley_boevey(kronecker_quiver(),
-                           DimensionData({"alpha": 1, "beta": 1},
-                                         {"alpha": 0, "beta": 0}))
-    fl0 = Flavour({"e": as_scalar(1), "f": as_scalar(1)})
-    lvl1 = from_weight({"alpha": [as_scalar(0)], "beta": []}, comp0, fl0)
-    z = zc_concat([(0, lvl0), (1, lvl1)])
-    assert zc_is_unsteady(z)[0]
-    # all level zero, steady underneath: steady as a whole
-    z0 = zc_concat([(0, lvl0)])
-    assert zc_is_unsteady(z0)[0] == is_unsteady(lvl0)[0]
-
-
 # -- the key scan against the former pairwise scan ------------------------------
 
 
@@ -465,38 +357,6 @@ def _validate_pairwise(seq, completed, flavour, table=None):
             if real_compare(longs[i1], longs[i2], table) == EQ:
                 violations.append("rule (ii): corporeal %s precedes %s at equal "
                                   "real longitude" % (it1.token(), it2.token()))
-    return violations
-
-
-def _zc_compare(a, b, table=None):
-    if a.level != b.level:
-        return LT if a.level < b.level else GT
-    return real_compare(a.value, b.value, table)
-
-
-def _zc_validate_pairwise(seq, completed, flavour, table=None):
-    """The former zc_validate: rule (i) and (ii) by the lexicographic
-    Z x C comparison on pairs."""
-    violations = []
-    if set(seq.order) != set(build_cgr(seq.labels, completed)):
-        violations.append("item set mismatch")
-        return violations
-    corp = [it.k for it in seq.order if it.is_corporeal()]
-    if corp != sorted(corp):
-        violations.append("corporeal items out of index order")
-    longs = [seq.longitude(it, flavour) for it in seq.order]
-    for i in range(len(longs) - 1):
-        if _zc_compare(longs[i], longs[i + 1], table) == GT:
-            violations.append("rule (i): %s precedes %s" %
-                              (seq.order[i].token(), seq.order[i + 1].token()))
-    for i1, it1 in enumerate(seq.order):
-        if not it1.is_corporeal():
-            continue
-        for i2 in range(i1 + 1, len(seq.order)):
-            it2 = seq.order[i2]
-            if not it2.is_corporeal() and _zc_compare(longs[i1], longs[i2], table) == EQ:
-                violations.append("rule (ii): corporeal %s precedes %s"
-                                  % (it1.token(), it2.token()))
     return violations
 
 
@@ -597,43 +457,6 @@ def test_validate_matches_pairwise_scan():
                     _compare_scans(lambda: validate(s, comp, fl, table),
                                    lambda: _validate_pairwise(s, comp, fl, table),
                                    lambda: _unorderable(values, table), tally)
-    assert min(tally.values()) >= 5, tally
-
-
-def test_zc_validate_matches_pairwise_scan():
-    rng = random.Random(2025)
-    tally = {"valid": 0, "invalid": 0, "raised": 0, "documented": 0}
-    for case in range(160):
-        kind = ("rational", "gaussian", "symbolic")[case % 3]
-        wa, wb = rng.randint(0, 1), rng.randint(0, 1)
-        comp, fl, _ = _random_kronecker(rng, kind, 1, 1, wa, wb)
-        unframed = crawley_boevey(kronecker_quiver(), DimensionData(
-            {"alpha": 1, "beta": 1}, {"alpha": 0, "beta": 0}))
-        parts = []
-        for p in sorted(rng.sample([-1, 0, 1], rng.randint(1, 3))):
-            # red items live at level 0 only
-            g = {"alpha": [_draw_scalar(rng, kind)], "beta": [_draw_scalar(rng, kind)]}
-            parts.append((p, from_weight(g, comp if p == 0 else unframed, fl,
-                                         _TABLES[1])))
-        z = zc_concat(parts)
-        framed = comp if 0 in [p for p, _ in parts] else unframed
-        seqs = [z, ZCFlavouredSequence(z.labels, z.longitudes, z.order[1:])]
-        for _ in range(3):
-            order = list(z.order)
-            rng.shuffle(order)
-            seqs.append(ZCFlavouredSequence(z.labels, z.longitudes, tuple(order)))
-        for table in _TABLES:
-            for s in seqs:
-                longs = [s.longitude(it, fl) for it in set(s.order)]
-
-                def unorderable():
-                    return any(_unorderable([a.value for a in longs if a.level == p],
-                                            table)
-                               for p in {a.level for a in longs})
-
-                _compare_scans(lambda: zc_validate(s, framed, fl, table),
-                               lambda: _zc_validate_pairwise(s, framed, fl, table),
-                               unorderable, tally)
     assert min(tally.values()) >= 5, tally
 
 
