@@ -39,8 +39,8 @@ from .relations import format_report, verify_relations
 from .render import render_diagram
 from .scalars import (ZERO, Reader, SymbolTable, format_scalar, parse_scalar,
                       read_terms, read_vector, real_keys, sum_terms)
-from .sequences import (enumerate_orders, equivalent, format_sequence,
-                        is_unsteady, parse_sequence, validate)
+from .sequences import (enumerate_orders, equivalent, is_unsteady,
+                        parse_sequence, validate)
 
 
 def _shadow_precision():
@@ -201,10 +201,10 @@ def cmd_enumerate(args):
     seqs = enumerate_orders(None, gamma, completed, flavour, table,
                             up_to_equivalence=not args.all_orders)
     if args.format == "json":
-        print(json.dumps([format_sequence(s) for s in seqs], indent=2))
+        print(json.dumps([s.describe() for s in seqs], indent=2))
         return 0
     for s in seqs:
-        line = format_sequence(s)
+        line = s.describe()
         if args.table:
             longs = [s.longitude(it, flavour) for it in s.order]
             keys = real_keys(longs, table)  # equal keys: equal real parts

@@ -199,8 +199,8 @@ class MonopoleElement:
         raise AttributeError("MonopoleElement is immutable")
 
     @staticmethod
-    def r(nu, coeff=1):
-        return MonopoleElement({tuple(nu): RationalFunction.of(as_poly(coeff))})
+    def r(nu):
+        return MonopoleElement({tuple(nu): RationalFunction(ONE_POLY)})
 
     @staticmethod
     def zero():
@@ -494,36 +494,34 @@ def _coset_key(nu, xi):
     return tuple(Fraction(a - k * b) for a, b in zip(nu, xi))
 
 
-def res_support(module, xi, extension=None):
+def res_support(module, xi):
     """Direct-limit dimensions of the transition system along xi.
 
     For each Z xi-coset of active weights the chain b_nu -> b_{nu-xi} -> ...
-    is extended analytically 2*(box diameter) steps beyond the deepest
-    active element; the reported dimension is the stabilized rank: 1 when
-    some active weight sees only nonzero transition scalars all the way
-    down, else 0.
+    is extended analytically beyond the deepest active element; the
+    reported dimension is the stabilized rank: 1 when some active weight
+    sees only nonzero transition scalars all the way down, else 0.
 
-    Only the deepest active weight of a coset is walked, for ``extension``
-    steps.  The walk from any active start runs down the same line to the
-    same last weight, deepest - (extension - 1) xi, so it contains the
-    deepest weight's walk: some start sees only nonzero scalars iff the
-    deepest one does.
+    Only the deepest active weight of a coset is walked.  The walk length
+    comes from the box: 2 * diam + 2 steps, where diam is the largest
+    coordinate spread of the active weights.  The walk from any active
+    start runs down the same line to the same last weight, deepest -
+    (2 * diam + 1) xi, so it contains the deepest weight's walk: some start
+    sees only nonzero scalars iff the deepest one does.
     """
     xi = _nonzero_coweight(xi, module)
     chains = {}
     for nu in module.active:
         chains.setdefault(_coset_key(nu, xi), []).append(nu)
-    if extension is None:
-        diam = 0
-        for i in range(len(xi)):
-            coords = [nu[i] for nu in module.active]
-            diam = max(diam, max(coords) - min(coords)) if coords else 0
-        extension = 2 * diam + 2
+    diam = 0
+    for i in range(len(xi)):
+        coords = [nu[i] for nu in module.active]
+        diam = max(diam, max(coords) - min(coords)) if coords else 0
     result = {}
     for key, nus in chains.items():
         nu = min(nus, key=lambda nu: sum(a * b for a, b in zip(nu, xi)))
         dim = 1
-        for _ in range(extension):
+        for _ in range(2 * diam + 2):
             if module.action_is_zero(xi, nu):
                 dim = 0
                 break

@@ -3,17 +3,11 @@
 The cover lives in Gamma x (C/Z).  An edge e: i -> j of the base lifts to
 (i, [w + phi_e]) -> (j, [w]); this pairing is what makes a lifted ghost
 interact with exactly the strands that interacted with it downstairs.  A
-new edge at i attaches to the coset [phi_e].  Subtracting the canonical
-coset representative from every longitude (and correcting the flavour by
-the corresponding coboundary) lands all data in the integers.
-
-A cover item lifts the base item with the same kind and owner whose edge
-is the cover edge's base edge (``_base_item``); transport and untransport
-match items through that one identity.  The cover keeps the base quiver
-data it was built from, so untransport rebuilds every base item, including
-the ghosts and reds the cover drops: it returns a valid base sequence
-equivalent to the one transported, and equal to it when the cover drops no
-item.
+new edge at i attaches to the coset [phi_e].  The canonical coset
+representatives form a 0-cochain eta on the cover; ``integralize``
+subtracts its coboundary from the pulled-back flavour, which lands every
+flavour value in the integers, as a longitude a at (i, [a]) lands in the
+integers once eta is subtracted.
 """
 
 from __future__ import annotations
@@ -23,7 +17,6 @@ from dataclasses import dataclass
 from .quiver import (INFINITY, DimensionData, Edge, Flavour, Quiver,
                      crawley_boevey, new_edge_id)
 from .scalars import ZERO, ExactScalar, coset_rep, format_scalar, is_integral
-from .sequences import CgrItem, FlavouredSequence, build_cgr, real_order, validate
 
 
 class NonTrivializableError(ValueError):
@@ -66,8 +59,6 @@ class CoverData:
     completed: Quiver         # Crawley-Boevey completion of the cover
     flavour: Flavour          # pulled-back flavour on the completed cover
     base_edge: dict           # cover edge id -> base edge id
-    base_completed: Quiver    # completed base quiver the cover was built from
-    base_flavour: Flavour     # its flavour
 
 
 def build_cover(quiver, dims, completed, flavour, orbit, table=None):
@@ -116,7 +107,7 @@ def build_cover(quiver, dims, completed, flavour, orbit, table=None):
     cflavour = Flavour(values)
     cflavour.check_total(cover_completed)
     return CoverData(cover_quiver, cover_dims, cover_completed, cflavour,
-                     base_edge, completed, flavour)
+                     base_edge)
 
 
 def _lift_edges(old_edges, flavour, vertices, present):
@@ -153,59 +144,6 @@ def integralize(cover):
         values[e.id] = corrected
     eta = {cv: eta_of(cv) for cv in cover.quiver.vertices}
     return eta, Flavour(values)
-
-
-def transport(seq, cover, table=None):
-    """Lift a flavoured sequence over the base to the cover with integral
-    longitudes: labels become (i, [a_k]), longitudes drop by eta, and the
-    order is re-sorted only where the shifts force it."""
-    eta, phi_prime = integralize(cover)
-    vset = set(cover.quiver.vertices)
-    new_labels = []
-    new_longs = []
-    for lab, a in zip(seq.labels, seq.longitudes):
-        cv = cover_vertex(lab, a)
-        if cv not in vset:
-            raise CoverMismatchError("longitude %s at %r is not a cover vertex"
-                                     % (format_scalar(a), lab))
-        new_labels.append(cv)
-        new_longs.append(a - eta[cv])
-
-    lifted = FlavouredSequence(tuple(new_labels), tuple(new_longs), ())
-    base_pos = {it: i for i, it in enumerate(seq.order)}
-    order = tuple(it for _, it in real_order(
-        build_cgr(new_labels, cover.completed),
-        lambda it: lifted.longitude(it, phi_prime), table,
-        lambda it: (it.is_corporeal(),
-                    base_pos.get(_base_item(it, cover), len(seq.order)))))
-    out = FlavouredSequence(tuple(new_labels), tuple(new_longs), order)
-    bad = validate(out, cover.completed, phi_prime, table)
-    if bad:
-        raise CoverMismatchError("transport produced an invalid sequence: %s" % bad)
-    return out
-
-
-def untransport(seq, cover, table=None):
-    """Inverse of transport up to equivalence: restore base labels and
-    longitudes, and sort every base item by the base real order, the
-    transported order breaking ties.  An item the cover dropped has no
-    transported position, so it goes after the kept ghost and red items
-    it ties with; when the cover drops nothing the result is the sequence
-    that was transported."""
-    base_labels = tuple(cv.base for cv in seq.labels)
-    base_longs = tuple(a + eta_of(cv) for a, cv in zip(seq.longitudes, seq.labels))
-    base = FlavouredSequence(base_labels, base_longs, ())
-    lifted_pos = {_base_item(it, cover): i for i, it in enumerate(seq.order)}
-    order = tuple(it for _, it in real_order(
-        build_cgr(base_labels, cover.base_completed),
-        lambda it: base.longitude(it, cover.base_flavour), table,
-        lambda it: (it.is_corporeal(), lifted_pos.get(it, len(seq.order)))))
-    return FlavouredSequence(base_labels, base_longs, order)
-
-
-def _base_item(item, cover):
-    """The base item a cover item lifts: same kind and owner, base edge."""
-    return CgrItem(item.kind, item.k, cover.base_edge.get(item.edge, item.edge))
 
 
 def category_o_graph(quiver, dims, completed, flavour, table=None,

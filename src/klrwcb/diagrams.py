@@ -378,7 +378,7 @@ class Engine:
         return max([abs(int(self.flavour[e.id].rational))
                     for e in self.completed.edges] + [0])
 
-    def vanishing_certificate(self, gamma, component, H=None, checks=20, seed=0):
+    def vanishing_certificate(self, gamma, component, checks=20, seed=0):
         """Certificate that e(gamma) dies in the steadied quotient when the
         connected component carries no framing: the straight-line diagrams
         theta: e(gamma) -> e(gamma_H) and back compose to e(gamma), while
@@ -390,20 +390,21 @@ class Engine:
         member of the test family (the monomials of _monomial_family(n, 4)
         and integer combinations of them) is a combination of those
         monomials, so the identity is decided on the monomials alone, in
-        family order.  checks and seed sized the random tail of that family;
-        they are kept for callers and no longer change the verdict.
+        family order.  The shift H of the component is derived from the
+        spread of gamma and the flavour bound.  checks and seed sized the
+        random tail of that family; they no longer change the verdict and
+        stay only because acceptance criterion 10 passes them.
         """
         comp_set = set(component)
         for e in self.completed.new_edges():
             if e.tail in comp_set:
                 raise FramedComponentError("component %r carries framing"
                                            % (sorted(map(str, comp_set)),))
-        if H is None:
-            spread = 0
-            for vals in gamma.values():
-                for a in vals:
-                    spread = max(spread, abs(int(as_scalar(a).rational)) + 1)
-            H = 2 * (spread + self._flavour_bound()) + len(gamma) + 2
+        spread = 0
+        for vals in gamma.values():
+            for a in vals:
+                spread = max(spread, abs(int(as_scalar(a).rational)) + 1)
+        H = 2 * (spread + self._flavour_bound()) + len(gamma) + 2
         gamma_H = {v: [as_scalar(a) + (H if v in comp_set else 0) for a in vals]
                    for v, vals in gamma.items()}
         s = from_weight(gamma, self.completed, self.flavour, self.table)

@@ -279,12 +279,6 @@ class Polynomial:
             return None
         return max(2 * sum(e for _, e in m) for m in self.terms)
 
-    def variables(self):
-        out = set()
-        for m in self.terms:
-            out.update(v for v, _ in m)
-        return out
-
     def __repr__(self):
         if not self.terms:
             return "0"

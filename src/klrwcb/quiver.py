@@ -34,23 +34,17 @@ class Quiver:
     def __init__(self, vertices, edges):
         self.vertices = list(vertices)
         self.edges = []
-        self._by_id = {}
+        ids = set()
         vset = set(self.vertices)
         for e in edges:
             if not isinstance(e, Edge):
                 e = Edge(*e)
-            if e.id in self._by_id:
+            if e.id in ids:
                 raise QuiverError("duplicate edge id %r" % (e.id,))
             if e.tail not in vset or e.head not in vset:
                 raise QuiverError("edge %r has endpoint outside the vertex set" % (e.id,))
             self.edges.append(e)
-            self._by_id[e.id] = e
-
-    def edge(self, edge_id):
-        return self._by_id[edge_id]
-
-    def has_vertex(self, v):
-        return v in set(self.vertices)
+            ids.add(e.id)
 
     def old_vertices(self):
         return [v for v in self.vertices if v != INFINITY]
@@ -134,7 +128,7 @@ def crawley_boevey(quiver, dims):
 
     Old edges and their ids are preserved; new edges get fresh ids.
     """
-    if quiver.has_vertex(INFINITY):
+    if INFINITY in quiver.vertices:
         raise QuiverError("quiver already has a framing vertex")
     dims.check_against(quiver)
     vertices = list(quiver.vertices) + [INFINITY]

@@ -97,13 +97,6 @@ class FlavouredSequence:
             return self.longitudes[item.k - 1] + flavour[item.edge]
         return flavour[item.edge]
 
-    def weight(self):
-        """Per-vertex longitude multisets gamma_i."""
-        gamma = {}
-        for lab, a in zip(self.labels, self.longitudes):
-            gamma.setdefault(lab, []).append(a)
-        return gamma
-
     def describe(self):
         return "[%s] order=[%s]" % (
             ",".join("(%s,%s)" % (lab, format_scalar(a))
@@ -417,7 +410,3 @@ def parse_sequence(text, table=None):
                                  tuple(a for _, a in pairs), tuple(order))
 
     return r.item(sequence, "", None)
-
-
-def format_sequence(seq):
-    return seq.describe()

@@ -244,13 +244,9 @@ def test_res_support_matches_all_starts_walk(seed):
         xi = tuple(rng.randint(-2, 2) for _ in range(rank))
         if not any(xi):
             xi = (1,) + xi[1:]
-        # extension 0 or 1 leaves the deepest weight's walk nearly empty;
-        # None is the default, 2 * (box diameter) + 2
-        extension = rng.choice([None, 0, 1, 3])
-        got = res_support(m, xi, extension)
-        want = _ref_res_support(m, xi, 2 * (span - 1) + 2 if extension is None
-                                else extension)
-        assert got == want, (m, xi, extension)
+        got = res_support(m, xi)
+        want = _ref_res_support(m, xi, 2 * (span - 1) + 2)
+        assert got == want, (m, xi)
         tally.update(got.values())
     assert tally[0] >= 10 and tally[1] >= 10, tally
 

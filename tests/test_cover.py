@@ -1,16 +1,13 @@
-import random
 from fractions import Fraction
 
 import pytest
 
-from klrwcb.cover import (CoverMismatchError, EdgeLoopInCoverError,
-                          InfiniteCoverError, build_cover, category_o_graph,
-                          cover_vertex, coset_rep, integralize, transport,
-                          untransport)
+from klrwcb.cover import (EdgeLoopInCoverError, InfiniteCoverError,
+                          build_cover, category_o_graph, cover_vertex,
+                          coset_rep, integralize)
 from klrwcb.quiver import (DimensionData, Edge, Flavour, Quiver,
                            crawley_boevey, kronecker_quiver)
 from klrwcb.scalars import SymbolTable, as_scalar, is_integral, parse_scalar
-from klrwcb.sequences import equivalent, from_weight, is_unsteady, validate
 
 
 def golden_cover():
@@ -92,121 +89,6 @@ def test_cover_dimension_sums():
     for x in q.old_vertices():
         assert sum(n for cv, n in cov.dims.v.items() if cv.base == x) == dims.v[x]
         assert sum(n for cv, n in cov.dims.w.items() if cv.base == x) <= dims.w[x]
-
-
-def test_transport_identity_on_integral(kronecker_unframed):
-    q, dims, comp, fl = kronecker_unframed
-    orbit = {"alpha": [as_scalar(0)], "beta": [as_scalar(3)]}
-    cov = build_cover(q, dims, comp, fl, orbit)
-    s = from_weight({"alpha": [as_scalar(0)], "beta": [as_scalar(3)]}, comp, fl)
-    ts = transport(s, cov)
-    assert tuple(a.rational for a in ts.longitudes) == \
-        tuple(a.rational for a in s.longitudes)
-    assert [it.kind for it in ts.order] == [it.kind for it in s.order]
-
-
-def test_transport_shift_rule():
-    # a single corporeal at 1/2 lands at ((i,[1/2]), 0)
-    q = Quiver(["i"], [])
-    dims = DimensionData({"i": 1}, {"i": 0})
-    comp = crawley_boevey(q, dims)
-    fl = Flavour({})
-    orbit = {"i": [as_scalar(Fraction(1, 2))]}
-    cov = build_cover(q, dims, comp, fl, orbit)
-    s = from_weight({"i": [as_scalar(Fraction(1, 2))]}, comp, fl)
-    ts = transport(s, cov)
-    assert str(ts.labels[0]) == "(i,[1/2])"
-    assert ts.longitudes[0] == as_scalar(0)
-
-
-def test_transport_mismatch():
-    q = Quiver(["i"], [])
-    dims = DimensionData({"i": 1}, {"i": 0})
-    comp = crawley_boevey(q, dims)
-    fl = Flavour({})
-    cov = build_cover(q, dims, comp, fl, {"i": [as_scalar(0)]})
-    s = from_weight({"i": [as_scalar(Fraction(1, 3))]}, comp, fl)
-    with pytest.raises(CoverMismatchError):
-        transport(s, cov)
-
-
-def _saturated_random_data(rng):
-    """Random Kronecker data whose cover drops nothing: all longitudes and
-    all flavours live in the cosets of a fixed 1/2-lattice pool."""
-    q = kronecker_quiver()
-    dims = DimensionData({"alpha": rng.randint(1, 2), "beta": rng.randint(1, 2)},
-                         {"alpha": 1, "beta": 1})
-    comp = crawley_boevey(q, dims)
-    halves = lambda: as_scalar(Fraction(rng.randint(-4, 4), 2))
-    fl = Flavour({"e": as_scalar(rng.randint(-1, 1)),
-                  "f": as_scalar(rng.randint(-1, 1)),
-                  "w[alpha]0": halves(), "w[beta]0": halves()})
-    orbit = {"alpha": [halves() for _ in range(dims.v["alpha"])],
-             "beta": [halves() for _ in range(dims.v["beta"])]}
-    # saturate: force every half-integer coset to appear at both vertices
-    need = [as_scalar(0), as_scalar(Fraction(1, 2))]
-    orbit["alpha"] = need + orbit["alpha"][:max(0, dims.v["alpha"] - 2)]
-    orbit["beta"] = need + orbit["beta"][:max(0, dims.v["beta"] - 2)]
-    dims = DimensionData({"alpha": len(orbit["alpha"]),
-                          "beta": len(orbit["beta"])}, dims.w)
-    comp = crawley_boevey(kronecker_quiver(), dims)
-    return q, dims, comp, fl, orbit
-
-
-def test_transport_roundtrip_saturated():
-    rng = random.Random(9)
-    for _ in range(8):
-        q, dims, comp, fl, orbit = _saturated_random_data(rng)
-        cov = build_cover(q, dims, comp, fl, orbit)
-        s = from_weight(orbit, comp, fl)
-        ts = transport(s, cov)
-        assert validate(ts, cov.completed, integralize(cov)[1]) == []
-        back = untransport(ts, cov)
-        assert back == s
-
-
-def _rational_random_data(rng):
-    """Random Kronecker data with rational flavours and longitudes of
-    denominators 1-3 and framing 0-1: most covers drop ghosts or reds."""
-    q = kronecker_quiver()
-    dims = DimensionData({"alpha": rng.randint(1, 3), "beta": rng.randint(1, 3)},
-                         {"alpha": rng.randint(0, 1), "beta": rng.randint(0, 1)})
-    comp = crawley_boevey(q, dims)
-    draw = lambda: as_scalar(Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
-    fl = Flavour({e.id: draw() for e in comp.edges})
-    orbit = {x: [draw() for _ in range(dims.v[x])] for x in q.old_vertices()}
-    return q, dims, comp, fl, orbit
-
-
-def test_untransport_restores_dropped_items():
-    # untransport builds the base items from the base data the cover keeps,
-    # so the ghosts and reds the cover drops come back
-    rng = random.Random(16)
-    dropped = kept = 0
-    while dropped < 200:
-        q, dims, comp, fl, orbit = _rational_random_data(rng)
-        cov = build_cover(q, dims, comp, fl, orbit)
-        s = from_weight(orbit, comp, fl)
-        ts = transport(s, cov)
-        back = untransport(ts, cov)
-        assert validate(back, comp, fl) == []
-        assert equivalent(s, back, comp, fl)[0]
-        if len(ts.order) == len(s.order):
-            kept += 1
-            assert back == s
-        else:
-            dropped += 1
-    assert kept > 0
-
-
-def test_transport_preserves_unsteadiness_saturated():
-    rng = random.Random(10)
-    for _ in range(8):
-        q, dims, comp, fl, orbit = _saturated_random_data(rng)
-        cov = build_cover(q, dims, comp, fl, orbit)
-        s = from_weight(orbit, comp, fl)
-        ts = transport(s, cov)
-        assert is_unsteady(s)[0] == is_unsteady(ts)[0]
 
 
 def test_category_o_graph_jordan_halfstep():

@@ -4,10 +4,11 @@ A public module-level function or class of ``src/klrwcb``, or a public
 method of one of its classes, must be named somewhere outside its own
 definition: in the library, in ``tests/test_acceptance.py`` or in
 ``perfbench/*.py``.  A name counts as named where it is read as a
-variable, an attribute or an import, or where it is a word of a string
-constant: the benchmark tracer names the functions it wraps by strings
-such as ``"Scenario.apply"``, and a docstring or a message that names a
-function counts too.  Names are matched by spelling alone, so a method is
+variable, an attribute or an import, or where a string constant is that
+name or a dotted path through it: the benchmark tracer names the
+functions it wraps by strings such as ``"Scenario.apply"`` and
+``"real_compare"``.  A docstring or a message is not a caller, even when
+it names a function.  Names are matched by spelling alone, so a method is
 named by any attribute of the same name.  The unit tests are not places:
 a name only they reach has no caller.  The perfbench files are parsed,
 never imported.
@@ -29,12 +30,13 @@ EXEMPT = {
     "diagrams.Engine.permutation_diagram",
 }
 
-_WORD = re.compile(r"[A-Za-z_]\w*")
+_PATH = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
 
 def _names(node):
     """The names node reads, one per reading: variables, attributes,
-    imports and the words of string constants."""
+    imports and the parts of string constants that are a name or a
+    dotted path."""
     out = []
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
@@ -43,8 +45,9 @@ def _names(node):
             out.append(sub.attr)
         elif isinstance(sub, ast.alias):
             out.append(sub.name.rpartition(".")[2])
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            out.extend(_WORD.findall(sub.value))
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and _PATH.fullmatch(sub.value):
+            out.extend(sub.value.split("."))
     return out
 
 

@@ -11,8 +11,8 @@ from klrwcb.scalars import (EQ, GT, AmbiguousOrderError, ExactScalar,
                             SymbolTable, as_scalar, real_compare, real_keys)
 from klrwcb.sequences import (FlavouredSequence, _admissible_orders, _classes,
                               build_cgr, corporeal, enumerate_orders, equivalent,
-                              format_sequence, from_weight, ghost, is_unsteady,
-                              parse_sequence, real_order, red, validate)
+                              from_weight, ghost, is_unsteady, parse_sequence,
+                              real_order, red, validate)
 
 
 def kron2_data():
@@ -92,6 +92,12 @@ def test_from_weight_bottom_kron2():
     assert validate(s, comp, fl) == []
 
 
+def _weight(seq):
+    """Per-vertex longitude multisets gamma_i of seq."""
+    return {lab: [a for v, a in zip(seq.labels, seq.longitudes) if v == lab]
+            for lab in seq.labels}
+
+
 def test_from_weight_roundtrip_and_validity(kronecker_framed):
     q, dims, comp, fl = kronecker_framed
     rng = random.Random(3)
@@ -102,7 +108,7 @@ def test_from_weight_roundtrip_and_validity(kronecker_framed):
                                              rng.choice([1, 2])))]}
         s = from_weight(gamma, comp, fl)
         assert validate(s, comp, fl) == []
-        got = s.weight()
+        got = _weight(s)
         for v in gamma:
             assert sorted(got.get(v, []), key=str) == sorted(gamma[v], key=str)
 
@@ -295,7 +301,7 @@ def test_enumerate_orders_are_valid(up_to_equivalence):
         got = enumerate_orders(None, gamma, comp, fl, t, up_to_equivalence)
         assert got
         for seq in got:
-            assert validate(seq, comp, fl, t) == [], format_sequence(seq)
+            assert validate(seq, comp, fl, t) == [], seq.describe()
 
 
 def test_from_weight_shadow_tie_raises():
@@ -312,7 +318,7 @@ def test_from_weight_shadow_tie_raises():
 def test_sequence_literal_roundtrip():
     t = SymbolTable()
     s = parse_sequence("[(alpha,0),(beta,1/2+1i)] order=[1,2,e@1,f@2,!r]", t)
-    s2 = parse_sequence(format_sequence(s), t)
+    s2 = parse_sequence(s.describe(), t)
     assert s == s2
     # longitudes with any rational symbol coefficients, as q*sym:NAME
     rng = random.Random(11)
@@ -322,7 +328,7 @@ def test_sequence_literal_roundtrip():
                                   {"s": Fraction(rng.randint(-3, 3), rng.randint(1, 2))})
                       for _ in range(2))
         s = FlavouredSequence(("alpha", "beta"), longs, s2.order)
-        assert parse_sequence(format_sequence(s), t) == s, format_sequence(s)
+        assert parse_sequence(s.describe(), t) == s, s.describe()
 
 
 # -- the key scan against the former pairwise scan ------------------------------
@@ -423,7 +429,7 @@ def _orders(rng, seq, completed, flavour, table):
     """seq itself, valid orders of its weight, and shuffles of its items."""
     out = [seq]
     try:
-        out += enumerate_orders(None, seq.weight(), completed, flavour, table,
+        out += enumerate_orders(None, _weight(seq), completed, flavour, table,
                                 up_to_equivalence=False)[:3]
     except AmbiguousOrderError:
         pass
