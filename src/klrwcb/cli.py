@@ -288,8 +288,6 @@ def _module_from_args(args, table):
     r = Reader(args.gamma0, table=table)
     # the one misfit of a scalar is text after it
     gamma0 = tuple(r.items(r.scalar, ",", "", lambda _: "trailing junk in scalar literal"))
-    if len(gamma0) != args.rank:
-        raise ValueError("gamma0 has wrong rank")
     box = itertools.product(range(args.box), repeat=args.rank)
     return UniversalWeightModule(theory, gamma0, set(box))
 

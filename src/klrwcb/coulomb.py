@@ -22,7 +22,8 @@ map x -> x + h xi once per xi of its left operand.
 RationalFunction, never expanded: coefficients multiply, cancel and compare
 factor by factor, and are expanded only when printed.  ``_values`` gives
 the forms' values at a weight (h = 1), without building the forms, in
-``poly.coefficient``'s normal form; a weight module keeps them at gamma0.
+``poly.coefficient``'s normal form.  Theories and weight modules are
+frozen values: a module pairs its matter with gamma0 once, when it is made.
 ``rxi_closed_form`` writes its factors out by hand on purpose: it is the
 independent oracle that the monopole suite checks ``mul`` against.
 """
@@ -78,16 +79,16 @@ class MatterWeight:
                             -self.hbar_shift)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TorusTheory:
     rank: int
-    matter: list = field(default_factory=list)
+    matter: tuple = ()
 
     def __post_init__(self):
         if self.rank < 0:
             raise ValueError("torus rank %d is negative" % self.rank)
-        self.matter = [m if isinstance(m, MatterWeight) else MatterWeight(*m)
-                       for m in self.matter]
+        object.__setattr__(self, "matter", tuple(
+            m if isinstance(m, MatterWeight) else MatterWeight(*m) for m in self.matter))
         for m in self.matter:
             if len(m.gauge) != self.rank:
                 raise ValueError("matter weight %r has wrong rank" % (m,))
@@ -226,12 +227,6 @@ class MonopoleElement:
             else:
                 terms.pop(nu, None)
         return MonopoleElement(terms)
-
-    def __neg__(self):
-        return MonopoleElement({nu: -c for nu, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def scale(self, coeff):
         coeff = RationalFunction.of(coeff)
@@ -433,7 +428,7 @@ def transition_invertible(nu_point, xi, theory):
 # -- universal weight modules ------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class UniversalWeightModule:
     """One basis vector b_nu of weight gamma0 + nu per active coweight.
 
@@ -445,31 +440,29 @@ class UniversalWeightModule:
 
     theory: TorusTheory
     gamma0: tuple
-    active: set
+    active: frozenset
+    # (mu, mu at gamma0) per matter weight, paired once
+    _at: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.gamma0 = tuple(coefficient(g) for g in self.gamma0)
-        self.active = {tuple(int(x) for x in nu) for nu in self.active}
+        gamma0 = _of_rank("gamma0", tuple(coefficient(g) for g in self.gamma0),
+                          "theory", self.theory.rank)
+        matter = self.theory.matter
+        object.__setattr__(self, "gamma0", gamma0)
+        object.__setattr__(self, "active", frozenset(
+            tuple(int(x) for x in nu) for nu in self.active))
+        object.__setattr__(self, "_at", tuple(zip(
+            matter, _values([(mu, 0) for mu in matter], gamma0))))
 
     def weight_of(self, nu):
         return tuple(g + n for g, n in zip(self.gamma0, nu))
-
-    def _at_gamma0(self):
-        """(mu, mu at gamma0) per matter weight, kept while gamma0 is the
-        same tuple and the matter equals the one it was computed for."""
-        memo, matter = self.__dict__.get("_memo"), self.theory.matter
-        if memo is None or memo[0] is not self.gamma0 or memo[1] != matter:
-            point = _of_rank("gamma0", self.gamma0, "theory", self.theory.rank)
-            at = _values([(mu, 0) for mu in matter], point)
-            memo = self._memo = (self.gamma0, list(matter), list(zip(matter, at)))
-        return memo[2]
 
     def action_factors(self, xi, nu):
         """The evaluated linear factors of the structure scalar of
         r_xi . b_nu = scalar * b_{nu - xi} (h = 1): at gamma0 + nu - xi,
         mu + j is mu at gamma0 plus the integer <mu, nu - xi> + j."""
         step = tuple(n - x for n, x in zip(nu, xi))
-        return [base + (mu.pair(step) + j) for mu, base in self._at_gamma0()
+        return [base + (mu.pair(step) + j) for mu, base in self._at
                 for j in range(mu.pair(xi), 0)]
 
     def action_is_zero(self, xi, nu):
@@ -477,7 +470,7 @@ class UniversalWeightModule:
         j = -(base + <mu, nu - xi>) with j in [<mu, xi>, 0)."""
         step = tuple(n - x for n, x in zip(nu, xi))
         return any(type(base) is int and 0 < base + mu.pair(step) <= -mu.pair(xi)
-                   for mu, base in self._at_gamma0())
+                   for mu, base in self._at)
 
     def action_scalar(self, xi, nu):
         """r_xi . b_nu = scalar * b_{nu - xi}; with symbolic weights the
@@ -534,7 +527,6 @@ def _steps_between(top, bottom, xi):
     for i, x in enumerate(xi):
         if x:
             return (top[i] - bottom[i]) // x
-    return 0
 
 
 def hamiltonian_reduce(module, xi):

@@ -30,7 +30,9 @@ its monomials.  The memo belongs to the engine, so engines with different
 operators (a subclass overriding _demazure) never share images.  The
 relation suite builds its instances once per engine too, and walks each
 of their words with word_operators once; it still decides every instance
-afresh on every pass.
+afresh on every pass.  The idempotent e(s), the straight-line diagram
+from s to itself, has no events and acts as the identity, so a vanishing
+certificate compares the image of its loop with the polynomial itself.
 
 All relations of the algebra hold for these operators; verify_relations
 checks them exhaustively over given quiver data and is the normative
@@ -234,9 +236,6 @@ class Engine:
                 sig[kb] = kt
         return sig
 
-    def identity(self, seq):
-        return self.straight_line(seq, seq)
-
     def add_dots(self, diagram, dots):
         """New diagram with extra dots; dots is a list of (bottom corporeal
         index, height).  Dots may not sit on a crossing of their strand."""
@@ -385,15 +384,16 @@ class Engine:
         e(gamma_H) is unsteady.
 
         Returns (theta, theta_prime, check) with check True iff the exact
-        operator identity act(theta' theta) = act(e(gamma)) holds on the
-        test family and e(gamma_H) is unsteady.  act is linear, and every
-        member of the test family (the monomials of _monomial_family(n, 4)
-        and integer combinations of them) is a combination of those
-        monomials, so the identity is decided on the monomials alone, in
-        family order.  The shift H of the component is derived from the
-        spread of gamma and the flavour bound.  checks and seed sized the
-        random tail of that family; they no longer change the verdict and
-        stay only because acceptance criterion 10 passes them.
+        operator identity act(theta' theta) f = f, the action of e(gamma),
+        holds on the test family and e(gamma_H) is unsteady.  act is
+        linear, and every member of the test family (the monomials of
+        _monomial_family(n, 4) and integer combinations of them) is a
+        combination of those monomials, so the identity is decided on the
+        monomials alone, in family order.  The shift H of the component is
+        derived from the spread of gamma and the flavour bound.  checks and
+        seed sized the random tail of that family; they no longer change
+        the verdict and stay only because acceptance criterion 10 passes
+        them.
         """
         comp_set = set(component)
         for e in self.completed.new_edges():
@@ -412,12 +412,10 @@ class Engine:
         theta = self.straight_line(s, s_H)
         theta_prime = self.straight_line(s_H, s)
         loop = self.compose(theta_prime, theta)
-        ident = self.identity(s)
         ok = is_unsteady(s_H)[0]
 
         def differs(f):
-            vec = PolyVector(s, f)
-            return self.act(loop, vec).poly != self.act(ident, vec).poly
+            return self.act(loop, PolyVector(s, f)).poly != f
 
         ok = ok and not any(differs(f) for f in _monomial_family(s.n, 4))
         return theta, theta_prime, ok

@@ -33,8 +33,7 @@ HBAR = "h"
 
 def coefficient(c):
     """The normal form of a polynomial coefficient: an int, a Fraction with
-    denominator > 1, or an ExactScalar with an imaginary or symbolic part.
-    Strings are parsed as scalar literals."""
+    denominator > 1, or an ExactScalar with an imaginary or symbolic part."""
     t = type(c)
     if t is int:
         return c
@@ -116,8 +115,6 @@ class Polynomial:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, str):  # as for ExactScalar: no literal equality
-            return NotImplemented
         try:
             other = as_poly(other)
         except TypeError:
@@ -307,7 +304,7 @@ class Polynomial:
 def as_poly(x):
     if isinstance(x, Polynomial):
         return x
-    if isinstance(x, (int, Fraction, ExactScalar, str)):
+    if isinstance(x, (int, Fraction, ExactScalar)):
         return Polynomial.constant(x)
     raise TypeError("cannot interpret %r as Polynomial" % (x,))
 
@@ -404,9 +401,9 @@ class RationalFunction:
     constructor trial-divides poly alone by the denominator factors; sums
     keep the common factors and expand only the two remainders.  Associate
     factors such as x - y and 2x - 2y have different keys and are not
-    merged.  ``num``, ``den`` and ``repr`` show the expanded form: the
-    numerator factors multiplied into poly, then the same trial division.
-    It is built on first access.
+    merged.  ``repr`` shows the expanded form: the numerator factors
+    multiplied into poly, then the same trial division.  It is built on
+    first use.
     """
 
     __slots__ = ("poly", "factors", "_view")
@@ -456,14 +453,6 @@ class RationalFunction:
                                                      in den.items()}))
         return self._view
 
-    @property
-    def num(self):
-        return self._expanded()[0]
-
-    @property
-    def den(self):
-        return self._expanded()[1]
-
     @staticmethod
     def of(x):
         if isinstance(x, RationalFunction):
@@ -474,8 +463,6 @@ class RationalFunction:
         return bool(self.poly)
 
     def __eq__(self, other):
-        if isinstance(other, str):
-            return NotImplemented
         try:
             other = RationalFunction.of(other)
         except TypeError:
@@ -541,8 +528,8 @@ class RationalFunction:
     def substitute(self, mapping):
         """Map poly and every factor; a numerator factor that becomes 0 makes
         the value 0.  Where a denominator factor becomes 0, the reduced form
-        ``num / den`` is mapped instead, and a factor of den that becomes 0
-        raises."""
+        num / den of ``_expanded`` is mapped instead, and a factor of den
+        that becomes 0 raises."""
         try:
             return RationalFunction(self.poly.substitute(mapping),
                                     [(f.substitute(mapping), -e)
@@ -556,7 +543,7 @@ class RationalFunction:
     def evaluate(self, point):
         """The value at a point, factor by factor; where the denominator
         factors vanish or are not real, the value of the reduced form
-        ``num / den``."""
+        num / den of ``_expanded``."""
         factors = self.factors.values()
         try:
             return as_scalar(_value(self.poly, point) * _value_at(

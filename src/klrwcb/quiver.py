@@ -7,12 +7,9 @@ flavour assigns an exact scalar to every edge of the completed quiver.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 
-from .scalars import (ExactScalar, SymbolTable, as_scalar, format_scalar, is_integral,
-                      parse_scalar)
+from .scalars import SymbolTable, as_scalar, format_scalar, is_integral, parse_scalar
 
 INFINITY = "oo"
 
@@ -37,8 +34,6 @@ class Quiver:
         ids = set()
         vset = set(self.vertices)
         for e in edges:
-            if not isinstance(e, Edge):
-                e = Edge(*e)
             if e.id in ids:
                 raise QuiverError("duplicate edge id %r" % (e.id,))
             if e.tail not in vset or e.head not in vset:
@@ -149,16 +144,11 @@ def crawley_boevey(quiver, dims):
 # without an explicit entry default to 0.
 
 
-def load_quiver_spec(path_or_dict, table=None):
-    """Read a quiver spec, from a path or as its JSON value; returns
+def load_quiver_spec(data, table=None):
+    """Read a quiver spec from its JSON value; returns
     (quiver, dims, completed, flavour, table)."""
     if table is None:
         table = SymbolTable()
-    if isinstance(path_or_dict, (str, os.PathLike)):
-        with open(path_or_dict) as fh:
-            data = json.load(fh)
-    else:  # a JSON value already read
-        data = path_or_dict
     if not isinstance(data, dict):
         raise QuiverError("quiver spec is not a JSON object")
     for key, kind in (("vertices", list), ("edges", list), ("v", dict),
@@ -181,7 +171,7 @@ def load_quiver_spec(path_or_dict, table=None):
     completed = crawley_boevey(quiver, dims)
     values = {}
     for eid, lit in data.get("flavour", {}).items():
-        values[eid] = lit if isinstance(lit, ExactScalar) else parse_scalar(str(lit), table)
+        values[eid] = parse_scalar(str(lit), table)
     for e in completed.edges:
         values.setdefault(e.id, 0)
     flavour = Flavour(values)

@@ -37,7 +37,7 @@ import random
 import weakref
 from fractions import Fraction
 
-from .poly import Polynomial, coefficient
+from .poly import coefficient
 from .scalars import as_scalar, is_integral
 from .sequences import FlavouredSequence, corporeal, ghost, red
 from .diagrams import _test_polynomials
@@ -46,8 +46,9 @@ from .diagrams import _test_polynomials
 class Scenario:
     """An arrangement of items with labels and longitudes, not required to
     be a valid flavoured sequence; words of positional crossings and strand
-    dots act on polynomials through Engine.word_operators and the engine's
-    memo of monomial images."""
+    dots act on polynomials through Engine.word_operators.  equal reads the
+    engine's memo of monomial images; apply runs the operators, so a check
+    of equal through apply does not trust that memo."""
 
     def __init__(self, engine, labels, longitudes, arrangement):
         self.engine = engine
@@ -60,8 +61,10 @@ class Scenario:
         return len(self.seq.labels)
 
     def apply(self, word, poly):
+        """The word applied to poly by the operators themselves, not from
+        the memo of images that equal reads, and the final item order."""
         ops, order = self.engine.word_operators(self.seq, word)
-        return Polynomial(_image_sum([(1, self.engine.images(ops))], poly)), order
+        return self.engine.run_operators(ops, poly), order
 
     def equal(self, lhs, rhs, polys):
         """lhs, rhs: lists of (coeff, word); returns (True, None) when they

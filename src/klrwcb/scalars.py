@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce, total_ordering, wraps
+from functools import reduce, wraps
 from itertools import repeat
 from operator import mul
 
@@ -65,7 +65,6 @@ def _scalar_operand(method):
     return operator
 
 
-@total_ordering
 class ExactScalar:
     """An element of Q + Qi + sum_s Q*s for formal symbols s.
 
@@ -135,21 +134,17 @@ class ExactScalar:
 
     __rmul__ = __mul__
 
+    @_scalar_operand
     def __truediv__(self, other):
         """Division by a nonzero rational (or rational-valued scalar)."""
-        if isinstance(other, ExactScalar):
-            if not other.is_rational:
-                raise ArithmeticError("division by non-rational scalar %s" % other)
-            other = other.rational
-        q = Fraction(other)
+        if not other.is_rational:
+            raise ArithmeticError("division by non-rational scalar %s" % other)
+        q = other.rational
         if not q:
             raise ZeroDivisionError("scalar division by zero")
         return self * Fraction(q.denominator, q.numerator)
 
     def __eq__(self, other):
-        # read as a literal, "3" would equal ExactScalar(3) but hash apart
-        if isinstance(other, str):
-            return NotImplemented
         try:
             other = as_scalar(other)
         except TypeError:
@@ -157,14 +152,6 @@ class ExactScalar:
         return (self.rational == other.rational
                 and self.imaginary == other.imaginary
                 and self.symbolic == other.symbolic)
-
-    def __lt__(self, other):
-        # Plain comparison is only offered for symbol-free scalars; ordering
-        # with symbols must go through real_compare with a table.
-        other = as_scalar(other)
-        if self.symbolic or other.symbolic:
-            raise TypeError("symbolic scalars need real_compare with a SymbolTable")
-        return (self.rational, self.imaginary) < (other.rational, other.imaginary)
 
     def __hash__(self):
         # a real rational scalar equals its Fraction, so it hashes as one
@@ -200,12 +187,12 @@ ONE = ExactScalar(1)
 
 
 def as_scalar(x):
+    """x as an ExactScalar; arithmetic reads numbers only, and literals are
+    read by Reader and parse_scalar."""
     if isinstance(x, ExactScalar):
         return x
     if isinstance(x, (int, Fraction)):
         return ExactScalar(x)
-    if isinstance(x, str):
-        return parse_scalar(x)
     raise TypeError("cannot interpret %r as ExactScalar" % (x,))
 
 

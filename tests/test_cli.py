@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, note, settings, strategies as st
 
 import klrwcb
+from klrwcb import suites
 from klrwcb.cli import _longitudes, main, make_table, parse_monopole
 from klrwcb.coulomb import MonopoleElement
 from klrwcb.cover import build_cover, integralize
@@ -255,6 +256,17 @@ def test_bad_quiver_spec(tmp_path, capsys, spec, message):
     assert message in captured.err and captured.err.count("\n") == 1
 
 
+def test_quiver_spec_naming_a_file_is_refused(kron_file, tmp_path, capsys):
+    """A --quiver file is read as one JSON value: a string in it is not a
+    path to another spec."""
+    path = tmp_path / "indirect.json"
+    path.write_text(json.dumps(kron_file))
+    assert main(["category-o-graph", "--quiver", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "klrwcb: error: quiver spec is not a JSON object\n"
+
+
 @pytest.mark.parametrize("gamma, message", [
     ("b=0", "unknown vertex 'b' in 'b=0'"),
     ("a=0;b", "longitude chunk 'b' is not vertex=values"),
@@ -454,7 +466,8 @@ def test_reduce_integral_command(tmp_path, capsys):
     out = capsys.readouterr().out
     # reference: the spec written field by field with str() names
     table = make_table()
-    quiver, dims, completed, flavour, table = load_quiver_spec(str(path), table)
+    quiver, dims, completed, flavour, table = load_quiver_spec(
+        json.loads(path.read_text()), table)
     cover = build_cover(quiver, dims, completed, flavour,
                         _longitudes(orbit, "--orbit", table, quiver), table)
     _, phi_prime = integralize(cover)
@@ -548,6 +561,9 @@ _MODULE = ["--matter", "1", "--gamma0", "0", "--box", "3"]
     # a space inside a number was deleted: '1 2' read as 12
     (["res-support", "--rank", "1", "--gamma0", "1 2", "--box", "2", "--xi", "1"],
      "trailing junk in scalar literal"),
+    # the module refuses a gamma0 of the wrong length when it is made
+    (["res-support", "--rank", "2", "--matter", "1,0", "--gamma0", "1/2",
+      "--xi", "1,0"], "gamma0 (Fraction(1, 2),) has wrong rank: the theory has rank 2"),
 ])
 def test_bad_module_command_input(capsys, argv, message):
     assert main(argv) == 2
@@ -702,6 +718,46 @@ def test_render_rejects_a_bad_dot(tmp_path, capsys, dot, message):
 def test_suite_command(capsys):
     assert main(["suite", "satake"]) == 0
     assert "ok=True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name, out", [
+    ("monopole", "rxi=50 assoc=200 inverse=50 hom=100 ok=True\n"
+                 "elprime instances=20 ok=True\n"),
+    ("restriction", "restriction instances=50 ok=True\nqhr instances=50 ok=True\n"),
+])
+def test_suite_counts(capsys, name, out):
+    assert main(["suite", name]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_failing_suite_prints_witnesses(capsys, monkeypatch):
+    """A failing suite prints its first five witnesses and exits 1."""
+    monkeypatch.setattr(suites, "transition_invertible", lambda *args: False)
+    assert main(["suite", "restriction"]) == 1
+    assert capsys.readouterr().out == (
+        "restriction instances=50 ok=False\nqhr instances=50 ok=True\n"
+        + "".join("witness: ('xineg1', 0, %s, (-1, 0), 0)\n" % (nu,)
+                  for nu in ((0, 1), (1, 2), (2, 1), (0, 0), (1, 1))))
+
+
+@pytest.mark.parametrize("w, dim", [("1=1,2=1", 8), ("1=2", 6)])
+def test_satake_vmax_defaults_to_the_total_framing(a2_file, capsys, w, dim):
+    """Without --vmax every vertex is bounded by the sum of the --w counts,
+    here 2."""
+    assert main(["satake", "--quiver", a2_file, "--w", w]) == 0
+    out = capsys.readouterr().out
+    assert main(["satake", "--quiver", a2_file, "--w", w, "--vmax", "1=2,2=2"]) == 0
+    assert capsys.readouterr().out == out
+    assert "(dim V(lambda) = %d)" % dim in out and "  (2, 2)" in out
+
+
+def test_render_title_is_escaped(kron_file, capsys):
+    assert main(["render-diagram", "--quiver", kron_file, "--bottom", _SEQ,
+                 "--title", 'a<b & "c">d']) == 0
+    svg = capsys.readouterr().out
+    assert '<text x="40" y="16" font-size="12" font-family="serif">' \
+        'a&lt;b &amp; &quot;c&quot;&gt;d</text>' in svg
+    assert svg.count("a&lt;b") == 1 and "a<b" not in svg
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""],

@@ -17,6 +17,11 @@ from klrwcb.sequences import (FlavouredSequence, corporeal, from_weight, ghost,
                               is_unsteady, parse_sequence, red)
 
 
+def _identity(eng, s):
+    """The idempotent e(s): the straight-line diagram from s to itself."""
+    return eng.straight_line(s, s)
+
+
 def a1_engine():
     q = Quiver(["x"], [])
     comp = crawley_boevey(q, DimensionData({"x": 2}, {"x": 2}))
@@ -38,7 +43,7 @@ def test_identity_diagram():
     eng = a1_engine()
     s = from_weight({"x": [as_scalar(1), as_scalar(3)]}, eng.completed,
                     eng.flavour)
-    e = eng.identity(s)
+    e = _identity(eng, s)
     assert e.events == ()
     f = PolyVector(s, yvar(1) ** 2 * yvar(2))
     assert eng.act(e, f).poly == f.poly
@@ -100,7 +105,7 @@ def test_degree_examples():
     eng = a1_engine()
     s = from_weight({"x": [as_scalar(0), as_scalar(1)]}, eng.completed,
                     eng.flavour)
-    e = eng.identity(s)
+    e = _identity(eng, s)
     assert eng.degree(eng.add_dots(e, [(1, Fraction(1, 2))])) == 2
     swap = eng.permutation_diagram(s, s_swapped(s), {1: 2, 2: 1})
     assert eng.degree(swap) == -2
@@ -208,7 +213,24 @@ def test_compose_contract_and_associativity():
         assert a.poly == b.poly
 
     with pytest.raises(ComposeMismatchError):
-        eng.compose(eng.identity(seqs[0]), eng.identity(seqs[1]))
+        eng.compose(_identity(eng, seqs[0]), _identity(eng, seqs[1]))
+
+
+def test_compose_renumbers_the_dots_of_its_upper_factor():
+    """d1 swaps the two strands, so strand k at the bottom of d2 is strand
+    3 - k at the bottom of d1: compose carries d2's dot over to it, and
+    act(compose(d2, d1)) = act(d2) act(d1)."""
+    eng = a1_engine()
+    s = from_weight({"x": [as_scalar(0), as_scalar(1)]}, eng.completed,
+                    eng.flavour)
+    d1 = eng.permutation_diagram(s, s, {1: 2, 2: 1})
+    assert d1.sigma() == {1: 2, 2: 1}
+    for k in (1, 2):
+        d2 = eng.add_dots(_identity(eng, s), [(k, Fraction(1, 2))])
+        for p in (yvar(1), yvar(1) * yvar(2) ** 2, yvar(2) ** 3):
+            f = PolyVector(s, p)
+            once = eng.act(d2, eng.act(d1, f)).poly
+            assert once and eng.act(eng.compose(d2, d1), f).poly == once
 
 
 def _homogeneous(p):
@@ -334,7 +356,7 @@ def _ref_certificate_check(eng, theta, theta_p, checks, seed):
     the test family in turn."""
     s = theta.bottom
     loop = eng.compose(theta_p, theta)
-    ident = eng.identity(s)
+    ident = _identity(eng, s)
     ok = is_unsteady(theta.top)[0]
     rng = random.Random(seed)
     for f in _test_polynomials(s.n, 4, checks, rng):

@@ -209,6 +209,28 @@ def _ref_equal(scenario, lhs, rhs, polys):
     return True, None
 
 
+@pytest.mark.parametrize("make", [a1_engine, a2_engine, kronecker_engine])
+def test_apply_does_not_read_the_image_memo(make):
+    """A poisoned image memo fools Scenario.equal but not Scenario.apply,
+    which runs the operators: here every word that moves f is made to act
+    as the identity in the memo, and apply still matches the former walk."""
+    engine = make()
+    fooled = 0
+    for _, sc, lhs, rhs in _instances(engine):
+        f = sum((yvar(k) ** (k + 1) for k in range(1, sc.n + 1)), ONE_POLY)
+        for _, word in lhs + rhs:
+            want = _ref_apply(sc, word, f)
+            if want[0] == f:
+                continue
+            images = engine.images(sc._descriptors(word))
+            for m in f.terms:
+                images[m] = ((m, 1),)
+            assert sc.equal([(1, word)], [(1, [])], [f]) == (True, None)
+            assert sc.apply(word, f) == want
+            fooled += 1
+    assert fooled >= 10, fooled
+
+
 def flipped_a1_engine():
     eng = a1_engine()
     return FlippedEngine(eng.completed, eng.flavour)
@@ -217,8 +239,8 @@ def flipped_a1_engine():
 @pytest.mark.parametrize("make", [a1_engine, a2_engine, kronecker_engine,
                                   flipped_a1_engine])
 def test_word_operators_match_positional_walk(make):
-    """Scenario.equal and Scenario.apply, which sum memoized monomial
-    images, against the former walk on every instance, broken sides
+    """Scenario.equal, which sums memoized monomial images, and
+    Scenario.apply against the former walk on every instance, broken sides
     included: first with a cold memo, then with the memo that pass filled."""
     engine = make()
     rng = random.Random(11)

@@ -186,6 +186,26 @@ def test_unsteady_golden_triple(kronecker_framed):
     assert is_unsteady(s3) == (False, None)
 
 
+def test_unsteady_suffix_holds_no_ghost_of_an_outside_corporeal(kronecker_unframed):
+    """The suffix [2, e@1, f@2] holds corporeal 2 with all of its ghosts,
+    but also e@1, the ghost of corporeal 1 outside it, so the shortest
+    witness is the whole order."""
+    q, dims, comp, fl = kronecker_unframed
+    s = parse_sequence("[(alpha,0),(beta,0)] order=[1,2,e@1,f@2]")
+    assert validate(s, comp, fl) == []
+    assert is_unsteady(s) == (True, 4)
+
+
+def test_equivalent_needs_one_label_multiset(kronecker_unframed):
+    q, dims, comp, fl = kronecker_unframed
+    s = parse_sequence("[(alpha,0),(beta,2)] order=[1,e@1,2,f@2]")
+    t = parse_sequence("[(alpha,0),(alpha,2)] order=[1,e@1,2,e@2]")
+    assert len(s.order) == len(t.order)
+    assert validate(s, comp, fl) == validate(t, comp, fl) == []
+    assert equivalent(s, t, comp, fl) == (False, None)
+    assert equivalent(t, s, comp, fl) == (False, None)
+
+
 def test_unsteady_whole_sequence_counts():
     # with no framing anywhere the whole order is an escaping group
     q = kronecker_quiver()
