@@ -182,7 +182,8 @@ def from_weight(gamma, completed, flavour, table=None):
 
 
 def equivalent(s1, s2, completed, flavour, table=None):
-    """Decide equivalence of two valid flavoured sequences.
+    """Decide equivalence of two valid flavoured sequences (as
+    ``validate`` accepts them; ``cli._valid_sequence`` makes sure).
 
     Returns (True, sigma) with sigma a dict on corporeal indices, or
     (False, None).  sigma must preserve labels, preserve the relative order
@@ -191,18 +192,15 @@ def equivalent(s1, s2, completed, flavour, table=None):
     inside each label class.
 
     The last condition splits each label class into blocks of equal real
-    longitude, matched in order, so sigma is a bijection of blocks.  These
-    are searched depth first: corporeals are assigned label by label (in
-    str order), block by block, each taking the images still free in its
-    block in order, which visits complete bijections in the order of the
-    product of the blocks' permutations.  A relative-order constraint
-    (corporeal m against an item it) is tested as soon as sigma is known on
-    m and on the owner of it, and a failing one prunes every completion.
-    So the sigma returned is the first bijection in that order that passes,
-    the one an exhaustive search returns.
+    longitude, matched in order, so sigma is a bijection of blocks.  No
+    search is needed among those: every corporeal of a block has one real
+    longitude, and so have the ghosts (k, e) of one edge over a block; at a
+    tie the ghost or red item comes first (rule ii).  So each corporeal of
+    a block sits on the same side of every ghost or red item, and every
+    block-respecting sigma gives the same verdict.  The one tested maps
+    each block in position order, labels taken in str order: the first
+    bijection an exhaustive search over the blocks' permutations tries.
     """
-    if sorted(map(str, s1.labels)) != sorted(map(str, s2.labels)):
-        return False, None
     if len(s1.order) != len(s2.order):
         return False, None
 
@@ -219,45 +217,18 @@ def equivalent(s1, s2, completed, flavour, table=None):
         if [len(g) for g in b1[lab]] != [len(g) for g in b2.get(lab, [])]:
             return False, None
 
-    # slots[d] = (m, images): the d-th corporeal of s1 to assign and the
-    # block of s2 it maps into
-    slots = [(m, g2) for lab in sorted(b1, key=str)
-             for g1, g2 in zip(b1[lab], b2[lab]) for m in g1]
-    depth = {m: d for d, (m, _) in enumerate(slots)}
+    sigma = {m: k for lab in sorted(b1, key=str)
+             for g1, g2 in zip(b1[lab], b2[lab]) for m, k in zip(g1, g2)}
     pos1 = {it: i for i, it in enumerate(s1.order)}
     pos2 = {it: i for i, it in enumerate(s2.order)}
     tails = {e.id: e.tail for e in completed.edges}
-    # the constraints (m, item, m before item in s1) tested at each depth
-    constraints = [[] for _ in slots]
     for m in range(1, s1.n + 1):
-        c1 = pos1[corporeal(m)]
+        c1, c2 = pos1[corporeal(m)], pos2[corporeal(sigma[m])]
         for it in s1.order:
-            if not it.is_corporeal() and tails[it.edge] == s1.labels[m - 1]:
-                d = depth[m] if it.is_red() else max(depth[m], depth[it.k])
-                constraints[d].append((m, it, c1 < pos1[it]))
-
-    sigma, used = {}, set()
-
-    def extend(d):
-        if d == len(slots):
-            return True
-        m, images = slots[d]
-        for k in images:
-            if k in used:
-                continue
-            sigma[m] = k
-            if all((pos2[corporeal(sigma[m2])] < pos2[it.renumber(sigma)]) == before
-                   for m2, it, before in constraints[d]):
-                used.add(k)
-                if extend(d + 1):
-                    return True
-                used.discard(k)
-            del sigma[m]
-        return False
-
-    if extend(0):
-        return True, sigma
-    return False, None
+            if (not it.is_corporeal() and tails[it.edge] == s1.labels[m - 1]
+                    and (c1 < pos1[it]) != (c2 < pos2[it.renumber(sigma)])):
+                return False, None
+    return True, sigma
 
 
 def is_unsteady(seq):
@@ -304,12 +275,9 @@ def enumerate_orders(labels_multiset, gamma, completed, flavour, table=None,
     of every label arrangement that weakly increases in real longitude.
 
     Up to equivalence they form one class, returned as the first order of
-    the first arrangement.  By the definition of ``equivalent``: two valid
-    sequences of one weight split each label class into blocks of equal
-    real longitude of the same sizes, matched in order; the relative order
-    of a corporeal and a ghost/red item is fixed by their real longitudes,
-    the ghost/red item first at a tie (rule ii); so every block-respecting
-    sigma keeps it, and the two sequences are equivalent.
+    the first arrangement: two of them have the same blocks at the same
+    real longitudes, so by the argument in ``equivalent`` every corporeal
+    sits on the same side of every ghost or red item in both.
     """
     entries = [(as_scalar(a), vertex)
                for vertex in sorted(gamma, key=str) for a in gamma[vertex]]

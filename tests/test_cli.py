@@ -15,8 +15,9 @@ from klrwcb.cli import _longitudes, main, make_table, parse_monopole
 from klrwcb.coulomb import MonopoleElement
 from klrwcb.cover import build_cover, integralize
 from klrwcb.poly import Polynomial, RationalFunction
-from klrwcb.quiver import load_quiver_spec
-from klrwcb.scalars import Reader, format_scalar, parse_scalar
+from klrwcb.quiver import (DimensionData, Flavour, dump_quiver_spec,
+                           kronecker_quiver, load_quiver_spec)
+from klrwcb.scalars import Reader, as_scalar, format_scalar, parse_scalar
 from klrwcb.sequences import parse_sequence
 
 KRON = {
@@ -381,6 +382,33 @@ def test_equivalence_command(kron_file, capsys):
                "[(alpha,0),(beta,2)] order=[1,e@1,2,f@2]",
                "[(alpha,0),(beta,1/2)] order=[1,2,e@1,f@2]"])
     assert rc == 1
+
+
+_TIED_HALF = ("[(beta,-1/2)%s] order=[1,2,3,4,5,6,7,8,9,f@1,%s]"
+              % (",(alpha,0)" * 8, ",".join("e@%d" % k for k in range(2, 10))))
+_TIED_ONE = ("[(beta,-1)%s] order=[1,f@1,2,3,4,5,6,7,8,9,%s]"
+             % (",(alpha,0)" * 8, ",".join("e@%d" % k for k in range(2, 10))))
+_IN_ORDER = "equivalent via sigma = {%s, 1: 1}\n" % ", ".join(
+    "%d: %d" % (k, k) for k in range(2, 10))
+
+
+@pytest.mark.parametrize("first, second, out, code", [
+    (_TIED_HALF, _TIED_ONE, "not equivalent\n", 1),
+    (_TIED_HALF, _TIED_HALF, _IN_ORDER, 0),
+    (_TIED_ONE, _TIED_ONE, _IN_ORDER, 0),
+])
+def test_equivalence_command_on_eight_tied_strands(tmp_path, capsys, first, second,
+                                                   out, code):
+    # 8 alpha strands at 0 and one beta strand, unframed: the alpha block
+    # alone has 8! maps, too many to try one by one
+    spec = dump_quiver_spec(
+        kronecker_quiver(),
+        DimensionData({"alpha": 8, "beta": 1}, {"alpha": 0, "beta": 0}),
+        Flavour({"e": as_scalar(1), "f": as_scalar(1)}))
+    path = tmp_path / "kron81.json"
+    path.write_text(json.dumps(spec))
+    assert main(["check-equivalence", "--quiver", str(path), first, second]) == code
+    assert capsys.readouterr().out == out
 
 
 def test_unsteady_command(kron_file, capsys):

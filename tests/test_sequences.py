@@ -660,20 +660,22 @@ def test_equivalent_matches_exhaustive_search(seed):
     assert min(tally.values()) >= 20, tally
 
 
-def test_enumerate_orders_tied_kronecker_five_plus_five():
+def _no_equivalent(*args, **kwargs):
+    raise AssertionError("enumerate_orders called equivalent")
+
+
+def test_enumerate_orders_tied_kronecker_five_plus_five(monkeypatch):
     # unframed, every longitude 0: 252 arrangements, each with 10! ghost
-    # orders, form one class
+    # orders, form one class, found without calling equivalent
     comp = crawley_boevey(kronecker_quiver(), DimensionData(
         {"alpha": 5, "beta": 5}, {"alpha": 0, "beta": 0}))
     fl = Flavour({"e": as_scalar(1), "f": as_scalar(1)})
     gamma = {"alpha": [as_scalar(0)] * 5, "beta": [as_scalar(0)] * 5}
-    got = enumerate_orders(None, gamma, comp, fl)
+    with monkeypatch.context() as patched:
+        patched.setattr(sequences, "equivalent", _no_equivalent)
+        got = enumerate_orders(None, gamma, comp, fl)
     assert len(got) == 1
     assert equivalent(got[0], from_weight(gamma, comp, fl), comp, fl)[0]
-
-
-def _no_equivalent(*args, **kwargs):
-    raise AssertionError("enumerate_orders called equivalent")
 
 
 @pytest.mark.parametrize("framing, e, f", [((0, 0), 0, 1), ((1, 0), 1, 2)])
@@ -692,10 +694,32 @@ def test_enumerate_orders_one_class_without_equivalent(monkeypatch, framing, e, 
     assert [s.describe() for s in got] == [s.describe() for s in want]
 
 
-def test_enumerate_orders_five_plus_five_without_equivalent(monkeypatch):
+@pytest.mark.parametrize("n", [6, 8, 12])
+def test_equivalent_tied_kronecker_needs_no_search(n):
+    # n tied alpha strands and one beta strand, unframed: the alpha
+    # corporeals sit before the ghost of f exactly when beta lies above -1.
+    # The alpha block alone has n! maps, too many to try one by one.
     comp = crawley_boevey(kronecker_quiver(), DimensionData(
-        {"alpha": 5, "beta": 5}, {"alpha": 0, "beta": 0}))
+        {"alpha": n, "beta": 1}, {"alpha": 0, "beta": 0}))
     fl = Flavour({"e": as_scalar(1), "f": as_scalar(1)})
-    gamma = {"alpha": [as_scalar(0)] * 5, "beta": [as_scalar(0)] * 5}
-    monkeypatch.setattr(sequences, "equivalent", _no_equivalent)
-    assert len(enumerate_orders(None, gamma, comp, fl)) == 1
+    betas = [-2, -1, Fraction(-1, 2), Fraction(1, 2)]
+    seqs = [enumerate_orders(None, {"alpha": [as_scalar(0)] * n,
+                                    "beta": [as_scalar(b)]},
+                             comp, fl)[0] for b in betas]
+
+    def strands(seq, lab):
+        return [k for k in range(1, n + 2) if seq.labels[k - 1] == lab]
+
+    for b1, s1 in zip(betas, seqs):
+        for b2, s2 in zip(betas, seqs):
+            ok, sigma = equivalent(s1, s2, comp, fl)
+            assert ok == ((b1 > -1) == (b2 > -1)), (b1, b2)
+            if ok:
+                # the in-order map, alpha block first
+                assert list(sigma.items()) == [
+                    pair for lab in ("alpha", "beta")
+                    for pair in zip(strands(s1, lab), strands(s2, lab))]
+            else:
+                assert sigma is None
+            if n == 6:
+                assert repr((ok, sigma)) == repr(_ref_equivalent(s1, s2, comp, fl))
