@@ -660,22 +660,20 @@ def test_equivalent_matches_exhaustive_search(seed):
     assert min(tally.values()) >= 20, tally
 
 
-def _no_equivalent(*args, **kwargs):
-    raise AssertionError("enumerate_orders called equivalent")
-
-
-def test_enumerate_orders_tied_kronecker_five_plus_five(monkeypatch):
+def test_enumerate_orders_tied_kronecker_five_plus_five():
     # unframed, every longitude 0: 252 arrangements, each with 10! ghost
-    # orders, form one class, found without calling equivalent
+    # orders, form one class
     comp = crawley_boevey(kronecker_quiver(), DimensionData(
         {"alpha": 5, "beta": 5}, {"alpha": 0, "beta": 0}))
     fl = Flavour({"e": as_scalar(1), "f": as_scalar(1)})
     gamma = {"alpha": [as_scalar(0)] * 5, "beta": [as_scalar(0)] * 5}
-    with monkeypatch.context() as patched:
-        patched.setattr(sequences, "equivalent", _no_equivalent)
-        got = enumerate_orders(None, gamma, comp, fl)
+    got = enumerate_orders(None, gamma, comp, fl)
     assert len(got) == 1
     assert equivalent(got[0], from_weight(gamma, comp, fl), comp, fl)[0]
+
+
+def _no_equivalent(*args, **kwargs):
+    raise AssertionError("enumerate_orders called equivalent")
 
 
 @pytest.mark.parametrize("framing, e, f", [((0, 0), 0, 1), ((1, 0), 1, 2)])
@@ -692,6 +690,15 @@ def test_enumerate_orders_one_class_without_equivalent(monkeypatch, framing, e, 
     got = enumerate_orders(None, gamma, comp, fl)
     assert len(want) == 1
     assert [s.describe() for s in got] == [s.describe() for s in want]
+
+
+def test_enumerate_orders_five_plus_five_without_equivalent(monkeypatch):
+    comp = crawley_boevey(kronecker_quiver(), DimensionData(
+        {"alpha": 5, "beta": 5}, {"alpha": 0, "beta": 0}))
+    fl = Flavour({"e": as_scalar(1), "f": as_scalar(1)})
+    gamma = {"alpha": [as_scalar(0)] * 5, "beta": [as_scalar(0)] * 5}
+    monkeypatch.setattr(sequences, "equivalent", _no_equivalent)
+    assert len(enumerate_orders(None, gamma, comp, fl)) == 1
 
 
 @pytest.mark.parametrize("n", [6, 8, 12])
