@@ -6,9 +6,10 @@ instances are built once per engine, on its first verify_relations pass,
 and kept while the engine lives; each word becomes its tuple of operator
 descriptors once per instance, through the engine's one word walk
 Engine.word_operators, so a later pass classifies no crossing.  Verdicts
-are not kept: every pass draws its random tail and sums its images
+are not kept: every pass draws its test families and sums its images
 afresh.  Both sides are applied to a family of polynomials (all monomials
-up to a degree bound plus seeded random polynomials).  Every operator is
+up to a degree bound plus seeded random polynomials), one family per strand
+count and pass, shared by every instance with that count.  Every operator is
 linear, so a side's value on a polynomial is gathered from the engine's
 memo of monomial images (Engine.images): the sum of coefficient times
 image over the polynomial's monomials, which is the polynomial the
@@ -299,7 +300,16 @@ def _resolved_instances(engine):
 
 def verify_relations(engine, degree_bound=3, n_random=10, seed=0):
     """Run the whole relation suite; returns a report dict with per-relation
-    instance counts and any failing witnesses."""
+    instance counts and any failing witnesses.
+
+    The test family is drawn once per strand count n in a pass, from the
+    pass's one seeded rng, when the first instance with that n comes up;
+    every instance with that n is checked on the same tuple.  Which random
+    polynomials an instance sees decides neither its verdict nor its
+    witness: every member of the random tail is an integer combination of
+    the family's monomials, which come before it, so Scenario.equal passes
+    the whole family when its difference vanishes on them and otherwise
+    names a monomial as the first failing member."""
     for name, value in (("degree bound", degree_bound),
                         ("random count", n_random)):
         # a negative count would shrink the test family without a word, to
@@ -307,9 +317,13 @@ def verify_relations(engine, degree_bound=3, n_random=10, seed=0):
         if value < 0:
             raise ValueError("%s must be nonnegative, got %d" % (name, value))
     rng = random.Random(seed)
+    families = {}      # strand count -> its family, drawn on first use
     report = {}
     for name, sc, lhs, rhs in _resolved_instances(engine):
-        polys = _test_polynomials(sc.n, degree_bound, n_random, rng)
+        polys = families.get(sc.n)
+        if polys is None:
+            polys = families[sc.n] = tuple(
+                _test_polynomials(sc.n, degree_bound, n_random, rng))
         ok, witness = sc.equal(lhs, rhs, polys)
         entry = report.setdefault(name, {"instances": 0, "test_polys": 0,
                                          "failures": []})

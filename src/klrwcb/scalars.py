@@ -336,15 +336,23 @@ class Reader:
     def __init__(self, text, name=None, what="scalar", table=None):
         self.text, self.name, self.what, self.table = text, name, what, table
         self.pos = 0
+        self._lexed = None
+
+    def _match(self):
+        """The token match at the cursor, lexed once per cursor position."""
+        m = self._lexed
+        if m is None or m.pos != self.pos:
+            m = self._lexed = _TOKEN_RE.match(self.text, self.pos)
+        return m
 
     def peek(self):
         """The token at the cursor, None at the end; a character outside
         the tokens (',' say) is one of its own, which take refuses."""
-        m = _TOKEN_RE.match(self.text, self.pos)
+        m = self._match()
         return m.group("tok") or m.group("bad")
 
     def take(self):
-        m = _TOKEN_RE.match(self.text, self.pos)
+        m = self._match()
         if m.group("bad"):
             raise ScalarParseError("bad %s literal near %r"
                                    % (self.what, self.text[m.start("bad"):]))
@@ -357,7 +365,7 @@ class Reader:
         """Take the next token if it is tok; whether it was."""
         if self.peek() != tok:
             return False
-        self.pos = _TOKEN_RE.match(self.text, self.pos).end()
+        self.pos = self._match().end()
         return True
 
     def expect(self, tok):

@@ -477,6 +477,83 @@ def test_report_counts_test_polynomials():
         assert " %d test polys " % total in line, line
 
 
+# -- one test family per strand count against one per instance ---------------
+
+
+def _former_verify_relations(instances, degree_bound, n_random, seed):
+    """The former pass: a fresh family drawn for every instance."""
+    rng = random.Random(seed)
+    report = {}
+    for name, sc, lhs, rhs in instances:
+        polys = _test_polynomials(sc.n, degree_bound, n_random, rng)
+        ok, witness = sc.equal(lhs, rhs, polys)
+        entry = report.setdefault(name, {"instances": 0, "test_polys": 0,
+                                         "failures": []})
+        entry["instances"] += 1
+        entry["test_polys"] += len(polys)
+        if not ok:
+            entry["failures"].append({
+                "labels": tuple(map(str, sc.seq.labels)),
+                "longitudes": tuple(map(str, sc.seq.longitudes)),
+                "witness": repr(witness),
+            })
+    report["ok"] = all(not v["failures"] for k, v in report.items()
+                       if isinstance(v, dict))
+    return report
+
+
+@pytest.mark.parametrize("flipped", [False, True])
+@pytest.mark.parametrize("make", [a1_engine, a2_engine, kronecker_engine])
+def test_shared_families_match_per_instance_families(make, flipped):
+    """Reports and printed reports equal the former per-instance draw on
+    seeds 0-2, 0, 4 and 100 random polynomials and degree bounds 1-3; the
+    sign-flipped engines fail, so their witnesses are compared too."""
+    def engine():
+        plain = make()
+        return FlippedEngine(plain.completed, plain.flavour) if flipped \
+            else plain
+
+    got_engine, former = engine(), list(_instances(engine()))
+    for seed, n_random, bound in itertools.product(range(3), (0, 4, 100),
+                                                   (1, 2, 3)):
+        got = verify_relations(got_engine, degree_bound=bound,
+                               n_random=n_random, seed=seed)
+        want = _former_verify_relations(former, bound, n_random, seed)
+        case = (seed, n_random, bound)
+        assert got == want, case
+        assert format_report(got) == format_report(want), case
+        assert got["ok"] is not flipped, case
+
+
+@pytest.mark.parametrize("make", [a1_engine, a2_engine, kronecker_engine])
+def test_one_family_per_strand_count(make, monkeypatch):
+    """A pass draws one family per distinct strand count, and every
+    instance with that count is checked on that same tuple."""
+    engine = make()
+    strand_counts = {sc.n for _, sc, _, _ in _instances(engine)}
+    drawn, seen = [], {}
+    draw, equal = _test_polynomials, Scenario.equal
+
+    def counted(n, degree_bound, extra_random, rng):
+        drawn.append(n)
+        return draw(n, degree_bound, extra_random, rng)
+
+    def observed(self, lhs, rhs, polys):
+        assert seen.setdefault(self.n, polys) is polys
+        return equal(self, lhs, rhs, polys)
+
+    monkeypatch.setattr(relations, "_test_polynomials", counted)
+    monkeypatch.setattr(Scenario, "equal", observed)
+    for seed in (0, 1):
+        drawn.clear()
+        seen.clear()
+        assert verify_relations(engine, degree_bound=2, n_random=3,
+                                seed=seed)["ok"]
+        assert sorted(drawn) == sorted(strand_counts)
+        assert set(seen) == strand_counts
+        assert all(type(polys) is tuple for polys in seen.values())
+
+
 def test_word_operators_match_event_walk():
     """Engine.act against the timed-event walk on seeded straight-line
     diagrams with dots, composites included, and on broken event words."""
