@@ -181,36 +181,34 @@ class Engine:
         return self._interpolate(bottom, top, dict(sig))
 
     def _interpolate(self, bottom, top, sig):
-        item_map = {it: it.renumber(sig) for it in bottom.order}
-        top_pos = {it: i for i, it in enumerate(top.order)}
-        start = {it: i for i, it in enumerate(bottom.order)}
-        end = {it: top_pos[item_map[it]] for it in bottom.order}
-
-        pending = []
-        for u, v in itertools.combinations(bottom.order, 2):
-            if (start[u] - start[v]) * (end[u] - end[v]) < 0:
-                num = Fraction(start[v] - start[u])
-                den = Fraction((start[v] - start[u]) - (end[v] - end[u]))
-                pending.append((num / den, u, v))
-        pending.sort(key=lambda tup: (tup[0], min(start[tup[1]], start[tup[2]]),
-                                      max(start[tup[1]], start[tup[2]])))
-        order = list(bottom.order)
-        events = []
+        """Items i < j (bottom indices) that end in the other order cross at
+        the time t where their straight lines meet; crossings are scheduled
+        by (t, i, j), each at the first pending pair that is adjacent."""
+        items = bottom.order
+        mapped = [it.renumber(sig) for it in items]
+        top_pos = {it: p for p, it in enumerate(top.order)}
+        end = [top_pos[it] for it in mapped]
+        pending = sorted((Fraction(j - i, (j - i) - (end[j] - end[i])), i, j)
+                         for i, j in itertools.combinations(range(len(items)), 2)
+                         if end[i] > end[j])
+        at = list(range(len(items)))      # position -> bottom index
+        pos = list(range(len(items)))     # bottom index -> position
+        crossings = []
         while pending:
-            for idx, (t, u, v) in enumerate(pending):
-                iu, iv = order.index(u), order.index(v)
-                if abs(iu - iv) == 1:
-                    left, right = (u, v) if iu < iv else (v, u)
-                    events.append(("cross", left, right, None))
-                    li = min(iu, iv)
-                    order[li], order[li + 1] = order[li + 1], order[li]
-                    pending.pop(idx)
+            for idx, (_, i, j) in enumerate(pending):
+                if abs(pos[i] - pos[j]) == 1:
+                    left = min(pos[i], pos[j])
+                    a, b = at[left], at[left + 1]
+                    crossings.append((items[a], items[b]))
+                    at[left], at[left + 1] = b, a
+                    pos[a], pos[b] = left + 1, left
+                    del pending[idx]
                     break
             else:
                 raise NoMatchingError("could not schedule crossings")
-        events = tuple(("cross", ev[1], ev[2], Fraction(i + 1, len(events) + 1))
-                       for i, ev in enumerate(events))
-        if [item_map[it] for it in order] != list(top.order):
+        events = tuple(("cross", u, v, Fraction(k + 1, len(crossings) + 1))
+                       for k, (u, v) in enumerate(crossings))
+        if [mapped[b] for b in at] != list(top.order):
             raise NoMatchingError("interpolation does not reach the top sequence")
         return Diagram(bottom, top, tuple(sorted(sig.items())), events)
 

@@ -7,6 +7,15 @@ declared in a :class:`SymbolTable`.  The two predicates the rest of the
 library needs -- "is the difference an integer?" and "which real part is
 smaller?" -- are decided exactly for rational data and via shadows for
 symbolic data, so no floating point ever enters the core.
+
+The parts of an ExactScalar are always exactly Fraction (the symbol part a
+sorted tuple of (name, nonzero Fraction) pairs), and ExactScalar.__init__
+is the one constructor: every operation builds its result through it.  It
+keeps a part that is already a Fraction as it is and converts anything
+else, and builds no symbol dict when there are no symbols, so arithmetic
+on Fraction parts pays for no second conversion.  Sums and differences
+skip the Fraction arithmetic of a zero part, such as the imaginary parts
+of two real scalars.
 """
 
 from __future__ import annotations
@@ -65,6 +74,22 @@ def _scalar_operand(method):
     return operator
 
 
+_set = object.__setattr__
+
+
+def _plus(p, q):
+    """p + q for Fractions, with no Fraction arithmetic when one is zero
+    (the imaginary parts of real scalars, say)."""
+    if not q:
+        return p
+    return p + q if p else q
+
+
+def _minus(p, q):
+    """p - q for Fractions, with no Fraction arithmetic when q is zero."""
+    return p - q if q else p
+
+
 class ExactScalar:
     """An element of Q + Qi + sum_s Q*s for formal symbols s.
 
@@ -74,46 +99,59 @@ class ExactScalar:
     __slots__ = ("rational", "imaginary", "symbolic", "_hash")
 
     def __init__(self, rational=0, imaginary=0, symbolic=None):
-        object.__setattr__(self, "rational", Fraction(rational))
-        object.__setattr__(self, "imaginary", Fraction(imaginary))
-        sym = {}
+        _set(self, "rational",
+             rational if type(rational) is Fraction else Fraction(rational))
+        _set(self, "imaginary",
+             imaginary if type(imaginary) is Fraction else Fraction(imaginary))
+        sym = ()
         if symbolic:
+            sym = []
             for name, coeff in symbolic.items():
-                c = Fraction(coeff)
-                if c:
-                    sym[name] = c
-        object.__setattr__(self, "symbolic", tuple(sorted(sym.items())))
-        object.__setattr__(self, "_hash", None)
+                if type(coeff) is not Fraction:
+                    coeff = Fraction(coeff)
+                if coeff:
+                    sym.append((name, coeff))
+            sym = tuple(sorted(sym))
+        _set(self, "symbolic", sym)
+        _set(self, "_hash", None)
 
     def __setattr__(self, *args):
         raise AttributeError("ExactScalar is immutable")
 
     # -- ring structure ---------------------------------------------------
 
-    def _sym_dict(self):
-        return dict(self.symbolic)
+    def _sym_sum(self, other, sign=1):
+        """The symbol part of self + sign * other: a dict, or None when
+        neither operand has symbols."""
+        if not (self.symbolic or other.symbolic):
+            return None
+        sym = dict(self.symbolic)
+        for name, c in other.symbolic:
+            sym[name] = sym.get(name, 0) + sign * c
+        return sym
 
     @_scalar_operand
     def __add__(self, other):
-        sym = self._sym_dict()
-        for name, c in other.symbolic:
-            sym[name] = sym.get(name, Fraction(0)) + c
-        return ExactScalar(self.rational + other.rational,
-                           self.imaginary + other.imaginary, sym)
+        return ExactScalar(_plus(self.rational, other.rational),
+                           _plus(self.imaginary, other.imaginary), self._sym_sum(other))
 
     __radd__ = __add__
 
     def __neg__(self):
         return ExactScalar(-self.rational, -self.imaginary,
-                           {n: -c for n, c in self.symbolic})
+                           {n: -c for n, c in self.symbolic} if self.symbolic else None)
 
     @_scalar_operand
     def __sub__(self, other):
-        return self + (-other)
+        return ExactScalar(_minus(self.rational, other.rational),
+                           _minus(self.imaginary, other.imaginary),
+                           self._sym_sum(other, -1))
 
     @_scalar_operand
     def __rsub__(self, other):
-        return other + (-self)
+        return ExactScalar(_minus(other.rational, self.rational),
+                           _minus(other.imaginary, self.imaginary),
+                           other._sym_sum(self, -1))
 
     @_scalar_operand
     def __mul__(self, other):
@@ -206,8 +244,12 @@ def is_integral_difference(a, b):
     """True iff a - b lies in Z: equal imaginary parts, equal symbol parts,
     integer rational difference."""
     a, b = as_scalar(a), as_scalar(b)
-    return (a.imaginary == b.imaginary and a.symbolic == b.symbolic
-            and (a.rational - b.rational).denominator == 1)
+    if a.imaginary != b.imaginary or a.symbolic != b.symbolic:
+        return False
+    # reduced p/q and r/s differ by an integer iff q == s and q divides p - r
+    p, q = a.rational.numerator, a.rational.denominator
+    r, s = b.rational.numerator, b.rational.denominator
+    return q == s and (p - r) % q == 0
 
 
 def coset_rep(a):

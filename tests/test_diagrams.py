@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import xml.etree.ElementTree as ET
@@ -5,14 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from klrwcb.diagrams import (ComposeMismatchError, Engine, FramedComponentError,
-                             NoMatchingError, PolyVector, TagMismatchError,
-                             _corporeal_position, _test_polynomials, yvar)
+from klrwcb.diagrams import (ComposeMismatchError, Diagram, Engine,
+                             FramedComponentError, NoMatchingError, PolyVector,
+                             TagMismatchError, _corporeal_position,
+                             _test_polynomials, yvar)
 from klrwcb.poly import ONE_POLY, Polynomial
 from klrwcb.quiver import (DimensionData, Edge, Flavour, Quiver,
                            crawley_boevey, kronecker_quiver)
 from klrwcb.render import render_diagram
-from klrwcb.scalars import as_scalar, row_reduce
+from klrwcb.scalars import as_scalar, coset_rep, row_reduce
 from klrwcb.sequences import (FlavouredSequence, corporeal, from_weight, ghost,
                               is_unsteady, parse_sequence, red)
 
@@ -89,6 +91,105 @@ def test_straight_line_kron2_golden():
     f = PolyVector(bottom, yvar(1) * yvar(2))
     out = eng.act(d, f)
     assert out.seq == top
+
+
+def _former_interpolate(bottom, top, sig):
+    """The former crossing scheduler: items keyed by value, one order.index
+    per pending pair at every step."""
+    item_map = {it: it.renumber(sig) for it in bottom.order}
+    top_pos = {it: i for i, it in enumerate(top.order)}
+    start = {it: i for i, it in enumerate(bottom.order)}
+    end = {it: top_pos[item_map[it]] for it in bottom.order}
+    pending = []
+    for u, v in itertools.combinations(bottom.order, 2):
+        if (start[u] - start[v]) * (end[u] - end[v]) < 0:
+            num = Fraction(start[v] - start[u])
+            den = Fraction((start[v] - start[u]) - (end[v] - end[u]))
+            pending.append((num / den, u, v))
+    pending.sort(key=lambda tup: (tup[0], min(start[tup[1]], start[tup[2]]),
+                                  max(start[tup[1]], start[tup[2]])))
+    order = list(bottom.order)
+    events = []
+    while pending:
+        for idx, (t, u, v) in enumerate(pending):
+            iu, iv = order.index(u), order.index(v)
+            if abs(iu - iv) == 1:
+                left, right = (u, v) if iu < iv else (v, u)
+                events.append(("cross", left, right, None))
+                li = min(iu, iv)
+                order[li], order[li + 1] = order[li + 1], order[li]
+                pending.pop(idx)
+                break
+        else:
+            raise NoMatchingError("could not schedule crossings")
+    events = tuple(("cross", ev[1], ev[2], Fraction(i + 1, len(events) + 1))
+                   for i, ev in enumerate(events))
+    if [item_map[it] for it in order] != list(top.order):
+        raise NoMatchingError("interpolation does not reach the top sequence")
+    return Diagram(bottom, top, tuple(sorted(sig.items())), events)
+
+
+def a2_engine():
+    q = Quiver(["1", "2"], [Edge("a", "1", "2")])
+    comp = crawley_boevey(q, DimensionData({"1": 2, "2": 2}, {"1": 1, "2": 0}))
+    return Engine(comp, Flavour({"a": as_scalar(1), "w[1]0": as_scalar(0)}))
+
+
+def tied_kronecker_engine():
+    comp = crawley_boevey(kronecker_quiver(),
+                          DimensionData({"alpha": 3, "beta": 3}, {"alpha": 0, "beta": 0}))
+    return Engine(comp, Flavour({"e": as_scalar(1), "f": as_scalar(1)}))
+
+
+@pytest.mark.parametrize("make, vertices, values", [
+    (a2_engine, {"1": 2, "2": 2}, [-2, -1, 0, Fraction(1, 2), 1, 2]),
+    (kron2_engine, {"alpha": 2, "beta": 1}, [-3, -1, 0, 1, Fraction(3, 2), 3]),
+    (tied_kronecker_engine, {"alpha": 3, "beta": 3}, [0, 0, 0, Fraction(1, 2), 1, 1])],
+    ids=["a2", "framed-kronecker", "tied-kronecker"])
+def test_scheduler_matches_former_interpolation(make, vertices, values):
+    # differential test of the index-based scheduler against the former
+    # one, on seeded from_weight triples: the minimal matching of
+    # straight_line and random class-preserving matchings of
+    # permutation_diagram give equal Diagrams
+    eng = make()
+    rng = random.Random(5)
+    crossings = 0
+    for _ in range(40):
+        gamma = {v: [rng.choice(values) for _ in range(n)] for v, n in vertices.items()}
+        seqs = []
+        for _ in range(3):
+            seqs.append(from_weight({v: [as_scalar(a) for a in vals]
+                                     for v, vals in gamma.items()},
+                                    eng.completed, eng.flavour))
+            gamma = {v: [a + rng.randint(-2, 2) for a in vals]
+                     for v, vals in gamma.items()}
+        for bottom, top in itertools.combinations(seqs, 2):
+            sig = eng._minimal_matching(bottom, top)
+            got = eng.straight_line(bottom, top)
+            assert got == _former_interpolate(bottom, top, sig)
+            crossings += len(got.events)
+            classes = {}
+            for k, kt in sig.items():
+                key = (bottom.labels[k - 1], coset_rep(bottom.longitudes[k - 1]))
+                classes.setdefault(key, []).append((k, kt))
+            shuffled = {}
+            for pairs in classes.values():
+                targets = [kt for _, kt in pairs]
+                rng.shuffle(targets)
+                shuffled.update(zip((k for k, _ in pairs), targets))
+            assert eng.permutation_diagram(bottom, top, shuffled) == \
+                _former_interpolate(bottom, top, shuffled)
+            if len(classes) > 1:
+                (k1, t1), (k2, t2) = [rng.choice(pairs) for pairs in
+                                      rng.sample(list(classes.values()), 2)]
+                with pytest.raises(NoMatchingError):
+                    eng.permutation_diagram(bottom, top, {**sig, k1: t2, k2: t1})
+        shifted = {v: [as_scalar(a) for a in vals] for v, vals in gamma.items()}
+        v = rng.choice(sorted(shifted))
+        shifted[v][0] += Fraction(1, 3)
+        with pytest.raises(NoMatchingError):
+            eng.straight_line(seqs[0], from_weight(shifted, eng.completed, eng.flavour))
+    assert crossings > 200
 
 
 def test_straight_line_no_matching():

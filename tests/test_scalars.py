@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from klrwcb.poly import Polynomial
 from klrwcb.scalars import (EQ, GT, LT, AmbiguousOrderError, ExactScalar,
-                            SymbolTable, as_scalar, format_scalar, is_integral,
-                            is_integral_difference, parse_scalar, real_compare,
-                            real_keys, row_reduce)
+                            SymbolTable, as_scalar, coset_rep, format_scalar,
+                            is_integral, is_integral_difference, parse_scalar,
+                            real_compare, real_keys, row_reduce)
 
 
 def test_hash_agrees_with_eq():
@@ -230,3 +230,138 @@ def test_row_reduce():
     assert row_reduce([]) == ([], [])
     # an inconsistent augmented system has a pivot in its last column
     assert row_reduce([[1, 1, 1], [1, 1, 2]])[1] == [0, 2]
+
+
+# -- the scalar fast path against the former constructor --------------------
+
+
+def _former_fields(rational=0, imaginary=0, symbolic=None):
+    """The fields the former ExactScalar.__init__ stored: every part passed
+    through Fraction(), the nonzero symbol coefficients gathered in a dict
+    and sorted."""
+    sym = {}
+    if symbolic:
+        for name, coeff in symbolic.items():
+            c = Fraction(coeff)
+            if c:
+                sym[name] = c
+    return Fraction(rational), Fraction(imaginary), tuple(sorted(sym.items()))
+
+
+def _fields(a):
+    return a.rational, a.imaginary, a.symbolic
+
+
+def _former_add(a, b):
+    sym = dict(a[2])
+    for name, c in b[2]:
+        sym[name] = sym.get(name, Fraction(0)) + c
+    return _former_fields(a[0] + b[0], a[1] + b[1], sym)
+
+
+def _former_neg(a):
+    return _former_fields(-a[0], -a[1], {n: -c for n, c in a[2]})
+
+
+def _former_mul(a, b):
+    if b[2]:
+        a, b = b, a
+    if b[2]:
+        raise ValueError
+    q = b[0]
+    if not b[1]:
+        return _former_fields(a[0] * q, a[1] * q, {n: c * q for n, c in a[2]})
+    if a[2]:
+        raise ValueError
+    return _former_fields(a[0] * q - a[1] * b[1], a[0] * b[1] + a[1] * q)
+
+
+def _former_coset_rep(a):
+    q = a[0]
+    return _former_fields(q - q.numerator // q.denominator, a[1], dict(a[2]))
+
+
+_PARTS = [0, 3, -2, True, False, Fraction(0), Fraction(1, 2), Fraction(-7, 3),
+          Fraction(4, 2)]
+_COEFFS = [0, 1, -1, True, Fraction(1, 2), Fraction(-1, 2), Fraction(0)]
+
+
+def _random_args(rng):
+    sym = rng.choice([None, {}, "one", "two"])
+    if sym == "one":
+        sym = {rng.choice("st"): rng.choice(_COEFFS)}
+    elif sym == "two":
+        sym = {"t": rng.choice(_COEFFS), "s": rng.choice(_COEFFS)}
+    return rng.choice(_PARTS), rng.choice(_PARTS + [0] * 4), sym
+
+
+def _assert_normal(a):
+    assert type(a.rational) is Fraction and type(a.imaginary) is Fraction
+    assert type(a.symbolic) is tuple
+    assert list(a.symbolic) == sorted(a.symbolic)
+    assert all(type(c) is Fraction and c for _, c in a.symbolic)
+
+
+def test_scalar_fast_path_matches_former_constructor():
+    # differential test: constructor and operators against the former
+    # constructor, which passed every part through Fraction() and built a
+    # symbol dict; operands include ints, bools, Fractions, zero symbol
+    # coefficients and symbols that cancel under + and -
+    rng = random.Random(0)
+    results = []
+    for _ in range(600):
+        args, other = _random_args(rng), _random_args(rng)
+        a = ExactScalar(*args)
+        assert _fields(a) == _former_fields(*args)
+        _assert_normal(a)
+        ra = _fields(a)
+        cancelling = ExactScalar(other[0], other[1], {n: -c for n, c in a.symbolic})
+        raw = rng.choice(_PARTS)
+        for b in (ExactScalar(*other), cancelling, a, raw):
+            rb = _fields(as_scalar(b))
+            cases = [(a + b, _former_add(ra, rb)), (b + a, _former_add(rb, ra)),
+                     (a - b, _former_add(ra, _former_neg(rb))),
+                     (b - a, _former_add(rb, _former_neg(ra))),
+                     (-a, _former_neg(ra)), (coset_rep(a), _former_coset_rep(ra))]
+            try:
+                want = _former_mul(ra, rb)
+            except ValueError:
+                for product in (lambda: a * b, lambda: b * a):
+                    with pytest.raises(ValueError):
+                        product()
+            else:
+                cases += [(a * b, want), (b * a, want)]
+            for got, want in cases:
+                assert _fields(got) == want
+                _assert_normal(got)
+                results.append(got)
+    assert any(not r.symbolic and r.rational for r in results)
+    by_value = {}
+    for r in results:
+        by_value.setdefault(_fields(r), set()).add(hash(r))
+        if r.is_rational:
+            assert hash(r) == hash(r.rational) and r == r.rational
+    assert all(len(hashes) == 1 for hashes in by_value.values())
+
+
+def test_integral_difference_matches_former_rule_on_a_grid():
+    # differential test against the former rule, which formed the
+    # difference of the rational parts
+    def former(a, b):
+        return (a.imaginary == b.imaginary and a.symbolic == b.symbolic
+                and (a.rational - b.rational).denominator == 1)
+
+    rng = random.Random(2)
+    rationals = sorted({Fraction(n, d) for n in range(-7, 8) for d in (1, 2, 3, 6)})
+    grid = [ExactScalar(q, im, sym) for q in rationals for im in (0, Fraction(1, 2))
+            for sym in (None, {"s": 1}, {"s": -1})]
+    hits = 0
+    for _ in range(20000):
+        a, b = rng.choice(grid), rng.choice(grid)
+        assert is_integral_difference(a, b) == former(a, b)
+        hits += former(a, b)
+    assert hits > 100
+    for a in grid:
+        for q in (a.rational, a.rational + 3, a.rational - 5):
+            b = ExactScalar(q, a.imaginary, dict(a.symbolic))
+            assert is_integral_difference(a, b) and former(a, b)
