@@ -17,9 +17,12 @@ one factor rule makes them all: ``_relation_factors`` (the relation above)
 and ``_lowering_factors`` (the matter-forgetting map) list (mu, j) pairs,
 and ``_forms`` alone turns pairs into forms, with h symbolic or specialized,
 each straight from the term dict of mu's form.  ``mul`` builds the shift
-map x -> x + h xi once per xi of its left operand.
-``_product`` and ``_quotient`` keep the forms as factors of a
-RationalFunction, never expanded: coefficients multiply, cancel and compare
+map x -> x + h xi once per xi of its left operand, each x_i + xi_i h from a
+term dict, and adds every term's coefficient into one dict keyed by
+xi + nu, so the element is built once, at the end.
+``_product`` merges its forms straight into a RationalFunction's factor
+dict.  ``_product`` and ``_quotient`` keep the forms as factors, never
+expanded: coefficients multiply, cancel and compare
 factor by factor, and are expanded only when printed.  ``_values`` gives
 the forms' values at a weight (h = 1), without building the forms, in
 ``poly.coefficient``'s normal form.  Theories and weight modules are
@@ -33,8 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
+from operator import mul as _times
 
-from .poly import HBAR, ONE_POLY, Polynomial, RationalFunction, as_poly, coefficient
+from .poly import (HBAR, ONE_POLY, Polynomial, RationalFunction, _Factors,
+                   _factor_key, _merge, as_poly, coefficient)
 from .scalars import ExactScalar, as_scalar, row_reduce
 
 
@@ -60,7 +65,7 @@ class MatterWeight:
 
     def pair(self, nu):
         """Pairing with a gauge coweight."""
-        return sum(g * n for g, n in zip(self.gauge, nu))
+        return sum(map(_times, self.gauge, nu))
 
     def form(self, hbar=None):
         """The linear form mu as a polynomial; hbar=None keeps h symbolic,
@@ -167,8 +172,16 @@ def _values(pairs, point):
 
 
 def _product(pairs, hbar=None):
-    """The product of the forms of pairs, kept factored."""
-    return RationalFunction(ONE_POLY, [(f, -1) for f in _forms(pairs, hbar)])
+    """The product of the forms of pairs, kept factored: each form is merged
+    into the factor dict as the constructor would merge it.  A form is zero
+    only for a weight with no gauge part, which no caller lists; the product
+    is then zero, as the constructor makes it."""
+    factors = _Factors()
+    for f in _forms(pairs, hbar):
+        if not f:
+            return RationalFunction(f)
+        _merge(factors, _factor_key(f), f, 1)
+    return RationalFunction(ONE_POLY, factors)
 
 
 def _quotient(num, pairs, hbar=None):
@@ -202,10 +215,6 @@ class MonopoleElement:
     @staticmethod
     def r(nu):
         return MonopoleElement({tuple(nu): RationalFunction(ONE_POLY)})
-
-    @staticmethod
-    def zero():
-        return MonopoleElement({})
 
     def __bool__(self):
         return bool(self.terms)
@@ -242,23 +251,38 @@ class MonopoleElement:
 
 
 def _shift_map(xi, hbar=None):
-    """x_i -> x_i + xi_i * h (or + xi_i when h is specialized to 1)."""
-    h = Polynomial.variable(HBAR) if hbar is None else as_poly(Fraction(hbar))
-    return {("x%d" % (i + 1)): Polynomial.variable("x%d" % (i + 1)) + n * h
-            for i, n in enumerate(xi) if n}
+    """x_i -> x_i + xi_i * h (or + xi_i * hbar when h is specialized), each
+    built from its term dict."""
+    slot, step = (((HBAR, 1),), 1) if hbar is None else ((), Fraction(hbar))
+    out = {}
+    for i, n in enumerate(xi):
+        if n:
+            v = "x%d" % (i + 1)
+            out[v] = Polynomial({((v, 1),): 1, slot: n * step})
+    return out
 
 
 def mul(a, b, theory):
-    """Product in the abelian Coulomb branch algebra."""
-    total = MonopoleElement.zero()
+    """Product in the abelian Coulomb branch algebra: each term's coefficient
+    is added into one dict keyed by xi + nu, a sum that cancels is dropped,
+    and the element is built from the dict at the end."""
+    terms = {}
     for xi, f in a.terms.items():
         shift = _shift_map(xi)
         for nu, g in b.terms.items():
             coeff = f * g.substitute(shift) \
                 * relation_coefficient(theory, xi, nu)
-            total = total + MonopoleElement({tuple(x + n for x, n in zip(xi, nu)):
-                                             coeff})
-    return total
+            if not coeff:
+                continue
+            key = tuple(x + n for x, n in zip(xi, nu))
+            s = terms.get(key)
+            if s is not None:
+                coeff = s + coeff
+                if not coeff:
+                    del terms[key]
+                    continue
+            terms[key] = coeff
+    return MonopoleElement(terms)
 
 
 def inv_monopole(xi, nu, theory):

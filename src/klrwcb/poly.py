@@ -11,12 +11,14 @@ ExactScalar operators, and the same polynomial has the same ``terms`` (and
 hash) however its coefficients were written.  Values at a point are
 computed in the same normal form; ``evaluate`` returns them as ExactScalars.
 ``substitute`` expands only the mapped variables of each monomial, each
-power once per call, and copies the unmapped part through.
+power once per call, and copies the unmapped part through.  Multiplying by
+the polynomial 1 returns the other operand itself.
 
 A rational function is a polynomial times polynomial factors with signed
 exponents (the localization pattern: products of linear forms mu + j h).
 Products add exponents, so a factor cancels by key match, and only the
-polynomial part is trial-divided by the denominator factors; sums expand
+polynomial part is trial-divided by the denominator factors (a function
+with numerator factors only is not divided at all); sums expand
 only the factors that the two operands do not share.  The expanded, reduced
 form is built for printing alone.
 """
@@ -150,6 +152,10 @@ class Polynomial:
 
     def __mul__(self, other):
         other = as_poly(other)
+        if other.terms == _ONE_TERMS:  # polynomials are immutable
+            return self
+        if self.terms == _ONE_TERMS:
+            return other
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -310,6 +316,7 @@ def as_poly(x):
 
 
 ONE_POLY = Polynomial.constant(1)
+_ONE_TERMS = ONE_POLY.terms
 
 
 def _factor_key(p):
@@ -345,11 +352,17 @@ def _divide_out(poly, factors):
     """One pass of exact trial division of a nonzero poly by the
     denominator factors, in order: a factor that does not divide poly
     divides no quotient of it.  Returns poly and the factors, copied if an
-    exponent changed.  Only a constant factor divides a constant poly, and
-    that needs no leading monomial."""
+    exponent changed.  The leading monomial is found at the first
+    denominator factor, so numerator factors alone cost no search.  Only a
+    constant factor divides a constant poly, and that needs no leading
+    monomial."""
     out = factors
-    lead = poly.leading()[0]
+    lead = None
     for key, (f, e) in factors.items():
+        if e > 0:
+            continue
+        if lead is None:
+            lead = poly.leading()[0]
         k = e
         while k < 0 and (_mono_divides(f.leading()[0], lead) if lead
                          else len(f.terms) == 1 and () in f.terms):

@@ -15,9 +15,10 @@ from klrwcb.coulomb import (BadCocharacterError, MatterNotInvariantError,
                             phi0_prime, relation_coefficient, res_support,
                             rxi_closed_form, rxi_pairing,
                             transition_eigenvalues, transition_invertible,
-                            xi_negative, _coset_key, _forms, _steps_between)
+                            xi_negative, _coset_key, _forms, _product,
+                            _relation_factors, _shift_map, _steps_between)
 from klrwcb.poly import (HBAR, ONE_POLY, Polynomial, RationalFunction,
-                         _factor_key, coefficient)
+                         _factor_key, as_poly, coefficient)
 from klrwcb.scalars import ExactScalar, as_scalar, is_integral
 from klrwcb import suites
 
@@ -729,3 +730,164 @@ def test_rxi_closed_form_matches_expanded_products():
         assert got == want and repr(got) == repr(want)
         factors += sum(len(c.factors) for e in got for c in e.terms.values())
     assert factors >= 100, factors
+
+
+# -- mul against the former one-element-per-term fold ------------------------
+
+
+def _ref_shift_map(xi, hbar=None):
+    """The former _shift_map: x_i + xi_i h through Polynomial arithmetic."""
+    h = Polynomial.variable(HBAR) if hbar is None else as_poly(Fraction(hbar))
+    return {("x%d" % (i + 1)): Polynomial.variable("x%d" % (i + 1)) + n * h
+            for i, n in enumerate(xi) if n}
+
+
+def _ref_product(pairs, hbar=None):
+    """The former _product: the forms through the constructor's list path."""
+    return RationalFunction(ONE_POLY, [(f, -1) for f in _forms(pairs, hbar)])
+
+
+def _ref_mul(a, b, theory):
+    """The former mul: one element per (xi, nu) term, added to the running
+    total with MonopoleElement.__add__."""
+    total = MonopoleElement({})
+    for xi, f in a.terms.items():
+        shift = _ref_shift_map(xi)
+        for nu, g in b.terms.items():
+            coeff = f * g.substitute(shift) \
+                * _ref_product(_relation_factors(theory.matter, xi, nu))
+            total = total + MonopoleElement({tuple(x + n for x, n in zip(xi, nu)):
+                                             coeff})
+    return total
+
+
+def _same_rf(got, want):
+    assert repr(got) == repr(want)
+    assert got.poly.terms == want.poly.terms
+    assert list(got.factors.items()) == list(want.factors.items())
+
+
+def _same_element(got, want):
+    """Equal repr, keys in the same order, and per key the same poly and
+    the same factors in the same order."""
+    assert repr(got) == repr(want)
+    assert list(got.terms) == list(want.terms)
+    for nu in want.terms:
+        _same_rf(got.terms[nu], want.terms[nu])
+
+
+def _mul_theory(rng):
+    """Random matter with gauge entries of either sign, an h-shift on about
+    half the weights, a Gaussian flavour shift on about a third, and half
+    the time one weight listed twice."""
+    rank = rng.randint(1, 2)
+    matter = []
+    for _ in range(rng.randint(1, 3)):
+        shift = as_scalar(Fraction(rng.randint(-2, 2), rng.choice([1, 2])))
+        if rng.random() < 0.3:
+            shift = shift + ExactScalar(0, rng.choice([1, -1]))
+        matter.append(MatterWeight(suites.random_coweight(rng, rank),
+                                   shift, rng.choice([0, 0, 1, -1])))
+    if rng.random() < 0.5:
+        matter.append(rng.choice(matter))
+    return TorusTheory(rank, matter)
+
+
+def _mul_operand(rng, th):
+    """A few polynomial terms on coweights of norm <= 1, plus, half the time,
+    a term of inv_monopole, whose coefficient has denominator factors."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        nu = suites.random_coweight(rng, th.rank, bound=1, nonzero=False)
+        c = as_poly(Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2])))
+        if rng.random() < 0.5:
+            c = c * Polynomial.variable("x%d" % rng.randint(1, th.rank))
+        if rng.random() < 0.3:
+            c = c + h
+        terms[nu] = c
+    out = MonopoleElement(terms)
+    if rng.random() < 0.5:
+        out = out + inv_monopole(suites.random_coweight(rng, th.rank, bound=1),
+                                 suites.random_coweight(rng, th.rank, bound=1,
+                                                        nonzero=False), th)
+    return out
+
+
+def _cancelling_operands(rng, th):
+    """a = r_xi + r_0 + r_-xi and b = g0 r_0 + g1 r_xi + g2 r_2xi with
+    g1 = -g0(x + h xi): the (xi, 0) and (0, xi) terms of a b cancel on xi,
+    and (-xi, 2xi) adds to xi again after terms on other coweights."""
+    xi = suites.random_coweight(rng, th.rank, bound=1)
+    zero = (0,) * th.rank
+    one = RationalFunction.of(1)
+    a = MonopoleElement({xi: one, zero: one, tuple(-x for x in xi): one})
+    g0, g2 = (next(iter(_mul_operand(rng, th).terms.values()))
+              for _ in range(2))
+    g1 = -g0.substitute(_ref_shift_map(xi))
+    return xi, a, MonopoleElement({zero: g0, xi: g1,
+                                   tuple(2 * x for x in xi): g2})
+
+
+def test_mul_matches_the_former_fold():
+    rng = random.Random(29)
+    tally = Counter()
+    for trial in range(60):
+        th = _mul_theory(rng)
+        gauges = [mu.gauge for mu in th.matter]
+        tally["both signs"] += any(g > 0 for v in gauges for g in v) \
+            and any(g < 0 for v in gauges for g in v)
+        tally["repeated"] += len(set(th.matter)) < len(th.matter)
+        tally["h-shift"] += any(mu.hbar_shift for mu in th.matter)
+        tally["gaussian"] += any(mu.flavour_shift.imaginary for mu in th.matter)
+        cancels = trial % 4 == 0
+        if cancels:
+            xi, a, b = _cancelling_operands(rng, th)
+        else:
+            a, b = _mul_operand(rng, th), _mul_operand(rng, th)
+        tally["denominator"] += any(e < 0 for x in (a, b)
+                                    for c in x.terms.values()
+                                    for _, e in c.factors.values())
+        ab = mul(a, b, th)
+        _same_element(ab, _ref_mul(a, b, th))
+        _same_element(mul(b, a, th), _ref_mul(b, a, th))
+        if cancels:
+            assert list(ab.terms)[-1] == xi
+            tally["cancels"] += 1
+    assert min(tally.values()) >= 10, tally
+
+
+def test_shift_map_matches_polynomial_arithmetic():
+    for xi in ((1,), (0, -2), (3, 0, -1), (Fraction(1, 2), -1)):
+        for hbar in (None, 1, Fraction(-1, 2), 0):
+            got, want = _shift_map(xi, hbar), _ref_shift_map(xi, hbar)
+            assert list(got) == list(want)
+            for v in want:
+                assert list(got[v].terms.items()) == list(want[v].terms.items())
+                assert [type(c) for c in got[v].terms.values()] == \
+                    [type(c) for c in want[v].terms.values()]
+
+
+def test_product_merges_forms_as_the_constructor_did():
+    """_product against the constructor's list path, including repeated
+    forms, constant forms and zero forms (a weight with no gauge part at
+    j = 0), where the product is zero."""
+    rng = random.Random(30)
+    tally = Counter()
+    for _ in range(80):
+        rank = rng.randint(1, 2)
+        matter = [MatterWeight(suites.random_coweight(rng, rank),
+                               rng.choice([0, Fraction(1, 2), ExactScalar(0, 1)]),
+                               rng.choice([0, 1]))
+                  for _ in range(rng.randint(1, 3))]
+        pairs = [(mu, j) for mu in matter for j in range(-2, 3)
+                 if rng.random() < 0.4]
+        pairs += pairs[:rng.randint(0, 2)]
+        if rng.random() < 0.5:
+            flat = MatterWeight((0,) * rank)
+            pairs.insert(rng.randint(0, len(pairs)),
+                         (flat, rng.choice([0, 0, 1, -2])))
+        for hbar in (None, 1):
+            got, want = _product(pairs, hbar), _ref_product(pairs, hbar)
+            _same_rf(got, want)
+            tally["zero" if not want else "nonzero"] += 1
+    assert min(tally.values()) >= 20, tally

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from klrwcb.coulomb import MatterWeight, TorusTheory, mul
 from klrwcb.poly import (HBAR, ONE_POLY, Polynomial, RationalFunction, as_poly,
-                         _factor_key)
+                         _divide_out, _factor_key, _Factors, _merge)
 from klrwcb.scalars import ExactScalar, as_scalar
 from klrwcb.suites import random_element, random_theory
 
@@ -953,3 +953,68 @@ def test_constant_over_factors_keeps_its_form():
             [(f.terms, e) for f, e in factors]
         assert list(r.factors) == [_factor_key(f) for f, _ in factors]
         assert repr(r) == text
+
+
+# -- the shortcuts for a factor of 1 ------------------------------------------
+
+
+def test_multiplying_by_one_returns_the_other_operand():
+    p = Polynomial.linear({"x1": 2, HBAR: Fraction(1, 2)}, ExactScalar(0, 1))
+    assert p * ONE_POLY is p
+    assert ONE_POLY * p is p
+    assert 1 * p is p
+    assert p * Fraction(1) is p
+    assert ONE_POLY * ONE_POLY is ONE_POLY
+
+
+def test_products_with_other_constants_are_unchanged():
+    p = Polynomial.linear({"x1": 2, HBAR: Fraction(1, 2)}, ExactScalar(0, 1))
+    for c in (2, -1, Fraction(1, 3), ExactScalar(1, 1)):
+        want = Polynomial({m: c * v for m, v in p.terms.items()})
+        for got in (p * c, c * p, p * as_poly(c), as_poly(c) * p):
+            assert got is not p and got.terms == want.terms
+    for zero in (0, Polynomial({})):
+        assert (p * zero).terms == {} and (zero * p).terms == {}
+    assert (ONE_POLY * 0).terms == {}
+
+
+def _counting_leading(monkeypatch):
+    calls = Counter()
+    leading = Polynomial.leading
+
+    def counting(self):
+        calls["leading"] += 1
+        return leading(self)
+
+    monkeypatch.setattr(Polynomial, "leading", counting)
+    return calls
+
+
+def _factors(*pairs):
+    out = _Factors()
+    for f, e in pairs:
+        _merge(out, _factor_key(f), f, e)
+    return out
+
+
+def test_numerator_factors_are_not_trial_divided(monkeypatch):
+    calls = _counting_leading(monkeypatch)
+    for poly in (x * x - y, ONE_POLY, as_poly(Fraction(-2, 3))):
+        factors = _factors((x - y, 1), (x + 1, 2), (y, 1))
+        got, out = _divide_out(poly, factors)
+        assert got is poly and out is factors
+    r = RationalFunction(ONE_POLY, [(x - y, -1), (h + 1, -2)])
+    assert calls["leading"] == 0
+    assert [e for _, e in r.factors.values()] == [1, 2]
+
+
+def test_mixed_factors_still_divide(monkeypatch):
+    calls = _counting_leading(monkeypatch)
+    poly = (x - y) * (x + 1)
+    factors = _factors((x + 2, 1), (x - y, -1), (y, -1), (x + 1, -2))
+    got, out = _divide_out(poly, factors)
+    assert calls["leading"] > 0
+    assert got == ONE_POLY
+    assert [(f.terms, e) for f, e in out.values()] == \
+        [((x + 2).terms, 1), (y.terms, -1), ((x + 1).terms, -1)]
+    assert factors is not out and len(factors) == 4
