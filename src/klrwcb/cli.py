@@ -466,10 +466,14 @@ def main(argv=None):
     add_quiver_args(p)
     p.set_defaults(func=cmd_category_o)
 
+    # argparse reads a value that starts with '-' (a negative charge) as an
+    # option, so such a value has to be joined to its option with '='
+    matter_help = ("gauge[;shift[;hshift]], e.g. '1,0;1/2'; a value that "
+                   "starts with '-' needs the '=' form: --matter=-1,2")
+
     p = sub.add_parser("monopole-mul")
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--matter", action="append",
-                   help="gauge[;shift[;hshift]], e.g. '1,0;1/2'")
+    p.add_argument("--matter", action="append", help=matter_help)
     p.add_argument("first")
     p.add_argument("second")
     p.set_defaults(func=cmd_monopole_mul)
@@ -477,10 +481,14 @@ def main(argv=None):
     for name, fn in (("res-support", cmd_res_support), ("qhr", cmd_qhr)):
         p = sub.add_parser(name)
         p.add_argument("--rank", type=int, required=True)
-        p.add_argument("--matter", action="append")
-        p.add_argument("--gamma0", required=True)
+        p.add_argument("--matter", action="append", help=matter_help)
+        p.add_argument("--gamma0", required=True,
+                       help="',' list, e.g. '1/2,0'; a value that starts "
+                            "with '-' needs the '=' form: --gamma0=-1/2")
         p.add_argument("--box", type=int, default=4)
-        p.add_argument("--xi", required=True)
+        p.add_argument("--xi", required=True,
+                       help="coweight, ',' list, e.g. '1,0'; a value that "
+                            "starts with '-' needs the '=' form: --xi=-1,0")
         p.set_defaults(func=fn)
 
     p = sub.add_parser("relcheck")

@@ -23,16 +23,19 @@ a hashable descriptor of its local operator, ("swap", r), ("demazure", r),
 steps that act as the identity.  Engine.run_operators applies a descriptor
 tuple; Engine.act applies it directly, with no memo.  Engine.images is the
 engine's memo for the relation suite: the image of each monomial under a
-descriptor tuple, computed with run_operators on first use and kept as a
-tuple of (monomial, coefficient) pairs.  Every operator is Q-linear, so the
-image of a polynomial is the sum of its coefficients times the images of
-its monomials.  The memo belongs to the engine, so engines with different
-operators (a subclass overriding _demazure) never share images.  The
-relation suite builds its instances once per engine too, and walks each
-of their words with word_operators once; it still decides every instance
-afresh on every pass.  The idempotent e(s), the straight-line diagram
-from s to itself, has no events and acts as the identity, so a vanishing
-certificate compares the image of its loop with the polynomial itself.
+descriptor tuple, computed with run_operators on first use and kept as the
+tuple of its (monomial, coefficient) pairs sorted by monomial.  That tuple
+is canonical: coefficients are in their normal form, so two images are the
+same polynomial exactly when their tuples are equal.  Every operator is
+Q-linear, so the image of a polynomial is the sum of its coefficients times
+the images of its monomials.  The memo belongs to the engine, so engines
+with different operators (a subclass overriding _demazure) never share
+images.  The relation suite builds its instances once per engine too, and
+walks each of their words with word_operators once; it still decides every
+instance afresh on every pass.  The idempotent e(s), the straight-line
+diagram from s to itself, has no events and acts as the identity, so a
+vanishing certificate compares the image of its loop with the polynomial
+itself.
 
 All relations of the algebra hold for these operators; verify_relations
 checks them exhaustively over given quiver data and is the normative
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -343,8 +347,9 @@ class Engine:
 
     def images(self, ops):
         """The engine's memo of monomial images under one descriptor tuple:
-        a mapping monomial -> tuple of (monomial, coefficient) pairs that
-        computes an image with run_operators on its first lookup."""
+        a mapping monomial -> the image's (monomial, coefficient) pairs as a
+        tuple sorted by monomial, computed with run_operators on its first
+        lookup; equal tuples are equal polynomials."""
         table = self._images.get(ops)
         if table is None:
             table = self._images[ops] = _Images(self, ops)
@@ -420,19 +425,23 @@ class Engine:
 
 
 class _Images(dict):
-    """monomial -> its image under one descriptor tuple, kept as a tuple of
-    (monomial, coefficient) pairs; a missing image is computed and kept."""
+    """monomial -> its image under one descriptor tuple, kept as the tuple
+    of its (monomial, coefficient) pairs sorted by monomial; a missing image
+    is computed and kept.  Coefficients are in coefficient's normal form, so
+    two images are the same polynomial exactly when their tuples are equal.
+    The table reaches its engine through a weak proxy: a memo that holds the
+    table (the relation suite's side memo) does not keep the engine alive."""
 
     __slots__ = ("engine", "ops")
 
     def __init__(self, engine, ops):
         super().__init__()
-        self.engine = engine
+        self.engine = weakref.proxy(engine)
         self.ops = ops
 
     def __missing__(self, monomial):
-        image = self[monomial] = tuple(self.engine.run_operators(
-            self.ops, Polynomial({monomial: 1})).terms.items())
+        image = self[monomial] = tuple(sorted(self.engine.run_operators(
+            self.ops, Polynomial({monomial: 1})).terms.items()))
         return image
 
 

@@ -6,25 +6,32 @@ instances are built once per engine, on its first verify_relations pass,
 and kept while the engine lives; each word becomes its tuple of operator
 descriptors once per instance, through the engine's one word walk
 Engine.word_operators, so a later pass classifies no crossing.  Verdicts
-are not kept: every pass draws its test families and sums its images
-afresh.  Both sides are applied to a family of polynomials (all monomials
-up to a degree bound plus seeded random polynomials), one family per strand
-count and pass, shared by every instance with that count.  Every operator is
-linear, so a side's value on a polynomial is gathered from the engine's
-memo of monomial images (Engine.images): the sum of coefficient times
-image over the polynomial's monomials, which is the polynomial the
-operators give applied to it.  A relation instance passes when the two
-sides agree exactly on every test polynomial.
+are not kept: every pass draws its test families and decides every
+instance afresh.  Both sides are applied to a family of polynomials (all
+monomials up to a degree bound plus seeded random polynomials), one family
+per strand count and pass, shared by every instance with that count.
+Every operator is linear, so a side's value on a polynomial is gathered
+from the engine's memo of monomial images (Engine.images): the sum of
+coefficient times image over the polynomial's monomials, which is the
+polynomial the operators give applied to it.  A relation instance passes
+when the two sides agree exactly on every test polynomial.
 
 By the same linearity the difference D = lhs - rhs vanishes on a test
 polynomial f when it vanishes on each monomial of f, since D(f) is the sum
 over f's monomials m of f's coefficient at m times D(m).  So Scenario.equal
 decides D on the distinct monomials of the family first; the random tail,
 whose members are combinations of monomials the family already holds,
-then costs no image sums.  Only when D is nonzero on some monomial are the
-test polynomials tried one by one, which names the same first failing
-polynomial as trying them all would.  Each report entry counts its
-instances, the test polynomials they were checked on, and its failures.
+then adds no work per instance.  An image is kept as a canonical tuple,
+its terms sorted by monomial, so where each side is at most one word with
+coefficient 1, D(m) is zero exactly when the two sides' image tuples are
+equal, and no sum is formed; any other pair of sides has D(m) summed in a
+term dict.  What does not change from pass to pass is worked out once: a
+scenario resolves each side to its (coefficient, image table) pairs on
+first sight, and the distinct monomials of a family are listed once per
+family.  Only when D is nonzero on some monomial are the test polynomials
+tried one by one, which names the same first failing polynomial as trying
+them all would.  Each report entry counts its instances, the test
+polynomials they were checked on, and its failures.
 
 The correction signs of the two triple-point moves follow from the divided
 difference convention fixed in the engine; the suite is the normative
@@ -56,6 +63,8 @@ class Scenario:
         self.seq = FlavouredSequence(labels, longitudes, arrangement)
         # tuple(word) -> its descriptor tuple over seq, for equal
         self._operators = {}
+        # id(side) -> the side and its resolved pairs (see _side)
+        self._sides = {}
 
     @property
     def n(self):
@@ -70,36 +79,70 @@ class Scenario:
     def equal(self, lhs, rhs, polys):
         """lhs, rhs: lists of (coeff, word); returns (True, None) when they
         agree on every test poly, else (False, the first poly they differ
-        on).  Each word is turned into its descriptors once, for all of
-        polys, and D = lhs - rhs is gathered in term dicts from the monomial
-        images.
+        on).  Each side is resolved to its (coefficient, image table) pairs
+        once per scenario (_side), and polys to its distinct monomials once
+        per family (_distinct_monomials).
 
-        D is decided first on the distinct monomials of polys, in first-seen
-        order, each one's images summed without a product by its
-        coefficient 1.  D is linear: D(f) is the sum over f's monomials m of
-        f's coefficient at m times D(m), so if D(m) is zero for every such
-        m, D(f) is zero for every f in polys.  If some D(m) is not zero, the
-        polys are tried in order as before; this names the first failing
-        one, and still passes a family in which the nonzero monomial images
-        cancel inside every polynomial."""
-        engine = self.engine
-        pairs = [(sign * coefficient(c), engine.images(self._descriptors(w)))
-                 for sign, side in ((1, lhs), (-1, rhs)) for c, w in side]
-        # _image_sum's rule for the term mapping {m0: 1}, inlined: calling it
-        # per monomial cost about a tenth of the relation checks per second
-        for m0 in dict.fromkeys(m for f in polys for m in f.terms):
-            terms = {}
-            for c, images in pairs:
-                for m, v in images[m0]:
-                    terms[m] = terms.get(m, 0) + c * v
-            if any(terms.values()):
-                break
+        D = lhs - rhs is decided first on the distinct monomials of polys, in
+        first-seen order.  When each side is at most one word with
+        coefficient 1, D(m) is zero exactly when the two sides' image
+        tuples are equal, since those tuples are canonical; any other pair
+        of sides has D(m) gathered in a term dict from the images.  D is
+        linear: D(f) is the sum over f's monomials m of f's coefficient at m
+        times D(m), so if D(m) is zero for every such m, D(f) is zero for
+        every f in polys.  If some D(m) is not zero, the polys are tried in
+        order as before; this names the first failing one, and still
+        passes a family in which the nonzero monomial images cancel inside
+        every polynomial.
+
+        A side is read once per scenario and kept by identity: a side list
+        changed in place after a call is not seen again."""
+        _, lhs_pairs, _, lhs_table = self._side(lhs)
+        _, _, rhs_pairs, rhs_table = self._side(rhs)
+        monomials = _distinct_monomials(polys)
+        pairs = lhs_pairs + rhs_pairs
+        if lhs_table is None or rhs_table is None:
+            for m0 in monomials:
+                terms = {}
+                for c, images in pairs:
+                    for m, v in images[m0]:
+                        terms[m] = terms.get(m, 0) + c * v
+                if any(terms.values()):
+                    break
+            else:
+                return True, None
         else:
-            return True, None
+            for m0 in monomials:
+                if lhs_table[m0] != rhs_table[m0]:
+                    break
+            else:
+                return True, None
         for f in polys:
             if any(_image_sum(pairs, f).values()):
                 return False, f
         return True, None
+
+    def _side(self, side):
+        """(side, its (c, images) pairs, the pairs with -c, table), kept by
+        the side's identity; table is the side's image table when the side
+        is one word with coefficient 1, _NOTHING when it is empty, and else
+        None.  The entry holds the side, so its id is not reused while the
+        entry is kept."""
+        entry = self._sides.get(id(side))
+        if entry is None:
+            if len(self._sides) >= _KEPT:
+                self._sides.clear()
+            pairs = [(coefficient(c), self.engine.images(self._descriptors(w)))
+                     for c, w in side]
+            if not pairs:
+                table = _NOTHING
+            elif len(pairs) == 1 and pairs[0][0] == 1:
+                table = pairs[0][1]
+            else:
+                table = None
+            entry = self._sides[id(side)] = (
+                side, pairs, [(-c, images) for c, images in pairs], table)
+        return entry
 
     def _descriptors(self, word):
         """The descriptor tuple of word over seq, walked once per word."""
@@ -109,6 +152,39 @@ class Scenario:
             ops = self._operators[key] = \
                 self.engine.word_operators(self.seq, word)[0]
         return ops
+
+
+class _Nothing(dict):
+    """The image table of an empty side: every monomial goes to ()."""
+
+    def __missing__(self, monomial):
+        return ()
+
+
+_NOTHING = _Nothing()
+
+# How many sides a scenario, and how many families the module, keep at once;
+# a full memo is emptied.  A relation instance pass needs a few of each.
+_KEPT = 32
+
+# id(family) -> (family, its distinct monomials in first-seen order), for
+# tuple families only: a tuple cannot change, and the entry holds it, so its
+# id is not reused while the entry is kept.
+_MONOMIALS = {}
+
+
+def _distinct_monomials(polys):
+    """The distinct monomials of polys in first-seen order; worked out once
+    per tuple family and afresh for any other sequence."""
+    if type(polys) is not tuple:
+        return dict.fromkeys(m for f in polys for m in f.terms)
+    entry = _MONOMIALS.get(id(polys))
+    if entry is None:
+        if len(_MONOMIALS) >= _KEPT:
+            _MONOMIALS.clear()
+        entry = _MONOMIALS[id(polys)] = (
+            polys, tuple(dict.fromkeys(m for f in polys for m in f.terms)))
+    return entry[1]
 
 
 def _image_sum(pairs, f):

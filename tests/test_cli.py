@@ -686,6 +686,68 @@ def test_res_support_and_qhr_commands(capsys):
     assert "agreement: True" in capsys.readouterr().out
 
 
+_NEGATIVE_VALUES = [
+    (["monopole-mul", "--rank", "2", "--matter", "1,1", "--matter", "-1,2",
+      "r[1,0]", "r[0,1]"], "--matter", "(2*x2-x1-h)*r[1, 1]\n"),
+    (["res-support", "--rank", "1", "--matter", "1", "--gamma0", "-1/2",
+      "--box", "4", "--xi", "1"], "--gamma0",
+     "coset representative -> limit dimension\n  0                        1\n"),
+    (["res-support", "--rank", "2", "--matter", "1,0", "--matter", "0,1",
+      "--gamma0", "1/2,1/3", "--box", "2", "--xi", "-1,0"], "--xi",
+     "coset representative -> limit dimension\n"
+     "  0,0                      1\n  0,1                      1\n"),
+]
+
+
+def _joined(argv, option):
+    """argv with every value of option that starts with '-' joined to it
+    by '='."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == option and arg.startswith("-"):
+            out[-1] = "%s=%s" % (option, arg)
+        else:
+            out.append(arg)
+    return out
+
+
+@pytest.mark.parametrize("argv,option,printed", _NEGATIVE_VALUES,
+                         ids=[case[1] for case in _NEGATIVE_VALUES])
+def test_value_with_a_leading_minus_needs_the_equals_form(argv, option,
+                                                          printed):
+    """argparse reads a separate '-1,2' as an option: the spaced form is a
+    usage error (one line, exit 2, no traceback), and the '=' form the
+    README and --help name prints the product or the support."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(klrwcb.__file__)))
+    spaced = subprocess.run([sys.executable, "-m", "klrwcb.cli"] + argv,
+                            capture_output=True, text=True, env=env,
+                            timeout=60)
+    assert spaced.returncode == 2 and spaced.stdout == ""
+    assert spaced.stderr == \
+        "klrwcb: error: argument %s: expected one argument\n" % option
+    joined = _joined(argv, option)
+    assert joined != argv
+    joined_run = subprocess.run([sys.executable, "-m", "klrwcb.cli"] + joined,
+                                capture_output=True, text=True, env=env,
+                                timeout=60)
+    assert (joined_run.returncode, joined_run.stdout, joined_run.stderr) == \
+        (0, printed, "")
+
+
+def test_help_names_the_equals_form(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")     # one help line per option
+    for command, options in (("monopole-mul", ["--matter"]),
+                             ("res-support", ["--matter", "--gamma0", "--xi"]),
+                             ("qhr", ["--matter", "--gamma0", "--xi"])):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for option in options:
+            assert "needs the '=' form: %s=-" % option in text, (command,
+                                                                 option)
+
+
 def test_render_command(kron_file, tmp_path, capsys):
     out_file = tmp_path / "d.svg"
     rc = main(["render-diagram", "--quiver", kron_file,

@@ -554,6 +554,64 @@ def test_one_family_per_strand_count(make, monkeypatch):
         assert all(type(polys) is tuple for polys in seen.values())
 
 
+# -- canonical image tables and the side memo ---------------------------------
+
+
+@pytest.mark.parametrize("make", [a1_engine, a2_engine, kronecker_engine])
+def test_image_tables_are_canonical(make):
+    """Every instance word's image of every monomial of the degree-3 family
+    is the sorted tuple of the operators' terms, and two images are equal
+    tuples exactly when they are equal polynomials."""
+    engine = make()
+    tuples = {}                  # image polynomial -> its tuple
+    shared = reordered = 0
+    for _, sc, lhs, rhs in _instances(engine):
+        family = _test_polynomials(sc.n, 3, 0, random.Random(0))
+        for _, word in lhs + rhs:
+            ops = sc._descriptors(word)
+            images = engine.images(ops)
+            for f in family:
+                (m, _), = f.terms.items()
+                image = engine.run_operators(ops, Polynomial({m: 1}))
+                got = images[m]
+                assert got == tuple(sorted(image.terms.items())), (ops, m)
+                want = tuples.setdefault(image, got)
+                assert got == want, (ops, m)
+                if want is not got:
+                    shared += 1
+                    reordered += tuple(image.terms.items()) != got
+    assert len(set(tuples.values())) == len(tuples)
+    assert shared > 100, shared
+    assert reordered, "no image came out of run_operators unsorted"
+
+
+@pytest.mark.parametrize("name", ["dots-1", "dots-2", "triple-point1"])
+def test_side_memo_is_keyed_safely_by_identity(name):
+    """Sides built afresh for every call, alternating between the relation
+    and a broken one: the memo keeps each side it keys by id, so a recycled
+    id never reads another side's entry, and every verdict and witness is
+    _ref_equal's.  dots-1 compares one-word sides by their image tuples;
+    the other two gather sums."""
+    engine = kronecker_engine()
+    _, sc, lhs, rhs = next(case for case in _instances(engine)
+                           if case[0] == name)
+    polys = tuple(_test_polynomials(sc.n, 2, 3, random.Random(5)))
+
+    def fresh(side, extra=()):
+        return [(c, list(word) + list(extra)) for c, word in side]
+
+    want = [_ref_equal(sc, lhs, rhs, polys),
+            _ref_equal(sc, fresh(lhs, [dot(1)]), rhs, polys)]
+    assert want[0] == (True, None) and want[1][0] is False
+    seen = []
+    for k in range(300):
+        broken = k % 2
+        side = fresh(lhs, [dot(1)] if broken else ())
+        seen.append(id(side))
+        assert sc.equal(side, fresh(rhs), polys) == want[broken], k
+    assert len(set(seen)) < len(seen), "no id was reused"
+
+
 def test_word_operators_match_event_walk():
     """Engine.act against the timed-event walk on seeded straight-line
     diagrams with dots, composites included, and on broken event words."""
