@@ -30,12 +30,12 @@ same polynomial exactly when their tuples are equal.  Every operator is
 Q-linear, so the image of a polynomial is the sum of its coefficients times
 the images of its monomials.  The memo belongs to the engine, so engines
 with different operators (a subclass overriding _demazure) never share
-images.  The relation suite builds its instances once per engine too, and
-walks each of their words with word_operators once; it still decides every
-instance afresh on every pass.  The idempotent e(s), the straight-line
-diagram from s to itself, has no events and acts as the identity, so a
-vanishing certificate compares the image of its loop with the polynomial
-itself.
+images.  The relation suite keeps its instances on the engine too, each
+side resolved once to an image table read from this memo; it still
+decides every instance afresh on every pass.  The idempotent e(s), the
+straight-line diagram from s to itself, has no events and acts as the
+identity, so a vanishing certificate compares the image of its loop with
+the polynomial itself.
 
 All relations of the algebra hold for these operators; verify_relations
 checks them exhaustively over given quiver data and is the normative
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,6 +122,8 @@ class Engine:
         self.tails = {e.id: e.tail for e in completed.edges}
         # descriptor tuple -> _Images, filled on lookup (see images())
         self._images = {}
+        # the relation suite's resolved instances, built on its first pass
+        self._relations = None
 
     # -- strand-pair classification ----------------------------------------
 
@@ -428,15 +429,11 @@ class _Images(dict):
     """monomial -> its image under one descriptor tuple, kept as the tuple
     of its (monomial, coefficient) pairs sorted by monomial; a missing image
     is computed and kept.  Coefficients are in coefficient's normal form, so
-    two images are the same polynomial exactly when their tuples are equal.
-    The table reaches its engine through a weak proxy: a memo that holds the
-    table (the relation suite's side memo) does not keep the engine alive."""
-
-    __slots__ = ("engine", "ops")
+    two images are the same polynomial exactly when their tuples are equal."""
 
     def __init__(self, engine, ops):
         super().__init__()
-        self.engine = weakref.proxy(engine)
+        self.engine = engine
         self.ops = ops
 
     def __missing__(self, monomial):

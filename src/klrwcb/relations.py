@@ -3,35 +3,33 @@
 Every local relation is instantiated over concrete quiver data as a pair
 of crossing/dot words on an explicit arrangement of strand items.  The
 instances are built once per engine, on its first verify_relations pass,
-and kept while the engine lives; each word becomes its tuple of operator
-descriptors once per instance, through the engine's one word walk
-Engine.word_operators, so a later pass classifies no crossing.  Verdicts
-are not kept: every pass draws its test families and decides every
-instance afresh.  Both sides are applied to a family of polynomials (all
-monomials up to a degree bound plus seeded random polynomials), one family
-per strand count and pass, shared by every instance with that count.
-Every operator is linear, so a side's value on a polynomial is gathered
-from the engine's memo of monomial images (Engine.images): the sum of
-coefficient times image over the polynomial's monomials, which is the
-polynomial the operators give applied to it.  A relation instance passes
-when the two sides agree exactly on every test polynomial.
+and kept on the engine; verdicts are not kept: every pass draws its test
+families and decides every instance afresh.  Both sides are applied to a
+family of polynomials (all monomials up to a degree bound plus seeded
+random polynomials), one family per strand count and pass, shared by
+every instance with that count.  A relation instance passes when the two
+sides agree exactly on every test polynomial.
+
+Every operator is linear, so a side is decided from its image table: a
+mapping monomial -> the side's image of that monomial, kept as the tuple of
+its (monomial, coefficient) pairs sorted by monomial with zero terms
+dropped.  Such a tuple is canonical, so two sides agree on a monomial
+exactly when their tuples are equal.  A side of one word with coefficient
+1 reads the engine's memo of that word's images (Engine.images) itself;
+any other side keeps its own table, each entry summed from its words'
+images on first lookup.  Scenario.side resolves a side to such a table,
+and a family lists its distinct monomials once.
 
 By the same linearity the difference D = lhs - rhs vanishes on a test
 polynomial f when it vanishes on each monomial of f, since D(f) is the sum
 over f's monomials m of f's coefficient at m times D(m).  So Scenario.equal
-decides D on the distinct monomials of the family first; the random tail,
-whose members are combinations of monomials the family already holds,
-then adds no work per instance.  An image is kept as a canonical tuple,
-its terms sorted by monomial, so where each side is at most one word with
-coefficient 1, D(m) is zero exactly when the two sides' image tuples are
-equal, and no sum is formed; any other pair of sides has D(m) summed in a
-term dict.  What does not change from pass to pass is worked out once: a
-scenario resolves each side to its (coefficient, image table) pairs on
-first sight, and the distinct monomials of a family are listed once per
-family.  Only when D is nonzero on some monomial are the test polynomials
-tried one by one, which names the same first failing polynomial as trying
-them all would.  Each report entry counts its instances, the test
-polynomials they were checked on, and its failures.
+compares the two tables on the distinct monomials of the family; the
+random tail, whose members are combinations of monomials the family
+already holds, then adds no work per instance.  Only when D is nonzero on
+some monomial are the test polynomials tried one by one, which names the
+same first failing polynomial as trying them all would.  Each report entry
+counts its instances, the test polynomials they were checked on, and its
+failures.
 
 The correction signs of the two triple-point moves follow from the divided
 difference convention fixed in the engine; the suite is the normative
@@ -42,10 +40,9 @@ from __future__ import annotations
 
 import itertools
 import random
-import weakref
 from fractions import Fraction
 
-from .poly import coefficient
+from .poly import Polynomial, coefficient
 from .scalars import as_scalar, is_integral
 from .sequences import FlavouredSequence, corporeal, ghost, red
 from .diagrams import _test_polynomials
@@ -54,17 +51,14 @@ from .diagrams import _test_polynomials
 class Scenario:
     """An arrangement of items with labels and longitudes, not required to
     be a valid flavoured sequence; words of positional crossings and strand
-    dots act on polynomials through Engine.word_operators.  equal reads the
-    engine's memo of monomial images; apply runs the operators, so a check
-    of equal through apply does not trust that memo."""
+    dots act on polynomials through Engine.word_operators.  equal reads
+    image tables built from the engine's memo of monomial images; apply
+    runs the operators, so a check of equal through apply does not trust
+    that memo."""
 
     def __init__(self, engine, labels, longitudes, arrangement):
         self.engine = engine
         self.seq = FlavouredSequence(labels, longitudes, arrangement)
-        # tuple(word) -> its descriptor tuple over seq, for equal
-        self._operators = {}
-        # id(side) -> the side and its resolved pairs (see _side)
-        self._sides = {}
 
     @property
     def n(self):
@@ -76,128 +70,91 @@ class Scenario:
         ops, order = self.engine.word_operators(self.seq, word)
         return self.engine.run_operators(ops, poly), order
 
-    def equal(self, lhs, rhs, polys):
-        """lhs, rhs: lists of (coeff, word); returns (True, None) when they
-        agree on every test poly, else (False, the first poly they differ
-        on).  Each side is resolved to its (coefficient, image table) pairs
-        once per scenario (_side), and polys to its distinct monomials once
-        per family (_distinct_monomials).
-
-        D = lhs - rhs is decided first on the distinct monomials of polys, in
-        first-seen order.  When each side is at most one word with
-        coefficient 1, D(m) is zero exactly when the two sides' image
-        tuples are equal, since those tuples are canonical; any other pair
-        of sides has D(m) gathered in a term dict from the images.  D is
-        linear: D(f) is the sum over f's monomials m of f's coefficient at m
-        times D(m), so if D(m) is zero for every such m, D(f) is zero for
-        every f in polys.  If some D(m) is not zero, the polys are tried in
-        order as before; this names the first failing one, and still
-        passes a family in which the nonzero monomial images cancel inside
-        every polynomial.
-
-        A side is read once per scenario and kept by identity: a side list
-        changed in place after a call is not seen again."""
-        _, lhs_pairs, _, lhs_table = self._side(lhs)
-        _, _, rhs_pairs, rhs_table = self._side(rhs)
-        monomials = _distinct_monomials(polys)
-        pairs = lhs_pairs + rhs_pairs
-        if lhs_table is None or rhs_table is None:
-            for m0 in monomials:
-                terms = {}
-                for c, images in pairs:
-                    for m, v in images[m0]:
-                        terms[m] = terms.get(m, 0) + c * v
-                if any(terms.values()):
-                    break
-            else:
-                return True, None
+    def side(self, pairs):
+        """The side given by pairs of (coeff, word), as a _Side: it
+        iterates as those pairs, and its .images maps a monomial to the
+        side's image of it as a canonical tuple.  A side of one word with
+        coefficient 1 uses that word's Engine.images table itself."""
+        side = _Side(pairs)
+        tables = [(coefficient(c), self.engine.images(
+            self.engine.word_operators(self.seq, w)[0])) for c, w in side]
+        if len(tables) == 1 and tables[0][0] == 1:
+            side.images = tables[0][1]
         else:
-            for m0 in monomials:
-                if lhs_table[m0] != rhs_table[m0]:
-                    break
-            else:
-                return True, None
+            side.images = _Sum(tables)
+        return side
+
+    def equal(self, lhs, rhs, polys):
+        """lhs, rhs: sides as lists of (coeff, word) or from side(); returns
+        (True, None) when they agree on every test poly, else (False, the
+        first poly they differ on).  A side that is not a _Side, and a
+        family that verify_relations did not draw, are resolved afresh.
+
+        D = lhs - rhs is decided first on the distinct monomials of polys,
+        in first-seen order: D(m) is zero exactly when the two sides' image
+        tuples at m are equal.  D is linear: D(f) is the sum over f's
+        monomials m of f's coefficient at m times D(m), so if D(m) is zero
+        for every such m, D(f) is zero for every f in polys.  If some D(m)
+        is not zero, the polys are tried in order; this names the first
+        failing one, and still passes a family in which the nonzero
+        monomial images cancel inside every polynomial."""
+        a = (lhs if isinstance(lhs, _Side) else self.side(lhs)).images
+        b = (rhs if isinstance(rhs, _Side) else self.side(rhs)).images
+        if not isinstance(polys, _Family):
+            polys = _Family(polys)
+        for m in polys.monomials:
+            if a[m] != b[m]:
+                break
+        else:
+            return True, None
         for f in polys:
-            if any(_image_sum(pairs, f).values()):
+            if _differs(a, b, f):
                 return False, f
         return True, None
 
-    def _side(self, side):
-        """(side, its (c, images) pairs, the pairs with -c, table), kept by
-        the side's identity; table is the side's image table when the side
-        is one word with coefficient 1, _NOTHING when it is empty, and else
-        None.  The entry holds the side, so its id is not reused while the
-        entry is kept."""
-        entry = self._sides.get(id(side))
-        if entry is None:
-            if len(self._sides) >= _KEPT:
-                self._sides.clear()
-            pairs = [(coefficient(c), self.engine.images(self._descriptors(w)))
-                     for c, w in side]
-            if not pairs:
-                table = _NOTHING
-            elif len(pairs) == 1 and pairs[0][0] == 1:
-                table = pairs[0][1]
-            else:
-                table = None
-            entry = self._sides[id(side)] = (
-                side, pairs, [(-c, images) for c, images in pairs], table)
-        return entry
 
-    def _descriptors(self, word):
-        """The descriptor tuple of word over seq, walked once per word."""
-        key = tuple(word)
-        ops = self._operators.get(key)
-        if ops is None:
-            ops = self._operators[key] = \
-                self.engine.word_operators(self.seq, word)[0]
-        return ops
+class _Side(tuple):
+    """A side's (coeff, word) pairs; Scenario.side sets .images."""
 
 
-class _Nothing(dict):
-    """The image table of an empty side: every monomial goes to ()."""
+class _Sum(dict):
+    """The image table of a side that is not one word with coefficient 1:
+    monomial -> the canonical tuple of the sum of c * image over the
+    side's (c, images) pairs, summed on first lookup and kept."""
+
+    def __init__(self, tables):
+        super().__init__()
+        self.tables = tables
 
     def __missing__(self, monomial):
-        return ()
+        terms = {}
+        for c, images in self.tables:
+            for m, v in images[monomial]:
+                terms[m] = terms.get(m, 0) + c * v
+        image = self[monomial] = tuple(sorted(Polynomial(terms).terms.items()))
+        return image
 
 
-_NOTHING = _Nothing()
+class _Family(tuple):
+    """A family of test polynomials with .monomials, its distinct
+    monomials in first-seen order."""
 
-# How many sides a scenario, and how many families the module, keep at once;
-# a full memo is emptied.  A relation instance pass needs a few of each.
-_KEPT = 32
-
-# id(family) -> (family, its distinct monomials in first-seen order), for
-# tuple families only: a tuple cannot change, and the entry holds it, so its
-# id is not reused while the entry is kept.
-_MONOMIALS = {}
-
-
-def _distinct_monomials(polys):
-    """The distinct monomials of polys in first-seen order; worked out once
-    per tuple family and afresh for any other sequence."""
-    if type(polys) is not tuple:
-        return dict.fromkeys(m for f in polys for m in f.terms)
-    entry = _MONOMIALS.get(id(polys))
-    if entry is None:
-        if len(_MONOMIALS) >= _KEPT:
-            _MONOMIALS.clear()
-        entry = _MONOMIALS[id(polys)] = (
-            polys, tuple(dict.fromkeys(m for f in polys for m in f.terms)))
-    return entry[1]
+    def __new__(cls, polys):
+        family = super().__new__(cls, polys)
+        family.monomials = tuple(dict.fromkeys(m for f in family
+                                               for m in f.terms))
+        return family
 
 
-def _image_sum(pairs, f):
-    """The term dict of the sum of c * image(f) over the (c, images) pairs,
-    by linearity from the images of f's monomials; a coefficient in it may
-    be zero."""
+def _differs(a, b, f):
+    """Whether the image tables a and b differ on f: the sum over f's
+    monomials of f's coefficient times a's image minus b's is nonzero."""
     terms = {}
-    for c, images in pairs:
-        for m0, v0 in f.terms.items():
-            k = c * v0
-            for m, v in images[m0]:
-                terms[m] = terms.get(m, 0) + k * v
-    return terms
+    for m0, k in f.terms.items():
+        for scale, table in ((k, a), (-k, b)):
+            for m, v in table[m0]:
+                terms[m] = terms.get(m, 0) + scale * v
+    return any(terms.values())
 
 
 def cross(i):
@@ -358,20 +315,14 @@ def _instances(engine):
                    [(1, [cross(0), dot(1)])])
 
 
-# engine -> the list of its _instances, built on its first pass.  The
-# scenarios reach their engine through a weak proxy, so the entry does not
-# keep its key alive and goes when the engine does.
-_RESOLVED = weakref.WeakKeyDictionary()
-
-
 def _resolved_instances(engine):
-    """The list of _instances(engine), built once per engine from its
-    quiver data and flavour as they are then; each scenario keeps its
-    words' descriptor tuples (Scenario._descriptors)."""
-    instances = _RESOLVED.get(engine)
-    if instances is None:
-        instances = _RESOLVED[engine] = list(_instances(weakref.proxy(engine)))
-    return instances
+    """The list of _instances(engine) with both sides resolved
+    (Scenario.side), built on the engine's first pass from its quiver data
+    and flavour as they are then, and kept on the engine."""
+    if engine._relations is None:
+        engine._relations = [(name, sc, sc.side(lhs), sc.side(rhs))
+                             for name, sc, lhs, rhs in _instances(engine)]
+    return engine._relations
 
 
 def verify_relations(engine, degree_bound=3, n_random=10, seed=0):
@@ -380,7 +331,9 @@ def verify_relations(engine, degree_bound=3, n_random=10, seed=0):
 
     The test family is drawn once per strand count n in a pass, from the
     pass's one seeded rng, when the first instance with that n comes up;
-    every instance with that n is checked on the same tuple.  Which random
+    every instance with that n is checked on the same _Family, which lists
+    its distinct monomials once.  The instances and their resolved sides
+    are built on the engine's first pass and kept on it.  Which random
     polynomials an instance sees decides neither its verdict nor its
     witness: every member of the random tail is an integer combination of
     the family's monomials, which come before it, so Scenario.equal passes
@@ -398,7 +351,7 @@ def verify_relations(engine, degree_bound=3, n_random=10, seed=0):
     for name, sc, lhs, rhs in _resolved_instances(engine):
         polys = families.get(sc.n)
         if polys is None:
-            polys = families[sc.n] = tuple(
+            polys = families[sc.n] = _Family(
                 _test_polynomials(sc.n, degree_bound, n_random, rng))
         ok, witness = sc.equal(lhs, rhs, polys)
         entry = report.setdefault(name, {"instances": 0, "test_polys": 0,

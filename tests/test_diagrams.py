@@ -628,11 +628,19 @@ def _ref_test_polynomials(n, degree_bound, extra_random, rng):
 
 
 def test_test_polynomials_match_frontier_reference():
+    """The same family and the same rng calls as the reference, and a
+    caller that changes its list changes no later family."""
     # a tail of 40 on a few monomials samples earlier random polynomials
-    cases = [(n, d, 6) for n in range(6) for d in range(6)]
+    cases = [(n, d, extra) for n in range(6) for d in range(6)
+             for extra in (0, 6)]
     cases += [(0, 1, 40), (1, 1, 40), (2, 2, 40), (3, 3, 40)]
     for n, d, extra in cases:
-        got = _test_polynomials(n, d, extra, random.Random(n * 10 + d))
-        want = _ref_test_polynomials(n, d, extra, random.Random(n * 10 + d))
+        got_rng, want_rng = random.Random(n * 10 + d), random.Random(n * 10 + d)
+        got = _test_polynomials(n, d, extra, got_rng)
+        want = _ref_test_polynomials(n, d, extra, want_rng)
         assert [repr(p) for p in got] == [repr(p) for p in want], (n, d)
         assert len(got) == math.comb(n + 1 + d, d) + extra
+        assert got_rng.random() == want_rng.random(), (n, d, extra)
+        got.append(ONE_POLY)
+        assert len(_test_polynomials(n, d, 0, got_rng)) == \
+            math.comb(n + 1 + d, d)

@@ -222,7 +222,7 @@ def test_apply_does_not_read_the_image_memo(make):
             want = _ref_apply(sc, word, f)
             if want[0] == f:
                 continue
-            images = engine.images(sc._descriptors(word))
+            images = engine.images(engine.word_operators(sc.seq, word)[0])
             for m in f.terms:
                 images[m] = ((m, 1),)
             assert sc.equal([(1, word)], [(1, [])], [f]) == (True, None)
@@ -332,11 +332,10 @@ def test_engines_keep_separate_images():
 
 def _fresh_reports(engine, seeds, monkeypatch):
     """verify_relations with no instance memo: fresh scenarios from
-    _instances and a fresh word walk for every word on every pass."""
+    _instances, whose plain-list sides Scenario.equal resolves afresh, with
+    a fresh word walk for every word on every pass."""
     with monkeypatch.context() as m:
         m.setattr(relations, "_resolved_instances", _instances)
-        m.setattr(Scenario, "_descriptors",
-                  lambda sc, word: sc.engine.word_operators(sc.seq, word)[0])
         return [verify_relations(engine, degree_bound=3, n_random=4, seed=s)
                 for s in seeds]
 
@@ -384,14 +383,19 @@ def test_engines_on_the_same_data_keep_separate_instances():
 
 
 def test_instance_memo_goes_with_its_engine():
+    """The resolved instances live on their engine, and they, a summed
+    side table and an engine image table all go when the engine does."""
     engine = a2_engine()
     verify_relations(engine, degree_bound=2, n_random=3, seed=0)
-    assert engine in relations._RESOLVED
-    engine_ref = weakref.ref(engine)
-    scenario_ref = weakref.ref(relations._RESOLVED[engine][0][1])
-    del engine
+    assert engine._relations is _resolved_instances(engine)
+    summed = next(side.images for _, _, lhs, rhs in engine._relations
+                  for side in (lhs, rhs) if len(side) > 1)
+    assert summed and isinstance(summed, relations._Sum)
+    refs = [weakref.ref(x) for x in (engine, engine._relations[0][1], summed,
+                                     next(iter(engine._images.values())))]
+    del engine, summed
     gc.collect()
-    assert engine_ref() is None and scenario_ref() is None
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_word_operators_are_hashable_descriptors():
@@ -551,10 +555,10 @@ def test_one_family_per_strand_count(make, monkeypatch):
                                 seed=seed)["ok"]
         assert sorted(drawn) == sorted(strand_counts)
         assert set(seen) == strand_counts
-        assert all(type(polys) is tuple for polys in seen.values())
+        assert all(isinstance(polys, tuple) for polys in seen.values())
 
 
-# -- canonical image tables and the side memo ---------------------------------
+# -- canonical image tables and resolved sides --------------------------------
 
 
 @pytest.mark.parametrize("make", [a1_engine, a2_engine, kronecker_engine])
@@ -568,7 +572,7 @@ def test_image_tables_are_canonical(make):
     for _, sc, lhs, rhs in _instances(engine):
         family = _test_polynomials(sc.n, 3, 0, random.Random(0))
         for _, word in lhs + rhs:
-            ops = sc._descriptors(word)
+            ops = engine.word_operators(sc.seq, word)[0]
             images = engine.images(ops)
             for f in family:
                 (m, _), = f.terms.items()
@@ -585,13 +589,46 @@ def test_image_tables_are_canonical(make):
     assert reordered, "no image came out of run_operators unsorted"
 
 
+@pytest.mark.parametrize("make", [a1_engine, a2_engine, kronecker_engine,
+                                  flipped_a1_engine])
+def test_resolved_sides_match_operator_sums(make):
+    """Every resolved side's table against the sorted nonzero terms of the
+    sum of c * run_operators over its words, on every monomial of the
+    degree-3 family; a side whose words cancel reads () everywhere; and
+    equal on resolved sides, on the same pairs as plain lists and
+    _ref_equal agree, broken sides and witnesses included."""
+    engine = make()
+    rng = random.Random(3)
+    summed = failing = 0
+    for _, sc, lhs, rhs in _resolved_instances(engine):
+        monomials = [m for f in _test_polynomials(sc.n, 3, 0, rng)
+                     for m in f.terms]
+        for side in (lhs, rhs):
+            summed += isinstance(side.images, relations._Sum)
+            for m in monomials:
+                want = sum((as_poly(c) * engine.run_operators(
+                    engine.word_operators(sc.seq, w)[0], Polynomial({m: 1}))
+                    for c, w in side), ONE_POLY * 0)
+                assert side.images[m] == tuple(sorted(want.terms.items()))
+            for _, w in side:
+                cancelled = sc.side([(1, w), (-1, w)])
+                assert all(cancelled.images[m] == () for m in monomials)
+        polys = _test_polynomials(sc.n, 2, 3, rng)
+        for left in (lhs, sc.side(list(lhs) + [(1, [cross(0)])])):
+            want = _ref_equal(sc, left, rhs, polys)
+            assert sc.equal(left, rhs, relations._Family(polys)) == want
+            assert sc.equal(list(left), list(rhs), polys) == want
+            failing += not want[0]
+    assert summed and failing
+
+
 @pytest.mark.parametrize("name", ["dots-1", "dots-2", "triple-point1"])
 def test_side_memo_is_keyed_safely_by_identity(name):
     """Sides built afresh for every call, alternating between the relation
-    and a broken one: the memo keeps each side it keys by id, so a recycled
-    id never reads another side's entry, and every verdict and witness is
-    _ref_equal's.  dots-1 compares one-word sides by their image tuples;
-    the other two gather sums."""
+    and a broken one: plain lists are resolved afresh on every call, so a
+    recycled id never reads another side's table, and every verdict and
+    witness is _ref_equal's.  dots-1 has one-word sides that read the
+    engine's tables; the other two have summed sides."""
     engine = kronecker_engine()
     _, sc, lhs, rhs = next(case for case in _instances(engine)
                            if case[0] == name)
