@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import HBAR, ONE_POLY, Polynomial
-from .scalars import as_scalar, coset_rep, is_integral_difference
+from .scalars import as_scalar, is_integral_difference
 from .sequences import FlavouredSequence, corporeal, from_weight, is_unsteady
 
 
@@ -226,7 +226,11 @@ class Engine:
             for pos, it in enumerate(seq.order):
                 if not it.is_corporeal():
                     continue
-                key = (str(seq.labels[it.k - 1]), coset_rep(seq.longitudes[it.k - 1]))
+                # the class of coset_rep(a), keyed without building it
+                a = seq.longitudes[it.k - 1]
+                q = a.rational
+                key = (str(seq.labels[it.k - 1]), q.numerator % q.denominator,
+                       q.denominator, a.imaginary, a.symbolic)
                 out.setdefault(key, []).append(it.k)
             return out
 

@@ -15,7 +15,8 @@ keeps a part that is already a Fraction as it is and converts anything
 else, and builds no symbol dict when there are no symbols, so arithmetic
 on Fraction parts pays for no second conversion.  Sums and differences
 skip the Fraction arithmetic of a zero part, such as the imaginary parts
-of two real scalars.
+of two real scalars.  Order keys are integers: real_keys puts the real
+parts over one common denominator, so sorts and tie checks compare ints.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce, wraps
 from itertools import repeat
+from math import lcm
 from operator import mul
 
 LT, EQ, GT = -1, 0, 1
@@ -282,26 +284,80 @@ def real_compare(a, b, table=None):
 
 
 def real_keys(values, table=None):
-    """Exact sort keys for the real parts of values: sorting by them gives
-    the real_compare order, and two keys are equal iff real_compare is EQ.
+    """Exact integer sort keys for the real parts of values: sorting by them
+    gives the real_compare order, and two keys are equal iff real_compare
+    is EQ.
 
-    The key is the rational part when all values share one symbolic part,
-    and the shadow value otherwise.  Raises AmbiguousOrderError exactly when
-    sorting with real_compare would: the symbolic parts differ and there is
-    no table, or two different real parts have tied shadows.
+    A key is D times the real part, over the lcm D of the denominators of
+    the rational parts and symbol coefficients.  When the values have more
+    than one symbolic part, symbols are replaced by their shadows (the
+    shadow branch) and the keys are scaled again by the lcm of the shadow
+    denominators.  Raises AmbiguousOrderError exactly when sorting with
+    real_compare would: the symbolic parts differ and there is no table,
+    or two different real parts have tied shadows; UndeclaredSymbolError
+    when a shadow the shadow branch needs is not declared.
     """
     values = [as_scalar(v) for v in values]
-    if len({v.symbolic for v in values}) <= 1:
-        return [v.rational for v in values]
+    return _integer_keys(_real_coordinates(values), table, values.__getitem__)
+
+
+def _real_coordinates(values):
+    """The real parts of ExactScalars as integer coordinates over one
+    denominator D: (D * rational part, ((name, D * coefficient), ...)).
+    Two values have equal coordinates iff their real parts are equal, and
+    the coordinates of a sum are the sums of the coordinates (see
+    _coordinate_sum)."""
+    d = 1
+    ratios = []
+    for v in values:
+        p, q = v.rational.as_integer_ratio()
+        if d % q:
+            d = lcm(d, q)
+        sym = v.symbolic
+        if sym:
+            sym = [(name, c.as_integer_ratio()) for name, c in sym]
+            for _, (_, r) in sym:
+                if d % r:
+                    d = lcm(d, r)
+        ratios.append((p, q, sym))
+    return [(p * (d // q), tuple((name, c * (d // r)) for name, (c, r) in sym)
+             if sym else ()) for p, q, sym in ratios]
+
+
+def _coordinate_sum(a, b):
+    """The coordinates of the sum of two values, from theirs."""
+    (p, s), (q, t) = a, b
+    if not (s and t):
+        return p + q, s or t
+    merged = dict(s)
+    for name, c in t:
+        merged[name] = merged.get(name, 0) + c
+    return p + q, tuple(sorted((name, c) for name, c in merged.items() if c))
+
+
+def _integer_keys(coords, table, scalar):
+    """The key rule of real_keys on integer coordinates (see
+    _real_coordinates).  scalar(i) is the value at index i; it is built
+    only to name the two values of a shadow tie."""
+    if len({sym for _, sym in coords}) <= 1:
+        return [p for p, _ in coords]
     if table is None:
         raise AmbiguousOrderError("symbolic comparison without a SymbolTable")
-    keys = [v.shadow_value(table) for v in values]
+    shadows = {}
+    for _, sym in coords:
+        for name, _ in sym:
+            if name not in shadows:
+                shadows[name] = table.shadow(name)
+    d = lcm(*(q.denominator for q in shadows.values()))
+    scaled = {name: q.numerator * (d // q.denominator) for name, q in shadows.items()}
+    keys = [p * d + sum(c * scaled[name] for name, c in sym) for p, sym in coords]
     first = {}
-    for key, v in zip(keys, values):
-        u = first.setdefault(key, v)
-        if u.rational != v.rational or u.symbolic != v.symbolic:
+    for i, (key, coord) in enumerate(zip(keys, coords)):
+        j = first.setdefault(key, i)
+        if coords[j] != coord:
             raise AmbiguousOrderError(
-                "shadows tie for %s vs %s; refine shadow precision" % (u, v))
+                "shadows tie for %s vs %s; refine shadow precision"
+                % (scalar(j), scalar(i)))
     return keys
 
 

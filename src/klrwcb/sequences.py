@@ -10,6 +10,9 @@ at equal real longitude.  Corporeal indices are 1-based.
 This module is the one home of the item rules: ``build_cgr`` lists the
 items of a label word, ``CgrItem.renumber`` carries an item along a strand
 map, and ``validate`` is the one validity scan, over exact order keys.
+The keys of CGR items are integers (``_item_keys``): every real part one
+call meets lies in (1/D)*Z for one D, so a key is D times the real part,
+found without building a scalar per ghost.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .scalars import Reader, as_scalar, format_scalar, real_keys
+from .scalars import (Reader, _coordinate_sum, _integer_keys, _real_coordinates,
+                      as_scalar, format_scalar, real_keys)
 
 CORPOREAL, GHOST, RED = "C", "G", "R"
 
@@ -91,6 +95,8 @@ class FlavouredSequence:
         return len(self.labels)
 
     def longitude(self, item, flavour):
+        """The longitude of item as an ExactScalar.  Order keys do not
+        build it (see _item_keys)."""
         if item.kind == CORPOREAL:
             return self.longitudes[item.k - 1]
         if item.kind == GHOST:
@@ -110,9 +116,9 @@ def validate(seq, completed, flavour, table=None):
     AmbiguousOrderError when two of the real longitudes cannot be ordered
     (see real_keys), whatever their places in the order.
 
-    The one validity scan: the longitudes along the order map to exact
-    keys, a later key is smaller iff rule (i) fails between the two items,
-    and keys are equal iff their real longitudes are."""
+    The one validity scan: the items along the order map to exact integer
+    keys (_item_keys), a later key is smaller iff rule (i) fails between
+    the two items, and keys are equal iff their real longitudes are."""
     order = seq.order
     expect = set(build_cgr(seq.labels, completed))
     if set(order) != expect:
@@ -123,13 +129,13 @@ def validate(seq, completed, flavour, table=None):
     corp = [it.k for it in order if it.is_corporeal()]
     if corp != sorted(corp):
         violations.append("corporeal items out of index order: %s" % (corp,))
-    longs = [seq.longitude(it, flavour) for it in order]
-    keys = real_keys(longs, table)
+    keys = _item_keys(seq, order, flavour, table)
     for i in range(len(order) - 1):
         if keys[i] > keys[i + 1]:
+            a, b = order[i], order[i + 1]
             violations.append("rule (i): %s at %s precedes %s at %s"
-                              % (order[i].token(), longs[i], order[i + 1].token(),
-                                 longs[i + 1]))
+                              % (a.token(), seq.longitude(a, flavour), b.token(),
+                                 seq.longitude(b, flavour)))
     for i1, it1 in enumerate(order):
         if not it1.is_corporeal():
             continue
@@ -140,11 +146,29 @@ def validate(seq, completed, flavour, table=None):
     return violations
 
 
+def _item_keys(seq, items, flavour, table):
+    """real_keys([seq.longitude(it, flavour) for it in items], table), with
+    the same errors, from integer coordinates: the longitudes of seq and
+    the flavour values its ghost and red items use are put over one
+    denominator, and a ghost adds two of them."""
+    edges = list(dict.fromkeys(it.edge for it in items if it.kind != CORPOREAL))
+    coords = _real_coordinates(seq.longitudes + tuple(flavour[e] for e in edges))
+    phi = dict(zip(edges, coords[len(seq.longitudes):]))
+    keyed = []
+    for it in items:
+        if it.kind == CORPOREAL:
+            keyed.append(coords[it.k - 1])
+        elif it.kind == GHOST:
+            keyed.append(_coordinate_sum(coords[it.k - 1], phi[it.edge]))
+        else:
+            keyed.append(phi[it.edge])
+    return _integer_keys(keyed, table, lambda i: seq.longitude(items[i], flavour))
+
+
 def real_order(objs, longitude, table=None, tie=lambda obj: ()):
     """objs sorted by the real part of longitude(obj), then by tie(obj),
     as (real key, obj) pairs; equal keys mean equal real longitudes.
-
-    Every sort by real longitude goes through here."""
+    CGR items are sorted by _item_keys instead."""
     objs = list(objs)
     keys = real_keys([longitude(o) for o in objs], table)
     rank = sorted(range(len(objs)), key=lambda i: (keys[i], tie(objs[i])))
@@ -170,10 +194,10 @@ def from_weight(gamma, completed, flavour, table=None):
                                         lambda e: (e[1], e[0].imaginary, e[2]))]
     labels = tuple(e[3] for e in entries)
     longitudes = tuple(e[0] for e in entries)
-    seq0 = FlavouredSequence(labels, longitudes, ())
-    order = [it for _, it in real_order(
-        build_cgr(labels, completed), lambda it: seq0.longitude(it, flavour),
-        table, _cgr_tie)]
+    items = build_cgr(labels, completed)
+    keys = _item_keys(FlavouredSequence(labels, longitudes, ()), items, flavour, table)
+    order = [it for _, it in sorted(zip(keys, items),
+                                    key=lambda p: (p[0], _cgr_tie(p[1])))]
     seq = FlavouredSequence(labels, longitudes, order)
     bad = validate(seq, completed, flavour, table)
     if bad:
@@ -311,7 +335,7 @@ def enumerate_orders(labels_multiset, gamma, completed, flavour, table=None,
 
 
 def _classes(ranked):
-    """The objs of real_order's (key, obj) pairs, grouped by equal key."""
+    """The objs of sorted (key, obj) pairs, grouped by equal key."""
     return [[obj for _, obj in grp]
             for _, grp in itertools.groupby(ranked, key=lambda p: p[0])]
 
@@ -322,8 +346,8 @@ def _admissible_orders(base, items, flavour, table):
     (corporeal items keep index order and come last in the class).  Orders
     come in the order of the product of the classes' permutations."""
     classes = []
-    for cls in _classes(real_order(items, lambda it: base.longitude(it, flavour),
-                                   table)):
+    keys = _item_keys(base, items, flavour, table)
+    for cls in _classes(sorted(zip(keys, items), key=lambda p: p[0])):
         corp = sorted([it for it in cls if it.is_corporeal()], key=lambda it: it.k)
         classes.append(([it for it in cls if not it.is_corporeal()], tuple(corp)))
 

@@ -14,7 +14,7 @@ from klrwcb.poly import ONE_POLY, Polynomial
 from klrwcb.quiver import (DimensionData, Edge, Flavour, Quiver,
                            crawley_boevey, kronecker_quiver)
 from klrwcb.render import render_diagram
-from klrwcb.scalars import as_scalar, coset_rep, row_reduce
+from klrwcb.scalars import ExactScalar, as_scalar, coset_rep, row_reduce
 from klrwcb.sequences import (FlavouredSequence, corporeal, from_weight, ghost,
                               is_unsteady, parse_sequence, red)
 
@@ -190,6 +190,61 @@ def test_scheduler_matches_former_interpolation(make, vertices, values):
         with pytest.raises(NoMatchingError):
             eng.straight_line(seqs[0], from_weight(shifted, eng.completed, eng.flavour))
     assert crossings > 200
+
+
+def _former_minimal_matching(bottom, top):
+    """The former matching: strands classed by (label, coset_rep of the
+    longitude), matched in order inside each class; None when the classes
+    of the two sequences differ."""
+    def classes(seq):
+        out = {}
+        for it in seq.order:
+            if it.is_corporeal():
+                key = (str(seq.labels[it.k - 1]), coset_rep(seq.longitudes[it.k - 1]))
+                out.setdefault(key, []).append(it.k)
+        return out
+
+    cb, ct = classes(bottom), classes(top)
+    if set(cb) != set(ct) or any(len(cb[k]) != len(ct[k]) for k in cb):
+        return None
+    return [(kb, kt) for key in cb for kb, kt in zip(cb[key], ct[key])]
+
+
+def test_minimal_matching_classes_match_coset_rep():
+    # the integer class keys group strands exactly as coset_rep does: the
+    # same matching, built in the same order, and the same refusals, on
+    # rational, Gaussian and symbolic longitudes that differ by integers
+    eng = kron2_engine()
+    rng = random.Random(31)
+    pool = [Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3),
+            as_scalar(Fraction(1, 2)) + ExactScalar(0, 1),
+            ExactScalar(Fraction(-1, 2), 0, {"s": 1}),
+            ExactScalar(0, Fraction(1, 2), {"s": Fraction(1, 2)})]
+
+    def draw(labels):
+        longs = [as_scalar(rng.choice(pool)) + rng.randint(-2, 2) for _ in labels]
+        return FlavouredSequence(labels, longs, [corporeal(k) for k in
+                                                 rng.sample(range(1, len(labels) + 1),
+                                                            len(labels))])
+
+    tally = {True: 0, False: 0}
+    for _ in range(300):
+        labels = rng.choice([("alpha", "alpha", "beta"), ("alpha", "beta", "alpha"),
+                             ("beta", "alpha", "alpha")])
+        bottom = draw(labels)
+        top = draw(tuple(rng.sample(labels, len(labels))))
+        if rng.random() < 0.5:
+            top = FlavouredSequence(top.labels, [a + rng.randint(-2, 2) for a in
+                                                 rng.sample(bottom.longitudes, 3)],
+                                    top.order)
+        want = _former_minimal_matching(bottom, top)
+        try:
+            got = list(eng._minimal_matching(bottom, top).items())
+        except NoMatchingError:
+            got = None
+        assert got == want, (bottom.describe(), top.describe())
+        tally[got is not None] += 1
+    assert min(tally.values()) >= 30, tally
 
 
 def test_straight_line_no_matching():

@@ -214,13 +214,22 @@ def test_integral_difference_matches_scalar_difference(a, b):
 def test_real_keys_examples():
     t = SymbolTable().declare("s", Fraction(3, 2))
     s = ExactScalar(0, 0, {"s": 1})
-    assert real_keys([s + 1, s]) == [1, 0]              # one symbolic part
-    assert real_keys([s, as_scalar(1)], t) == [Fraction(3, 2), 1]
+    half = as_scalar(Fraction(1, 2))
+
+    def shape(keys):
+        # the keys are ints; their order and their equalities are the result
+        assert all(type(k) is int for k in keys)
+        return [sorted(set(keys)).index(k) for k in keys]
+
+    assert shape(real_keys([s + 1, s, s + half])) == [2, 0, 1]   # one symbolic part
+    assert shape(real_keys([s, as_scalar(1), half, s + half, ExactScalar(1, 1)],
+                           t)) == [2, 1, 0, 3, 1]
     with pytest.raises(AmbiguousOrderError):
         real_keys([s, as_scalar(1)])                    # no table
-    with pytest.raises(AmbiguousOrderError):
+    with pytest.raises(AmbiguousOrderError, match=r"^shadows tie for sym:s vs 3/2;"):
         real_keys([s, as_scalar(Fraction(3, 2))], t)    # shadow tie
-    assert real_keys([s, s + ExactScalar(0, 1)], t) == [0, 0]   # same real part
+    assert shape(real_keys([s, s + ExactScalar(0, 1)], t)) == [0, 0]  # same real part
+    assert shape(real_keys([s * Fraction(1, 3), as_scalar(Fraction(1, 5))], t)) == [1, 0]
 
 
 def test_row_reduce():

@@ -1,15 +1,18 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from klrwcb import sequences
-from klrwcb.quiver import (DimensionData, Flavour, Quiver, crawley_boevey,
+from klrwcb.quiver import (DimensionData, Edge, Flavour, Quiver, crawley_boevey,
                            kronecker_quiver)
 from klrwcb.scalars import (EQ, GT, AmbiguousOrderError, ExactScalar,
-                            SymbolTable, as_scalar, real_compare, real_keys)
+                            SymbolTable, UndeclaredSymbolError, as_scalar,
+                            real_compare, real_keys)
 from klrwcb.sequences import (FlavouredSequence, _admissible_orders, _classes,
+                              _item_keys,
                               build_cgr, corporeal, enumerate_orders, equivalent,
                               from_weight, ghost, is_unsteady, parse_sequence,
                               real_order, red, validate)
@@ -484,6 +487,101 @@ def test_validate_matches_pairwise_scan():
                                    lambda: _validate_pairwise(s, comp, fl, table),
                                    lambda: _unorderable(values, table), tally)
     assert min(tally.values()) >= 5, tally
+
+
+# -- integer item keys against the scalar sums they replace -------------------
+
+
+def _former_real_keys(values, table=None):
+    """The former real_keys: Fraction keys, the rational parts or the
+    shadow values."""
+    values = [as_scalar(v) for v in values]
+    if len({v.symbolic for v in values}) <= 1:
+        return [v.rational for v in values]
+    if table is None:
+        raise AmbiguousOrderError("symbolic comparison without a SymbolTable")
+    keys = [v.shadow_value(table) for v in values]
+    first = {}
+    for key, v in zip(keys, values):
+        u = first.setdefault(key, v)
+        if u.rational != v.rational or u.symbolic != v.symbolic:
+            raise AmbiguousOrderError(
+                "shadows tie for %s vs %s; refine shadow precision" % (u, v))
+    return keys
+
+
+def _key_outcome(fn):
+    """Each key's rank among the distinct keys fn returns (equal ranks:
+    the same order and the same classes of equal keys), or the type and
+    message of the order error it raises."""
+    try:
+        keys = fn()
+    except (AmbiguousOrderError, UndeclaredSymbolError) as exc:
+        return type(exc).__name__, str(exc)
+    ranks = {k: r for r, k in enumerate(sorted(set(keys)))}
+    return [ranks[k] for k in keys]
+
+
+def _draw_coordinate(rng, kind):
+    """A longitude or flavour value over thirds and halves, with symbol
+    coefficients +-1 and 1/2."""
+    q = Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+    if kind == "gaussian" and rng.random() < 0.5:
+        return ExactScalar(q, Fraction(rng.choice([1, -1]), rng.choice([1, 2])))
+    if kind == "symbolic" and rng.random() < 0.6:
+        return ExactScalar(q, 0, {rng.choice("st"): rng.choice([1, -1, Fraction(1, 2)])})
+    return as_scalar(q)
+
+
+# no table; generic shadows; shadows that tie with thirds and halves; t
+# undeclared
+_KEY_TABLES = [None, _TABLES[1],
+               SymbolTable().declare("s", Fraction(4, 3)).declare("t", Fraction(3, 2)),
+               SymbolTable().declare("s", Fraction(7, 5))]
+
+
+def _random_data(rng, shape):
+    """Completed A2, framed Kronecker or unframed Kronecker data with up to
+    two strands per vertex."""
+    if shape == "a2":
+        quiver = Quiver(["1", "2"], [Edge("a", "1", "2")])
+    else:
+        quiver = kronecker_quiver()
+    frame = 0 if shape == "unframed" else 1
+    dims = DimensionData({x: rng.randint(0, 2) for x in quiver.vertices},
+                         {x: rng.randint(0, frame) for x in quiver.vertices})
+    return crawley_boevey(quiver, dims), dims
+
+
+def test_item_keys_match_scalar_sums():
+    # _item_keys against real_keys of the ExactScalar longitudes, new and
+    # former: the same order, the same classes of equal keys, and the same
+    # AmbiguousOrderError or UndeclaredSymbolError with the same message
+    rng = random.Random(4242)
+    tally = Counter()
+    for case in range(180):
+        kind = ("rational", "gaussian", "symbolic")[case % 3]
+        shape = ("a2", "framed", "unframed")[case // 3 % 3]
+        comp, dims = _random_data(rng, shape)
+        fl = Flavour({e.id: _draw_coordinate(rng, kind) for e in comp.edges})
+        labels = [x for x, n in dims.v.items() for _ in range(n)]
+        rng.shuffle(labels)
+        seq = FlavouredSequence(labels, [_draw_coordinate(rng, kind) for _ in labels], ())
+        items = build_cgr(seq.labels, comp)
+        shuffled = rng.sample(items, len(items))
+        for its in (items, shuffled):
+            values = [seq.longitude(it, fl) for it in its]
+            for table in _KEY_TABLES:
+                got = _key_outcome(lambda: _item_keys(seq, its, fl, table))
+                assert got == _key_outcome(lambda: real_keys(values, table)), \
+                    (seq.labels, values)
+                assert got == _key_outcome(lambda: _former_real_keys(values, table))
+                tally[got[1].split(" ")[0] if isinstance(got, tuple) else
+                      "keys" if len(set(got)) == len(got) else "ties"] += 1
+    # every outcome is met: distinct keys, equal keys, an undeclared symbol,
+    # no table, and a shadow tie
+    assert set(tally) == {"keys", "ties", "undeclared", "symbolic", "shadows"}, tally
+    assert min(tally.values()) >= 10, tally
 
 
 # -- one order per arrangement and the pruned search against the former code --
