@@ -345,8 +345,8 @@ def fourier(a, indices, wp, theory):
         want = 1 if i in idx else 0
         if mu.pair(wp) != want:
             raise BadCocharacterError(
-                "cocharacter pairs to %s with weight %d, expected %d"
-                % (mu.pair(wp), i, want))
+                "cocharacter %s pairs to %s with matter weight %d (gauge %s), "
+                "expected %d" % (wp, mu.pair(wp), i, mu.gauge, want))
     shift = _shift_map(wp)
     out = {}
     for nu, coeff in a.terms.items():

@@ -92,6 +92,33 @@ CASES = [
      "--gamma", "alpha=1;beta=2"],
     ["enumerate-sequences", "--quiver", "kron.json", "--flavour", "e=sym:t",
      "--gamma", "alpha=1;beta=2"],
+    # satake: finite type (A1, A2) and the affine Kronecker quiver
+    ["satake", "--quiver", "a1.json", "--w", "x=3"],
+    ["satake", "--quiver", "a2.json", "--w", "1=1,2=1"],
+    ["satake", "--quiver", "kron.json", "--w", "alpha=1,beta=0", "--vmax",
+     "alpha=2,beta=2"],
+    # relcheck: default bound, a seed, and a framed Kronecker spec
+    ["relcheck", "--quiver", "a1.json", "--seed", "1"],
+    ["relcheck", "--quiver", "a2.json"],
+    ["relcheck", "--quiver", "kron21.json", "--bound", "2", "--random", "0"],
+    # monopole-mul: rational, Gaussian, h-shifted and symbolic matter; a
+    # negative weight in the '=' form; symbol times symbol is refused
+    ["monopole-mul", "--rank", "1", "--matter", "1;1/2", "r[1]", "r[-1]"],
+    ["monopole-mul", "--rank", "1", "--matter", "1;1+1i", "r[1]", "r[-1]"],
+    ["monopole-mul", "--rank", "1", "--matter", "1;0;1/2", "r[1]", "r[-1]"],
+    ["monopole-mul", "--rank", "1", "--matter", "1;sym:sqrt2", "r[1]", "r[-1]"],
+    ["monopole-mul", "--rank", "2", "--matter=-1,1", "r[1,0]", "r[0,1]"],
+    ["monopole-mul", "--rank", "1", "--matter", "2;sym:sqrt2", "r[1]",
+     "x1*r[-1]"],
+    # the module side
+    ["res-support", "--rank", "1", "--matter", "1", "--gamma0", "1/2", "--box",
+     "4", "--xi", "1"],
+    ["qhr", "--rank", "1", "--gamma0", "0", "--box", "3", "--xi", "1"],
+    # the suites
+    ["suite", "satake"],
+    ["suite", "restriction"],
+    ["suite", "monopole"],
+    ["suite", "relations", "--bound", "2"],
 ]
 
 

@@ -1,0 +1,312 @@
+"""The Coulomb layer as it was: the factor loops (those that take
+``seen`` count the branches they take), the ExactScalar evaluators of a
+weight module, the all-starts res_support walk, the one-element-per-term
+mul fold; and a BFN product of its own on dense exponent dicts."""
+
+from fractions import Fraction
+
+from klrwcb.coulomb import (MonopoleElement, UniversalWeightModule, d, _coset_key,
+                            _forms, _relation_factors, _steps_between)
+from klrwcb.poly import HBAR, ONE_POLY, Polynomial, RationalFunction, as_poly
+from klrwcb.scalars import ExactScalar, as_scalar, is_integral
+
+h = Polynomial.variable(HBAR)
+
+
+def relation_coefficient(theory, xi, nu, seen):
+    # prod over <mu,xi> > 0 > <mu,nu> of prod_{j=1}^{d} (mu + (<mu,xi>-j) h),
+    # over <mu,xi> < 0 < <mu,nu> of prod_{j=0}^{d-1} (mu + (<mu,xi>+j) h)
+    out = ONE_POLY
+    for mu in theory.matter:
+        a, b = mu.pair(xi), mu.pair(nu)
+        if a > 0 > b:
+            seen["a>0>b"] += 1
+            for j in range(1, d(a, b) + 1):
+                out = out * (mu.form() + (a - j) * h)
+        elif a < 0 < b:
+            seen["a<0<b"] += 1
+            for j in range(0, d(a, b)):
+                out = out * (mu.form() + (a + j) * h)
+    return out
+
+
+def inv_monopole(xi, nu, theory, seen):
+    target = tuple(n - x for n, x in zip(nu, xi))
+    den = []
+    for mu in theory.matter:
+        a, b = mu.pair(xi), mu.pair(target)
+        if a > 0 > b:
+            seen["a>0>b"] += 1
+            for j in range(1, d(a, b) + 1):
+                den.append((mu.form() - j * h, 1))
+        elif a < 0 < b:
+            seen["a<0<b"] += 1
+            for j in range(0, d(a, b)):
+                den.append((mu.form() + j * h, 1))
+    return MonopoleElement({target: RationalFunction(ONE_POLY, den)})
+
+
+def forget_matter(a, indices, theory):
+    out = {}
+    for nu, coeff in a.terms.items():
+        factor = ONE_POLY
+        for i in indices:
+            mu = theory.matter[i]
+            p = mu.pair(nu)
+            if p < 0:
+                for j in range(p, 0):
+                    factor = factor * (mu.form() + j * h)
+        out[nu] = coeff * RationalFunction.of(factor)
+    return MonopoleElement(out)
+
+
+def phi0(lam, lam_prime, theory, seen, matter_indices=None):
+    out = ONE_POLY
+    indices = range(len(theory.matter)) if matter_indices is None else matter_indices
+    for i in indices:
+        mu = theory.matter[i]
+        drop = mu.pair(lam) - mu.pair(lam_prime)
+        skip = mu.pair(lam_prime)
+        for j in range(1, -drop + 1):
+            if j == skip:
+                seen["skip"] += 1
+                continue
+            out = out * (mu.form(hbar=1) - j)
+    return out
+
+
+def kappa(lam, xi, theory):
+    num = ONE_POLY
+    den = []
+    for mu in theory.matter:
+        if mu.pair(xi) >= 0:
+            continue
+        p = mu.pair(lam)
+        if p > 0:
+            for j in range(1, p):
+                num = num * (mu.form(hbar=1) - j)
+        else:
+            for j in range(0, -p):
+                den.append((mu.form(hbar=1) + j, 1))
+    return RationalFunction(num, den)
+
+
+def phi0_prime(nu, nu_prime, xi, theory, seen):
+    inv_idx = [i for i, mu in enumerate(theory.matter) if mu.pair(xi) == 0]
+    base = phi0(nu, nu_prime, theory, seen, inv_idx)
+    num = ONE_POLY
+    den = []
+    for mu in theory.matter:
+        if mu.pair(xi) >= 0:
+            continue
+        drop = mu.pair(nu) - mu.pair(nu_prime)
+        skip_num = mu.pair(nu_prime)
+        for j in range(1, -drop + 1):
+            if j == skip_num:
+                seen["skip"] += 1
+                continue
+            num = num * (mu.form(hbar=1) - j)
+        skip_den = -mu.pair(nu_prime)
+        for j in range(0, drop):
+            if j == skip_den:
+                seen["skip"] += 1
+                continue
+            den.append((mu.form(hbar=1) + j, 1))
+    return RationalFunction(base * num, den)
+
+
+def rxi_closed_form(xi, theory):
+    """The former rxi_closed_form: the same loops, each product expanded."""
+    first = second = ONE_POLY
+    for mu in theory.matter:
+        a = mu.pair(xi)
+        if a > 0:
+            for j in range(1, a + 1):
+                first = first * (mu.form() - j * h)
+            for j in range(0, a):
+                second = second * (mu.form() + j * h)
+        elif a < 0:
+            for j in range(0, -a):
+                first = first * (mu.form() + j * h)
+            for j in range(1, -a + 1):
+                second = second * (mu.form() - j * h)
+    zero = tuple(0 for _ in xi)
+    return (MonopoleElement({zero: RationalFunction.of(first)}),
+            MonopoleElement({zero: RationalFunction.of(second)}))
+
+
+def forms(pairs, hbar=None):
+    """The former _forms: mu.form(hbar) + j h through Polynomial arithmetic."""
+    step = Polynomial.variable(HBAR) if hbar is None else hbar
+    return [mu.form(hbar) + j * step for mu, j in pairs]
+
+
+def shift_map(xi, hbar=None):
+    """The former _shift_map: x_i + xi_i h through Polynomial arithmetic."""
+    step = Polynomial.variable(HBAR) if hbar is None else as_poly(Fraction(hbar))
+    return {("x%d" % (i + 1)): Polynomial.variable("x%d" % (i + 1)) + n * step
+            for i, n in enumerate(xi) if n}
+
+
+def product(pairs, hbar=None):
+    """The former _product: the forms through the constructor's list path."""
+    return RationalFunction(ONE_POLY, [(f, -1) for f in _forms(pairs, hbar)])
+
+
+def mul(a, b, theory):
+    """The former mul: one element per (xi, nu) term, added to the running
+    total with MonopoleElement.__add__."""
+    total = MonopoleElement({})
+    for xi, f in a.terms.items():
+        shift = shift_map(xi)
+        for nu, g in b.terms.items():
+            coeff = f * g.substitute(shift) \
+                * product(_relation_factors(theory.matter, xi, nu))
+            total = total + MonopoleElement({tuple(x + n for x, n in zip(xi, nu)):
+                                             coeff})
+    return total
+
+
+# -- the weight module --------------------------------------------------------
+
+
+def mu_value(mu, point):
+    """The former MatterWeight.evaluate: mu at a weight point (h = 1), every
+    operation in ExactScalar."""
+    total = mu.flavour_shift + mu.hbar_shift
+    for g, p in zip(mu.gauge, point):
+        total = total + as_scalar(p) * g
+    return total
+
+
+def transition_eigenvalues(nu_point, xi, theory):
+    vals = []
+    for mu in theory.matter:
+        p = mu.pair(xi)
+        base = mu_value(mu, nu_point)
+        if p > 0:
+            vals.extend(base - j for j in range(1, p + 1))
+        elif p < 0:
+            vals.extend(base + j for j in range(0, -p))
+    return vals
+
+
+def xi_negative(lam_point, xi, theory):
+    for mu in theory.matter:
+        p = mu.pair(xi)
+        if p:
+            value = mu_value(mu, lam_point)
+            if is_integral(value) and (value.rational > 0) == (p > 0):
+                return False
+    return True
+
+
+def action_factors(module, xi, nu):
+    point = module.weight_of(tuple(n - x for n, x in zip(nu, xi)))
+    return [mu_value(mu, point) + j for mu in module.theory.matter
+            for j in range(mu.pair(xi), 0)]
+
+
+def action_scalar(module, xi, nu):
+    total = as_scalar(1)
+    for f in action_factors(module, xi, nu):
+        total = total * f
+    return total
+
+
+class Module(UniversalWeightModule):
+    """A module whose action factors and zero test come from the former
+    ExactScalar loop, for res_support and hamiltonian_reduce."""
+
+    def action_factors(self, xi, nu):
+        return action_factors(self, xi, nu)
+
+    def action_is_zero(self, xi, nu):
+        return any(not f for f in action_factors(self, xi, nu))
+
+
+def res_support(module, xi, extension):
+    """The former res_support: every active weight of a coset is walked
+    down to deepest - (extension - 1) xi, until one sees no zero."""
+    chains = {}
+    for nu in module.active:
+        chains.setdefault(_coset_key(nu, xi), []).append(nu)
+    result = {}
+    for key, nus in chains.items():
+        nus.sort(key=lambda nu: sum(a * b for a, b in zip(nu, xi)), reverse=True)
+        deepest = nus[-1]
+        result[key] = 0
+        for start in nus:
+            nu = start
+            for _ in range(_steps_between(start, deepest, xi) + extension):
+                if module.action_is_zero(xi, nu):
+                    break
+                nu = tuple(a - b for a, b in zip(nu, xi))
+            else:
+                result[key] = 1
+                break
+    return result
+
+
+# -- a BFN product on exponent tuples over (x1..xr, h) to ExactScalars -------
+
+
+def dense_add(p, q):
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, ExactScalar(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def dense_mul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = out.get(m, ExactScalar(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def dense(poly, rank):
+    names = ["x%d" % (i + 1) for i in range(rank)] + [HBAR]
+    out = {}
+    for mono, c in poly.terms.items():
+        exps = dict(mono)
+        out[tuple(exps.get(v, 0) for v in names)] = as_scalar(c)
+    return out
+
+
+def dense_shift(p, xi):
+    # f(x) -> f(x + h xi)
+    rank = len(xi)
+    out = {}
+    for m, c in p.items():
+        term = {(0,) * rank + (m[rank],): c}
+        for i in range(rank):
+            unit = tuple(int(k == i) for k in range(rank))
+            base = dense_add({unit + (0,): ExactScalar(1)},
+                             {(0,) * rank + (1,): as_scalar(xi[i])})
+            for _ in range(m[i]):
+                term = dense_mul(term, base)
+        out = dense_add(out, term)
+    return out
+
+
+def dense_product(a, b, theory, seen):
+    out = {}
+    for xi, f in a.items():
+        for nu, g in b.items():
+            coeff = dense_mul(dense_mul(f, dense_shift(g, xi)), dense(
+                relation_coefficient(theory, xi, nu, seen), theory.rank))
+            key = tuple(p + q for p, q in zip(xi, nu))
+            out[key] = dense_add(out.get(key, {}), coeff)
+    return {k: v for k, v in out.items() if v}
+
+
+def dense_element(element, rank):
+    out = {}
+    for nu, coeff in element.terms.items():
+        num, den = coeff._expanded()
+        assert not den
+        out[tuple(nu)] = dense(num, rank)
+    return out

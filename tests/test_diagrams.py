@@ -10,35 +10,21 @@ from klrwcb.diagrams import (ComposeMismatchError, Diagram, Engine,
                              FramedComponentError, NoMatchingError, PolyVector,
                              TagMismatchError, _corporeal_position,
                              _test_polynomials, yvar)
-from klrwcb.poly import ONE_POLY, Polynomial
+from klrwcb.poly import ONE_POLY
 from klrwcb.quiver import (DimensionData, Edge, Flavour, Quiver,
                            crawley_boevey, kronecker_quiver)
 from klrwcb.render import render_diagram
 from klrwcb.scalars import ExactScalar, as_scalar, coset_rep, row_reduce
-from klrwcb.sequences import (FlavouredSequence, corporeal, from_weight, ghost,
-                              is_unsteady, parse_sequence, red)
+from klrwcb.sequences import FlavouredSequence, corporeal, from_weight, ghost, red
+
+from reference import diagrams as ref
+from reference.diagrams import a1_engine, kron2_engine
+from reference.sequences import kronecker_data
 
 
 def _identity(eng, s):
     """The idempotent e(s): the straight-line diagram from s to itself."""
     return eng.straight_line(s, s)
-
-
-def a1_engine():
-    q = Quiver(["x"], [])
-    comp = crawley_boevey(q, DimensionData({"x": 2}, {"x": 2}))
-    fl = Flavour({"w[x]0": as_scalar(0), "w[x]1": as_scalar(2)})
-    return Engine(comp, fl)
-
-
-def kron2_engine():
-    q = kronecker_quiver()
-    dims = DimensionData({"alpha": 2, "beta": 1}, {"alpha": 2, "beta": 1})
-    comp = crawley_boevey(q, dims)
-    fl = Flavour({"e": as_scalar(1), "f": as_scalar(1),
-                  "w[alpha]0": as_scalar(-4), "w[alpha]1": as_scalar(0),
-                  "w[beta]0": as_scalar(2)})
-    return Engine(comp, fl)
 
 
 def test_identity_diagram():
@@ -93,56 +79,19 @@ def test_straight_line_kron2_golden():
     assert out.seq == top
 
 
-def _former_interpolate(bottom, top, sig):
-    """The former crossing scheduler: items keyed by value, one order.index
-    per pending pair at every step."""
-    item_map = {it: it.renumber(sig) for it in bottom.order}
-    top_pos = {it: i for i, it in enumerate(top.order)}
-    start = {it: i for i, it in enumerate(bottom.order)}
-    end = {it: top_pos[item_map[it]] for it in bottom.order}
-    pending = []
-    for u, v in itertools.combinations(bottom.order, 2):
-        if (start[u] - start[v]) * (end[u] - end[v]) < 0:
-            num = Fraction(start[v] - start[u])
-            den = Fraction((start[v] - start[u]) - (end[v] - end[u]))
-            pending.append((num / den, u, v))
-    pending.sort(key=lambda tup: (tup[0], min(start[tup[1]], start[tup[2]]),
-                                  max(start[tup[1]], start[tup[2]])))
-    order = list(bottom.order)
-    events = []
-    while pending:
-        for idx, (t, u, v) in enumerate(pending):
-            iu, iv = order.index(u), order.index(v)
-            if abs(iu - iv) == 1:
-                left, right = (u, v) if iu < iv else (v, u)
-                events.append(("cross", left, right, None))
-                li = min(iu, iv)
-                order[li], order[li + 1] = order[li + 1], order[li]
-                pending.pop(idx)
-                break
-        else:
-            raise NoMatchingError("could not schedule crossings")
-    events = tuple(("cross", ev[1], ev[2], Fraction(i + 1, len(events) + 1))
-                   for i, ev in enumerate(events))
-    if [item_map[it] for it in order] != list(top.order):
-        raise NoMatchingError("interpolation does not reach the top sequence")
-    return Diagram(bottom, top, tuple(sorted(sig.items())), events)
-
-
-def a2_engine():
+def a2_double_engine():
+    """A2 with two strands at each vertex."""
     q = Quiver(["1", "2"], [Edge("a", "1", "2")])
     comp = crawley_boevey(q, DimensionData({"1": 2, "2": 2}, {"1": 1, "2": 0}))
     return Engine(comp, Flavour({"a": as_scalar(1), "w[1]0": as_scalar(0)}))
 
 
 def tied_kronecker_engine():
-    comp = crawley_boevey(kronecker_quiver(),
-                          DimensionData({"alpha": 3, "beta": 3}, {"alpha": 0, "beta": 0}))
-    return Engine(comp, Flavour({"e": as_scalar(1), "f": as_scalar(1)}))
+    return Engine(*kronecker_data((3, 3), (0, 0))[2:])
 
 
 @pytest.mark.parametrize("make, vertices, values", [
-    (a2_engine, {"1": 2, "2": 2}, [-2, -1, 0, Fraction(1, 2), 1, 2]),
+    (a2_double_engine, {"1": 2, "2": 2}, [-2, -1, 0, Fraction(1, 2), 1, 2]),
     (kron2_engine, {"alpha": 2, "beta": 1}, [-3, -1, 0, 1, Fraction(3, 2), 3]),
     (tied_kronecker_engine, {"alpha": 3, "beta": 3}, [0, 0, 0, Fraction(1, 2), 1, 1])],
     ids=["a2", "framed-kronecker", "tied-kronecker"])
@@ -166,7 +115,7 @@ def test_scheduler_matches_former_interpolation(make, vertices, values):
         for bottom, top in itertools.combinations(seqs, 2):
             sig = eng._minimal_matching(bottom, top)
             got = eng.straight_line(bottom, top)
-            assert got == _former_interpolate(bottom, top, sig)
+            assert got == ref.interpolate(bottom, top, sig)
             crossings += len(got.events)
             classes = {}
             for k, kt in sig.items():
@@ -178,7 +127,7 @@ def test_scheduler_matches_former_interpolation(make, vertices, values):
                 rng.shuffle(targets)
                 shuffled.update(zip((k for k, _ in pairs), targets))
             assert eng.permutation_diagram(bottom, top, shuffled) == \
-                _former_interpolate(bottom, top, shuffled)
+                ref.interpolate(bottom, top, shuffled)
             if len(classes) > 1:
                 (k1, t1), (k2, t2) = [rng.choice(pairs) for pairs in
                                       rng.sample(list(classes.values()), 2)]
@@ -190,24 +139,6 @@ def test_scheduler_matches_former_interpolation(make, vertices, values):
         with pytest.raises(NoMatchingError):
             eng.straight_line(seqs[0], from_weight(shifted, eng.completed, eng.flavour))
     assert crossings > 200
-
-
-def _former_minimal_matching(bottom, top):
-    """The former matching: strands classed by (label, coset_rep of the
-    longitude), matched in order inside each class; None when the classes
-    of the two sequences differ."""
-    def classes(seq):
-        out = {}
-        for it in seq.order:
-            if it.is_corporeal():
-                key = (str(seq.labels[it.k - 1]), coset_rep(seq.longitudes[it.k - 1]))
-                out.setdefault(key, []).append(it.k)
-        return out
-
-    cb, ct = classes(bottom), classes(top)
-    if set(cb) != set(ct) or any(len(cb[k]) != len(ct[k]) for k in cb):
-        return None
-    return [(kb, kt) for key in cb for kb, kt in zip(cb[key], ct[key])]
 
 
 def test_minimal_matching_classes_match_coset_rep():
@@ -237,7 +168,7 @@ def test_minimal_matching_classes_match_coset_rep():
             top = FlavouredSequence(top.labels, [a + rng.randint(-2, 2) for a in
                                                  rng.sample(bottom.longitudes, 3)],
                                     top.order)
-        want = _former_minimal_matching(bottom, top)
+        want = ref.minimal_matching(bottom, top)
         try:
             got = list(eng._minimal_matching(bottom, top).items())
         except NoMatchingError:
@@ -263,7 +194,7 @@ def test_degree_examples():
                     eng.flavour)
     e = _identity(eng, s)
     assert eng.degree(eng.add_dots(e, [(1, Fraction(1, 2))])) == 2
-    swap = eng.permutation_diagram(s, s_swapped(s), {1: 2, 2: 1})
+    swap = eng.permutation_diagram(s, s, {1: 2, 2: 1})
     assert eng.degree(swap) == -2
 
     # corporeal past its target ghost: +1 per interacting crossing
@@ -279,10 +210,6 @@ def test_degree_examples():
         - 2 * sum(1 for k in kinds if k == "demazure")
     assert ek.degree(d) == expected
     assert sum(1 for k in kinds if k in ("ghost", "red")) >= 1
-
-
-def s_swapped(s):
-    return FlavouredSequence(s.labels, s.longitudes, s.order)
 
 
 def test_act_bigons():
@@ -304,7 +231,6 @@ def test_red_bigon_acts_as_dot():
     c_item = corporeal(1)
     i_r, i_c = s.order.index(r_item), s.order.index(c_item)
     assert i_c == i_r + 1  # red at -4, strand at -3, nothing in between
-    from klrwcb.diagrams import Diagram
     bigon = Diagram(s, s, ((1, 1),),
                     (("cross", r_item, c_item, Fraction(1, 3)),
                      ("cross", c_item, r_item, Fraction(2, 3))))
@@ -321,7 +247,6 @@ def test_ghost_bigon_acts_as_difference():
     g_item, c_item = ghost(1, "e"), corporeal(2)
     i_g, i_c = s.order.index(g_item), s.order.index(c_item)
     assert i_c == i_g + 1
-    from klrwcb.diagrams import Diagram
     sig = tuple((k, k) for k in range(1, s.n + 1))
     bigon = Diagram(s, s, sig,
                     (("cross", g_item, c_item, Fraction(1, 3)),
@@ -445,7 +370,6 @@ def _shuffle_disjoint(rng, diagram):
         ta, tb = a[-1], b[-1]
         events[i] = b[:-1] + (ta,)
         events[i + 1] = a[:-1] + (tb,)
-    from klrwcb.diagrams import Diagram
     return Diagram(diagram.bottom, diagram.top, diagram.match, tuple(events))
 
 
@@ -507,22 +431,6 @@ class MarkedEngine(Engine):
         return op
 
 
-def _ref_certificate_check(eng, theta, theta_p, checks, seed):
-    """The former check of vanishing_certificate: act on every member of
-    the test family in turn."""
-    s = theta.bottom
-    loop = eng.compose(theta_p, theta)
-    ident = _identity(eng, s)
-    ok = is_unsteady(theta.top)[0]
-    rng = random.Random(seed)
-    for f in _test_polynomials(s.n, 4, checks, rng):
-        vec = PolyVector(s, f)
-        if eng.act(loop, vec).poly != eng.act(ident, vec).poly:
-            ok = False
-            break
-    return ok
-
-
 @pytest.mark.parametrize("cls", [Engine, MarkedEngine])
 def test_vanishing_certificate_matches_family_loop(cls):
     """The certificate cases above, acceptance 10's and two whose loop has
@@ -556,7 +464,7 @@ def test_vanishing_certificate_matches_family_loop(cls):
     for eng, gamma, component, checks, seed in cases:
         theta, theta_p, ok = eng.vanishing_certificate(
             gamma, component, checks=checks, seed=seed)
-        assert ok == _ref_certificate_check(eng, theta, theta_p, checks,
+        assert ok == ref.certificate_check(eng, theta, theta_p, checks,
                                             seed)
         verdicts.append(ok)
     # only the split loops have crossings for MarkedEngine to change
@@ -604,6 +512,19 @@ def test_dot_on_crossing_rejected():
         eng.add_dots(swap, [(1, Fraction(3, 2))])
 
 
+def _assert_independent(eng, s, ops, basis):
+    """The actions of ops on the basis polynomials are linearly independent."""
+    rows, monomials = [], {}
+    for d in ops:
+        row = {}
+        for j, p in enumerate(basis):
+            for mono, coeff in eng.act(d, PolyVector(s, p)).poly.terms.items():
+                row[monomials.setdefault((j, mono), len(monomials))] = Fraction(coeff)
+        rows.append(row)
+    dense = [[r.get(c, Fraction(0)) for c in range(len(monomials))] for r in rows]
+    assert len(row_reduce(dense)[1]) == len(ops)
+
+
 def test_faithfulness_small():
     # spanning operators are linearly independent on low-degree polynomials
     q = Quiver(["x"], [])
@@ -614,26 +535,11 @@ def test_faithfulness_small():
     for sig in ({1: 1, 2: 2}, {1: 2, 2: 1}):
         base = eng.permutation_diagram(s, s, sig)
         for dots in ([], [(1, Fraction(1, 97))], [(2, Fraction(1, 97))]):
-            top_dots = [(k, Fraction(96, 97)) for k, _ in dots]
             ops.append(eng.add_dots(base, dots))
-    basis = [p for p in _test_polynomials(2, 2, 0, random.Random(0))]
-    rows = []
-    monomials = {}
-    for d in ops:
-        row = {}
-        for j, p in enumerate(basis):
-            out = eng.act(d, PolyVector(s, p)).poly
-            for mono, coeff in out.terms.items():
-                monomials.setdefault((j, mono), len(monomials))
-                row[monomials[(j, mono)]] = Fraction(coeff)
-        rows.append(row)
-    ncols = len(monomials)
-    dense = [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
-    assert len(row_reduce(dense)[1]) == len(ops)
+    _assert_independent(eng, s, ops, _test_polynomials(2, 2, 0, random.Random(0)))
 
 
 def test_faithfulness_three_strands():
-    import itertools
     q = Quiver(["x"], [])
     comp = crawley_boevey(q, DimensionData({"x": 3}, {"x": 0}))
     eng = Engine(comp, Flavour({}))
@@ -644,42 +550,7 @@ def test_faithfulness_three_strands():
         for dots in ([], [(1, Fraction(1, 97))], [(2, Fraction(1, 97))],
                      [(3, Fraction(1, 97))]):
             ops.append(eng.add_dots(base, dots))
-    basis = _test_polynomials(3, 3, 0, random.Random(0))
-    rows, monomials = [], {}
-    for d in ops:
-        row = {}
-        for j, p in enumerate(basis):
-            out = eng.act(d, PolyVector(s, p)).poly
-            for mono, coeff in out.terms.items():
-                monomials.setdefault((j, mono), len(monomials))
-                row[monomials[(j, mono)]] = Fraction(coeff)
-        rows.append(row)
-    dense = [[r.get(c, Fraction(0)) for c in range(len(monomials))]
-             for r in rows]
-    assert len(row_reduce(dense)[1]) == len(ops)
-
-
-def _ref_test_polynomials(n, degree_bound, extra_random, rng):
-    """The former frontier-and-dedup construction of the test family."""
-    vars_ = ["y%d" % k for k in range(1, n + 1)] + ["h"]
-    monos = [ONE_POLY]
-    frontier = [ONE_POLY]
-    for _ in range(degree_bound):
-        nxt = [m * Polynomial.variable(v) for m in frontier for v in vars_]
-        monos.extend(nxt)
-        frontier = nxt
-    seen = set()
-    out = []
-    for m in monos:
-        key = tuple(sorted(m.terms))
-        if key not in seen:
-            seen.add(key)
-            out.append(m)
-    for _ in range(extra_random):
-        p = sum((Fraction(rng.randint(-3, 3)) * m
-                 for m in rng.sample(out, min(4, len(out)))), ONE_POLY * 0)
-        out.append(p if p else ONE_POLY)
-    return out
+    _assert_independent(eng, s, ops, _test_polynomials(3, 3, 0, random.Random(0)))
 
 
 def test_test_polynomials_match_frontier_reference():
@@ -692,7 +563,7 @@ def test_test_polynomials_match_frontier_reference():
     for n, d, extra in cases:
         got_rng, want_rng = random.Random(n * 10 + d), random.Random(n * 10 + d)
         got = _test_polynomials(n, d, extra, got_rng)
-        want = _ref_test_polynomials(n, d, extra, want_rng)
+        want = ref.polynomial_family(n, d, extra, want_rng)
         assert [repr(p) for p in got] == [repr(p) for p in want], (n, d)
         assert len(got) == math.comb(n + 1 + d, d) + extra
         assert got_rng.random() == want_rng.random(), (n, d, extra)

@@ -11,6 +11,8 @@ from klrwcb.poly import (HBAR, ONE_POLY, Polynomial, RationalFunction, as_poly,
 from klrwcb.scalars import ExactScalar, as_scalar
 from klrwcb.suites import random_element, random_theory
 
+from reference import coulomb as ref_coulomb, poly as ref, raised
+
 x = Polynomial.variable("x1")
 y = Polynomial.variable("x2")
 h = Polynomial.variable(HBAR)
@@ -99,30 +101,6 @@ def test_rational_function_substitute():
     assert shifted == RationalFunction(x + 1, [(x, 2)])
 
 
-def _ref_reduce(num, den):
-    """The former fixpoint reduction: sweep the denominator factors until
-    no division goes through."""
-    den = dict(den)
-    if not num:
-        return num, {}
-    changed = True
-    while changed:
-        changed = False
-        for key, (f, e) in list(den.items()):
-            while e > 0:
-                try:
-                    num = num.divide_exact(f)
-                except ArithmeticError:
-                    break
-                e -= 1
-                changed = True
-            if e:
-                den[key] = (f, e)
-            else:
-                del den[key]
-    return num, den
-
-
 def test_rational_function_reduction_matches_fixpoint():
     rng = random.Random(4)
     pool = [x - y, 2 * x - 2 * y, x + h, x - y + h, x, h, x * x - y,
@@ -138,7 +116,7 @@ def test_rational_function_reduction_matches_fixpoint():
             if e:
                 key = _factor_key(f)
                 merged[key] = (f, merged.get(key, (f, 0))[1] + e)
-        want_num, want_den = _ref_reduce(num, merged)
+        want_num, want_den = ref.reduce_fixpoint(num, merged)
         got = RationalFunction(num, den)
         assert repr(_num(got)) == repr(want_num)
         assert [(k, repr(f), e) for k, (f, e) in _den(got).items()] == \
@@ -331,102 +309,14 @@ def test_divide_exact_non_monic_divisor():
 
 
 # -- differential test of the Coulomb product --------------------------------
-#
-# A reference product on the suite_monopole inputs with its own dense
-# polynomials: exponent tuples over (x1..xr, h) to ExactScalar coefficients,
-# and the relation coefficient written out from the BFN formula.
-
-
-def _ref_add(p, q):
-    out = dict(p)
-    for m, c in q.items():
-        out[m] = out.get(m, ExactScalar(0)) + c
-    return {m: c for m, c in out.items() if c}
-
-
-def _ref_mul(p, q):
-    out = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = tuple(a + b for a, b in zip(m1, m2))
-            out[m] = out.get(m, ExactScalar(0)) + c1 * c2
-    return {m: c for m, c in out.items() if c}
-
-
-def _ref_from_program(poly, rank):
-    names = ["x%d" % (i + 1) for i in range(rank)] + [HBAR]
-    out = {}
-    for mono, c in poly.terms.items():
-        exps = dict(mono)
-        out[tuple(exps.get(v, 0) for v in names)] = as_scalar(c)
-    return out
-
-
-def _ref_linear(gauge, h_coeff, const):
-    rank = len(gauge)
-    unit = [tuple(int(i == k) for k in range(rank + 1)) for i in range(rank + 1)]
-    out = {(0,) * (rank + 1): as_scalar(const)}
-    for i, g in enumerate(gauge):
-        out = _ref_add(out, {unit[i]: as_scalar(g)})
-    out = _ref_add(out, {unit[rank]: as_scalar(h_coeff)})
-    return {m: c for m, c in out.items() if c}
-
-
-def _ref_relation_coefficient(theory, xi, nu):
-    # prod over <mu,xi> > 0 > <mu,nu> of prod_{j=1}^{d} (mu + (<mu,xi>-j) h),
-    # over <mu,xi> < 0 < <mu,nu> of prod_{j=0}^{d-1} (mu + (<mu,xi>+j) h)
-    out = {(0,) * (theory.rank + 1): ExactScalar(1)}
-    for mu in theory.matter:
-        a = sum(g * v for g, v in zip(mu.gauge, xi))
-        b = sum(g * v for g, v in zip(mu.gauge, nu))
-        if a > 0 > b:
-            shifts = [a - j for j in range(1, min(a, -b) + 1)]
-        elif a < 0 < b:
-            shifts = [a + j for j in range(min(-a, b))]
-        else:
-            shifts = []
-        for s in shifts:
-            out = _ref_mul(out, _ref_linear(mu.gauge, mu.hbar_shift + s,
-                                            mu.flavour_shift))
-    return out
-
-
-def _ref_shift(p, xi):
-    # f(x) -> f(x + h xi)
-    rank = len(xi)
-    out = {}
-    for m, c in p.items():
-        term = {(0,) * rank + (m[rank],): c}
-        for i in range(rank):
-            base = _ref_linear([int(k == i) for k in range(rank)], xi[i], 0)
-            for _ in range(m[i]):
-                term = _ref_mul(term, base)
-        out = _ref_add(out, term)
-    return out
-
-
-def _ref_product(a, b, theory):
-    out = {}
-    for xi, f in a.items():
-        for nu, g in b.items():
-            coeff = _ref_mul(_ref_mul(f, _ref_shift(g, xi)),
-                             _ref_relation_coefficient(theory, xi, nu))
-            key = tuple(p + q for p, q in zip(xi, nu))
-            out[key] = _ref_add(out.get(key, {}), coeff)
-    return {k: v for k, v in out.items() if v}
-
-
-def _ref_element(element, rank):
-    out = {}
-    for nu, coeff in element.terms.items():
-        assert not _den(coeff)
-        out[tuple(nu)] = _ref_from_program(_num(coeff), rank)
-    return out
 
 
 @pytest.mark.parametrize("imaginary", [0, 1])
 def test_coulomb_mul_matches_reference_product(imaginary):
+    """mul against the BFN product on dense polynomials, on the
+    suite_monopole inputs, once and twice."""
     rng = random.Random(5)
+    seen = Counter()
     for _ in range(40):
         th = random_theory(rng, max_rank=2, max_matter=3)
         if imaginary:
@@ -436,136 +326,17 @@ def test_coulomb_mul_matches_reference_product(imaginary):
                              mu.hbar_shift)
                 for k, mu in enumerate(th.matter)])
         a, b, c = (random_element(rng, th.rank) for _ in range(3))
-        ab = mul(a, b, th)
-        for got, want in ((ab, _ref_product(_ref_element(a, th.rank),
-                                            _ref_element(b, th.rank), th)),
-                          (mul(ab, c, th),
-                           _ref_product(_ref_product(_ref_element(a, th.rank),
-                                                     _ref_element(b, th.rank), th),
-                                        _ref_element(c, th.rank), th))):
+        da, db, dc = (ref_coulomb.dense_element(e, th.rank) for e in (a, b, c))
+        ab, dab = mul(a, b, th), ref_coulomb.dense_product(da, db, th, seen)
+        for got, want in ((ab, dab), (mul(ab, c, th),
+                                      ref_coulomb.dense_product(dab, dc, th, seen))):
             for coeff in got.terms.values():
                 _assert_normal(_num(coeff))
-            assert _ref_element(got, th.rank) == want
+            assert ref_coulomb.dense_element(got, th.rank) == want
+    assert min(seen["a>0>b"], seen["a<0<b"]) >= 50, seen
 
 
 # -- the factored RationalFunction against the expanded one it replaced -----
-
-
-class _RefRationalFunction:
-    """The former RationalFunction, kept as the reference: an expanded
-    numerator over a dict of denominator factors, reduced by one pass of
-    exact trial division after every operation."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        object.__setattr__(self, "num", as_poly(num))
-        factors = {}
-        if den:
-            for f, e in (den.items() if isinstance(den, dict) else den):
-                f = as_poly(f)
-                if not f:
-                    raise ZeroDivisionError("zero denominator factor")
-                if e:
-                    key = _factor_key(f)
-                    if key in factors:
-                        factors[key] = (f, factors[key][1] + e)
-                    else:
-                        factors[key] = (f, e)
-        object.__setattr__(self, "den", {k: v for k, v in factors.items() if v[1]})
-        self._reduce()
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def _reduce(self):
-        num = self.num
-        den = dict(self.den)
-        if not num:
-            object.__setattr__(self, "den", {})
-            return
-        for key, (f, e) in list(den.items()):
-            while e > 0:
-                try:
-                    num = num.divide_exact(f)
-                except ArithmeticError:
-                    break
-                e -= 1
-            if e:
-                den[key] = (f, e)
-            else:
-                del den[key]
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    @staticmethod
-    def of(x):
-        if isinstance(x, _RefRationalFunction):
-            return x
-        return _RefRationalFunction(as_poly(x))
-
-    def den_poly(self):
-        p = ONE_POLY
-        for f, e in self.den.values():
-            p = p * f ** e
-        return p
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        other = _RefRationalFunction.of(other)
-        return (self.num * other.den_poly()) == (other.num * self.den_poly())
-
-    def __mul__(self, other):
-        other = _RefRationalFunction.of(other)
-        den = [(f, e) for f, e in self.den.values()]
-        den += [(f, e) for f, e in other.den.values()]
-        return _RefRationalFunction(self.num * other.num, den)
-
-    def __neg__(self):
-        return _RefRationalFunction(-self.num, list(self.den.values()))
-
-    def __add__(self, other):
-        other = _RefRationalFunction.of(other)
-        all_factors = {}
-        for key, (f, e) in self.den.items():
-            all_factors[key] = (f, max(e, other.den.get(key, (f, 0))[1]))
-        for key, (f, e) in other.den.items():
-            if key not in all_factors:
-                all_factors[key] = (f, e)
-        num1, num2 = self.num, other.num
-        for key, (f, e) in all_factors.items():
-            e1 = self.den.get(key, (f, 0))[1]
-            e2 = other.den.get(key, (f, 0))[1]
-            num1 = num1 * f ** (e - e1)
-            num2 = num2 * f ** (e - e2)
-        return _RefRationalFunction(num1 + num2, list(all_factors.values()))
-
-    def __sub__(self, other):
-        return self + (-_RefRationalFunction.of(other))
-
-    def substitute(self, mapping):
-        return _RefRationalFunction(self.num.substitute(mapping),
-                                    [(f.substitute(mapping), e)
-                                     for f, e in self.den.values()])
-
-    def evaluate(self, point):
-        d = as_scalar(1)
-        for f, e in self.den.values():
-            val = f.evaluate(point)
-            for _ in range(e):
-                d = d * val
-        if not d:
-            raise ZeroDivisionError("denominator vanishes at %r" % (point,))
-        return self.num.evaluate(point) / d
-
-    def __repr__(self):
-        if not self.den:
-            return repr(self.num)
-        den = "*".join("(%r)^%d" % (f, e) if e > 1 else "(%r)" % (f,)
-                       for f, e in self.den.values())
-        return "(%r)/[%s]" % (self.num, den)
 
 
 _I =ExactScalar(0, 1)
@@ -605,11 +376,7 @@ def _atom(rng, pool):
         poly = poly * rng.choice([x, y, h, x + 1])
     nums = rng.sample(pool, rng.randint(0, 2))
     den = [(rng.choice(pool), rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
-    expanded = poly
-    for f in nums:
-        expanded = expanded * f
-    return (RationalFunction(poly, [(f, -1) for f in nums] + den),
-            _RefRationalFunction(expanded, den))
+    return _pair(poly, nums, den)
 
 
 def _variables(p):
@@ -714,7 +481,7 @@ def _pair(poly, nums=(), den=()):
     for f in nums:
         expanded = expanded * f
     return (RationalFunction(poly, [(f, -1) for f in nums] + list(den)),
-            _RefRationalFunction(expanded, list(den)))
+            ref.ExpandedRationalFunction(expanded, list(den)))
 
 
 def test_factor_order_follows_the_expanded_form():
@@ -764,53 +531,6 @@ def test_factored_matches_expanded_reference_with_associates():
 # -- evaluation against the former ExactScalar-only evaluators -------------
 
 
-def _ref_evaluate(p, point):
-    """The former Polynomial.evaluate: every operation in ExactScalar."""
-    total = as_scalar(0)
-    for m, c in p.terms.items():
-        val = c
-        for v, e in m:
-            if v not in point:
-                raise KeyError("no value for %r" % v)
-            base = as_scalar(point[v])
-            for _ in range(e):
-                val = val * base
-        total = total + val
-    return total
-
-
-def _ref_value_at(pairs, point):
-    out = as_scalar(1)
-    for f, e in pairs:
-        v = _ref_evaluate(f, point)
-        for _ in range(e):
-            out = out * v
-    return out
-
-
-def _ref_rf_evaluate(r, point):
-    """The former RationalFunction.evaluate, on _ref_evaluate."""
-    factors = r.factors.values()
-    try:
-        return _ref_evaluate(r.poly, point) \
-            * _ref_value_at([(f, e) for f, e in factors if e > 0], point) \
-            / _ref_value_at([(f, -e) for f, e in factors if e < 0], point)
-    except ArithmeticError:
-        num, den = r._expanded()
-    d = _ref_value_at(den.values(), point)
-    if not d:
-        raise ZeroDivisionError("denominator vanishes at %r" % (point,))
-    return _ref_evaluate(num, point) / d
-
-
-def _raised(fn):
-    """fn's value, or the type and message of what it raised."""
-    try:
-        return fn()
-    except (ArithmeticError, ValueError, KeyError) as exc:
-        return type(exc), str(exc)
-
-
 # Rational, Gaussian and symbolic points.  At the second Gaussian point and
 # at both symbolic points the non-real or symbolic parts cancel in x1 - x2;
 # the last point has no value for h.
@@ -831,11 +551,11 @@ def test_evaluate_matches_exact_scalar_evaluators(kind):
         polys = [r.poly, _num(r)] + [f for f, _ in r.factors.values()]
         for point in _EVAL_POINTS:
             for p in polys:
-                got, want = _raised(lambda: p.evaluate(point)), \
-                    _raised(lambda: _ref_evaluate(p, point))
+                got, want = raised(lambda: p.evaluate(point)), \
+                    raised(lambda: ref.evaluate(p, point))
                 assert got == want and type(got) is type(want)
-            got, want = _raised(lambda: r.evaluate(point)), \
-                _raised(lambda: _ref_rf_evaluate(r, point))
+            got, want = raised(lambda: r.evaluate(point)), \
+                raised(lambda: ref.rf_evaluate(r, point))
             assert got == want and type(got) is type(want)
             tally[want[0].__name__ if type(want) is tuple
                   else "rational" if want.is_rational else "value"] += 1
@@ -844,23 +564,6 @@ def test_evaluate_matches_exact_scalar_evaluators(kind):
 
 
 # -- substitute against the former implementation ---------------------------
-
-
-def _ref_substitute(p, mapping):
-    """The former Polynomial.substitute: each monomial multiplied out as
-    c * prod base^e, unmapped variables included, and summed."""
-    out = Polynomial({})
-    for m, c in p.terms.items():
-        piece = Polynomial.constant(c)
-        for v, e in m:
-            base = mapping.get(v)
-            if base is None:
-                base = Polynomial.variable(v)
-            else:
-                base = as_poly(base)
-            piece = piece * base ** e
-        out = out + piece
-    return out
 
 
 z = Polynomial.variable("x3")
@@ -903,7 +606,7 @@ def test_substitute_matches_former_expansion(kind):
     for _ in range(60):
         p = _random_poly(rng, _SUB_COEFFS[kind])
         for mapping in maps:
-            got, want = p.substitute(mapping), _ref_substitute(p, mapping)
+            got, want = p.substitute(mapping), ref.substitute(p, mapping)
             assert got.terms == want.terms and repr(got) == repr(want)
             _assert_normal(got)
             if not _variables(p) & set(mapping):
@@ -925,7 +628,7 @@ def test_substitute_multiplies_the_mapped_powers_first():
     mapping = {"x1": _I * y + 1, "x3": _I * y - 1}
     assert p.substitute(mapping) == -Polynomial.constant(_S) * (y * y + 1)
     with pytest.raises(ValueError, match="non-real"):
-        _ref_substitute(p, mapping)
+        ref.substitute(p, mapping)
 
 
 # -- the constant shortcut of _divide_out -------------------------------------

@@ -8,22 +8,18 @@ from fractions import Fraction
 
 import pytest
 
-from klrwcb.diagrams import (Diagram, Engine, PolyVector, TagMismatchError,
-                             _test_polynomials, yvar)
+from klrwcb.diagrams import Diagram, Engine, PolyVector, _test_polynomials, yvar
 from klrwcb.poly import ONE_POLY, Polynomial, as_poly
-from klrwcb.quiver import (DimensionData, Edge, Flavour, Quiver,
-                           crawley_boevey, kronecker_quiver)
+from klrwcb.quiver import DimensionData, Edge, Flavour, Quiver, crawley_boevey
 from klrwcb import relations
 from klrwcb.relations import (Scenario, _instances, _resolved_instances,
                               cross, dot, format_report, verify_relations)
 from klrwcb.scalars import ExactScalar, as_scalar
 from klrwcb.sequences import corporeal, from_weight, ghost, red
 
-
-def a1_engine():
-    q = Quiver(["x"], [])
-    comp = crawley_boevey(q, DimensionData({"x": 2}, {"x": 2}))
-    return Engine(comp, Flavour({"w[x]0": as_scalar(0), "w[x]1": as_scalar(2)}))
+from reference import diagrams as ref
+from reference.diagrams import a1_engine, kron2_engine
+from reference.sequences import kronecker_data
 
 
 def a2_engine():
@@ -33,12 +29,7 @@ def a2_engine():
 
 
 def kronecker_engine():
-    q = kronecker_quiver()
-    comp = crawley_boevey(q, DimensionData({"alpha": 2, "beta": 1},
-                                           {"alpha": 1, "beta": 1}))
-    return Engine(comp, Flavour({"e": as_scalar(1), "f": as_scalar(1),
-                                 "w[alpha]0": as_scalar(0),
-                                 "w[beta]0": as_scalar(2)}))
+    return Engine(*kronecker_data((2, 1), (1, 1), [("w[alpha]0", 0), ("w[beta]0", 2)])[2:])
 
 
 def test_relations_a1():
@@ -82,13 +73,6 @@ def test_demazure_sign_is_pinned():
 # -- the closed-form divided difference against division ---------------------
 
 
-def _ref_demazure(f, r):
-    """The former operator: f - s f, then long division by y_r - y_{r+1}."""
-    a, b = "y%d" % r, "y%d" % (r + 1)
-    denom = Polynomial.variable(a) - Polynomial.variable(b)
-    return (f - f.swap_vars(a, b)).divide_exact(denom)
-
-
 _COEFFICIENTS = {
     "int": lambda rng: rng.randint(-5, 5),
     "fraction": lambda rng: Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
@@ -117,7 +101,7 @@ def test_closed_form_demazure_matches_division(kind):
         for g in (f, f + f.swap_vars("y2", "y3")):
             for r in (1, 2, 3):
                 got = engine._demazure(g, r)
-                want = _ref_demazure(g, r)
+                want = ref.demazure(g, r)
                 assert got.terms == want.terms, (g, r)
                 assert {m: type(c) for m, c in got.terms.items()} == \
                     {m: type(c) for m, c in want.terms.items()}
@@ -132,81 +116,6 @@ def test_closed_form_demazure_matches_division(kind):
 
 
 # -- the one word walk against the two walks it replaced ---------------------
-#
-# _ref_act walked timed item events and _ref_apply positional steps, each
-# classifying every crossing again for every polynomial; both use the
-# former crossing-operator table, written out here.
-
-
-def _ref_position(order, item):
-    p = 0
-    for it in order:
-        if it.is_corporeal():
-            p += 1
-        if it == item:
-            return p
-    raise KeyError(item)
-
-
-def _ref_crossing(engine, seq, order, left, right, f):
-    kind, c, g = engine.pair_kind(seq, left, right)
-    if kind == "inert":
-        if left.is_corporeal() and right.is_corporeal():
-            r = _ref_position(order, left)
-            return f.swap_vars("y%d" % r, "y%d" % (r + 1))
-        return f
-    if kind == "demazure":
-        return engine._demazure(f, _ref_position(order, left))
-    p = _ref_position(order, c)
-    if c != left:
-        return f
-    if kind == "ghost":
-        q = _ref_position(order, corporeal(g.k))
-        return f * (yvar(q) - yvar(p))
-    return f * yvar(p)
-
-
-def _ref_act(engine, diagram, vector):
-    if vector.seq != diagram.bottom:
-        raise TagMismatchError("vector tag differs from the diagram bottom")
-    order = list(diagram.bottom.order)
-    poly = vector.poly
-    for ev in sorted(diagram.events, key=lambda e: e[-1]):
-        if ev[0] == "dot":
-            poly = poly * yvar(_ref_position(order, ev[1]))
-            continue
-        _, left, right, _ = ev
-        il, ir = order.index(left), order.index(right)
-        if (il, ir) != (ir - 1, il + 1):
-            raise ValueError("event %r is not adjacent" % (ev,))
-        poly = _ref_crossing(engine, diagram.bottom, order, left, right, poly)
-        order[il], order[ir] = order[ir], order[il]
-    item_map = diagram.item_map()
-    if [item_map[it] for it in order] != list(diagram.top.order):
-        raise ValueError("event word does not realize the matching")
-    return PolyVector(diagram.top, poly)
-
-
-def _ref_apply(scenario, word, poly):
-    order = list(scenario.seq.order)
-    for step in word:
-        if step[0] == "dot":
-            poly = poly * yvar(_ref_position(order, step[1]))
-            continue
-        i = step[1]
-        poly = _ref_crossing(scenario.engine, scenario.seq, order, order[i],
-                             order[i + 1], poly)
-        order[i], order[i + 1] = order[i + 1], order[i]
-    return poly, order
-
-
-def _ref_equal(scenario, lhs, rhs, polys):
-    for f in polys:
-        a, b = (sum((as_poly(c) * _ref_apply(scenario, w, f)[0] for c, w in side),
-                    ONE_POLY * 0) for side in (lhs, rhs))
-        if a != b:
-            return False, f
-    return True, None
 
 
 @pytest.mark.parametrize("make", [a1_engine, a2_engine, kronecker_engine])
@@ -219,7 +128,7 @@ def test_apply_does_not_read_the_image_memo(make):
     for _, sc, lhs, rhs in _instances(engine):
         f = sum((yvar(k) ** (k + 1) for k in range(1, sc.n + 1)), ONE_POLY)
         for _, word in lhs + rhs:
-            want = _ref_apply(sc, word, f)
+            want = ref.apply(sc, word, f)
             if want[0] == f:
                 continue
             images = engine.images(engine.word_operators(sc.seq, word)[0])
@@ -250,17 +159,17 @@ def test_word_operators_match_positional_walk(make):
     late = 0
     for memo in ("cold", "warm"):
         for sc, lhs, rhs, polys in cases:
-            assert sc.equal(lhs, rhs, polys) == _ref_equal(sc, lhs, rhs, polys)
+            assert sc.equal(lhs, rhs, polys) == ref.equal(sc, lhs, rhs, polys)
             # the second broken side first fails past the constant when its
             # extra crossing is a divided difference
             for broken in (lhs + [(1, [])], lhs + [(1, [cross(0)])]):
                 for family in (polys, polys[-1:]):
                     got = sc.equal(broken, rhs, family)
-                    assert got == _ref_equal(sc, broken, rhs, family), memo
+                    assert got == ref.equal(sc, broken, rhs, family), memo
                     late += got[1] is not None and got[1] != family[0]
             for _, word in lhs + rhs:
                 for f in polys[::3] + polys[-3:]:
-                    assert sc.apply(word, f) == _ref_apply(sc, word, f), memo
+                    assert sc.apply(word, f) == ref.apply(sc, word, f), memo
         assert engine._images
     assert late
 
@@ -277,7 +186,7 @@ def test_equal_passes_when_monomial_images_cancel():
                          ([y1 + y2, y2, y1], (False, y2)),
                          ([y1, y1 + y2], (False, y1))):
         assert sc.equal(lhs, rhs, family) == want
-        assert _ref_equal(sc, lhs, rhs, family) == want
+        assert ref.equal(sc, lhs, rhs, family) == want
 
 
 @pytest.mark.parametrize("make", [a1_engine, a2_engine, kronecker_engine])
@@ -288,10 +197,10 @@ def test_equal_matches_reference_on_large_families(make):
     failing = 0
     for _, sc, lhs, rhs in _instances(make()):
         polys = _test_polynomials(sc.n, 3, 100, rng)
-        assert sc.equal(lhs, rhs, polys) == _ref_equal(sc, lhs, rhs, polys)
+        assert sc.equal(lhs, rhs, polys) == ref.equal(sc, lhs, rhs, polys)
         broken = lhs + [(1, [cross(0)])]
         got = sc.equal(broken, rhs, polys)
-        assert got == _ref_equal(sc, broken, rhs, polys)
+        assert got == ref.equal(sc, broken, rhs, polys)
         failing += not got[0]
     assert failing
 
@@ -309,7 +218,7 @@ def test_flipped_reports_match_reference(make, n_random, monkeypatch):
                                 seed=0)
 
     got = report()
-    monkeypatch.setattr(Scenario, "equal", _ref_equal)
+    monkeypatch.setattr(Scenario, "equal", ref.equal)
     want = report()
     assert not got["ok"]
     assert got == want
@@ -429,40 +338,6 @@ def test_word_operators_are_hashable_descriptors():
         == (("swap", 1), ("times", 2))
 
 
-def _former_test_polynomials(n, degree_bound, extra_random, rng):
-    """The test family built afresh on every call."""
-    names = ["y%d" % k for k in range(1, n + 1)] + ["h"]
-    out = [Polynomial({tuple(sorted(Counter(combo).items())): 1})
-           for d in range(degree_bound + 1)
-           for combo in itertools.combinations_with_replacement(names, d)]
-    for _ in range(extra_random):
-        terms = {}
-        for p in rng.sample(out, min(4, len(out))):
-            k = rng.randint(-3, 3)
-            for m, c in p.terms.items():
-                terms[m] = terms.get(m, 0) + k * c
-        p = Polynomial(terms)
-        out.append(p if p else ONE_POLY)
-    return out
-
-
-def test_test_polynomials_match_former_construction():
-    """The shared monomial part gives the same family and the same rng
-    calls, and a caller that changes its list changes no later family."""
-    for n in range(5):
-        for d in range(5):
-            for extra in (0, 12):
-                got_rng, want_rng = random.Random(n + d), random.Random(n + d)
-                got = _test_polynomials(n, d, extra, got_rng)
-                want = _former_test_polynomials(n, d, extra, want_rng)
-                assert got == want and [repr(p) for p in got] == \
-                    [repr(p) for p in want], (n, d, extra)
-                assert got_rng.random() == want_rng.random()
-                got.append(ONE_POLY)
-                assert len(_test_polynomials(n, d, 0, got_rng)) == \
-                    math.comb(n + 1 + d, d)
-
-
 def test_report_counts_test_polynomials():
     """Each entry's test_polys is the family size the degree bound implies,
     summed over the entry's instances, and format_report prints it."""
@@ -484,28 +359,6 @@ def test_report_counts_test_polynomials():
 # -- one test family per strand count against one per instance ---------------
 
 
-def _former_verify_relations(instances, degree_bound, n_random, seed):
-    """The former pass: a fresh family drawn for every instance."""
-    rng = random.Random(seed)
-    report = {}
-    for name, sc, lhs, rhs in instances:
-        polys = _test_polynomials(sc.n, degree_bound, n_random, rng)
-        ok, witness = sc.equal(lhs, rhs, polys)
-        entry = report.setdefault(name, {"instances": 0, "test_polys": 0,
-                                         "failures": []})
-        entry["instances"] += 1
-        entry["test_polys"] += len(polys)
-        if not ok:
-            entry["failures"].append({
-                "labels": tuple(map(str, sc.seq.labels)),
-                "longitudes": tuple(map(str, sc.seq.longitudes)),
-                "witness": repr(witness),
-            })
-    report["ok"] = all(not v["failures"] for k, v in report.items()
-                       if isinstance(v, dict))
-    return report
-
-
 @pytest.mark.parametrize("flipped", [False, True])
 @pytest.mark.parametrize("make", [a1_engine, a2_engine, kronecker_engine])
 def test_shared_families_match_per_instance_families(make, flipped):
@@ -522,7 +375,7 @@ def test_shared_families_match_per_instance_families(make, flipped):
                                                    (1, 2, 3)):
         got = verify_relations(got_engine, degree_bound=bound,
                                n_random=n_random, seed=seed)
-        want = _former_verify_relations(former, bound, n_random, seed)
+        want = ref.verify_relations(former, bound, n_random, seed)
         case = (seed, n_random, bound)
         assert got == want, case
         assert format_report(got) == format_report(want), case
@@ -596,7 +449,7 @@ def test_resolved_sides_match_operator_sums(make):
     sum of c * run_operators over its words, on every monomial of the
     degree-3 family; a side whose words cancel reads () everywhere; and
     equal on resolved sides, on the same pairs as plain lists and
-    _ref_equal agree, broken sides and witnesses included."""
+    ref.equal agree, broken sides and witnesses included."""
     engine = make()
     rng = random.Random(3)
     summed = failing = 0
@@ -615,7 +468,7 @@ def test_resolved_sides_match_operator_sums(make):
                 assert all(cancelled.images[m] == () for m in monomials)
         polys = _test_polynomials(sc.n, 2, 3, rng)
         for left in (lhs, sc.side(list(lhs) + [(1, [cross(0)])])):
-            want = _ref_equal(sc, left, rhs, polys)
+            want = ref.equal(sc, left, rhs, polys)
             assert sc.equal(left, rhs, relations._Family(polys)) == want
             assert sc.equal(list(left), list(rhs), polys) == want
             failing += not want[0]
@@ -627,7 +480,7 @@ def test_side_memo_is_keyed_safely_by_identity(name):
     """Sides built afresh for every call, alternating between the relation
     and a broken one: plain lists are resolved afresh on every call, so a
     recycled id never reads another side's table, and every verdict and
-    witness is _ref_equal's.  dots-1 has one-word sides that read the
+    witness is ref.equal's.  dots-1 has one-word sides that read the
     engine's tables; the other two have summed sides."""
     engine = kronecker_engine()
     _, sc, lhs, rhs = next(case for case in _instances(engine)
@@ -637,8 +490,8 @@ def test_side_memo_is_keyed_safely_by_identity(name):
     def fresh(side, extra=()):
         return [(c, list(word) + list(extra)) for c, word in side]
 
-    want = [_ref_equal(sc, lhs, rhs, polys),
-            _ref_equal(sc, fresh(lhs, [dot(1)]), rhs, polys)]
+    want = [ref.equal(sc, lhs, rhs, polys),
+            ref.equal(sc, fresh(lhs, [dot(1)]), rhs, polys)]
     assert want[0] == (True, None) and want[1][0] is False
     seen = []
     for k in range(300):
@@ -652,7 +505,7 @@ def test_side_memo_is_keyed_safely_by_identity(name):
 def test_word_operators_match_event_walk():
     """Engine.act against the timed-event walk on seeded straight-line
     diagrams with dots, composites included, and on broken event words."""
-    kron = Engine(*_kron_framed())
+    kron = kron2_engine()
     qa = Quiver(["x"], [])
     ca = crawley_boevey(qa, DimensionData({"x": 3}, {"x": 1}))
     a1 = Engine(ca, Flavour({"w[x]0": as_scalar(1)}))
@@ -683,7 +536,7 @@ def test_word_operators_match_event_walk():
                              for _ in range(rng.randint(0, 3))])
         for f in _test_polynomials(3, 2, 2, rng)[-3:]:
             vec = PolyVector(bottom, f)
-            assert eng.act(d, vec) == _ref_act(eng, d, vec)
+            assert eng.act(d, vec) == ref.act(eng, d, vec)
             checked += 1
         crossings = [ev for ev in d.events if ev[0] == "cross"]
         if len(crossings) > 1:
@@ -695,7 +548,7 @@ def test_word_operators_match_event_walk():
             bad = Diagram(d.bottom, d.top, d.match, events)
             vec = PolyVector(bottom, yvar(1))
             got = _outcome(lambda: eng.act(bad, vec))
-            assert got == _outcome(lambda: _ref_act(eng, bad, vec))
+            assert got == _outcome(lambda: ref.act(eng, bad, vec))
             rejected += isinstance(got, str)
     assert checked >= 60 and rejected >= 10, (checked, rejected)
 
@@ -707,11 +560,3 @@ def _outcome(run):
         # the step in the message drops its time
         return "not adjacent" if "not adjacent" in str(exc) else str(exc)
 
-
-def _kron_framed():
-    q = kronecker_quiver()
-    comp = crawley_boevey(q, DimensionData({"alpha": 2, "beta": 1},
-                                           {"alpha": 2, "beta": 1}))
-    return comp, Flavour({"e": as_scalar(1), "f": as_scalar(1),
-                          "w[alpha]0": as_scalar(-4), "w[alpha]1": as_scalar(0),
-                          "w[beta]0": as_scalar(2)})

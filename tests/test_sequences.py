@@ -8,26 +8,14 @@ import pytest
 from klrwcb import sequences
 from klrwcb.quiver import (DimensionData, Edge, Flavour, Quiver, crawley_boevey,
                            kronecker_quiver)
-from klrwcb.scalars import (EQ, GT, AmbiguousOrderError, ExactScalar,
-                            SymbolTable, UndeclaredSymbolError, as_scalar,
-                            real_compare, real_keys)
-from klrwcb.sequences import (FlavouredSequence, _admissible_orders, _classes,
-                              _item_keys,
-                              build_cgr, corporeal, enumerate_orders, equivalent,
-                              from_weight, ghost, is_unsteady, parse_sequence,
-                              real_order, red, validate)
+from klrwcb.scalars import (AmbiguousOrderError, ExactScalar, SymbolTable,
+                            UndeclaredSymbolError, as_scalar, real_compare,
+                            real_keys)
+from klrwcb.sequences import (FlavouredSequence, _item_keys, build_cgr, corporeal,
+                              enumerate_orders, equivalent, from_weight, ghost,
+                              is_unsteady, parse_sequence, red, validate)
 
-
-def kron2_data():
-    """The Kronecker quiver with v = (2,1), w = (2,1) and the flavour
-    e,f -> 1, r -> -4, r' -> 0, s -> 2."""
-    q = kronecker_quiver()
-    dims = DimensionData({"alpha": 2, "beta": 1}, {"alpha": 2, "beta": 1})
-    comp = crawley_boevey(q, dims)
-    fl = Flavour({"e": as_scalar(1), "f": as_scalar(1),
-                  "w[alpha]0": as_scalar(-4), "w[alpha]1": as_scalar(0),
-                  "w[beta]0": as_scalar(2)})
-    return q, dims, comp, fl
+from reference import scalars as ref_scalars, sequences as ref
 
 
 R, RP, S = "w[alpha]0", "w[alpha]1", "w[beta]0"
@@ -47,7 +35,7 @@ def test_build_cgr_empty():
 
 
 def test_build_cgr_kron2():
-    q, dims, comp, fl = kron2_data()
+    q, dims, comp, fl = ref.kron2_data()
     items = build_cgr(("alpha", "alpha", "beta"), comp)
     assert items == [corporeal(1), corporeal(2), corporeal(3), ghost(1, "e"),
                      ghost(2, "e"), ghost(3, "f"), red(R), red(RP), red(S)]
@@ -73,7 +61,7 @@ def test_from_weight_kron2_golden():
     # top data of the worked Kronecker example; the rule that ghost/red
     # items precede corporeals at equal real longitude puts r', e_2 before
     # the third strand
-    q, dims, comp, fl = kron2_data()
+    q, dims, comp, fl = ref.kron2_data()
     s = from_weight({"alpha": [as_scalar(-6), as_scalar(-1)],
                      "beta": [as_scalar(0)]}, comp, fl)
     assert s.labels == ("alpha", "alpha", "beta")
@@ -85,7 +73,7 @@ def test_from_weight_kron2_golden():
 
 
 def test_from_weight_bottom_kron2():
-    q, dims, comp, fl = kron2_data()
+    q, dims, comp, fl = ref.kron2_data()
     s = from_weight({"alpha": [as_scalar(-3), as_scalar(3)],
                      "beta": [as_scalar(-2)]}, comp, fl)
     # rule (ii) puts the e-ghost of the first strand before the -2 corporeal
@@ -244,33 +232,6 @@ def test_enumerate_kronecker_table(kronecker_unframed):
                                 up_to_equivalence=False)) == 4
 
 
-def _orders_by_permutations(gamma, completed, flavour, table=None,
-                            up_to_equivalence=True):
-    """The former enumerate_orders: every permutation of the strands in
-    lexicographic order, kept when its longitudes weakly increase."""
-    entries = [(as_scalar(a), vertex)
-               for vertex in sorted(gamma, key=str) for a in gamma[vertex]]
-    results, seen, produced = [], [], set()
-    for perm in itertools.permutations(range(len(entries))):
-        longs = tuple(entries[i][0] for i in perm)
-        if any(real_compare(u, v, table) == GT for u, v in zip(longs, longs[1:])):
-            continue
-        labels = tuple(entries[i][1] for i in perm)
-        base = FlavouredSequence(labels, longs, ())
-        for order in _admissible_orders(base, build_cgr(labels, completed),
-                                        flavour, table):
-            seq = FlavouredSequence(labels, longs, order)
-            if seq in produced or validate(seq, completed, flavour, table):
-                continue
-            produced.add(seq)
-            if up_to_equivalence:
-                if any(equivalent(seq, t, completed, flavour, table)[0] for t in seen):
-                    continue
-                seen.append(seq)
-            results.append(seq)
-    return results
-
-
 @pytest.mark.parametrize("alpha,beta,w_alpha", [
     ([0, 0], [0], 0), ([0, 0], [0], 1), ([0, 1], [0, 1], 0),
     ([0, 0, Fraction(1, 2)], [Fraction(1, 2)], 1), ([1, 0, 1], [], 0),
@@ -285,7 +246,7 @@ def test_enumerate_orders_matches_permutation_listing(alpha, beta, w_alpha,
              "beta": [as_scalar(b) for b in beta]}
     got = enumerate_orders(None, gamma, comp, fl,
                            up_to_equivalence=up_to_equivalence)
-    assert got == _orders_by_permutations(gamma, comp, fl,
+    assert got == ref.orders_by_permutations(gamma, comp, fl,
                                           up_to_equivalence=up_to_equivalence)
 
 
@@ -298,7 +259,7 @@ def test_enumerate_orders_symbolic_ties_match_permutation_listing():
     gamma = {"alpha": [s, as_scalar(1), s], "beta": [s + ExactScalar(0, 1)]}
     for up in (True, False):
         assert enumerate_orders(None, gamma, comp, fl, t, up) == \
-            _orders_by_permutations(gamma, comp, fl, t, up)
+            ref.orders_by_permutations(gamma, comp, fl, t, up)
     with pytest.raises(AmbiguousOrderError):
         enumerate_orders(None, gamma, comp, fl)
 
@@ -355,38 +316,6 @@ def test_sequence_literal_roundtrip():
 
 
 # -- the key scan against the former pairwise scan ------------------------------
-
-
-def _validate_pairwise(seq, completed, flavour, table=None):
-    """The former validate: rule (i) and (ii) by real_compare on pairs."""
-    violations = []
-    expect = set(build_cgr(seq.labels, completed))
-    if set(seq.order) != expect:
-        missing = expect - set(seq.order)
-        extra = set(seq.order) - expect
-        violations.append("item set mismatch: missing %s extra %s"
-                          % (sorted(i.token() for i in missing),
-                             sorted(i.token() for i in extra)))
-        return violations
-    corp = [it.k for it in seq.order if it.is_corporeal()]
-    if corp != sorted(corp):
-        violations.append("corporeal items out of index order: %s" % (corp,))
-    longs = [seq.longitude(it, flavour) for it in seq.order]
-    for (i1, it1), (i2, it2) in zip(enumerate(seq.order), enumerate(seq.order[1:], 1)):
-        if real_compare(longs[i1], longs[i2], table) == GT:
-            violations.append("rule (i): %s at %s precedes %s at %s"
-                              % (it1.token(), longs[i1], it2.token(), longs[i2]))
-    for i1, it1 in enumerate(seq.order):
-        if not it1.is_corporeal():
-            continue
-        for i2 in range(i1 + 1, len(seq.order)):
-            it2 = seq.order[i2]
-            if it2.is_corporeal():
-                continue
-            if real_compare(longs[i1], longs[i2], table) == EQ:
-                violations.append("rule (ii): corporeal %s precedes %s at equal "
-                                  "real longitude" % (it1.token(), it2.token()))
-    return violations
 
 
 def _unorderable(values, table):
@@ -484,30 +413,12 @@ def test_validate_matches_pairwise_scan():
                 for s in _orders(rng, seq, comp, fl, table):
                     values = [s.longitude(it, fl) for it in set(s.order)]
                     _compare_scans(lambda: validate(s, comp, fl, table),
-                                   lambda: _validate_pairwise(s, comp, fl, table),
+                                   lambda: ref.validate_pairwise(s, comp, fl, table),
                                    lambda: _unorderable(values, table), tally)
     assert min(tally.values()) >= 5, tally
 
 
 # -- integer item keys against the scalar sums they replace -------------------
-
-
-def _former_real_keys(values, table=None):
-    """The former real_keys: Fraction keys, the rational parts or the
-    shadow values."""
-    values = [as_scalar(v) for v in values]
-    if len({v.symbolic for v in values}) <= 1:
-        return [v.rational for v in values]
-    if table is None:
-        raise AmbiguousOrderError("symbolic comparison without a SymbolTable")
-    keys = [v.shadow_value(table) for v in values]
-    first = {}
-    for key, v in zip(keys, values):
-        u = first.setdefault(key, v)
-        if u.rational != v.rational or u.symbolic != v.symbolic:
-            raise AmbiguousOrderError(
-                "shadows tie for %s vs %s; refine shadow precision" % (u, v))
-    return keys
 
 
 def _key_outcome(fn):
@@ -575,7 +486,7 @@ def test_item_keys_match_scalar_sums():
                 got = _key_outcome(lambda: _item_keys(seq, its, fl, table))
                 assert got == _key_outcome(lambda: real_keys(values, table)), \
                     (seq.labels, values)
-                assert got == _key_outcome(lambda: _former_real_keys(values, table))
+                assert got == _key_outcome(lambda: ref_scalars.real_keys(values, table))
                 tally[got[1].split(" ")[0] if isinstance(got, tuple) else
                       "keys" if len(set(got)) == len(got) else "ties"] += 1
     # every outcome is met: distinct keys, equal keys, an undeclared symbol,
@@ -585,107 +496,6 @@ def test_item_keys_match_scalar_sums():
 
 
 # -- one order per arrangement and the pruned search against the former code --
-
-
-def _ref_admissible_orders(base, items, flavour, table):
-    """The former _admissible_orders: the permutations of every class are
-    listed before the first order is yielded."""
-    per_class = []
-    for cls in _classes(real_order(items, lambda it: base.longitude(it, flavour),
-                                   table)):
-        gr = [it for it in cls if not it.is_corporeal()]
-        corp = sorted([it for it in cls if it.is_corporeal()], key=lambda it: it.k)
-        per_class.append([list(p) + corp for p in itertools.permutations(gr)])
-    for combo in itertools.product(*per_class):
-        yield tuple(itertools.chain.from_iterable(combo))
-
-
-def _ref_equivalent(s1, s2, completed, flavour, table=None):
-    """The former equivalent: every block bijection is built, then tested
-    in the order of the product of the blocks' permutations."""
-    if sorted(map(str, s1.labels)) != sorted(map(str, s2.labels)):
-        return False, None
-    if len(s1.order) != len(s2.order):
-        return False, None
-    pos1 = {it: i for i, it in enumerate(s1.order)}
-    pos2 = {it: i for i, it in enumerate(s2.order)}
-    tails = {e.id: e.tail for e in completed.edges}
-
-    def blocks(seq):
-        out = {}
-        for lab in set(seq.labels):
-            ks = [k for k in range(1, seq.n + 1) if seq.labels[k - 1] == lab]
-            out[lab] = _classes(real_order(ks, lambda k: seq.longitudes[k - 1],
-                                           table))
-        return out
-
-    b1, b2 = blocks(s1), blocks(s2)
-    for lab in b1:
-        if [len(g) for g in b1[lab]] != [len(g) for g in b2.get(lab, [])]:
-            return False, None
-
-    def check(sigma):
-        for m in range(1, s1.n + 1):
-            for it in s1.order:
-                if it.is_corporeal() or tails[it.edge] != s1.labels[m - 1]:
-                    continue
-                before1 = pos1[corporeal(m)] < pos1[it]
-                before2 = pos2[corporeal(sigma[m])] < pos2[it.renumber(sigma)]
-                if before1 != before2:
-                    return False
-        return True
-
-    per_label_choices = []
-    for lab in sorted(b1, key=str):
-        choices = []
-        for assignment in itertools.product(
-                *[itertools.permutations(g2) for g2 in b2[lab]]):
-            mapping = {}
-            for g1, g2perm in zip(b1[lab], assignment):
-                mapping.update(dict(zip(g1, g2perm)))
-            choices.append(mapping)
-        per_label_choices.append(choices)
-    for combo in itertools.product(*per_label_choices):
-        sigma = {}
-        for mapping in combo:
-            sigma.update(mapping)
-        if check(sigma):
-            return True, sigma
-    return False, None
-
-
-def _ref_enumerate_orders(gamma, completed, flavour, table, up_to_equivalence):
-    """The former enumerate_orders: every admissible order of every
-    arrangement, deduplicated pairwise against the kept classes."""
-    entries = [(as_scalar(a), vertex)
-               for vertex in sorted(gamma, key=str) for a in gamma[vertex]]
-    keys = real_keys([e[0] for e in entries], table)
-
-    def arrangements(prefix, left):
-        if not left:
-            yield prefix
-            return
-        low = min(keys[i] for i in left)
-        for i in left:
-            if keys[i] == low and not any(j < i and entries[j] == entries[i]
-                                          for j in left):
-                yield from arrangements(prefix + (i,), [j for j in left if j != i])
-
-    results, seen = [], []
-    for perm in arrangements((), list(range(len(entries)))):
-        labels = tuple(entries[i][1] for i in perm)
-        longitudes = tuple(entries[i][0] for i in perm)
-        base = FlavouredSequence(labels, longitudes, ())
-        for order in _ref_admissible_orders(base, build_cgr(labels, completed),
-                                            flavour, table):
-            seq = FlavouredSequence(labels, longitudes, order)
-            if up_to_equivalence:
-                if any(_ref_equivalent(seq, t, completed, flavour, table)[0]
-                       for t in seen):
-                    continue
-                seen.append(seq)
-            results.append(seq)
-    return results
 
 
 def _described(fn):
@@ -722,7 +532,7 @@ def test_enumerate_orders_matches_pairwise_dedup(seed):
         table = _TABLES[case % 2]
         for up in (True, False):
             got = _described(lambda: enumerate_orders(None, gamma, comp, fl, table, up))
-            want = _described(lambda: _ref_enumerate_orders(gamma, comp, fl, table, up))
+            want = _described(lambda: ref.enumerate_orders(gamma, comp, fl, table, up))
             assert got == want, (gamma, up)
             if isinstance(want, str):
                 tally["raised"] += 1
@@ -751,7 +561,7 @@ def test_equivalent_matches_exhaustive_search(seed):
         for s1 in seqs:
             for s2 in seqs:
                 got = equivalent(s1, s2, comp, fl, table)
-                want = _ref_equivalent(s1, s2, comp, fl, table)
+                want = ref.equivalent(s1, s2, comp, fl, table)
                 # the same sigma, built in the same order
                 assert repr(got) == repr(want), (s1.describe(), s2.describe())
                 tally[got[0]] += 1
@@ -783,7 +593,7 @@ def test_enumerate_orders_one_class_without_equivalent(monkeypatch, framing, e, 
     fl = Flavour({edge.id: as_scalar({"e": e, "f": f}.get(edge.id, 0))
                   for edge in comp.edges})
     gamma = {"alpha": [as_scalar(0)] * 3, "beta": [as_scalar(0)] * 3}
-    want = _ref_enumerate_orders(gamma, comp, fl, None, True)
+    want = ref.enumerate_orders(gamma, comp, fl, None, True)
     monkeypatch.setattr(sequences, "equivalent", _no_equivalent)
     got = enumerate_orders(None, gamma, comp, fl)
     assert len(want) == 1
@@ -827,4 +637,4 @@ def test_equivalent_tied_kronecker_needs_no_search(n):
             else:
                 assert sigma is None
             if n == 6:
-                assert repr((ok, sigma)) == repr(_ref_equivalent(s1, s2, comp, fl))
+                assert repr((ok, sigma)) == repr(ref.equivalent(s1, s2, comp, fl))
