@@ -16,17 +16,21 @@ Every structure constant here is a product of linear forms mu + j h, and
 one factor rule makes them all: ``_relation_factors`` (the relation above)
 and ``_lowering_factors`` (the matter-forgetting map) list (mu, j) pairs,
 and ``_forms`` alone turns pairs into forms, with h symbolic or specialized,
-each straight from the term dict of mu's form.  ``mul`` builds the shift
-map x -> x + h xi once per xi of its left operand, each x_i + xi_i h from a
-term dict, and adds every term's coefficient into one dict keyed by
-xi + nu, so the element is built once, at the end.
-``_product`` merges its forms straight into a RationalFunction's factor
-dict.  ``_product`` and ``_quotient`` keep the forms as factors, never
-expanded: coefficients multiply, cancel and compare
-factor by factor, and are expanded only when printed.  ``_values`` gives
-the forms' values at a weight (h = 1), without building the forms, in
+each from the term dict of mu's form, which a matter weight builds once,
+when it is made.  ``mul`` builds the shift map x -> x + h xi once per xi of
+its left operand, each x_i + xi_i h from a term dict.  The coefficient of
+each term f r_xi times g r_nu is one RationalFunction, built from the
+merged factors of f, of g(x + h xi) and of the relation coefficient; the
+terms add into one dict keyed by xi + nu, so the element is built once, at
+the end.  ``_product`` and ``_quotient`` merge their forms straight into a
+factor dict and build one RationalFunction each.  Forms stay factors,
+never expanded: coefficients multiply, cancel and compare factor by
+factor, and are expanded only when printed.  ``_values`` gives the forms'
+values at a weight (h = 1), without building the forms, in
 ``poly.coefficient``'s normal form.  Theories and weight modules are
-frozen values: a module pairs its matter with gamma0 once, when it is made.
+frozen values: a module pairs its matter with gamma0 once, when it is
+made.  Integer coordinates (gauge vectors, monopole keys, active
+coweights) are checked, not truncated.
 ``rxi_closed_form`` writes its factors out by hand on purpose: it is the
 independent oracle that the monopole suite checks ``mul`` against.
 """
@@ -38,8 +42,8 @@ from fractions import Fraction
 from math import prod
 from operator import mul as _times
 
-from .poly import (HBAR, ONE_POLY, Polynomial, RationalFunction, _Factors,
-                   _factor_key, _merge, as_poly, coefficient)
+from .poly import (HBAR, ONE_POLY, Polynomial, RationalFunction, _divide_out,
+                   _Factors, _factor_key, _merge, as_poly, coefficient)
 from .scalars import ExactScalar, as_scalar, row_reduce
 
 
@@ -51,33 +55,71 @@ class MatterNotInvariantError(ValueError):
     pass
 
 
+def _integer(n, what, vector):
+    """n as an int: an int, or a value equal to one such as Fraction(2); a
+    ValueError naming the entry otherwise."""
+    try:
+        i = int(n)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != n:
+        raise ValueError("%s %r has a non-integer entry %r" % (what, vector, n))
+    return i
+
+
+def _integer_vector(vector, what):
+    """vector as a tuple of ints; an entry that is not an integer raises
+    ValueError instead of being truncated."""
+    vector = tuple(vector)
+    for n in vector:
+        if type(n) is not int:
+            return tuple(_integer(n, what, vector) for n in vector)
+    return vector
+
+
+_H = ((HBAR, 1),)  # the monomial h, a form's h slot
+
+
 @dataclass(frozen=True)
 class MatterWeight:
     gauge: tuple                    # integer vector, length = rank
     flavour_shift: ExactScalar = None
     hbar_shift: Fraction = Fraction(0)
+    # form() with h symbolic, built once
+    _form: Polynomial = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "gauge", tuple(int(g) for g in self.gauge))
+        object.__setattr__(self, "gauge", _integer_vector(self.gauge, "gauge vector"))
         object.__setattr__(self, "flavour_shift",
                            as_scalar(self.flavour_shift or 0))
         object.__setattr__(self, "hbar_shift", Fraction(self.hbar_shift))
+        coeffs = {("x%d" % (i + 1)): g for i, g in enumerate(self.gauge) if g}
+        if self.hbar_shift:
+            coeffs[HBAR] = self.hbar_shift
+        object.__setattr__(self, "_form",
+                           Polynomial.linear(coeffs, self.flavour_shift))
 
     def pair(self, nu):
         """Pairing with a gauge coweight."""
         return sum(map(_times, self.gauge, nu))
 
+    def _terms(self, hbar=None):
+        """The term dict of form(hbar): the stored one with h symbolic (not
+        to be changed), else a copy with hbar_shift * hbar folded into the
+        constant."""
+        if hbar is None:
+            return self._form.terms
+        terms = dict(self._form.terms)
+        shift = terms.pop(_H, 0)
+        const = coefficient(terms.pop((), 0) + shift * hbar)
+        if const:
+            terms[()] = const
+        return terms
+
     def form(self, hbar=None):
         """The linear form mu as a polynomial; hbar=None keeps h symbolic,
         otherwise h is specialized."""
-        coeffs = {("x%d" % (i + 1)): g for i, g in enumerate(self.gauge) if g}
-        const = self.flavour_shift
-        if hbar is None:
-            if self.hbar_shift:
-                coeffs[HBAR] = coeffs.get(HBAR, 0) + self.hbar_shift
-        else:
-            const = coefficient(const) + self.hbar_shift * hbar
-        return Polynomial.linear(coeffs, const)
+        return self._form if hbar is None else Polynomial(self._terms(hbar))
 
     def dual(self):
         return MatterWeight(tuple(-g for g in self.gauge), -self.flavour_shift,
@@ -141,16 +183,17 @@ def _lowering_factors(matter, xi):
 
 def _forms(pairs, hbar=None):
     """The linear forms mu + j h of (mu, j) pairs, in order; hbar=None keeps
-    h symbolic, otherwise h is specialized to hbar.  Each form is mu.form's
-    term dict with j h added to the h slot (the constant slot when h is
-    specialized).  Every caller lists the pairs of one matter weight
-    together, so mu.form is built once per run."""
-    slot, step = (((HBAR, 1),), 1) if hbar is None else ((), hbar)
+    h symbolic, otherwise h is specialized to hbar.  Each form is mu's
+    stored term dict (``MatterWeight._terms``) with j h added to the h slot
+    (the constant slot when h is specialized).  Every caller lists the pairs
+    of one matter weight together, so a specialized dict is folded once per
+    run."""
+    slot, step = (_H, 1) if hbar is None else ((), hbar)
     out = []
     last = form = None
     for mu, j in pairs:
         if mu is not last:
-            last, form = mu, mu.form(hbar).terms
+            last, form = mu, mu._terms(hbar)
         terms = dict(form)
         terms[slot] = terms.get(slot, 0) + j * step
         out.append(Polynomial(terms))
@@ -185,9 +228,24 @@ def _product(pairs, hbar=None):
 
 
 def _quotient(num, pairs, hbar=None):
-    """num over the forms of pairs, kept as denominator factors in order."""
-    return RationalFunction.of(num) \
-        * RationalFunction(ONE_POLY, [(f, 1) for f in _forms(pairs, hbar)])
+    """num (a RationalFunction) over the forms of pairs, kept as denominator
+    factors in order, built as one RationalFunction.  The forms are merged
+    among themselves first, then into a copy of num's factors, so the
+    factors come in the order of num times the function of the forms alone;
+    merged one at a time, a form that cancels a numerator factor and comes
+    back later would land in another place."""
+    den = _Factors()
+    for f in _forms(pairs, hbar):
+        if not f:
+            raise ZeroDivisionError("zero denominator factor")
+        _merge(den, _factor_key(f), f, -1)
+    factors = _Factors(num.factors)
+    for key, (f, e) in den.items():
+        _merge(factors, key, f, e)
+    return RationalFunction(num.poly, factors)
+
+
+_ONE = RationalFunction(ONE_POLY)
 
 
 def relation_coefficient(theory, xi, nu):
@@ -206,7 +264,7 @@ class MonopoleElement:
             for nu, coeff in terms.items():
                 coeff = RationalFunction.of(coeff)
                 if coeff:
-                    clean[tuple(int(n) for n in nu)] = coeff
+                    clean[_integer_vector(nu, "coweight")] = coeff
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, *a):
@@ -214,7 +272,7 @@ class MonopoleElement:
 
     @staticmethod
     def r(nu):
-        return MonopoleElement({tuple(nu): RationalFunction(ONE_POLY)})
+        return MonopoleElement({tuple(nu): _ONE})
 
     def __bool__(self):
         return bool(self.terms)
@@ -253,7 +311,7 @@ class MonopoleElement:
 def _shift_map(xi, hbar=None):
     """x_i -> x_i + xi_i * h (or + xi_i * hbar when h is specialized), each
     built from its term dict."""
-    slot, step = (((HBAR, 1),), 1) if hbar is None else ((), Fraction(hbar))
+    slot, step = (_H, 1) if hbar is None else ((), Fraction(hbar))
     out = {}
     for i, n in enumerate(xi):
         if n:
@@ -263,15 +321,33 @@ def _shift_map(xi, hbar=None):
 
 
 def mul(a, b, theory):
-    """Product in the abelian Coulomb branch algebra: each term's coefficient
-    is added into one dict keyed by xi + nu, a sum that cancels is dropped,
-    and the element is built from the dict at the end."""
+    """Product in the abelian Coulomb branch algebra.  The coefficient
+    f(x) g(x + h xi) c of r_{xi+nu}, c the relation coefficient of (xi, nu),
+    is built as one RationalFunction:
+    - f's factors, then g's factors shifted.  The shift x -> x + h xi is
+      invertible: it keeps g's factors apart, and none of them divides g's
+      shifted poly, as none divided g's poly.  So g(x + h xi) is not built.
+    - The product of the polys is trial-divided by those factors, as the
+      product f g(x + h xi) would be.
+    - Then c's factors are merged in.
+    Each coefficient is added into one dict keyed by xi + nu, a sum that
+    cancels is dropped, and the element is built from the dict at the
+    end."""
     terms = {}
     for xi, f in a.terms.items():
         shift = _shift_map(xi)
         for nu, g in b.terms.items():
-            coeff = f * g.substitute(shift) \
-                * relation_coefficient(theory, xi, nu)
+            factors = _Factors(f.factors)
+            for p, e in g.factors.values():
+                p = p.substitute(shift)
+                _merge(factors, _factor_key(p), p, e)
+            poly = f.poly * g.poly.substitute(shift)
+            if factors:
+                poly, factors = _divide_out(poly, factors)
+            c = relation_coefficient(theory, xi, nu)
+            for key, (p, e) in c.factors.items():
+                _merge(factors, key, p, e)
+            coeff = RationalFunction(poly * c.poly, factors)
             if not coeff:
                 continue
             key = tuple(x + n for x, n in zip(xi, nu))
@@ -292,7 +368,7 @@ def inv_monopole(xi, nu, theory):
     target = tuple(n - x for n, x in zip(nu, xi))
     den = [(mu, j - mu.pair(xi))
            for mu, j in _relation_factors(theory.matter, xi, target)]
-    return MonopoleElement({target: _quotient(ONE_POLY, den)})
+    return MonopoleElement({target: _quotient(_ONE, den)})
 
 
 def rxi_pairing(xi, theory):
@@ -474,7 +550,7 @@ class UniversalWeightModule:
         matter = self.theory.matter
         object.__setattr__(self, "gamma0", gamma0)
         object.__setattr__(self, "active", frozenset(
-            tuple(int(x) for x in nu) for nu in self.active))
+            _integer_vector(nu, "active coweight") for nu in self.active))
         object.__setattr__(self, "_at", tuple(zip(
             matter, _values([(mu, 0) for mu in matter], gamma0))))
 

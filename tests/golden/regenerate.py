@@ -119,6 +119,15 @@ CASES = [
     ["suite", "restriction"],
     ["suite", "monopole"],
     ["suite", "relations", "--bound", "2"],
+    # the monopole suite on two more seeds; multi-term products on rank 2
+    # with h-shifted, Gaussian and rational matter
+    ["suite", "monopole", "--seed", "1"],
+    ["suite", "monopole", "--seed", "2"],
+    ["monopole-mul", "--rank", "2", "--matter", "1,1;0;1/2", "--matter=-1,2;1+1i",
+     "--matter", "0,1;1/2", "x1*r[1,0] - r[0,-1]", "r[-2,1] + 2*x2*r[0,1]"],
+    ["monopole-mul", "--rank", "2", "--matter", "1,-1;0;-1", "--matter",
+     "2,1;1-1/2i", "--matter=-1,1;1/3", "r[1,1] + x2*r[-1,0]",
+     "h*r[1,-1] - x1*r[0,2]"],
 ]
 
 

@@ -1,5 +1,6 @@
 """The Coulomb layer as it was: the factor loops (those that take
-``seen`` count the branches they take), the ExactScalar evaluators of a
+``seen`` count the branches they take), a matter weight's form built on
+every call, the two-product quotient, the ExactScalar evaluators of a
 weight module, the all-starts res_support walk, the one-element-per-term
 mul fold; and a BFN product of its own on dense exponent dicts."""
 
@@ -7,7 +8,8 @@ from fractions import Fraction
 
 from klrwcb.coulomb import (MonopoleElement, UniversalWeightModule, d, _coset_key,
                             _forms, _relation_factors, _steps_between)
-from klrwcb.poly import HBAR, ONE_POLY, Polynomial, RationalFunction, as_poly
+from klrwcb.poly import (HBAR, ONE_POLY, Polynomial, RationalFunction, as_poly,
+                         coefficient)
 from klrwcb.scalars import ExactScalar, as_scalar, is_integral
 
 h = Polynomial.variable(HBAR)
@@ -135,10 +137,23 @@ def rxi_closed_form(xi, theory):
             MonopoleElement({zero: RationalFunction.of(second)}))
 
 
+def form(mu, hbar=None):
+    """The former MatterWeight.form: the linear form built from the fields
+    on every call; hbar=None keeps h symbolic."""
+    coeffs = {("x%d" % (i + 1)): g for i, g in enumerate(mu.gauge) if g}
+    const = mu.flavour_shift
+    if hbar is None:
+        if mu.hbar_shift:
+            coeffs[HBAR] = coeffs.get(HBAR, 0) + mu.hbar_shift
+    else:
+        const = coefficient(const) + mu.hbar_shift * hbar
+    return Polynomial.linear(coeffs, const)
+
+
 def forms(pairs, hbar=None):
-    """The former _forms: mu.form(hbar) + j h through Polynomial arithmetic."""
+    """The former _forms: form(mu, hbar) + j h through Polynomial arithmetic."""
     step = Polynomial.variable(HBAR) if hbar is None else hbar
-    return [mu.form(hbar) + j * step for mu, j in pairs]
+    return [form(mu, hbar) + j * step for mu, j in pairs]
 
 
 def shift_map(xi, hbar=None):
@@ -151,6 +166,13 @@ def shift_map(xi, hbar=None):
 def product(pairs, hbar=None):
     """The former _product: the forms through the constructor's list path."""
     return RationalFunction(ONE_POLY, [(f, -1) for f in _forms(pairs, hbar)])
+
+
+def quotient(num, pairs, hbar=None):
+    """The former _quotient: num times the function of the forms alone,
+    built through the constructor's list path."""
+    return RationalFunction.of(num) \
+        * RationalFunction(ONE_POLY, [(f, 1) for f in _forms(pairs, hbar)])
 
 
 def mul(a, b, theory):

@@ -15,7 +15,8 @@ from klrwcb.coulomb import (BadCocharacterError, MatterNotInvariantError,
                             phi0_prime, relation_coefficient, res_support,
                             rxi_closed_form, rxi_pairing,
                             transition_eigenvalues, transition_invertible,
-                            xi_negative, _forms, _product, _shift_map)
+                            xi_negative, _forms, _product, _quotient,
+                            _shift_map)
 from klrwcb.poly import (HBAR, ONE_POLY, Polynomial, RationalFunction,
                          _factor_key, as_poly, coefficient)
 from klrwcb.scalars import ExactScalar, as_scalar
@@ -286,12 +287,39 @@ def test_theories_and_modules_are_frozen():
     assert type(th.matter) is tuple and th.matter[1] == MatterWeight((0, 1), Fraction(1, 2))
     assert m.active == frozenset({(0, 0), (1, 1)})
     for obj, name, value in ((th, "rank", 3), (th, "matter", ()),
+                             (th.matter[0], "gauge", (0, 0)),
+                             (th.matter[0], "_form", ONE_POLY),
                              (m, "theory", TH2), (m, "gamma0", (0, 0)),
                              (m, "active", frozenset())):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, name, value)
     assert m == UniversalWeightModule(th, (Fraction(1, 2), 0), {(0, 0), (1, 1)})
     assert hash(m) == hash(UniversalWeightModule(th, m.gamma0, m.active))
+
+
+def test_integer_coordinates_are_checked_not_truncated():
+    """A gauge vector, a monopole key or an active coweight with an entry
+    that is not an integer raises ValueError naming the entry; an integral
+    Fraction reads as its int."""
+    cases = (
+        ("gauge vector", MatterWeight, lambda mw: mw.gauge),
+        ("gauge vector", lambda v: TorusTheory(len(v), [(v,)]),
+         lambda th: th.matter[0].gauge),
+        ("coweight", lambda v: MonopoleElement({v: 1}),
+         lambda el: next(iter(el.terms))),
+        ("coweight", MonopoleElement.r, lambda el: next(iter(el.terms))),
+        ("active coweight",
+         lambda v: UniversalWeightModule(TorusTheory(len(v)), (0,) * len(v), {v}),
+         lambda m: next(iter(m.active))),
+    )
+    for what, make, read in cases:
+        for bad, entry in (((Fraction(1, 2), 1), "Fraction(1, 2)"),
+                           ((1.7,), "1.7"), ((0, Fraction(3, 2)), "Fraction(3, 2)")):
+            with pytest.raises(ValueError, match=re.escape(
+                    "%s %r has a non-integer entry %s" % (what, bad, entry))):
+                make(bad)
+        got = read(make((Fraction(4, 2), -1)))
+        assert got == (2, -1) and [type(n) for n in got] == [int, int]
 
 
 TH2 = TorusTheory(2, [MatterWeight((1, 1))])
@@ -399,6 +427,32 @@ def test_forms_match_polynomial_arithmetic():
                 tally["complex"] += bool(mu.flavour_shift.imaginary)
                 tally["slot cancels"] += j != 0 and slot not in f.terms
     assert min(tally.values()) >= 20, tally
+
+
+def test_matter_weight_stores_its_form():
+    """The h-symbolic form is built once, when the weight is made, also by
+    dual() and by TorusTheory's tuple path; it and form(hbar) are the
+    former construction, term order and coefficient types included; the
+    stored form is no part of ==, hash or repr."""
+    rng = random.Random(34)
+    shifts = [0, Fraction(1, 2), -1, ExactScalar(Fraction(1, 2), 1),
+              ExactScalar(0, 0, {"s": 1})]
+    for _ in range(40):
+        rank = rng.randint(1, 3)
+        mu = MatterWeight(tuple(rng.randint(-2, 2) for _ in range(rank)),
+                          rng.choice(shifts), rng.choice([0, 1, Fraction(-1, 2)]))
+        th = TorusTheory(rank, [(mu.gauge, mu.flavour_shift, mu.hbar_shift)])
+        for w in (mu, mu.dual(), th.matter[0]):
+            assert w.form() is w.form() is vars(w)["_form"]
+            for hbar in (None, 1, Fraction(-1, 2), 0):
+                got, want = w.form(hbar), ref.form(w, hbar)
+                assert list(got.terms.items()) == list(want.terms.items())
+                assert [type(c) for c in got.terms.values()] == \
+                    [type(c) for c in want.terms.values()]
+        other = MatterWeight(mu.gauge, mu.flavour_shift, mu.hbar_shift)
+        object.__setattr__(other, "_form", ONE_POLY)
+        assert other == mu and hash(other) == hash(mu) and repr(other) == repr(mu)
+        assert "_form" not in repr(mu)
 
 
 def _evaluation_case(rng, kind):
@@ -619,6 +673,32 @@ def test_mul_matches_the_former_fold():
     assert min(tally.values()) >= 10, tally
 
 
+def test_mul_divides_f_times_shifted_g_first():
+    """Where g(x + h xi) is divisible by a denominator factor of f, the
+    product f g(x + h xi) divides it out before the relation factors merge,
+    as the former two products did: the same poly and the same factors in
+    the same order."""
+    rng = random.Random(34)
+    divided = 0
+    for _ in range(60):
+        th = _mul_theory(rng)
+        while True:
+            a = inv_monopole(suites.random_coweight(rng, th.rank),
+                             suites.random_coweight(rng, th.rank, nonzero=False), th)
+            (xi, f), = a.terms.items()
+            den = [p for p, e in f.factors.values() if e < 0]
+            if den:
+                break
+        back = ref.shift_map(tuple(-x for x in xi))
+        g = rng.choice(den).substitute(back) * (x1 + rng.randint(-2, 2))
+        b = MonopoleElement({suites.random_coweight(rng, th.rank, bound=1,
+                                                    nonzero=False): g})
+        _same_element(mul(a, b, th), ref.mul(a, b, th))
+        shifted = RationalFunction.of(g).substitute(ref.shift_map(xi))
+        divided += len((f * shifted).factors) < len(f.factors)
+    assert divided >= 40, divided
+
+
 def test_shift_map_matches_polynomial_arithmetic():
     for xi in ((1,), (0, -2), (3, 0, -1), (Fraction(1, 2), -1)):
         for hbar in (None, 1, Fraction(-1, 2), 0):
@@ -653,4 +733,36 @@ def test_product_merges_forms_as_the_constructor_did():
             got, want = _product(pairs, hbar), ref.product(pairs, hbar)
             _same_rf(got, want)
             tally["zero" if not want else "nonzero"] += 1
+    assert min(tally.values()) >= 20, tally
+
+
+def test_quotient_matches_the_former_two_products():
+    """_quotient against num times the function of the forms alone: num
+    with numerator factors of its own (as kappa passes it), with
+    denominator factors too, or 1; repeated forms, forms that cancel a
+    numerator factor, in any order; h symbolic and h = 1."""
+    rng = random.Random(34)
+    tally = Counter()
+    for _ in range(80):
+        rank = rng.randint(1, 2)
+        matter = [MatterWeight(suites.random_coweight(rng, rank),
+                               rng.choice([0, Fraction(1, 2), ExactScalar(0, 1)]),
+                               rng.choice([0, 1]))
+                  for _ in range(rng.randint(1, 3))]
+        pairs = [(mu, j) for mu in matter for j in range(-2, 3)]
+        top = [p for p in pairs if rng.random() < 0.4]
+        den = [p for p in pairs if rng.random() < 0.4]
+        den += den[:rng.randint(0, 2)]
+        rng.shuffle(den)
+        for hbar in (None, 1):
+            kind = rng.choice(["one", "numerator", "both"])
+            num = {"one": lambda: RationalFunction.of(1),
+                   "numerator": lambda: ref.product(top, hbar),
+                   "both": lambda: ref.quotient(ref.product(top, hbar) * (x1 + 1),
+                                                den[:1], hbar)}[kind]()
+            keys = [_factor_key(f) for f in _forms(den, hbar)]
+            tally[kind] += 1
+            tally["repeated"] += len(set(keys)) < len(keys)
+            tally["cancels"] += any(num.factors.get(k, (0, 0))[1] > 0 for k in keys)
+            _same_rf(_quotient(num, den, hbar), ref.quotient(num, den, hbar))
     assert min(tally.values()) >= 20, tally
