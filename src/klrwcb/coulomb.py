@@ -30,7 +30,9 @@ values at a weight (h = 1), without building the forms, in
 ``poly.coefficient``'s normal form.  Theories and weight modules are
 frozen values: a module pairs its matter with gamma0 once, when it is
 made.  Integer coordinates (gauge vectors, monopole keys, active
-coweights) are checked, not truncated.
+coweights, a coweight xi) are checked, not truncated.  The module side
+groups the active weights into Z xi-cosets once, in ints (``_chains``),
+for both ``res_support`` and ``hamiltonian_reduce``.
 ``rxi_closed_form`` writes its factors out by hand on purpose: it is the
 independent oracle that the monopole suite checks ``mul`` against.
 """
@@ -491,9 +493,14 @@ def _of_rank(what, vector, owner, rank):
     return vector
 
 
+def _coweight(xi, owner, rank):
+    """xi as a tuple of ints of the owner's rank (a ValueError otherwise)."""
+    return _integer_vector(_of_rank("coweight", xi, owner, rank), "coweight")
+
+
 def _nonzero_coweight(xi, module):
-    """xi as a tuple of the module's rank; a ValueError when it is zero."""
-    xi = _of_rank("coweight", xi, "module", module.theory.rank)
+    """xi as a tuple of ints of the module's rank; a ValueError if it is 0."""
+    xi = _coweight(xi, "module", module.theory.rank)
     if not any(xi):
         raise ValueError("xi must be a nonzero coweight")
     return xi
@@ -504,7 +511,7 @@ def xi_negative(lam_point, xi, theory):
     negative-pairing weight hits a non-positive integer (the stabilizer
     condition is trivially true for a torus)."""
     lam_point = _of_rank("weight point", lam_point, "theory", theory.rank)
-    xi = _of_rank("coweight", xi, "theory", theory.rank)
+    xi = _coweight(xi, "theory", theory.rank)
     matter = [mu for mu in theory.matter if mu.pair(xi)]
     for mu, value in zip(matter, _values([(mu, 0) for mu in matter], lam_point)):
         if type(value) is int and (value > 0) == (mu.pair(xi) > 0):
@@ -516,7 +523,7 @@ def transition_eigenvalues(nu_point, xi, theory):
     """Eigenvalues of r_{-xi} r_xi on the weight space at nu_point (h=1):
     the factors of its relation coefficient, evaluated."""
     nu_point = _of_rank("weight point", nu_point, "theory", theory.rank)
-    xi = _of_rank("coweight", xi, "theory", theory.rank)
+    xi = _coweight(xi, "theory", theory.rank)
     neg = tuple(-x for x in xi)
     return _values(_relation_factors(theory.matter, neg, xi), nu_point)
 
@@ -580,39 +587,44 @@ class UniversalWeightModule:
 
 
 def _coset_key(nu, xi):
-    """Canonical representative of nu + Z xi (as a tuple of Fractions)."""
-    num = sum(a * b for a, b in zip(nu, xi))
-    den = sum(b * b for b in xi)
-    k = num // den if den else 0
-    return tuple(Fraction(a - k * b) for a, b in zip(nu, xi))
+    """(key, k) with nu = key + k xi, in ints, for an integer coweight
+    xi != 0: k = <nu, xi> // <xi, xi>, and key is the canonical
+    representative of nu + Z xi, the one with 0 <= <key, xi> < <xi, xi>."""
+    k = sum(map(_times, nu, xi)) // sum(b * b for b in xi)
+    return tuple(a - k * b for a, b in zip(nu, xi)), k
+
+
+def _chains(module, xi):
+    """The active weights grouped by Z xi-coset: {key: {k: nu}} with
+    nu = key + k xi (``_coset_key``), cosets in first-seen order."""
+    chains = {}
+    for nu in module.active:
+        key, k = _coset_key(nu, xi)
+        chains.setdefault(key, {})[k] = nu
+    return chains
 
 
 def res_support(module, xi):
-    """Direct-limit dimensions of the transition system along xi.
+    """Direct-limit dimensions of the transition system along xi, keyed by
+    the coset representatives of ``_coset_key``.
 
     For each Z xi-coset of active weights the chain b_nu -> b_{nu-xi} -> ...
     is extended analytically beyond the deepest active element; the
     reported dimension is the stabilized rank: 1 when some active weight
     sees only nonzero transition scalars all the way down, else 0.
 
-    Only the deepest active weight of a coset is walked.  The walk length
-    comes from the box: 2 * diam + 2 steps, where diam is the largest
-    coordinate spread of the active weights.  The walk from any active
-    start runs down the same line to the same last weight, deepest -
-    (2 * diam + 1) xi, so it contains the deepest weight's walk: some start
-    sees only nonzero scalars iff the deepest one does.
+    Only the deepest active weight of a coset, the one of least k, is
+    walked.  The walk length comes from the box: 2 * diam + 2 steps, where
+    diam is the largest coordinate spread of the active weights.  The walk
+    from any active start runs down the same line to the same last weight,
+    deepest - (2 * diam + 1) xi, so it contains the deepest weight's walk:
+    some start sees only nonzero scalars iff the deepest one does.
     """
     xi = _nonzero_coweight(xi, module)
-    chains = {}
-    for nu in module.active:
-        chains.setdefault(_coset_key(nu, xi), []).append(nu)
-    diam = 0
-    for i in range(len(xi)):
-        coords = [nu[i] for nu in module.active]
-        diam = max(diam, max(coords) - min(coords)) if coords else 0
+    diam = max((max(c) - min(c) for c in zip(*module.active)), default=0)
     result = {}
-    for key, nus in chains.items():
-        nu = min(nus, key=lambda nu: sum(a * b for a, b in zip(nu, xi)))
+    for key, chain in _chains(module, xi).items():
+        nu = chain[min(chain)]
         dim = 1
         for _ in range(2 * diam + 2):
             if module.action_is_zero(xi, nu):
@@ -623,62 +635,48 @@ def res_support(module, xi):
     return result
 
 
-def _steps_between(top, bottom, xi):
-    for i, x in enumerate(xi):
-        if x:
-            return (top[i] - bottom[i]) // x
-
-
 def hamiltonian_reduce(module, xi):
     """Weight dimensions of M/(r_xi - 1)M for xi acting trivially on matter.
 
-    Returns (formula, oracle): both map the projected weight (a canonical
-    representative of gamma mod C xi) to a dimension; the formula counts
-    occupied Z xi-cosets, the oracle runs exact linear algebra on the
-    truncated relation matrix.  They must agree.
+    Returns (formula, oracle): both map the projected weight, the point
+    nu - (<nu, xi> / <xi, xi>) xi of the line nu + Q xi (a tuple of
+    Fractions), to a dimension.  The Z xi-cosets of ``_chains`` are grouped
+    by line, lines in first-seen order.  The formula counts a line's
+    cosets, each of which must have no gaps; the oracle runs exact linear
+    algebra on the truncated relation matrix of the line's weights.  They
+    must agree.
     """
     xi = _nonzero_coweight(xi, module)
     for mu in module.theory.matter:
         if mu.pair(xi) != 0:
             raise MatterNotInvariantError("matter weight %r pairs to %s"
                                           % (mu, mu.pair(xi)))
-    # group active weights by gamma mod C xi, i.e. nu mod Q xi
-    classes = {}
-    for nu in module.active:
-        classes.setdefault(_line_coset_key(nu, xi), []).append(nu)
-
-    formula = {}
-    oracle = {}
-    for key, nus in classes.items():
-        zcosets = {}
-        for nu in nus:
-            zcosets.setdefault(_coset_key(nu, xi), []).append(nu)
-        for chain in zcosets.values():
-            depths = sorted(_steps_between(nu, chain[0], xi) for nu in chain)
-            if depths != list(range(depths[0], depths[0] + len(depths))):
+    # a coset key with <key, xi> = r lies on the line of key - (r / d) xi
+    d = sum(b * b for b in xi)
+    lines = {}
+    for key, chain in _chains(module, xi).items():
+        r = sum(map(_times, key, xi))
+        lines.setdefault(tuple(Fraction(d * a - r * b, d) for a, b in zip(key, xi)),
+                         []).append(chain)
+    formula, oracle = {}, {}
+    for line, chains in lines.items():
+        for chain in chains:
+            if max(chain) - min(chain) != len(chain) - 1:
                 raise ValueError("active set has gaps along xi; truncate to a box")
-        formula[key] = len(zcosets)
+        formula[line] = len(chains)
         # oracle: dim of span(b_nu) / span{(r_xi - 1) b_nu : nu, nu-xi active}
+        nus = [nu for chain in chains for nu in chain.values()]
         index = {nu: i for i, nu in enumerate(sorted(nus))}
         rows = []
-        active = set(nus)
         for nu in nus:
             target = tuple(a - b for a, b in zip(nu, xi))
-            if target in active:
-                row = [Fraction(0)] * len(index)
+            if target in index:
+                row = [0] * len(index)
                 c = module.action_scalar(xi, nu)
                 if type(c) is ExactScalar:
                     raise ArithmeticError("non-rational transition scalar")
                 row[index[target]] += c
                 row[index[nu]] -= 1
                 rows.append(row)
-        oracle[key] = len(index) - len(row_reduce(rows)[1])
+        oracle[line] = len(index) - len(row_reduce(rows)[1])
     return formula, oracle
-
-
-def _line_coset_key(nu, xi):
-    num = Fraction(sum(a * b for a, b in zip(nu, xi)))
-    den = Fraction(sum(b * b for b in xi))
-    t = num / den
-    return tuple(Fraction(a) - t * b for a, b in zip(nu, xi))
-

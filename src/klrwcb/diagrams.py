@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import HBAR, ONE_POLY, Polynomial
-from .scalars import as_scalar, is_integral_difference
+from .scalars import as_scalar, is_integral_difference, z_class
 from .sequences import FlavouredSequence, corporeal, from_weight, is_unsteady
 
 
@@ -226,11 +226,7 @@ class Engine:
             for pos, it in enumerate(seq.order):
                 if not it.is_corporeal():
                     continue
-                # the class of coset_rep(a), keyed without building it
-                a = seq.longitudes[it.k - 1]
-                q = a.rational
-                key = (str(seq.labels[it.k - 1]), q.numerator % q.denominator,
-                       q.denominator, a.imaginary, a.symbolic)
+                key = (str(seq.labels[it.k - 1]), z_class(seq.longitudes[it.k - 1]))
                 out.setdefault(key, []).append(it.k)
             return out
 

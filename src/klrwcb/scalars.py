@@ -17,6 +17,8 @@ on Fraction parts pays for no second conversion.  Sums and differences
 skip the Fraction arithmetic of a zero part, such as the imaginary parts
 of two real scalars.  Order keys are integers: real_keys puts the real
 parts over one common denominator, so sorts and tie checks compare ints.
+A class of C/Z has one key, z_class; is_integral, is_integral_difference
+and coset_rep read it, and so does the diagram engine's strand matching.
 """
 
 from __future__ import annotations
@@ -236,30 +238,33 @@ def as_scalar(x):
     raise TypeError("cannot interpret %r as ExactScalar" % (x,))
 
 
-def is_integral(a):
+def z_class(a):
+    """The class of a + Z as a hashable key: (p mod q, q) for the reduced
+    rational part p/q, then the imaginary and symbolic parts.  a - b is an
+    integer iff z_class(a) == z_class(b)."""
     a = as_scalar(a)
-    return (not a.imaginary and not a.symbolic
-            and a.rational.denominator == 1)
+    q = a.rational
+    return q.numerator % q.denominator, q.denominator, a.imaginary, a.symbolic
+
+
+_INTEGERS = z_class(0)
+
+
+def is_integral(a):
+    return z_class(a) == _INTEGERS
 
 
 def is_integral_difference(a, b):
     """True iff a - b lies in Z: equal imaginary parts, equal symbol parts,
-    integer rational difference."""
-    a, b = as_scalar(a), as_scalar(b)
-    if a.imaginary != b.imaginary or a.symbolic != b.symbolic:
-        return False
-    # reduced p/q and r/s differ by an integer iff q == s and q divides p - r
-    p, q = a.rational.numerator, a.rational.denominator
-    r, s = b.rational.numerator, b.rational.denominator
-    return q == s and (p - r) % q == 0
+    rational parts in one class of Q/Z."""
+    return z_class(a) == z_class(b)
 
 
 def coset_rep(a):
     """Canonical representative of a + Z: rational part reduced into [0,1),
     imaginary and symbolic parts untouched."""
-    a = as_scalar(a)
-    q = a.rational
-    return ExactScalar(q - q.numerator // q.denominator, a.imaginary, dict(a.symbolic))
+    p, q, imaginary, symbolic = z_class(a)
+    return ExactScalar(Fraction(p, q), imaginary, dict(symbolic))
 
 
 def real_compare(a, b, table=None):

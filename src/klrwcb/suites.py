@@ -170,7 +170,7 @@ def suite_restriction(seed=0, n=50, k_range=10):
         for nu in m.active:
             point = m.weight_of(nu)
             if xi_negative(point, xi, m.theory):
-                key = _coset_key(nu, xi)
+                key, _ = _coset_key(nu, xi)
                 if support.get(key) != 1:
                     out["ok"] = False
                     out["witnesses"].append(("res-weight", trial, nu, xi))

@@ -128,6 +128,34 @@ CASES = [
     ["monopole-mul", "--rank", "2", "--matter", "1,-1;0;-1", "--matter",
      "2,1;1-1/2i", "--matter=-1,1;1/3", "r[1,1] + x2*r[-1,0]",
      "h*r[1,-1] - x1*r[0,2]"],
+    # the module side on rank 2: xi with gcd > 1 and with negative entries,
+    # negative-charge matter, symbolic and Gaussian gamma0, boxes 2 and 3;
+    # qhr prints non-integer line keys, and refuses matter that xi moves
+    ["res-support", "--rank", "2", "--matter", "1,0", "--matter=0,-1;1/2",
+     "--gamma0", "1/3,sym:sqrt2", "--box", "3", "--xi=2,-1"],
+    ["res-support", "--rank", "2", "--matter=-1,0", "--matter", "1,1", "--gamma0",
+     "0,0", "--box", "3", "--xi", "1,1"],
+    ["res-support", "--rank", "2", "--matter=-1,1", "--matter", "1,0;1/2",
+     "--gamma0", "0,1", "--box", "3", "--xi", "2,-1"],
+    ["res-support", "--rank", "2", "--matter=-1,1", "--gamma0", "0,sym:sqrt2",
+     "--box", "3", "--xi", "2,0"],
+    ["res-support", "--rank", "2", "--matter", "1,2;1", "--matter=-2,1",
+     "--gamma0", "1,1+1i", "--box", "2", "--xi=-1,1"],
+    ["qhr", "--rank", "2", "--matter=-1,1", "--gamma0", "1/2,0", "--box", "3",
+     "--xi", "1,1"],
+    ["qhr", "--rank", "2", "--matter", "1,2", "--gamma0", "sym:sqrt2,1/3",
+     "--box", "3", "--xi=2,-1"],
+    ["qhr", "--rank", "2", "--matter", "0,1", "--gamma0", "1+1i,0", "--box", "2",
+     "--xi", "2,0"],
+    ["qhr", "--rank", "2", "--matter", "1,1", "--gamma0", "0,0", "--box", "3",
+     "--xi=-1,1"],
+    ["qhr", "--rank", "2", "--matter", "1,0", "--gamma0", "0,0", "--box", "3",
+     "--xi", "1,1"],
+    ["qhr", "--rank", "2", "--matter", "1,1", "--gamma0", "0,0", "--box", "3",
+     "--xi", "0,0"],
+    # the restriction suite on two more seeds
+    ["suite", "restriction", "--seed", "1"],
+    ["suite", "restriction", "--seed", "2"],
 ]
 
 

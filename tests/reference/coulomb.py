@@ -1,16 +1,18 @@
 """The Coulomb layer as it was: the factor loops (those that take
 ``seen`` count the branches they take), a matter weight's form built on
 every call, the two-product quotient, the ExactScalar evaluators of a
-weight module, the all-starts res_support walk, the one-element-per-term
+weight module, the Fraction coset keys and the all-starts res_support
+walk, the two-pass hamiltonian_reduce grouping, the one-element-per-term
 mul fold; and a BFN product of its own on dense exponent dicts."""
 
 from fractions import Fraction
 
-from klrwcb.coulomb import (MonopoleElement, UniversalWeightModule, d, _coset_key,
-                            _forms, _relation_factors, _steps_between)
+from klrwcb.coulomb import (MatterNotInvariantError, MonopoleElement,
+                            UniversalWeightModule, d, _forms, _nonzero_coweight,
+                            _relation_factors)
 from klrwcb.poly import (HBAR, ONE_POLY, Polynomial, RationalFunction, as_poly,
                          coefficient)
-from klrwcb.scalars import ExactScalar, as_scalar, is_integral
+from klrwcb.scalars import ExactScalar, as_scalar, is_integral, row_reduce
 
 h = Polynomial.variable(HBAR)
 
@@ -247,12 +249,33 @@ class Module(UniversalWeightModule):
         return any(not f for f in action_factors(self, xi, nu))
 
 
+def coset_key(nu, xi):
+    """Canonical representative of nu + Z xi (as a tuple of Fractions)."""
+    num = sum(a * b for a, b in zip(nu, xi))
+    den = sum(b * b for b in xi)
+    k = num // den if den else 0
+    return tuple(Fraction(a - k * b) for a, b in zip(nu, xi))
+
+
+def steps_between(top, bottom, xi):
+    for i, x in enumerate(xi):
+        if x:
+            return (top[i] - bottom[i]) // x
+
+
+def line_coset_key(nu, xi):
+    num = Fraction(sum(a * b for a, b in zip(nu, xi)))
+    den = Fraction(sum(b * b for b in xi))
+    t = num / den
+    return tuple(Fraction(a) - t * b for a, b in zip(nu, xi))
+
+
 def res_support(module, xi, extension):
     """The former res_support: every active weight of a coset is walked
     down to deepest - (extension - 1) xi, until one sees no zero."""
     chains = {}
     for nu in module.active:
-        chains.setdefault(_coset_key(nu, xi), []).append(nu)
+        chains.setdefault(coset_key(nu, xi), []).append(nu)
     result = {}
     for key, nus in chains.items():
         nus.sort(key=lambda nu: sum(a * b for a, b in zip(nu, xi)), reverse=True)
@@ -260,7 +283,7 @@ def res_support(module, xi, extension):
         result[key] = 0
         for start in nus:
             nu = start
-            for _ in range(_steps_between(start, deepest, xi) + extension):
+            for _ in range(steps_between(start, deepest, xi) + extension):
                 if module.action_is_zero(xi, nu):
                     break
                 nu = tuple(a - b for a, b in zip(nu, xi))
@@ -268,6 +291,48 @@ def res_support(module, xi, extension):
                 result[key] = 1
                 break
     return result
+
+
+def hamiltonian_reduce(module, xi):
+    """The former hamiltonian_reduce: the active weights grouped by line
+    with Fraction keys, then each line regrouped by Z xi-coset."""
+    xi = _nonzero_coweight(xi, module)
+    for mu in module.theory.matter:
+        if mu.pair(xi) != 0:
+            raise MatterNotInvariantError("matter weight %r pairs to %s"
+                                          % (mu, mu.pair(xi)))
+    # group active weights by gamma mod C xi, i.e. nu mod Q xi
+    classes = {}
+    for nu in module.active:
+        classes.setdefault(line_coset_key(nu, xi), []).append(nu)
+
+    formula = {}
+    oracle = {}
+    for key, nus in classes.items():
+        zcosets = {}
+        for nu in nus:
+            zcosets.setdefault(coset_key(nu, xi), []).append(nu)
+        for chain in zcosets.values():
+            depths = sorted(steps_between(nu, chain[0], xi) for nu in chain)
+            if depths != list(range(depths[0], depths[0] + len(depths))):
+                raise ValueError("active set has gaps along xi; truncate to a box")
+        formula[key] = len(zcosets)
+        # oracle: dim of span(b_nu) / span{(r_xi - 1) b_nu : nu, nu-xi active}
+        index = {nu: i for i, nu in enumerate(sorted(nus))}
+        rows = []
+        active = set(nus)
+        for nu in nus:
+            target = tuple(a - b for a, b in zip(nu, xi))
+            if target in active:
+                row = [Fraction(0)] * len(index)
+                c = module.action_scalar(xi, nu)
+                if type(c) is ExactScalar:
+                    raise ArithmeticError("non-rational transition scalar")
+                row[index[target]] += c
+                row[index[nu]] -= 1
+                rows.append(row)
+        oracle[key] = len(index) - len(row_reduce(rows)[1])
+    return formula, oracle
 
 
 # -- a BFN product on exponent tuples over (x1..xr, h) to ExactScalars -------

@@ -4,6 +4,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -236,6 +237,78 @@ def test_res_support_matches_all_starts_walk(seed):
     assert tally[0] >= 10 and tally[1] >= 10, tally
 
 
+def _coset_case(rng, case):
+    """A module of rank 1-3 and a coweight xi, a third of them with gcd > 1;
+    entries may be negative.  In odd cases the matter is xi-invariant, so
+    that hamiltonian_reduce runs.  gamma0 is rational, Gaussian or symbolic
+    in turn, and every third active set is a box with weights taken out, so
+    that Z xi-cosets can have gaps."""
+    rank = rng.randint(1, 3)
+    xi = suites.random_coweight(rng, rank, bound=3 if case % 3 else 1)
+    if case % 3 == 1:
+        xi = tuple(2 * x for x in xi)
+    norm = sum(x * x for x in xi)
+    matter = []
+    for _ in range(rng.randint(0, 3)):
+        g = tuple(rng.randint(-2, 2) for _ in range(rank))
+        if case % 2:
+            p = sum(a * b for a, b in zip(g, xi))
+            g = tuple(norm * a - p * b for a, b in zip(g, xi))
+            g = tuple(a // (gcd(*g) or 1) for a in g)
+        shift = as_scalar(Fraction(rng.randint(-2, 2), rng.choice([1, 2])))
+        matter.append(MatterWeight(g, shift))
+    gamma0 = []
+    for i in range(rank):
+        g = as_scalar(Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3])))
+        if case % 3 == 1 and rng.random() < 0.5:
+            g = g + ExactScalar(0, rng.choice([1, -1]))
+        elif case % 3 == 2 and rng.random() < 0.5:
+            g = g + ExactScalar(0, 0, {"irr%d" % i: 1})
+        gamma0.append(g)
+    if case % 3:
+        active = set(itertools.product(range(rng.randint(2, 3)), repeat=rank))
+    else:
+        active = {nu for nu in itertools.product(range(5 - rank // 2), repeat=rank)
+                  if rng.random() < 0.7}
+    return UniversalWeightModule(TorusTheory(rank, matter), tuple(gamma0), active), xi
+
+
+def _printed(keyed):
+    """The keys of a result dict as the CLI prints them, with their values,
+    in the dict's order."""
+    return [(",".join(str(q) for q in key), v) for key, v in keyed.items()]
+
+
+@pytest.mark.parametrize("seed", [61, 62])
+def test_module_cosets_match_former_grouping(seed):
+    """res_support and hamiltonian_reduce against the former Fraction coset
+    keys and the former two-pass grouping: equal results in the same order,
+    equal printed keys, and equal raises (type and message)."""
+    rng = random.Random(seed)
+    tally = Counter()
+    for case in range(90):
+        m, xi = _coset_case(rng, case)
+        diam = max((max(c) - min(c) for c in zip(*m.active)), default=0)
+        got = res_support(m, xi)
+        want = ref.res_support(m, xi, 2 * diam + 2)
+        assert got == want and _printed(got) == _printed(want), (m, xi)
+        tally.update("dim %d" % v for v in got.values())
+        got = raised(lambda: hamiltonian_reduce(m, xi))
+        want = raised(lambda: ref.hamiltonian_reduce(m, xi))
+        assert got == want, (m, xi)
+        if isinstance(want[0], type):
+            tally[want[0].__name__] += 1
+        else:
+            assert [_printed(r) for r in got] == [_printed(r) for r in want]
+            tally["qhr"] += 1
+            tally["fractional key"] += any("/" in k for k, _ in _printed(got[0]))
+        tally["rank %d" % m.theory.rank] += 1
+        tally["gcd > 1"] += gcd(*xi) > 1
+    assert min(tally[k] for k in ("dim 0", "dim 1", "qhr", "fractional key",
+                                  "ValueError", "MatterNotInvariantError",
+                                  "rank 1", "rank 2", "rank 3", "gcd > 1")) >= 5, tally
+
+
 def test_hamiltonian_reduce():
     th0 = TorusTheory(1, [])
     m = UniversalWeightModule(th0, (0,), {(k,) for k in range(4)})
@@ -260,6 +333,26 @@ def test_hamiltonian_reduce_two_cosets():
     f, o = hamiltonian_reduce(m, (1, 1))
     assert f == o
     assert sorted(f.values()) == [1, 1, 1]
+
+
+@pytest.mark.parametrize("fn", [
+    lambda xi: res_support(UniversalWeightModule(TH1, (0,), {(0,), (1,)}), xi),
+    lambda xi: hamiltonian_reduce(UniversalWeightModule(TorusTheory(1, []), (0,),
+                                                        {(0,), (1,)}), xi),
+    lambda xi: xi_negative((0,), xi, TH1),
+    lambda xi: transition_eigenvalues((Fraction(1, 2),), xi, TH1),
+    lambda xi: transition_invertible((Fraction(1, 2),), xi, TH1),
+], ids=["res_support", "hamiltonian_reduce", "xi_negative",
+        "transition_eigenvalues", "transition_invertible"])
+def test_coweight_must_be_an_integer_vector(fn):
+    # a coweight entry that is not an integer is refused, naming the entry,
+    # not truncated or let through as a float; one equal to an int reads so
+    for bad, shown in ((Fraction(1, 2), r"Fraction\(1, 2\)"), (1.5, "1.5"),
+                       (as_scalar(2), r"ExactScalar\(2\)")):
+        with pytest.raises(ValueError, match=r"^coweight \(%s,\) has a non-integer "
+                                             r"entry %s$" % (shown, shown)):
+            fn((bad,))
+    assert fn((Fraction(4, 2),)) == fn((2,))
 
 
 def test_module_coweight_of_wrong_rank_is_rejected():

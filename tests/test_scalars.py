@@ -11,7 +11,7 @@ from klrwcb.poly import Polynomial
 from klrwcb.scalars import (EQ, GT, LT, AmbiguousOrderError, ExactScalar,
                             SymbolTable, as_scalar, coset_rep, format_scalar,
                             is_integral, is_integral_difference, parse_scalar,
-                            real_compare, real_keys, row_reduce)
+                            real_compare, real_keys, row_reduce, z_class)
 
 from reference import scalars as ref
 
@@ -209,8 +209,13 @@ def test_real_keys_sort_like_real_compare(values, table):
 @given(st.one_of(_values, _small, st.integers(-3, 3)),
        st.one_of(_values, _small, st.integers(-3, 3)))
 def test_integral_difference_matches_scalar_difference(a, b):
-    # differential test against forming the difference as a scalar
-    assert is_integral_difference(a, b) == is_integral(as_scalar(a) - as_scalar(b))
+    # differential test against forming the difference as a scalar, read
+    # off its parts; a and b share a class of C/Z iff it is an integer
+    diff = as_scalar(a) - as_scalar(b)
+    integral = diff.rational.denominator == 1 and not diff.imaginary \
+        and not diff.symbolic
+    assert is_integral_difference(a, b) == is_integral(diff) == integral
+    assert (z_class(a) == z_class(b)) == integral
 
 
 def test_real_keys_examples():
