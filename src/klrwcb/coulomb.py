@@ -32,7 +32,8 @@ frozen values: a module pairs its matter with gamma0 once, when it is
 made.  Integer coordinates (gauge vectors, monopole keys, active
 coweights, a coweight xi) are checked, not truncated.  The module side
 groups the active weights into Z xi-cosets once, in ints (``_chains``),
-for both ``res_support`` and ``hamiltonian_reduce``.
+for ``hamiltonian_reduce`` and for ``res_support``, which decides each
+coset's support in closed form from its deepest active weight.
 ``rxi_closed_form`` writes its factors out by hand on purpose: it is the
 independent oracle that the monopole suite checks ``mul`` against.
 """
@@ -572,13 +573,6 @@ class UniversalWeightModule:
         return [base + (mu.pair(step) + j) for mu, base in self._at
                 for j in range(mu.pair(xi), 0)]
 
-    def action_is_zero(self, xi, nu):
-        """Some factor vanishes: only an integer mu at gamma0 (base) can, at
-        j = -(base + <mu, nu - xi>) with j in [<mu, xi>, 0)."""
-        step = tuple(n - x for n, x in zip(nu, xi))
-        return any(type(base) is int and 0 < base + mu.pair(step) <= -mu.pair(xi)
-                   for mu, base in self._at)
-
     def action_scalar(self, xi, nu):
         """r_xi . b_nu = scalar * b_{nu - xi}; with symbolic weights the
         product may not be expressible as a single scalar, in which case
@@ -606,33 +600,26 @@ def _chains(module, xi):
 
 def res_support(module, xi):
     """Direct-limit dimensions of the transition system along xi, keyed by
-    the coset representatives of ``_coset_key``.
+    the coset representatives of ``_coset_key``: per Z xi-coset of active
+    weights, the stabilized rank of the chain b_nu -> b_{nu-xi} -> ...
+    extended beyond the box, 1 when some active weight sees only nonzero
+    transition scalars all the way down, else 0.
 
-    For each Z xi-coset of active weights the chain b_nu -> b_{nu-xi} -> ...
-    is extended analytically beyond the deepest active element; the
-    reported dimension is the stabilized rank: 1 when some active weight
-    sees only nonzero transition scalars all the way down, else 0.
-
-    Only the deepest active weight of a coset, the one of least k, is
-    walked.  The walk length comes from the box: 2 * diam + 2 steps, where
-    diam is the largest coordinate spread of the active weights.  The walk
-    from any active start runs down the same line to the same last weight,
-    deepest - (2 * diam + 1) xi, so it contains the deepest weight's walk:
-    some start sees only nonzero scalars iff the deepest one does.
+    Every such chain runs through the coset's deepest active weight nu
+    (least k), so the rank is decided there, in closed form.  Only a matter
+    weight mu with p = <mu, xi> < 0 and an integer value b at gamma0 can
+    give a zero factor: in r_xi . b_{nu - t xi} its factors take the values
+    V + t |p| + c, c = 0 .. |p| - 1, with V = b + <mu, nu>.  The window
+    moves up by its width |p| per step, so one factor vanishes at exactly
+    one t, t = (-V) // |p|, and t >= 0 exactly when V <= 0.  So the
+    dimension is 1 exactly when every such mu has V > 0: the
+    negative-pairing half of ``xi_negative``, read at gamma0 + nu.
     """
     xi = _nonzero_coweight(xi, module)
-    diam = max((max(c) - min(c) for c in zip(*module.active)), default=0)
-    result = {}
-    for key, chain in _chains(module, xi).items():
-        nu = chain[min(chain)]
-        dim = 1
-        for _ in range(2 * diam + 2):
-            if module.action_is_zero(xi, nu):
-                dim = 0
-                break
-            nu = tuple(a - b for a, b in zip(nu, xi))
-        result[key] = dim
-    return result
+    falling = [(mu, b) for mu, b in module._at
+               if type(b) is int and mu.pair(xi) < 0]
+    return {key: int(all(b + mu.pair(chain[min(chain)]) > 0 for mu, b in falling))
+            for key, chain in _chains(module, xi).items()}
 
 
 def hamiltonian_reduce(module, xi):

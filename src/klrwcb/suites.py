@@ -161,6 +161,18 @@ def random_module(rng, with_symbols=False):
 
 
 def suite_restriction(seed=0, n=50, k_range=10):
+    """Each xi-negative weight gamma0 + nu of a random box module has
+    support 1, and r_{-xi} r_xi is invertible at nu - k xi, k = 0..k_range.
+
+    Both hold for all k >= 0.  With mu(nu) the value at gamma0 + nu and
+    p = <mu, xi>, xi-negativity makes an integer mu(nu) >= 1 for p < 0 and
+    <= 0 for p > 0; a non-integer one moves by integers, never to 0.
+    Support: the coset's deepest active weight is nu - k xi for some k >= 0,
+    where mu reads mu(nu) + k |p| >= 1 (the rule of ``res_support``).
+    Invertibility: the factors are mu + c with c in [0, |p| - 1], read at
+    mu(nu) + k |p| >= 1, for p < 0, and with c in [-p, -1], read at
+    mu(nu) - k p <= 0, for p > 0.  So k = 0..k_range samples the
+    implementation of a statement that holds for all k."""
     rng = random.Random(seed)
     out = {"ok": True, "witnesses": [], "instances": n}
     for trial in range(n):

@@ -156,6 +156,16 @@ CASES = [
     # the restriction suite on two more seeds
     ["suite", "restriction", "--seed", "1"],
     ["suite", "restriction", "--seed", "2"],
+    # restriction supports whose chains meet their zero far below the box:
+    # the support is decided from the whole chain, whatever the box size
+    ["res-support", "--rank", "1", "--matter", "1", "--xi=-1", "--gamma0=-10",
+     "--box", "4"],
+    ["res-support", "--rank", "1", "--matter", "1", "--xi=-1", "--gamma0=-20",
+     "--box", "4"],
+    ["res-support", "--rank", "1", "--matter", "1", "--xi=-1", "--gamma0=-5",
+     "--box", "4"],
+    ["res-support", "--rank", "1", "--matter", "1", "--xi=-1", "--gamma0=-5",
+     "--box", "11"],
 ]
 
 

@@ -2,7 +2,8 @@
 ``seen`` count the branches they take), a matter weight's form built on
 every call, the two-product quotient, the ExactScalar evaluators of a
 weight module, the Fraction coset keys and the all-starts res_support
-walk, the two-pass hamiltonian_reduce grouping, the one-element-per-term
+walk (with its zero test on those evaluators and a walk length read off
+the data), the two-pass hamiltonian_reduce grouping, the one-element-per-term
 mul fold; and a BFN product of its own on dense exponent dicts."""
 
 from fractions import Fraction
@@ -239,14 +240,34 @@ def action_scalar(module, xi, nu):
 
 
 class Module(UniversalWeightModule):
-    """A module whose action factors and zero test come from the former
-    ExactScalar loop, for res_support and hamiltonian_reduce."""
+    """A module whose action factors come from the former ExactScalar loop,
+    for hamiltonian_reduce."""
 
     def action_factors(self, xi, nu):
         return action_factors(self, xi, nu)
 
-    def action_is_zero(self, xi, nu):
-        return any(not f for f in action_factors(self, xi, nu))
+
+def action_is_zero(module, xi, nu):
+    """Some ExactScalar factor of r_xi . b_nu vanishes."""
+    return any(not f for f in action_factors(module, xi, nu))
+
+
+def walk_length(module, xi, margin=2):
+    """A res_support walk length that passes every zero: along nu - t xi a
+    matter weight mu with p = <mu, xi> < 0 and an integer value V at
+    gamma0 + nu has its one vanishing factor at t = (-V) // |p|.  Every
+    walk of a coset ends below its deepest active weight, and the maximum
+    over all active nu bounds that of the deepest ones; plus one step to
+    reach the zero, plus a margin."""
+    zeros = [0]
+    for nu in module.active:
+        point = module.weight_of(nu)
+        for mu in module.theory.matter:
+            p = mu.pair(xi)
+            value = mu_value(mu, point)
+            if p < 0 and is_integral(value):
+                zeros.append(int(-value.rational) // -p + 1)
+    return max(zeros) + margin
 
 
 def coset_key(nu, xi):
@@ -284,7 +305,7 @@ def res_support(module, xi, extension):
         for start in nus:
             nu = start
             for _ in range(steps_between(start, deepest, xi) + extension):
-                if module.action_is_zero(xi, nu):
+                if action_is_zero(module, xi, nu):
                     break
                 nu = tuple(a - b for a, b in zip(nu, xi))
             else:

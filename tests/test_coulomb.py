@@ -139,6 +139,7 @@ def test_transition_invertible():
         pt = tuple(as_scalar(Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])))
                    for _ in range(th.rank))
         if xi_negative(pt, xi, th):
+            # samples k >= 0 of what holds for all k (suites.suite_restriction)
             for k in range(11):
                 down = tuple(p - k * b for p, b in zip(pt, xi))
                 assert transition_invertible(down, xi, th)
@@ -231,10 +232,24 @@ def test_res_support_matches_all_starts_walk(seed):
         if not any(xi):
             xi = (1,) + xi[1:]
         got = res_support(m, xi)
-        want = ref.res_support(m, xi, 2 * (span - 1) + 2)
+        want = ref.res_support(m, xi, ref.walk_length(m, xi))
         assert got == want, (m, xi)
         tally.update(got.values())
     assert tally[0] >= 10 and tally[1] >= 10, tally
+
+
+@pytest.mark.parametrize("gamma0, span, dim", [(-10, 4, 0), (-20, 4, 0),
+                                               (-5, 4, 0), (-5, 11, 1)])
+def test_res_support_decides_the_whole_chain(gamma0, span, dim):
+    """Rank 1, one matter weight of charge 1, xi = -1: the one zero of the
+    line is at nu = -gamma0.  The chain from the deepest active weight
+    span - 1 meets it however far beyond the box it lies, and misses it
+    only when the box already reaches past it."""
+    m = UniversalWeightModule(TH1, (gamma0,), {(k,) for k in range(span)})
+    assert res_support(m, (-1,)) == {(0,): dim}
+    assert ref.res_support(m, (-1,), ref.walk_length(m, (-1,))) == {(0,): dim}
+    assert ref.action_is_zero(m, (-1,), (-gamma0,))
+    assert dim == (span - 1 > -gamma0)
 
 
 def _coset_case(rng, case):
@@ -288,9 +303,8 @@ def test_module_cosets_match_former_grouping(seed):
     tally = Counter()
     for case in range(90):
         m, xi = _coset_case(rng, case)
-        diam = max((max(c) - min(c) for c in zip(*m.active)), default=0)
         got = res_support(m, xi)
-        want = ref.res_support(m, xi, 2 * diam + 2)
+        want = ref.res_support(m, xi, ref.walk_length(m, xi))
         assert got == want and _printed(got) == _printed(want), (m, xi)
         tally.update("dim %d" % v for v in got.values())
         got = raised(lambda: hamiltonian_reduce(m, xi))
@@ -596,7 +610,7 @@ def test_weight_values_match_exact_scalar_evaluators(kind):
         m, xi = _evaluation_case(rng, kind)
         former = ref.Module(m.theory, m.gamma0, m.active)
         support = res_support(m, xi)
-        assert support == res_support(former, xi)
+        assert support == ref.res_support(former, xi, ref.walk_length(former, xi))
         tally.update("dim %d" % v for v in support.values())
         qhr = raised(lambda: hamiltonian_reduce(m, xi))
         assert qhr == raised(lambda: hamiltonian_reduce(former, xi))
@@ -629,8 +643,9 @@ def test_weight_values_match_exact_scalar_evaluators(kind):
 
 
 def test_res_support_builds_no_scalar_per_weight(monkeypatch):
-    """With a symbolic gamma0, res_support builds as many ExactScalars on a
-    6x6 box as on a 3x3 box: the walk itself stays in ints."""
+    """With a symbolic gamma0, res_support builds no ExactScalar, on a 3x3
+    box as on a 6x6 box: the values at gamma0 are read when the module is
+    made, and each coset's test stays in ints."""
     th = TorusTheory(2, [MatterWeight((1, 0), Fraction(1, 2)),
                          MatterWeight((1, -1)),
                          MatterWeight((0, 1), ExactScalar(1, 0, {"s": 1}))])
@@ -650,9 +665,9 @@ def test_res_support_builds_no_scalar_per_weight(monkeypatch):
         built.clear()
         support = res_support(m, (1, 1))
         monkeypatch.setattr(ExactScalar, "__init__", init)
-        assert support == res_support(ref.Module(th, gamma0, m.active), (1, 1))
+        assert support == ref.res_support(m, (1, 1), ref.walk_length(m, (1, 1)))
         counts.append(built["n"])
-    assert counts[0] == counts[1], counts
+    assert counts == [0, 0], counts
 
 
 def test_rxi_closed_form_matches_expanded_products():
