@@ -34,7 +34,7 @@ from .cover import build_cover, category_o_graph, integralize
 from .diagrams import Engine
 from .kacmoody import decat_chevalley, weyl_dimension, KMWeight
 from .poly import HBAR, Polynomial, as_poly
-from .quiver import dump_quiver_spec, load_quiver_spec
+from .quiver import Flavour, dump_quiver_spec, load_quiver_spec
 from .relations import format_report, verify_relations
 from .render import render_diagram
 from .scalars import (ZERO, Reader, SymbolTable, format_scalar, parse_scalar,
@@ -178,10 +178,10 @@ def _load(args):
             values = r.assignments(
                 ";", r.scalar, lambda item: "--flavour entry %r is not edge=value" % item,
                 "edge", "--flavour entry %r")
-        for eid, value in values.items():
+        for eid in values:
             if eid not in flavour.values:
                 raise ValueError("flavour override for unknown edge %r" % eid)
-            flavour.values[eid] = value
+        flavour = Flavour({**flavour.values, **values})
     return quiver, dims, completed, flavour, table
 
 

@@ -13,6 +13,7 @@ integers once eta is subtracted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .quiver import (INFINITY, DimensionData, Edge, Flavour, Quiver,
                      crawley_boevey, new_edge_id)
@@ -35,8 +36,7 @@ class InfiniteCoverError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CoverVertex:
+class CoverVertex(NamedTuple):
     base: object
     coset: ExactScalar  # canonical representative, rational part in [0,1)
 

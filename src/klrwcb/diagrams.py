@@ -52,7 +52,8 @@ from fractions import Fraction
 
 from .poly import HBAR, ONE_POLY, Polynomial
 from .scalars import as_scalar, is_integral_difference, z_class
-from .sequences import FlavouredSequence, corporeal, from_weight, is_unsteady
+from .sequences import (CORPOREAL, RED, FlavouredSequence, corporeal, from_weight,
+                        is_unsteady)
 
 
 class NoMatchingError(ValueError):
@@ -132,30 +133,31 @@ class Engine:
         "demazure" (same label, integral corporeal pair), "ghost"/"red"
         (corporeal against a relevant ghost or red), else "inert".
         Returns (kind, corporeal_item, other_item)."""
-        if a.is_corporeal() and b.is_corporeal():
+        a_corp, b_corp = a.kind == CORPOREAL, b.kind == CORPOREAL
+        if a_corp and b_corp:
             la, lb = seq.labels[a.k - 1], seq.labels[b.k - 1]
             if la == lb and is_integral_difference(seq.longitudes[a.k - 1],
                                                    seq.longitudes[b.k - 1]):
                 return "demazure", a, b
             return "inert", a, b
-        if not a.is_corporeal() and not b.is_corporeal():
+        if not a_corp and not b_corp:
             return "inert", a, b
-        c, g = (a, b) if a.is_corporeal() else (b, a)
+        c, g = (a, b) if a_corp else (b, a)
         if self.tails[g.edge] != seq.labels[c.k - 1]:
             return "inert", c, g
         if not is_integral_difference(seq.longitude(c, self.flavour),
                                       seq.longitude(g, self.flavour)):
             return "inert", c, g
-        return ("red" if g.is_red() else "ghost"), c, g
+        return ("red" if g.kind == RED else "ghost"), c, g
 
     def sequence_shift(self, seq):
         """Count interacting pairs with the corporeal left of the ghost/red."""
         shift = 0
         for i, a in enumerate(seq.order):
-            if not a.is_corporeal():
+            if a.kind != CORPOREAL:
                 continue
             for b in seq.order[i + 1:]:
-                if b.is_corporeal():
+                if b.kind == CORPOREAL:
                     continue
                 kind, _, _ = self.pair_kind(seq, a, b)
                 if kind in ("ghost", "red"):
@@ -445,7 +447,7 @@ class _Images(dict):
 def _corporeal_position(order, item):
     p = 0
     for it in order:
-        if it.is_corporeal():
+        if it.kind == CORPOREAL:
             p += 1
         if it == item:
             return p

@@ -8,14 +8,14 @@ flavour assigns an exact scalar to every edge of the completed quiver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .scalars import SymbolTable, as_scalar, format_scalar, is_integral, parse_scalar
 
 INFINITY = "oo"
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: str
     tail: object
     head: object

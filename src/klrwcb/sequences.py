@@ -10,6 +10,8 @@ at equal real longitude.  Corporeal indices are 1-based.
 This module is the one home of the item rules: ``build_cgr`` lists the
 items of a label word, ``CgrItem.renumber`` carries an item along a strand
 map, and ``validate`` is the one validity scan, over exact order keys.
+An item is a named tuple (kind, k, edge): sets and dicts hash and compare
+items in C, and hot loops test ``item.kind`` directly.
 The keys of CGR items are integers (``_item_keys``): every real part one
 call meets lies in (1/D)*Z for one D, so a key is D times the real part,
 found without building a scalar per ghost.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .scalars import (Reader, _coordinate_sum, _integer_keys, _real_coordinates,
                       as_scalar, format_scalar, real_keys)
@@ -26,8 +29,7 @@ from .scalars import (Reader, _coordinate_sum, _integer_keys, _real_coordinates,
 CORPOREAL, GHOST, RED = "C", "G", "R"
 
 
-@dataclass(frozen=True)
-class CgrItem:
+class CgrItem(NamedTuple):
     kind: str
     k: int = 0          # owning corporeal index (1-based); 0 for red
     edge: str = None    # edge id for ghosts and reds
@@ -137,10 +139,10 @@ def validate(seq, completed, flavour, table=None):
                               % (a.token(), seq.longitude(a, flavour), b.token(),
                                  seq.longitude(b, flavour)))
     for i1, it1 in enumerate(order):
-        if not it1.is_corporeal():
+        if it1.kind != CORPOREAL:
             continue
         for i2 in range(i1 + 1, len(order)):
-            if not order[i2].is_corporeal() and keys[i1] == keys[i2]:
+            if order[i2].kind != CORPOREAL and keys[i1] == keys[i2]:
                 violations.append("rule (ii): corporeal %s precedes %s at equal "
                                   "real longitude" % (it1.token(), order[i2].token()))
     return violations
@@ -249,7 +251,7 @@ def equivalent(s1, s2, completed, flavour, table=None):
     for m in range(1, s1.n + 1):
         c1, c2 = pos1[corporeal(m)], pos2[corporeal(sigma[m])]
         for it in s1.order:
-            if (not it.is_corporeal() and tails[it.edge] == s1.labels[m - 1]
+            if (it.kind != CORPOREAL and tails[it.edge] == s1.labels[m - 1]
                     and (c1 < pos1[it]) != (c2 < pos2[it.renumber(sigma)])):
                 return False, None
     return True, sigma

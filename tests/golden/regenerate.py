@@ -166,6 +166,45 @@ CASES = [
      "--box", "4"],
     ["res-support", "--rank", "1", "--matter", "1", "--xi=-1", "--gamma0=-5",
      "--box", "11"],
+    # diagrams on a framed Kronecker spec: straight lines with ghost and red
+    # crossings under rational, Gaussian and symbolic flavours
+    ["render-diagram", "--quiver", "kron21.json", "--bottom",
+     "[(alpha,0),(alpha,1),(beta,1)] order=[!w[alpha]0,!w[alpha]1,1,e@1,2,3,e@2,"
+     "f@3,!w[beta]0]",
+     "--top", "[(alpha,-3),(beta,-1),(alpha,3)] order=[!w[alpha]0,1,e@1,2,f@2,"
+     "!w[alpha]1,!w[beta]0,3,e@3]", "--dot", "2@1/3"],
+    ["render-diagram", "--quiver", "kron21.json", "--flavour",
+     "e=1/2+1i;w[alpha]1=1i", "--bottom", "[(alpha,1i),(alpha,1+1i),(beta,3/2+2i)] order=[!w[alpha]0,"
+     "!w[alpha]1,1,e@1,2,e@2,3,!w[beta]0,f@3]",
+     "--top", "[(alpha,-3+1i),(beta,-1/2+2i),(alpha,3+1i)] order=[!w[alpha]0,1,e@1,"
+     "2,!w[alpha]1,f@2,!w[beta]0,3,e@3]", "--dot", "3@1/2"],
+    ["render-diagram", "--quiver", "kron21.json", "--flavour",
+     "e=sym:sqrt2;w[alpha]1=sym:sqrt2-1",
+     "--bottom", "[(alpha,sym:sqrt2),(alpha,1+sym:sqrt2),(beta,2*sym:sqrt2)] "
+     "order=[!w[alpha]0,!w[alpha]1,1,!w[beta]0,2,e@1,3,e@2,f@3]",
+     "--top", "[(alpha,-3+sym:sqrt2),(beta,-4+2*sym:sqrt2),(alpha,3+sym:sqrt2)] "
+     "order=[!w[alpha]0,1,2,e@1,f@2,!w[alpha]1,!w[beta]0,3,e@3]"],
+    ["relcheck", "--quiver", "kron21.json", "--bound", "2"],
+    # check-equivalence under a symbolic flavour: two equivalent pairs and
+    # one that is not
+    ["check-equivalence", "--quiver", "kron21.json", "--flavour",
+     "e=sym:sqrt2;f=1-sym:sqrt2",
+     "[(alpha,0),(alpha,0),(beta,sym:sqrt2)] order=[!w[alpha]0,!w[alpha]1,1,2,f@3,"
+     "e@1,e@2,3,!w[beta]0]",
+     "[(alpha,0),(alpha,0),(beta,sym:sqrt2)] order=[!w[alpha]0,!w[alpha]1,1,2,f@3,"
+     "e@2,e@1,3,!w[beta]0]"],
+    ["check-equivalence", "--quiver", "kron21.json", "--flavour",
+     "e=sym:sqrt2;f=1-sym:sqrt2",
+     "[(alpha,0),(beta,-1+sym:sqrt2),(alpha,1)] order=[!w[alpha]0,f@2,!w[alpha]1,1,"
+     "2,3,e@1,!w[beta]0,e@3]",
+     "[(alpha,0),(beta,-1+sym:sqrt2),(alpha,1)] order=[!w[alpha]0,!w[alpha]1,f@2,1,"
+     "2,3,e@1,!w[beta]0,e@3]"],
+    ["check-equivalence", "--quiver", "kron21.json", "--flavour",
+     "e=sym:sqrt2;f=1-sym:sqrt2",
+     "[(alpha,0),(alpha,0),(beta,sym:sqrt2)] order=[!w[alpha]0,!w[alpha]1,1,2,f@3,"
+     "e@1,e@2,3,!w[beta]0]",
+     "[(alpha,0),(beta,-1+sym:sqrt2),(alpha,1)] order=[!w[alpha]0,f@2,!w[alpha]1,1,"
+     "2,3,e@1,!w[beta]0,e@3]"],
 ]
 
 

@@ -1,6 +1,6 @@
 """The diagram layer as it was: crossing scheduler, strand matching,
-certificate check, test family and the relation walk; and the engines
-that several test files share."""
+certificate check, test family, the pair classification and the relation
+walk; and the engines that several test files share."""
 
 import itertools
 import random
@@ -10,8 +10,8 @@ from klrwcb.diagrams import (Diagram, Engine, NoMatchingError, PolyVector,
                              TagMismatchError, _test_polynomials, yvar)
 from klrwcb.poly import ONE_POLY, Polynomial, as_poly
 from klrwcb.quiver import DimensionData, Flavour, Quiver, crawley_boevey
-from klrwcb.scalars import as_scalar, coset_rep
-from klrwcb.sequences import corporeal, is_unsteady
+from klrwcb.scalars import as_scalar, coset_rep, is_integral_difference
+from klrwcb.sequences import CORPOREAL, RED, corporeal, is_unsteady
 
 from .sequences import kron2_data
 
@@ -137,8 +137,33 @@ def position(order, item):
     return sum(it.is_corporeal() for it in order[:order.index(item) + 1])
 
 
+def pair_kind(engine, seq, a, b):
+    """The former Engine.pair_kind: integrality asked of ExactScalar
+    longitudes, a ghost's longitude built as the sum a_k + phi_e."""
+    def longitude(it):
+        if it.kind == CORPOREAL:
+            return seq.longitudes[it.k - 1]
+        if it.kind == RED:
+            return engine.flavour.values[it.edge]
+        return seq.longitudes[it.k - 1] + engine.flavour.values[it.edge]
+
+    if a.kind == CORPOREAL and b.kind == CORPOREAL:
+        if seq.labels[a.k - 1] == seq.labels[b.k - 1] and \
+                is_integral_difference(longitude(a), longitude(b)):
+            return "demazure", a, b
+        return "inert", a, b
+    if a.kind != CORPOREAL and b.kind != CORPOREAL:
+        return "inert", a, b
+    c, g = (a, b) if a.kind == CORPOREAL else (b, a)
+    tails = {e.id: e.tail for e in engine.completed.edges}
+    if tails[g.edge] != seq.labels[c.k - 1] or \
+            not is_integral_difference(longitude(c), longitude(g)):
+        return "inert", c, g
+    return ("red" if g.kind == RED else "ghost"), c, g
+
+
 def crossing(engine, seq, order, left, right, f):
-    kind, c, g = engine.pair_kind(seq, left, right)
+    kind, c, g = pair_kind(engine, seq, left, right)
     if kind == "inert":
         if left.is_corporeal() and right.is_corporeal():
             r = position(order, left)

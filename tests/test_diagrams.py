@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import xml.etree.ElementTree as ET
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from klrwcb.poly import ONE_POLY
 from klrwcb.quiver import (DimensionData, Edge, Flavour, Quiver,
                            crawley_boevey, kronecker_quiver)
 from klrwcb.render import render_diagram
-from klrwcb.scalars import ExactScalar, as_scalar, coset_rep, row_reduce
+from klrwcb.scalars import ExactScalar, SymbolTable, as_scalar, coset_rep, row_reduce
 from klrwcb.sequences import FlavouredSequence, corporeal, from_weight, ghost, red
 
 from reference import diagrams as ref
@@ -271,6 +272,51 @@ def test_ghost_pair_classification():
     assert ek.pair_kind(s2, corporeal(2), ghost(1, "e"))[0] == "inert"
     # the ghost of a beta-strand never interacts with beta (t(f) = alpha)
     assert ek.pair_kind(s, corporeal(2), ghost(2, "f"))[0] == "inert"
+
+
+def _class_value(rng, kind):
+    """A value in one of a few classes of C/Z, plus an integer, so that
+    integral differences are common: halves, i and a symbol s."""
+    base = rng.choice({"rational": [0, Fraction(1, 2)],
+                       "gaussian": [0, Fraction(1, 2), ExactScalar(0, 1),
+                                    ExactScalar(Fraction(1, 2), -1)],
+                       "symbolic": [0, Fraction(1, 2), ExactScalar(0, 0, {"s": 1}),
+                                    ExactScalar(Fraction(1, 2), 0, {"s": -1})]}[kind])
+    return as_scalar(base) + rng.randint(-2, 2)
+
+
+@pytest.mark.parametrize("kind", ["rational", "gaussian", "symbolic"])
+def test_pair_kind_matches_reference(kind):
+    # Engine.pair_kind against reference.diagrams.pair_kind, which decides
+    # integrality on ExactScalar longitudes and their sums, over every
+    # ordered pair of items of seeded from_weight sequences: framed and
+    # unframed Kronecker, framed A2 and the Jordan quiver (a loop, so
+    # ghosts of a strand's own label)
+    rng = random.Random({"rational": 7, "gaussian": 8, "symbolic": 9}[kind])
+    table = SymbolTable().declare("s", Fraction(707, 500))
+    quivers = {"framed": kronecker_quiver(), "unframed": kronecker_quiver(),
+               "a2": Quiver(["1", "2"], [Edge("a", "1", "2")]),
+               "jordan": Quiver(["x"], [Edge("t", "x", "x")])}
+    tally = Counter()
+    for case in range(120):
+        shape = ("framed", "unframed", "a2", "jordan")[case % 4]
+        quiver = quivers[shape]
+        frame = 0 if shape == "unframed" else 2
+        dims = DimensionData({x: rng.randint(1, 3) for x in quiver.vertices},
+                             {x: rng.randint(frame // 2, frame) for x in quiver.vertices})
+        comp = crawley_boevey(quiver, dims)
+        eng = Engine(comp, Flavour({e.id: _class_value(rng, kind) for e in comp.edges}),
+                     table)
+        gamma = {x: [_class_value(rng, kind) for _ in range(n)] for x, n in dims.v.items()}
+        seq = from_weight(gamma, comp, eng.flavour, table)
+        for a, b in itertools.permutations(seq.order, 2):
+            got = eng.pair_kind(seq, a, b)
+            assert got == ref.pair_kind(eng, seq, a, b), (seq.describe(), a, b)
+            tally[shape, got[0]] += 1
+    for shape in ("framed", "a2", "jordan"):
+        assert min(tally[shape, k] for k in ("demazure", "ghost", "red", "inert")) >= 5, \
+            tally
+    assert tally["unframed", "ghost"] >= 5 and tally["unframed", "red"] == 0, tally
 
 
 def test_compose_contract_and_associativity():

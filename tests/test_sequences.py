@@ -6,14 +6,16 @@ from fractions import Fraction
 import pytest
 
 from klrwcb import sequences
+from klrwcb.cover import CoverVertex, cover_vertex
 from klrwcb.quiver import (DimensionData, Edge, Flavour, Quiver, crawley_boevey,
                            kronecker_quiver)
 from klrwcb.scalars import (AmbiguousOrderError, ExactScalar, SymbolTable,
                             UndeclaredSymbolError, as_scalar, real_compare,
                             real_keys)
-from klrwcb.sequences import (FlavouredSequence, _item_keys, build_cgr, corporeal,
-                              enumerate_orders, equivalent, from_weight, ghost,
-                              is_unsteady, parse_sequence, red, validate)
+from klrwcb.sequences import (CORPOREAL, GHOST, RED, CgrItem, FlavouredSequence,
+                              _item_keys, build_cgr, corporeal, enumerate_orders,
+                              equivalent, from_weight, ghost, is_unsteady,
+                              parse_sequence, red, validate)
 
 from reference import scalars as ref_scalars, sequences as ref
 
@@ -25,6 +27,56 @@ def test_build_cgr_kronecker(kronecker_unframed):
     q, dims, comp, fl = kronecker_unframed
     items = build_cgr(("alpha", "beta"), comp)
     assert items == [corporeal(1), corporeal(2), ghost(1, "e"), ghost(2, "f")]
+
+
+# the value records of the front end, with the repr, token and str of the
+# former frozen dataclasses; each case is (record, hand-built twin, field
+# names, repr, token or str)
+_RECORDS = [
+    (corporeal(3), CgrItem("C", 3), ("kind", "k", "edge"),
+     "CgrItem(kind='C', k=3, edge=None)", "3"),
+    (ghost(2, "e"), CgrItem(GHOST, 2, "e"), ("kind", "k", "edge"),
+     "CgrItem(kind='G', k=2, edge='e')", "e@2"),
+    (red("w[x]0"), CgrItem(RED, 0, "w[x]0"), ("kind", "k", "edge"),
+     "CgrItem(kind='R', k=0, edge='w[x]0')", "!w[x]0"),
+    (ghost(1, "f").renumber({1: 4, 2: 1}), CgrItem(GHOST, 4, "f"), ("kind", "k", "edge"),
+     "CgrItem(kind='G', k=4, edge='f')", "f@4"),
+    (corporeal(2).renumber({2: 1}), CgrItem(CORPOREAL, k=1), ("kind", "k", "edge"),
+     "CgrItem(kind='C', k=1, edge=None)", "1"),
+    (red("r").renumber({1: 2}), CgrItem(kind=RED, edge="r"), ("kind", "k", "edge"),
+     "CgrItem(kind='R', k=0, edge='r')", "!r"),
+    (kronecker_quiver().edges[0], Edge("e", "beta", "alpha"), ("id", "tail", "head"),
+     "Edge(id='e', tail='beta', head='alpha')", None),
+    (cover_vertex("alpha", Fraction(4, 3)), CoverVertex("alpha", as_scalar(Fraction(1, 3))),
+     ("base", "coset"), "CoverVertex(base='alpha', coset=ExactScalar(1/3))",
+     "(alpha,[1/3])"),
+    (cover_vertex("x", ExactScalar(Fraction(-3, 2), 1, {"s": 1})),
+     CoverVertex("x", ExactScalar(Fraction(1, 2), 1, {"s": 1})), ("base", "coset"),
+     "CoverVertex(base='x', coset=ExactScalar(1/2+1i+sym:s))", "(x,[1/2+1i+sym:s])"),
+]
+
+
+@pytest.mark.parametrize("record, twin, names, text, token", _RECORDS, ids=[
+    "corporeal", "ghost", "red", "renumbered-ghost", "renumbered-corporeal",
+    "renumbered-red", "edge", "cover-vertex", "cover-vertex-gaussian-symbolic"])
+def test_records_keep_their_value_semantics(record, twin, names, text, token):
+    # CgrItem, Edge and CoverVertex as named tuples: the same repr, token
+    # and str, equal and hash-equal to a hand-built twin, the hash of the
+    # tuple of fields (what the frozen dataclass hashed), and frozen
+    fields = tuple(getattr(record, name) for name in names)
+    assert record == twin and hash(record) == hash(twin) == hash(fields)
+    assert type(record) is type(twin) and tuple(record) == fields
+    assert repr(record) == repr(twin) == text
+    if isinstance(record, CgrItem):
+        assert record.token() == token and str(record) == text
+    elif isinstance(record, CoverVertex):
+        assert str(record) == token
+    else:
+        assert str(record) == text
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    assert {record: 1}[twin] == 1 and len({record, twin}) == 1
 
 
 def test_build_cgr_empty():
