@@ -19,6 +19,8 @@ from .quiver import (INFINITY, DimensionData, Edge, Flavour, Quiver,
                      crawley_boevey, new_edge_id)
 from .scalars import ZERO, ExactScalar, coset_rep, format_scalar, is_integral
 
+MAX_VERTICES = 4096     # the largest support graph category_o_graph builds
+
 
 class NonTrivializableError(ValueError):
     pass
@@ -146,14 +148,13 @@ def integralize(cover):
     return eta, Flavour(values)
 
 
-def category_o_graph(quiver, dims, completed, flavour, table=None,
-                     max_vertices=4096):
+def category_o_graph(quiver, dims, completed, flavour, table=None):
     """The support graph for category O: the part of Gamma x (C/Z) connected
     to a framing coset (i, [phi_e]) for some new edge e at i.
 
     Built by breadth-first search from those seeds along the lifted
     adjacency; raises when the reachable set keeps growing past
-    ``max_vertices`` (irrational flavours on cycles give infinite covers).
+    ``MAX_VERTICES`` (irrational flavours on cycles give infinite covers).
     """
     seeds = []
     wt = {}
@@ -182,8 +183,8 @@ def category_o_graph(quiver, dims, completed, flavour, table=None,
                     if nb not in seen:
                         seen.add(nb)
                         nxt.append(nb)
-        if len(seen) > max_vertices:
-            raise InfiniteCoverError("cover exceeded %d vertices" % max_vertices)
+        if len(seen) > MAX_VERTICES:
+            raise InfiniteCoverError("cover exceeded %d vertices" % MAX_VERTICES)
         frontier = nxt
 
     vertices = sorted(seen, key=str)

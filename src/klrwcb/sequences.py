@@ -12,14 +12,17 @@ items of a label word, ``CgrItem.renumber`` carries an item along a strand
 map, and ``validate`` is the one validity scan, over exact order keys.
 An item is a named tuple (kind, k, edge): sets and dicts hash and compare
 items in C, and hot loops test ``item.kind`` directly.
-The keys of CGR items are integers (``_item_keys``): every real part one
-call meets lies in (1/D)*Z for one D, so a key is D times the real part,
-found without building a scalar per ghost.
+Strands are keyed by ``scalars.real_keys`` and CGR items by
+``_item_keys``, one call per sequence.  The keys are integers: every real
+part one call meets lies in (1/D)*Z for one D, so a key is D times the
+real part, found without building a scalar per ghost.  ``is_unsteady`` is
+one pass over the order.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -97,19 +100,23 @@ class FlavouredSequence:
         return len(self.labels)
 
     def longitude(self, item, flavour):
-        """The longitude of item as an ExactScalar.  Order keys do not
-        build it (see _item_keys)."""
-        if item.kind == CORPOREAL:
-            return self.longitudes[item.k - 1]
-        if item.kind == GHOST:
-            return self.longitudes[item.k - 1] + flavour[item.edge]
-        return flavour[item.edge]
+        """The longitude of item (order keys do not build it)."""
+        return _item_longitude(self.longitudes, item, flavour)
 
     def describe(self):
         return "[%s] order=[%s]" % (
             ",".join("(%s,%s)" % (lab, format_scalar(a))
                      for lab, a in zip(self.labels, self.longitudes)),
             ",".join(it.token() for it in self.order))
+
+
+def _item_longitude(longitudes, item, flavour):
+    """The longitude a_k, a_k + phi_e or phi_e of item as an ExactScalar."""
+    if item.kind == CORPOREAL:
+        return longitudes[item.k - 1]
+    if item.kind == GHOST:
+        return longitudes[item.k - 1] + flavour[item.edge]
+    return flavour[item.edge]
 
 
 def validate(seq, completed, flavour, table=None):
@@ -131,7 +138,7 @@ def validate(seq, completed, flavour, table=None):
     corp = [it.k for it in order if it.is_corporeal()]
     if corp != sorted(corp):
         violations.append("corporeal items out of index order: %s" % (corp,))
-    keys = _item_keys(seq, order, flavour, table)
+    keys = _item_keys(seq.longitudes, order, flavour, table)
     for i in range(len(order) - 1):
         if keys[i] > keys[i + 1]:
             a, b = order[i], order[i + 1]
@@ -148,14 +155,14 @@ def validate(seq, completed, flavour, table=None):
     return violations
 
 
-def _item_keys(seq, items, flavour, table):
-    """real_keys([seq.longitude(it, flavour) for it in items], table), with
-    the same errors, from integer coordinates: the longitudes of seq and
-    the flavour values its ghost and red items use are put over one
-    denominator, and a ghost adds two of them."""
+def _item_keys(longitudes, items, flavour, table):
+    """real_keys of the longitudes of items over the strand longitudes (a
+    tuple of ExactScalars), with the same errors, from integer coordinates:
+    the strand longitudes and the flavour values the ghost and red items
+    use are put over one denominator, and a ghost adds two of them."""
     edges = list(dict.fromkeys(it.edge for it in items if it.kind != CORPOREAL))
-    coords = _real_coordinates(seq.longitudes + tuple(flavour[e] for e in edges))
-    phi = dict(zip(edges, coords[len(seq.longitudes):]))
+    coords = _real_coordinates(longitudes + tuple(flavour[e] for e in edges))
+    phi = dict(zip(edges, coords[len(longitudes):]))
     keyed = []
     for it in items:
         if it.kind == CORPOREAL:
@@ -164,17 +171,8 @@ def _item_keys(seq, items, flavour, table):
             keyed.append(_coordinate_sum(coords[it.k - 1], phi[it.edge]))
         else:
             keyed.append(phi[it.edge])
-    return _integer_keys(keyed, table, lambda i: seq.longitude(items[i], flavour))
-
-
-def real_order(objs, longitude, table=None, tie=lambda obj: ()):
-    """objs sorted by the real part of longitude(obj), then by tie(obj),
-    as (real key, obj) pairs; equal keys mean equal real longitudes.
-    CGR items are sorted by _item_keys instead."""
-    objs = list(objs)
-    keys = real_keys([longitude(o) for o in objs], table)
-    rank = sorted(range(len(objs)), key=lambda i: (keys[i], tie(objs[i])))
-    return [(keys[i], objs[i]) for i in rank]
+    return _integer_keys(keyed, table,
+                         lambda i: _item_longitude(longitudes, items[i], flavour))
 
 
 def _cgr_tie(item):
@@ -189,15 +187,15 @@ def from_weight(gamma, completed, flavour, table=None):
     sorted by (edge id, owner index) and corporeal items by (vertex id,
     imaginary part, multiset position).
     """
-    entries = [(as_scalar(a), str(vertex), pos, vertex)
-               for vertex in sorted(gamma, key=str)
+    entries = [(as_scalar(a), vertex, pos) for vertex in sorted(gamma, key=str)
                for pos, a in enumerate(gamma[vertex])]
-    entries = [e for _, e in real_order(entries, lambda e: e[0], table,
-                                        lambda e: (e[1], e[0].imaginary, e[2]))]
-    labels = tuple(e[3] for e in entries)
-    longitudes = tuple(e[0] for e in entries)
+    keys = real_keys([a for a, _, _ in entries], table)
+    entries = [e for _, e in sorted(zip(keys, entries), key=lambda p: (
+        p[0], str(p[1][1]), p[1][0].imaginary, p[1][2]))]
+    labels = tuple(vertex for _, vertex, _ in entries)
+    longitudes = tuple(a for a, _, _ in entries)
     items = build_cgr(labels, completed)
-    keys = _item_keys(FlavouredSequence(labels, longitudes, ()), items, flavour, table)
+    keys = _item_keys(longitudes, items, flavour, table)
     order = [it for _, it in sorted(zip(keys, items),
                                     key=lambda p: (p[0], _cgr_tie(p[1])))]
     seq = FlavouredSequence(labels, longitudes, order)
@@ -208,8 +206,10 @@ def from_weight(gamma, completed, flavour, table=None):
 
 
 def equivalent(s1, s2, completed, flavour, table=None):
-    """Decide equivalence of two valid flavoured sequences (as
-    ``validate`` accepts them; ``cli._valid_sequence`` makes sure).
+    """Decide equivalence of two valid flavoured sequences: ``validate``
+    must accept both under this same table (``cli._valid_sequence`` makes
+    sure), as the blocks key all strands of a sequence in one real_keys
+    call and take index order for real order.
 
     Returns (True, sigma) with sigma a dict on corporeal indices, or
     (False, None).  sigma must preserve labels, preserve the relative order
@@ -231,12 +231,12 @@ def equivalent(s1, s2, completed, flavour, table=None):
         return False, None
 
     def blocks(seq):
+        # label -> its strands in groups of equal real longitude
+        keys = real_keys(seq.longitudes, table)
         out = {}
-        for lab in set(seq.labels):
-            ks = [k for k in range(1, seq.n + 1) if seq.labels[k - 1] == lab]
-            out[lab] = _classes(real_order(ks, lambda k: seq.longitudes[k - 1],
-                                           table))
-        return out
+        for k in range(1, seq.n + 1):
+            out.setdefault(seq.labels[k - 1], {}).setdefault(keys[k - 1], []).append(k)
+        return {lab: list(groups.values()) for lab, groups in out.items()}
 
     b1, b2 = blocks(s1), blocks(s2)
     for lab in b1:
@@ -265,31 +265,30 @@ def is_unsteady(seq):
 
     The suffix may be the whole order (needed for totally unframed data,
     where every strand group can escape together).
+
+    One pass from the right: orphans counts the suffix's ghosts whose owner
+    is outside it, missing the ghosts of its corporeals still to the left;
+    with neither, the suffix holds a corporeal.  A red item ends the
+    search, as every longer suffix holds it.
     """
-    total = len(seq.order)
-    all_ghosts = {}
-    for it in seq.order:
-        if it.is_ghost():
-            all_ghosts.setdefault(it.k, set()).add(it)
-    for k in range(1, total + 1):
-        suffix = seq.order[total - k:]
-        group = set(suffix)
-        corps = {it.k for it in suffix if it.is_corporeal()}
-        if not corps:
-            continue
-        if any(it.is_red() for it in suffix):
-            continue
-        ok = True
-        for it in suffix:
-            if it.is_ghost() and it.k not in corps:
-                ok = False
-                break
-        if ok:
-            for c in corps:
-                if not all_ghosts.get(c, set()) <= group:
-                    ok = False
-                    break
-        if ok:
+    ghosts = Counter(it.k for it in seq.order if it.kind == GHOST)
+    seen = Counter()        # ghosts of each owner in the suffix
+    corps = set()
+    orphans = missing = 0
+    for k, it in enumerate(reversed(seq.order), start=1):
+        if it.kind == RED:
+            break
+        if it.kind == GHOST:
+            seen[it.k] += 1
+            if it.k in corps:
+                missing -= 1
+            else:
+                orphans += 1
+        else:
+            corps.add(it.k)
+            orphans -= seen[it.k]
+            missing += ghosts[it.k] - seen[it.k]
+        if not orphans and not missing:
             return True, k
     return False, None
 
@@ -325,8 +324,7 @@ def enumerate_orders(labels_multiset, gamma, completed, flavour, table=None,
         # every admissible order over a weakly increasing arrangement is valid
         labels = tuple(entries[i][1] for i in perm)
         longitudes = tuple(entries[i][0] for i in perm)
-        base = FlavouredSequence(labels, longitudes, ())
-        for order in _admissible_orders(base, build_cgr(labels, completed),
+        for order in _admissible_orders(longitudes, build_cgr(labels, completed),
                                         flavour, table):
             yield FlavouredSequence(labels, longitudes, order)
 
@@ -336,20 +334,17 @@ def enumerate_orders(labels_multiset, gamma, completed, flavour, table=None,
     return [seq for perm in perms for seq in sequences(perm)]
 
 
-def _classes(ranked):
-    """The objs of sorted (key, obj) pairs, grouped by equal key."""
-    return [[obj for _, obj in grp]
-            for _, grp in itertools.groupby(ranked, key=lambda p: p[0])]
-
-
-def _admissible_orders(base, items, flavour, table):
-    """All total orders compatible with rule (i) and (ii), lazily: sort into
-    weak real-longitude classes, then permute ghost/red items within a class
-    (corporeal items keep index order and come last in the class).  Orders
-    come in the order of the product of the classes' permutations."""
+def _admissible_orders(longitudes, items, flavour, table):
+    """All total orders of items over the strand longitudes compatible with
+    rule (i) and (ii), lazily: sort into weak real-longitude classes, then
+    permute ghost/red items within a class (corporeal items keep index
+    order and come last in the class).  Orders come in the order of the
+    product of the classes' permutations."""
     classes = []
-    keys = _item_keys(base, items, flavour, table)
-    for cls in _classes(sorted(zip(keys, items), key=lambda p: p[0])):
+    keys = _item_keys(longitudes, items, flavour, table)
+    ranked = sorted(zip(keys, items), key=lambda p: p[0])
+    for _, grp in itertools.groupby(ranked, key=lambda p: p[0]):
+        cls = [it for _, it in grp]
         corp = sorted([it for it in cls if it.is_corporeal()], key=lambda it: it.k)
         classes.append(([it for it in cls if not it.is_corporeal()], tuple(corp)))
 

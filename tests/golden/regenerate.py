@@ -205,6 +205,28 @@ CASES = [
      "e@1,e@2,3,!w[beta]0]",
      "[(alpha,0),(beta,-1+sym:sqrt2),(alpha,1)] order=[!w[alpha]0,f@2,!w[alpha]1,1,"
      "2,3,e@1,!w[beta]0,e@3]"],
+    # is-unsteady: a red item inside the one suffix that holds a corporeal
+    # and all its ghosts; a ghost of an outside corporeal that rules out the
+    # shorter suffix; the whole order as the witness on unframed data
+    ["is-unsteady", "--quiver", "kron21.json",
+     "[(alpha,-4),(alpha,0),(beta,1)] order=[!w[alpha]0,1,e@1,!w[alpha]1,2,e@2,3,"
+     "!w[beta]0,f@3]"],
+    ["is-unsteady", "--quiver", "kron21.json",
+     "[(alpha,0),(alpha,5/2),(beta,3)] order=[!w[alpha]0,!w[alpha]1,1,e@1,"
+     "!w[beta]0,2,3,e@2,f@3]"],
+    ["is-unsteady", "--quiver", "kron.json", "[(alpha,0),(beta,1/2)] order=[1,2,e@1,f@2]"],
+    # check-equivalence: one label in two blocks, each of two strands of
+    # equal real longitude; symbolic longitudes with Gaussian ties
+    ["check-equivalence", "--quiver", "kron.json",
+     "[(alpha,0),(alpha,1i),(beta,1/2),(alpha,1),(alpha,1+1i)] "
+     "order=[1,2,3,e@1,e@2,4,5,f@3,e@4,e@5]",
+     "[(alpha,-1i),(alpha,0),(beta,1/2+1i),(alpha,1-1i),(alpha,1)] "
+     "order=[1,2,3,e@2,e@1,4,5,f@3,e@5,e@4]"],
+    ["check-equivalence", "--quiver", "kron.json",
+     "[(alpha,sym:sqrt2),(alpha,sym:sqrt2+1i),(beta,2*sym:sqrt2-1)] "
+     "order=[1,2,3,e@1,e@2,f@3]",
+     "[(alpha,sym:sqrt2-1i),(alpha,sym:sqrt2),(beta,2*sym:sqrt2-1)] "
+     "order=[1,2,3,e@2,e@1,f@3]"],
 ]
 
 

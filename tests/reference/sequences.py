@@ -1,14 +1,17 @@
 """The sequence layer as it was: the permutation listings of
-enumerate_orders, the pairwise validate, the eager _admissible_orders and
-the exhaustive equivalent; and the worked Kronecker data."""
+enumerate_orders, the pairwise validate, the eager _admissible_orders, the
+exhaustive equivalent, from_weight over real_order and the suffix-by-suffix
+is_unsteady; and the worked Kronecker data.  Real longitudes are keyed by
+the former real_keys of reference.scalars, never by the library's."""
 
 import itertools
 
 from klrwcb import sequences
 from klrwcb.quiver import DimensionData, Flavour, crawley_boevey, kronecker_quiver
-from klrwcb.scalars import EQ, GT, as_scalar, real_compare, real_keys
-from klrwcb.sequences import (FlavouredSequence, _admissible_orders, _classes,
-                              build_cgr, corporeal, real_order, validate)
+from klrwcb.scalars import EQ, GT, as_scalar, real_compare
+from klrwcb.sequences import FlavouredSequence, build_cgr, corporeal, validate
+
+from .scalars import real_keys
 
 
 def kronecker_data(v, w, framing=()):
@@ -42,8 +45,8 @@ def orders_by_permutations(gamma, completed, flavour, table=None,
             continue
         labels = tuple(entries[i][1] for i in perm)
         base = FlavouredSequence(labels, longs, ())
-        for order in _admissible_orders(base, build_cgr(labels, completed),
-                                        flavour, table):
+        for order in admissible_orders(base, build_cgr(labels, completed),
+                                       flavour, table):
             seq = FlavouredSequence(labels, longs, order)
             if seq in produced or validate(seq, completed, flavour, table):
                 continue
@@ -89,11 +92,72 @@ def validate_pairwise(seq, completed, flavour, table=None):
     return violations
 
 
+def real_order(objs, longitude, table=None, tie=lambda obj: ()):
+    """The former real_order: objs sorted by the real part of
+    longitude(obj), then by tie(obj), as (real key, obj) pairs."""
+    objs = list(objs)
+    keys = real_keys([longitude(o) for o in objs], table)
+    rank = sorted(range(len(objs)), key=lambda i: (keys[i], tie(objs[i])))
+    return [(keys[i], objs[i]) for i in rank]
+
+
+def classes(ranked):
+    """The objs of sorted (key, obj) pairs, grouped by equal key."""
+    return [[obj for _, obj in grp]
+            for _, grp in itertools.groupby(ranked, key=lambda p: p[0])]
+
+
+def from_weight(gamma, completed, flavour, table=None):
+    """The former from_weight: strands sorted by real_order with the tie
+    (vertex id, imaginary part, position), items by the real keys of their
+    longitudes and then ghost/red items by (edge id, owner) before
+    corporeal items by index."""
+    entries = [(as_scalar(a), str(vertex), pos, vertex)
+               for vertex in sorted(gamma, key=str)
+               for pos, a in enumerate(gamma[vertex])]
+    entries = [e for _, e in real_order(entries, lambda e: e[0], table,
+                                        lambda e: (e[1], e[0].imaginary, e[2]))]
+    labels = tuple(e[3] for e in entries)
+    longitudes = tuple(e[0] for e in entries)
+    base = FlavouredSequence(labels, longitudes, ())
+    tie = lambda it: (1, "", it.k) if it.is_corporeal() else (0, str(it.edge), it.k)
+    order = [it for _, it in real_order(build_cgr(labels, completed),
+                                        lambda it: base.longitude(it, flavour),
+                                        table, tie)]
+    seq = FlavouredSequence(labels, longitudes, order)
+    bad = validate_pairwise(seq, completed, flavour, table)
+    if bad:
+        raise ValueError("from_weight produced an invalid sequence: %s" % bad)
+    return seq
+
+
+def is_unsteady(seq):
+    """The former is_unsteady: every suffix, shortest first, rebuilt as a
+    set and tested for a red item, a ghost of an outside corporeal and a
+    ghost of its corporeals outside it."""
+    total = len(seq.order)
+    all_ghosts = {}
+    for it in seq.order:
+        if it.is_ghost():
+            all_ghosts.setdefault(it.k, set()).add(it)
+    for k in range(1, total + 1):
+        suffix = seq.order[total - k:]
+        group = set(suffix)
+        corps = {it.k for it in suffix if it.is_corporeal()}
+        if not corps or any(it.is_red() for it in suffix):
+            continue
+        if any(it.is_ghost() and it.k not in corps for it in suffix):
+            continue
+        if all(all_ghosts.get(c, set()) <= group for c in corps):
+            return True, k
+    return False, None
+
+
 def admissible_orders(base, items, flavour, table):
     """The former _admissible_orders: the permutations of every class are
     listed before the first order is yielded."""
     per_class = []
-    for cls in _classes(real_order(items, lambda it: base.longitude(it, flavour),
+    for cls in classes(real_order(items, lambda it: base.longitude(it, flavour),
                                    table)):
         gr = [it for it in cls if not it.is_corporeal()]
         corp = sorted([it for it in cls if it.is_corporeal()], key=lambda it: it.k)
@@ -117,7 +181,7 @@ def equivalent(s1, s2, completed, flavour, table=None):
         out = {}
         for lab in set(seq.labels):
             ks = [k for k in range(1, seq.n + 1) if seq.labels[k - 1] == lab]
-            out[lab] = _classes(real_order(ks, lambda k: seq.longitudes[k - 1],
+            out[lab] = classes(real_order(ks, lambda k: seq.longitudes[k - 1],
                                            table))
         return out
 

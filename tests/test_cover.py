@@ -137,4 +137,4 @@ def test_category_o_graph_infinite():
     fl = Flavour({"t": parse_scalar("sym:sqrt2~1.41421", t),
                   "w[x]0": as_scalar(0)})
     with pytest.raises(InfiniteCoverError):
-        category_o_graph(q, dims, comp, fl, t, max_vertices=64)
+        category_o_graph(q, dims, comp, fl, t)

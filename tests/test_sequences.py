@@ -504,10 +504,12 @@ _KEY_TABLES = [None, _TABLES[1],
 
 
 def _random_data(rng, shape):
-    """Completed A2, framed Kronecker or unframed Kronecker data with up to
-    two strands per vertex."""
+    """Completed A2, Jordan (framed), framed Kronecker or unframed
+    Kronecker data with up to two strands per vertex."""
     if shape == "a2":
         quiver = Quiver(["1", "2"], [Edge("a", "1", "2")])
+    elif shape == "jordan":
+        quiver = Quiver(["x"], [Edge("t", "x", "x")])
     else:
         quiver = kronecker_quiver()
     frame = 0 if shape == "unframed" else 1
@@ -535,7 +537,7 @@ def test_item_keys_match_scalar_sums():
         for its in (items, shuffled):
             values = [seq.longitude(it, fl) for it in its]
             for table in _KEY_TABLES:
-                got = _key_outcome(lambda: _item_keys(seq, its, fl, table))
+                got = _key_outcome(lambda: _item_keys(seq.longitudes, its, fl, table))
                 assert got == _key_outcome(lambda: real_keys(values, table)), \
                     (seq.labels, values)
                 assert got == _key_outcome(lambda: ref_scalars.real_keys(values, table))
@@ -545,6 +547,102 @@ def test_item_keys_match_scalar_sums():
     # no table, and a shadow tie
     assert set(tally) == {"keys", "ties", "undeclared", "symbolic", "shadows"}, tally
     assert min(tally.values()) >= 10, tally
+
+
+# -- from_weight and is_unsteady against the former code ----------------------
+
+
+def _weight_outcome(fn):
+    """describe() of the sequence fn returns, or the type and message of
+    the error it raises."""
+    try:
+        return fn().describe()
+    except (AmbiguousOrderError, UndeclaredSymbolError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _draw_weight_value(rng, kind):
+    """A longitude or flavour value whose real parts tie often: a rational
+    part from {0, 1/2, 1, 3/2}, plus an imaginary part or a symbol s or t
+    (t ties with 3/2 under the third key table)."""
+    q = as_scalar(rng.choice([0, 0, Fraction(1, 2), 1, Fraction(3, 2)]))
+    if kind == "gaussian" and rng.random() < 0.6:
+        return q + ExactScalar(0, rng.choice([1, -1, Fraction(1, 2)]))
+    if kind == "symbolic" and rng.random() < 0.5:
+        return q + ExactScalar(0, 0, {rng.choice("st"): rng.choice([1, -1])})
+    return q
+
+
+def _gaussian_tie(gamma):
+    """Two strands of one vertex with equal real and unequal imaginary
+    longitudes: the tie-break after the vertex id decides their order."""
+    return any(a.rational == b.rational and a.symbolic == b.symbolic
+               and a.imaginary != b.imaginary
+               for vals in gamma.values() for a, b in itertools.combinations(vals, 2))
+
+
+def _weight_cases(seed, count):
+    """(completed, flavour, gamma) over A2, Jordan, framed and unframed
+    Kronecker data, with rational, Gaussian and symbolic values."""
+    rng = random.Random(seed)
+    for case in range(count):
+        kind = ("rational", "gaussian", "symbolic")[case % 3]
+        shape = ("a2", "jordan", "framed", "unframed")[case // 3 % 4]
+        comp, dims = _random_data(rng, shape)
+        fl = Flavour({e.id: _draw_weight_value(rng, kind) for e in comp.edges})
+        gamma = {x: [_draw_weight_value(rng, kind) for _ in range(n)]
+                 for x, n in dims.v.items()}
+        yield comp, fl, gamma
+
+
+def test_from_weight_matches_real_order_sort():
+    # the one-call strand sort against the former real_order: the same
+    # sequence, or the same error type and message, under every key table
+    tally = Counter()
+    for comp, fl, gamma in _weight_cases(3838, 360):
+        for table in _KEY_TABLES:
+            got = _weight_outcome(lambda: from_weight(gamma, comp, fl, table))
+            assert got == _weight_outcome(lambda: ref.from_weight(gamma, comp, fl, table)), \
+                gamma
+            tally[got[1].split(" ")[0] if isinstance(got, tuple) else
+                  "gaussian tie" if _gaussian_tie(gamma) else "sequence"] += 1
+    # every outcome is met: a sequence, one ordered by the imaginary
+    # tie-break, an undeclared symbol, no table, and a shadow tie
+    assert set(tally) == {"sequence", "gaussian tie", "undeclared", "symbolic",
+                          "shadows"}, tally
+    assert min(tally.values()) >= 10, tally
+
+
+def _unsteady_orders(rng, seq):
+    """seq, shuffles of its order, the order without its first item, and
+    orders ending in a corporeal with its ghosts, whole or split."""
+    out = [seq.order]
+    for _ in range(3):
+        out.append(tuple(rng.sample(seq.order, len(seq.order))))
+    out.append(seq.order[1:])
+    for c in [it for it in seq.order if it.is_corporeal()]:
+        group = [it for it in seq.order if it.k == c.k]
+        rest = [it for it in seq.order if it not in group]
+        out.append(tuple(rest + group))
+        out.append(tuple(rest[:1] + group[1:] + rest[1:] + group[:1]))
+    return [FlavouredSequence(seq.labels, seq.longitudes, order) for order in out]
+
+
+def test_is_unsteady_matches_suffix_scan():
+    # the one pass from the right against the former suffix-by-suffix scan
+    rng = random.Random(3939)
+    tally = Counter()
+    for comp, fl, gamma in _weight_cases(3939, 120):
+        try:
+            seq = from_weight(gamma, comp, fl, _KEY_TABLES[1])
+        except AmbiguousOrderError:
+            continue
+        for s in _unsteady_orders(rng, seq):
+            got = is_unsteady(s)
+            assert got == ref.is_unsteady(s), s.describe()
+            tally["steady" if not got[0] else "whole" if got[1] == len(s.order)
+                  else "suffix"] += 1
+    assert min(tally.values()) >= 20 and len(tally) == 3, tally
 
 
 # -- one order per arrangement and the pruned search against the former code --
